@@ -121,13 +121,6 @@ type Options struct {
 	Quantum uint64
 	// THP enables transparent huge pages (default on, as in the paper).
 	DisableTHP bool
-	// DisableXCache turns off the per-core translation-result cache in
-	// front of the modeled TLB path (a pure-speed memoization; output is
-	// byte-identical either way).
-	DisableXCache bool
-	// XCacheAudit, when non-zero, cross-checks every Nth xcache hit
-	// against the full modeled lookup and panics on divergence.
-	XCacheAudit uint64
 	// CoreShards > 0 steps the machine's cores concurrently on up to
 	// CoreShards goroutines with a deterministic quantum barrier; output
 	// is identical at any width >= 1 (see internal/sim/shard.go).
@@ -154,8 +147,7 @@ func NewMachine(o Options) *Machine {
 // NewMachineArch builds a machine for a named registered architecture
 // (see ArchNames); the name takes precedence over o.Arch, except that
 // ArchBabelFishSW still selects the software-ASLR kernel configuration.
-// Unknown names and configurations the machine cannot honour (an xcache
-// under a non-replayable policy) return an error.
+// Unknown names return an error.
 func NewMachineArch(name string, o Options) (*Machine, error) {
 	p, err := sim.ParamsForArch(name)
 	if err != nil {
@@ -177,15 +169,8 @@ func NewMachineArch(name string, o Options) (*Machine, error) {
 	if o.DisableTHP {
 		p.Kernel.THP = false
 	}
-	if o.DisableXCache {
-		p.XCache = false
-	}
-	p.XCacheAudit = o.XCacheAudit
 	if o.CoreShards > 0 {
 		p.CoreShards = o.CoreShards
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
 	}
 	return &Machine{Machine: sim.New(p)}, nil
 }

@@ -52,10 +52,7 @@ func main() {
 		format  = flag.String("format", "text", "output format: text, json or markdown (json/markdown run all experiments)")
 		jobs    = flag.Int("jobs", 0, "parallel experiment cells (default GOMAXPROCS, 1 = serial); output is identical at any width")
 
-		xcacheMode  = flag.String("xcache", "on", "translation-result cache: on or off; output is byte-identical either way")
-		xcacheAudit = flag.Uint64("xcache-audit", 0, "cross-check every Nth xcache hit against the modeled lookup (0 = off)")
-		xcacheStats = flag.Bool("xcache-stats", false, "print aggregate xcache hit/miss counters to stderr after the run")
-		coreShards  = flag.Int("core-shards", 0, "step each machine's cores on up to N goroutines with a deterministic quantum barrier (0 = classic serial); output is identical at any width >= 1")
+		coreShards = flag.Int("core-shards", 0, "step each machine's cores on up to N goroutines with a deterministic quantum barrier (0 = classic serial); output is identical at any width >= 1")
 
 		traceOut    = flag.String("trace-out", "", "export one span per experiment cell after the run (Chrome trace JSON; .jsonl for compact JSONL)")
 		seriesOut   = flag.String("series-out", "", "unsupported here; bfsim and bffleet stream time series")
@@ -72,14 +69,8 @@ func main() {
 	if *flightDepth < 0 {
 		usageErr("-flight-depth must be non-negative")
 	}
-	if *xcacheMode != "on" && *xcacheMode != "off" {
-		usageErr("-xcache must be on or off (got %q)", *xcacheMode)
-	}
 	if *coreShards < 0 {
 		usageErr("-core-shards must be non-negative (0 = classic serial stepping)")
-	}
-	if *xcacheAudit > 0 && *xcacheMode == "off" {
-		usageErr("-xcache-audit has no effect with -xcache=off")
 	}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "jobs" && *jobs <= 0 {
@@ -125,26 +116,7 @@ func main() {
 		o.Seed = *seed
 	}
 	o.Jobs = *jobs
-	o.NoXCache = *xcacheMode == "off"
-	o.XCacheAudit = *xcacheAudit
 	o.CoreShards = *coreShards
-	if *xcacheStats {
-		experiments.CollectXCacheStats(true)
-	}
-	printXCacheStats := func() {
-		if !*xcacheStats {
-			return
-		}
-		s := experiments.XCacheStatsTotal()
-		total := s.Hits + s.Misses
-		rate := 0.0
-		if total > 0 {
-			rate = float64(s.Hits) / float64(total)
-		}
-		fmt.Fprintf(os.Stderr,
-			"bfbench: xcache hits=%d misses=%d hit_rate=%.4f stale=%d fills=%d uncacheable=%d audits=%d audit_mismatches=%d\n",
-			s.Hits, s.Misses, rate, s.Stale, s.Fills, s.Uncacheable, s.Audits, s.AuditMismatches)
-	}
 
 	var cellRec *obs.Recorder
 	if *traceOut != "" {
@@ -180,7 +152,6 @@ func main() {
 			os.Exit(1)
 		}
 		writeTrace()
-		printXCacheStats()
 		return
 	}
 	if err := run(strings.ToLower(*exp), o, archList); err != nil {
@@ -188,7 +159,6 @@ func main() {
 		os.Exit(1)
 	}
 	writeTrace()
-	printXCacheStats()
 }
 
 // usageErr reports a flag mistake with the full usage text and exits

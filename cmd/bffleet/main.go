@@ -17,7 +17,7 @@
 //	        [-load-peak F] [-load-trace FILE] [-queue-cap N] [-requeue-budget N]
 //	        [-max-per-node N] [-min-free F] [-shed-free F] [-degrade-epochs N]
 //	        [-jobs N] [-audit] [-events N] [-node-telemetry]
-//	        [-xcache on|off] [-xcache-audit N] [-core-shards N]
+//	        [-core-shards N]
 //	        [-trace-out FILE] [-series-out FILE] [-series-every N]
 //	        [-flight-recorder DIR] [-flight-depth N]
 //
@@ -52,12 +52,9 @@
 // bounds the worker pool stepping node machines (0 = GOMAXPROCS);
 // output is identical at any width.
 //
-// -xcache off disables the per-core translation-result cache on every
-// node machine (a pure-speed memoization; the report is byte-identical
-// either way); -xcache-audit N cross-checks every Nth xcache hit against
-// the full modeled lookup. -core-shards N steps each node machine's cores
-// on up to N goroutines with a deterministic quantum barrier; the report
-// is identical at any width >= 1.
+// -core-shards N steps each node machine's cores on up to N goroutines
+// with a deterministic quantum barrier; the report is identical at any
+// width >= 1.
 //
 // -trace-out FILE exports the run's causal spans (fleet request →
 // placement → node epoch → quantum → fault) and fleet/machine trace
@@ -141,13 +138,11 @@ func run() int {
 		shedFree      = flag.Float64("shed-free", 0.02, "shed watermark: degrade and shed below this free fraction")
 		degradeEpochs = flag.Int("degrade-epochs", 2, "epochs a degraded node keeps admissions closed")
 
-		jobs        = flag.Int("jobs", 0, "worker pool width for the per-epoch node stepping (default GOMAXPROCS); output is identical at any width")
-		xcacheMode  = flag.String("xcache", "on", "translation-result cache: on or off; output is byte-identical either way")
-		xcacheAudit = flag.Uint64("xcache-audit", 0, "cross-check every Nth xcache hit against the modeled lookup (0 = off)")
-		coreShards  = flag.Int("core-shards", 0, "step each node machine's cores on up to N goroutines with a deterministic quantum barrier (0 = classic serial); output is identical at any width >= 1")
-		audit       = flag.Bool("audit", false, "run the fleet invariant auditor after each run; exit non-zero on violations")
-		eventsN     = flag.Int("events", 0, "print the last N audit-log events of each run")
-		nodeTel     = flag.Bool("node-telemetry", false, "enable per-node machine histograms (merged fleet-wide translation latency)")
+		jobs       = flag.Int("jobs", 0, "worker pool width for the per-epoch node stepping (default GOMAXPROCS); output is identical at any width")
+		coreShards = flag.Int("core-shards", 0, "step each node machine's cores on up to N goroutines with a deterministic quantum barrier (0 = classic serial); output is identical at any width >= 1")
+		audit      = flag.Bool("audit", false, "run the fleet invariant auditor after each run; exit non-zero on violations")
+		eventsN    = flag.Int("events", 0, "print the last N audit-log events of each run")
+		nodeTel    = flag.Bool("node-telemetry", false, "enable per-node machine histograms (merged fleet-wide translation latency)")
 
 		traceOut    = flag.String("trace-out", "", "export causal spans and trace events after the run (Chrome trace JSON; .jsonl for compact JSONL)")
 		seriesOut   = flag.String("series-out", "", "stream a per-epoch time series of the fleet registry (.prom for Prometheus text, JSONL otherwise; single -arch only)")
@@ -200,12 +195,6 @@ func run() int {
 	}
 	if *eventsN < 0 {
 		usageErr("-events must be non-negative")
-	}
-	if *xcacheMode != "on" && *xcacheMode != "off" {
-		usageErr("-xcache must be on or off (got %q)", *xcacheMode)
-	}
-	if *xcacheAudit > 0 && *xcacheMode == "off" {
-		usageErr("-xcache-audit has no effect with -xcache=off")
 	}
 	if *coreShards < 0 {
 		usageErr("-core-shards must be non-negative (0 = classic serial stepping)")
@@ -336,12 +325,7 @@ func run() int {
 		}
 		p.Cores = *cores
 		p.MemBytes = *memMB << 20
-		p.XCache = *xcacheMode != "off"
-		p.XCacheAudit = *xcacheAudit
 		p.CoreShards = *coreShards
-		if err := p.Validate(); err != nil {
-			usageErr("%v", err)
-		}
 		cfg := fleet.DefaultConfig(p, mkSpec())
 		cfg.Nodes = *nodes
 		cfg.Scale = *scale

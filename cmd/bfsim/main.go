@@ -8,7 +8,7 @@
 //	bfsim [-app mongodb|arangodb|httpd|graphchi|fio] [-arch NAME|both]
 //	      [-cores N] [-containers N] [-scale F] [-warm N] [-measure N] [-seed N]
 //	      [-audit] [-failnth N] [-failseed N] [-jobs N] [-cpuprofile FILE]
-//	      [-xcache on|off] [-xcache-audit N] [-core-shards N]
+//	      [-core-shards N]
 //	      [-metrics-out FILE] [-sample-every N] [-trace N]
 //	      [-trace-out FILE] [-series-out FILE] [-flight-recorder DIR] [-flight-depth N]
 //	      [-inject-mem tlb,pwc,cache,dram|all] [-inject-mem-nth N] [-inject-mem-prob P]
@@ -34,11 +34,7 @@
 // with -audit to watch the TLB audit catch the corruption (the run then
 // deliberately exits non-zero).
 //
-// -xcache off disables the per-core translation-result cache (a
-// pure-speed memoization in front of the modeled TLB path; the report is
-// byte-identical either way), and -xcache-audit N cross-checks every Nth
-// xcache hit against the full modeled lookup. -core-shards N steps each
-// machine's cores on up to N goroutines with a deterministic quantum
+// -core-shards N steps each machine's cores on up to N goroutines with a deterministic quantum
 // barrier; the report is identical at any width >= 1. (Sharded stepping
 // yields to the classic serial scheduler while -trace, telemetry or span
 // recording is active, so those flags compose without surprises.)
@@ -121,8 +117,6 @@ func run() int {
 		failNth     = flag.Uint64("failnth", 0, "fail every Nth frame allocation during the measured run (0 = off)")
 		failSeed    = flag.Uint64("failseed", 1, "fault-injector seed")
 		jobs        = flag.Int("jobs", 0, "run architectures on N parallel workers (default GOMAXPROCS, 1 = serial); output is identical at any width")
-		xcacheMode  = flag.String("xcache", "on", "translation-result cache: on or off; output is byte-identical either way")
-		xcacheAudit = flag.Uint64("xcache-audit", 0, "cross-check every Nth xcache hit against the modeled lookup (0 = off)")
 		coreShards  = flag.Int("core-shards", 0, "step each machine's cores on up to N goroutines with a deterministic quantum barrier (0 = classic serial); output is identical at any width >= 1")
 		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		metricsOut  = flag.String("metrics-out", "", "write a JSON telemetry report to this file")
@@ -177,12 +171,6 @@ func run() int {
 	}
 	if *traceN < 0 {
 		usageErr("-trace must be non-negative")
-	}
-	if *xcacheMode != "on" && *xcacheMode != "off" {
-		usageErr("-xcache must be on or off (got %q)", *xcacheMode)
-	}
-	if *xcacheAudit > 0 && *xcacheMode == "off" {
-		usageErr("-xcache-audit has no effect with -xcache=off")
 	}
 	if *coreShards < 0 {
 		usageErr("-core-shards must be non-negative (0 = classic serial stepping)")
@@ -281,10 +269,8 @@ func run() int {
 	runArch := func(res *archResult, idx int, name string) {
 		res.name = name
 		m, err := babelfish.NewMachineArch(name, babelfish.Options{
-			Cores:         *cores,
-			DisableXCache: *xcacheMode == "off",
-			XCacheAudit:   *xcacheAudit,
-			CoreShards:    *coreShards,
+			Cores:      *cores,
+			CoreShards: *coreShards,
 		})
 		if err != nil {
 			res.err = err

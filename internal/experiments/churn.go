@@ -3,6 +3,7 @@ package experiments
 import (
 	"babelfish/internal/memdefs"
 	"babelfish/internal/metrics"
+	"babelfish/internal/sim"
 	"babelfish/internal/workloads"
 )
 
@@ -40,7 +41,7 @@ func Churn(o Options, waves int) (*ChurnResult, error) {
 	run := func(a Arch) (cycles float64, faults uint64, peak, tables int, forkCyc memdefs.Cycles, err error) {
 		oo := o
 		oo.Cores = 1
-		m := newMachine(oo.Params(a))
+		m := sim.New(oo.Params(a))
 		fg, err := workloads.DeployFaaS(m, true, o.Scale, o.Seed)
 		if err != nil {
 			return 0, 0, 0, 0, 0, err

@@ -41,16 +41,6 @@ type Options struct {
 	// byte-identical at any width, so Jobs is excluded from JSON reports.
 	Jobs int `json:"-"`
 
-	// NoXCache disables the per-core translation-result cache
-	// (internal/xcache) on every machine the suite builds. The cache is
-	// simulator infrastructure with byte-identical output either way, so
-	// — like Jobs — it is excluded from JSON reports; the CI identity job
-	// diffs suite output with the cache on vs off.
-	NoXCache bool `json:"-"`
-	// XCacheAudit, when non-zero, cross-checks every Nth xcache hit
-	// against the modeled lookup (divergences surface through the TLB
-	// audit). Byte-identical either way; excluded from reports.
-	XCacheAudit uint64 `json:"-"`
 	// CoreShards > 0 steps each machine's cores concurrently on up to
 	// CoreShards goroutines with a deterministic quantum barrier.
 	// Byte-identical at any width >= 1; excluded from reports.
@@ -158,8 +148,6 @@ func (o Options) apply(p sim.Params) sim.Params {
 	if o.L3Bytes > 0 {
 		p.L3.SizeBytes = o.L3Bytes
 	}
-	p.XCache = !o.NoXCache
-	p.XCacheAudit = o.XCacheAudit
 	p.CoreShards = o.CoreShards
 	return p
 }
@@ -184,7 +172,7 @@ func deployServing(o Options, a Arch, spec *workloads.AppSpec) (*sim.Machine, *w
 // architecture head-to-head sweep measures registry policies that have no
 // Arch enum value).
 func deployParams(o Options, p sim.Params, spec *workloads.AppSpec) (*sim.Machine, *workloads.Deployment, error) {
-	m := newMachine(p)
+	m := sim.New(p)
 	d, err := workloads.Deploy(m, spec, o.Scale, o.Seed)
 	if err != nil {
 		return nil, nil, err

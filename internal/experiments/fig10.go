@@ -86,7 +86,7 @@ func Fig10(o Options) (*Fig10Result, error) {
 }
 
 func fig10FunctionsRun(o Options, a Arch) (sim.AggStats, error) {
-	m := newMachine(o.Params(a))
+	m := sim.New(o.Params(a))
 	fg, err := workloads.DeployFaaS(m, false, o.Scale, o.Seed)
 	if err != nil {
 		return sim.AggStats{}, err

@@ -183,7 +183,7 @@ func (pa funcArchRun) avg(name string) float64 {
 // each function per core.
 func functionRun(o Options, sparse bool, a Arch) (funcArchRun, error) {
 	pa := funcArchRun{sums: map[string]float64{}, counts: map[string]int{}}
-	m := newMachine(o.Params(a))
+	m := sim.New(o.Params(a))
 	fg, err := workloads.DeployFaaS(m, sparse, o.Scale, o.Seed)
 	if err != nil {
 		return pa, err

@@ -65,16 +65,14 @@ func Fig7(o Options) (*Fig7Result, error) {
 
 // fig7Mode runs the three-container timeline on one fresh machine. The
 // example's scale is fixed by the paper; only the simulator-infrastructure
-// knobs (xcache, shards) are taken from o.
+// knob (shards) is taken from o.
 func fig7Mode(o Options, mode kernel.Mode) ([3]Fig7Step, *telemetry.Snapshot, error) {
 	var steps [3]Fig7Step
 	p := sim.DefaultParams(mode)
 	p.Cores = 2
 	p.MemBytes = 256 << 20
-	p.XCache = !o.NoXCache
-	p.XCacheAudit = o.XCacheAudit
 	p.CoreShards = o.CoreShards
-	m := newMachine(p)
+	m := sim.New(p)
 	k := m.Kernel
 	g := k.NewGroup("fig7", 7)
 	tmpl, err := k.CreateProcess(g, "tmpl")

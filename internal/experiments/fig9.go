@@ -5,6 +5,7 @@ import (
 
 	"babelfish/internal/kernel"
 	"babelfish/internal/metrics"
+	"babelfish/internal/sim"
 	"babelfish/internal/workloads"
 )
 
@@ -90,7 +91,7 @@ func Fig9(o Options) (*Fig9Result, error) {
 func fig9App(o Options, spec *workloads.AppSpec) (Fig9Row, error) {
 	oo := o
 	oo.Cores = 1
-	m := newMachine(oo.Params(Baseline))
+	m := sim.New(oo.Params(Baseline))
 	d, err := workloads.Deploy(m, spec, o.Scale, o.Seed)
 	if err != nil {
 		return Fig9Row{}, err
@@ -116,7 +117,7 @@ func fig9App(o Options, spec *workloads.AppSpec) (Fig9Row, error) {
 func fig9Functions(o Options) (Fig9Row, error) {
 	oo := o
 	oo.Cores = 1
-	m := newMachine(oo.Params(Baseline))
+	m := sim.New(oo.Params(Baseline))
 	fg, err := workloads.DeployFaaS(m, false, o.Scale, o.Seed)
 	if err != nil {
 		return Fig9Row{}, err

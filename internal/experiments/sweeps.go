@@ -37,7 +37,7 @@ func (r *SweepResult) String() string {
 // the mean request latency. It is the common body of the sensitivity
 // sweeps, each of which runs it as an independent plan cell.
 func mongoLatency(o Options, p sim.Params, perCore int) (float64, error) {
-	m := newMachine(p)
+	m := sim.New(p)
 	d, err := workloads.Deploy(m, workloads.MongoDB(), o.Scale, o.Seed)
 	if err != nil {
 		return 0, err
@@ -146,7 +146,7 @@ func SweepGroupSize(o Options, sizes []int) (*SweepResult, error) {
 func groupSizeRun(o Options, a Arch, n int) (float64, error) {
 	oo := o
 	oo.Cores = 1
-	m := newMachine(oo.Params(a))
+	m := sim.New(oo.Params(a))
 	fg, err := workloads.DeployFaaS(m, true, o.Scale, o.Seed)
 	if err != nil {
 		return 0, err

@@ -139,7 +139,7 @@ func Bringup(o Options) (*BringupResult, error) {
 		pl.add("bringup/"+a.String(), func() error {
 			oo := o
 			oo.Cores = 1
-			m := newMachine(oo.Params(a))
+			m := sim.New(oo.Params(a))
 			fg, err := workloads.DeployFaaS(m, false, o.Scale, o.Seed)
 			if err != nil {
 				return err

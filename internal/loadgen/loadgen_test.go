@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -167,12 +168,61 @@ func TestTraceParseErrors(t *testing.T) {
 		"a,1,2",   // non-integer epoch
 		"0,-1,2",  // negative container
 		"0,1,-2",  // negative requests
+		"0,0,9223372036854775807\n0,0,9223372036854775807", // duplicate rows overflow
 	}
 	for _, csv := range bad {
 		if _, err := ParseTrace(strings.NewReader(csv), "bad"); err == nil {
 			t.Errorf("ParseTrace(%q): want error, got nil", csv)
 		}
 	}
+	// The overflow error names the row that tipped the sum over.
+	_, err := ParseTrace(strings.NewReader("0,0,9223372036854775807\n0,0,1"), "big")
+	if err == nil || !strings.Contains(err.Error(), "big:2:") {
+		t.Errorf("overflowing duplicate: got %v, want an error at big:2", err)
+	}
+}
+
+// FuzzParseTrace: whatever ParseTrace accepts must replay as
+// non-negative arrivals, and MaxEpoch/MaxContainer must bound every row.
+func FuzzParseTrace(f *testing.F) {
+	seed, err := os.ReadFile("testdata/trace.csv")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(seed))
+	f.Add("0,0,9223372036854775807\n0,0,9223372036854775807")
+	f.Add("epoch,container,requests\n3,1,0\n")
+	f.Fuzz(func(t *testing.T, csv string) {
+		tr, err := ParseTrace(strings.NewReader(csv), "fuzz")
+		if err != nil {
+			return
+		}
+		maxEp, maxCt := tr.MaxEpoch(), tr.MaxContainer()
+		if (maxEp < 0) != (maxCt < 0) {
+			t.Fatalf("MaxEpoch %d and MaxContainer %d disagree on emptiness", maxEp, maxCt)
+		}
+		// Container indices can be huge; replay into a bounded prefix.
+		out := make([]int, min(maxCt+1, 64))
+		for ep, row := range tr.epochs {
+			if ep > maxEp {
+				t.Fatalf("row at epoch %d beyond MaxEpoch %d", ep, maxEp)
+			}
+			for ct, n := range row {
+				if ct > maxCt {
+					t.Fatalf("row for container %d beyond MaxContainer %d", ct, maxCt)
+				}
+				if n < 0 {
+					t.Fatalf("epoch %d container %d: %d requests", ep, ct, n)
+				}
+			}
+			tr.Arrivals(ep, out)
+			for ct, n := range out {
+				if n < 0 {
+					t.Fatalf("epoch %d container %d: %d arrivals", ep, ct, n)
+				}
+			}
+		}
+	})
 }
 
 func TestLoadTraceFile(t *testing.T) {

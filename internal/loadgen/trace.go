@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -22,7 +23,8 @@ type Trace struct {
 // LoadTrace reads a trace file from disk. The format is CSV with three
 // integer fields `epoch,container,requests`; blank lines, `#` comments,
 // and an optional literal `epoch,container,requests` header are
-// ignored. Duplicate (epoch, container) rows accumulate.
+// ignored. Duplicate (epoch, container) rows accumulate; a sum that
+// would overflow int is an error.
 func LoadTrace(path string) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -63,6 +65,9 @@ func ParseTrace(r io.Reader, name string) (*Trace, error) {
 		if row == nil {
 			row = make(map[int]int)
 			t.epochs[ep] = row
+		}
+		if row[ct] > math.MaxInt-n {
+			return nil, fmt.Errorf("loadgen: %s:%d: requests for epoch %d container %d overflow int", name, lineNo, ep, ct)
 		}
 		row[ct] += n
 		if ct > t.maxCt {

@@ -23,7 +23,6 @@ import (
 	"babelfish/internal/pwc"
 	"babelfish/internal/telemetry"
 	"babelfish/internal/tlb"
-	"babelfish/internal/xcache"
 	"babelfish/internal/xlatpolicy"
 )
 
@@ -127,13 +126,6 @@ type MMU struct {
 	tlbInj *memsys.Injector
 	pwcInj *memsys.Injector
 
-	// xc, when non-nil, is the translation-result cache consulted before
-	// the modeled TLB path (see internal/xcache). Bypassed while a TLB
-	// injector is armed: injected faults fire on modeled TLB hits, so
-	// short-circuiting lookups would shift the fault sequence, and
-	// poison mode mutates entries below the generation counters.
-	xc *xcache.XCache
-
 	// pol is the resolved translation policy; polCore its per-core
 	// extension state (nil when the policy adds no extra structures).
 	// opc/xform/l1Private are the policy decisions precomputed off the
@@ -208,22 +200,10 @@ func (m *MMU) ResetStats() {
 	m.L1I.ResetStats()
 	m.L2.ResetStats()
 	m.PWC.ResetStats()
-	if m.xc != nil {
-		m.xc.ResetStats()
-	}
 	if m.polCore != nil {
 		m.polCore.ResetStats()
 	}
 }
-
-// EnableXCache installs a translation-result cache in front of the
-// modeled TLB path. Cached entries replay the modeled path's exact state
-// deltas, so all stats and suite output stay byte-identical with the
-// cache on or off.
-func (m *MMU) EnableXCache(cfg xcache.Config) { m.xc = xcache.New(cfg) }
-
-// XCache returns the installed translation-result cache (nil when off).
-func (m *MMU) XCache() *xcache.XCache { return m.xc }
 
 // Port returns the memory port the walker currently uses.
 func (m *MMU) Port() memsys.Port { return m.port }
@@ -239,15 +219,7 @@ func (m *MMU) SetPort(p memsys.Port) { m.port = p }
 // it now claims a PCID/CCID outside the architected range, which the TLB
 // audit must flag as an ownership violation. The translated frame is
 // untouched either way, so a wrong translation can never be delivered.
-// Arming or disarming the injector drops all translation-result cache
-// entries: poison mode corrupts TLB entries in place, below the set
-// generation counters the cache's validity is anchored to.
-func (m *MMU) SetTLBInjector(in *memsys.Injector) {
-	m.tlbInj = in
-	if m.xc != nil {
-		m.xc.FlushAll()
-	}
-}
+func (m *MMU) SetTLBInjector(in *memsys.Injector) { m.tlbInj = in }
 
 // SetPWCInjector installs (or removes) the PWC lookup-fault injector
 // (drop-only: a fired hit is refetched from the cache hierarchy).
@@ -345,27 +317,6 @@ func (m *MMU) TranslateInto(ctx *Ctx, va memdefs.VAddr, write bool, kind memdefs
 		l1 = m.L1I
 	}
 
-	// --- Translation-result cache, consulted before the modeled path.
-	// A hit replays the modeled L1 lookup's exact state deltas (or, on a
-	// sampled audit, runs the modeled lookup itself and compares).
-	var auditEntry *xcache.Entry
-	xc := m.xc
-	if xc != nil && m.tlbInj == nil {
-		e, audit := xc.Probe(memdefs.PageVPN(va), ctx.PID, ctx.PCID, ctx.CCID, kind, write)
-		if e != nil {
-			if !audit {
-				xc.Apply(e)
-				lat := e.Lat()
-				m.stats.L1Hits++
-				m.stats.TotalCycles += lat
-				info.Level = "L1"
-				info.Size = memdefs.Page4K
-				return e.PPN(), lat, nil
-			}
-			auditEntry = e
-		}
-	}
-
 	for retry := 0; retry < maxRetries; retry++ {
 		// --- L1 TLB, probed with the process virtual address.
 		q := tlb.Lookup{
@@ -376,30 +327,8 @@ func (m *MMU) TranslateInto(ctx *Ctx, va memdefs.VAddr, write bool, kind memdefs
 			PID:   ctx.PID,
 			PCBit: ctx.PCBit,
 		}
-		// Only clean 4KB hits are cacheable (the 4KB class is the first
-		// structure a group probe consults, so such a hit touches exactly
-		// one set); the gate therefore only needs that structure's
-		// signature, not the whole group's.
-		var gateBefore uint64
-		l14k := l1.BydSize[memdefs.Page4K]
-		fill := xc != nil && l14k != nil && m.tlbInj == nil && auditEntry == nil
-		if fill {
-			gateBefore = l14k.GateSig()
-		}
 		r1 := l1.Lookup(va, q)
 		cycles += r1.Lat
-		if auditEntry != nil {
-			// Sampled cross-check: the modeled lookup above served this
-			// access (applying the same deltas a replay would), so
-			// comparing it against the cached result is free of side
-			// effects on byte-identity.
-			var appn memdefs.PPN
-			if r1.Res == tlb.Hit {
-				appn = m.ppnFor(r1.Entry, r1.Size, va)
-			}
-			xc.AuditResult(auditEntry, r1.Res, r1.Entry, r1.Lat, r1.Size, appn)
-			auditEntry = nil
-		}
 		if r1.Res == tlb.Hit && m.tlbInj != nil && m.tlbInj.Fire() {
 			// Injected lookup fault: the hit is not trusted. Drop mode
 			// discards it (the L2/walk below re-derives the translation);
@@ -414,18 +343,7 @@ func (m *MMU) TranslateInto(ctx *Ctx, va memdefs.VAddr, write bool, kind memdefs
 			m.stats.TotalCycles += cycles
 			info.Level = "L1"
 			info.Size = r1.Size
-			ppn := m.ppnFor(r1.Entry, r1.Size, va)
-			if fill && r1.Size == memdefs.Page4K {
-				// Cache only hits whose outcome is a pure function of the
-				// probed set's contents: a moved GateSig means the lookup
-				// consulted kernel MaskPage state or classified a fault.
-				if l14k.GateSig() == gateBefore {
-					xc.Fill(l14k, memdefs.PageVPN(va), r1.Entry, r1.Lat, r1.Entry.BroughtBy != ctx.PID, ppn, ctx.PID, ctx.PCID, ctx.CCID, kind, write)
-				} else {
-					xc.NoteUncacheable()
-				}
-			}
-			return ppn, cycles, nil
+			return m.ppnFor(r1.Entry, r1.Size, va), cycles, nil
 		case tlb.HitCoWFault:
 			// The entry is stale by definition (a write through it can
 			// never succeed); drop the local translations so the retry

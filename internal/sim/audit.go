@@ -6,7 +6,6 @@ import (
 	"babelfish/internal/kernel"
 	"babelfish/internal/memdefs"
 	"babelfish/internal/tlb"
-	"babelfish/internal/xcache"
 )
 
 // AuditTLBs cross-checks every valid entry of every core's TLBs against
@@ -54,40 +53,8 @@ func (m *Machine) AuditTLBs() kernel.AuditReport {
 				})
 			})
 		}
-		// A latched xcache cross-check divergence is a lost invalidation
-		// by definition — surface it through the same report.
-		if xc := c.MMU.XCache(); xc != nil {
-			if s := xc.Stats(); s.AuditMismatches > 0 {
-				r.Violations = append(r.Violations, fmt.Sprintf(
-					"core%d: %d xcache audit mismatches; first: %s",
-					c.ID, s.AuditMismatches, xc.Mismatch()))
-			}
-		}
 	}
 	return r
-}
-
-// XCacheStats sums the per-core translation-result cache counters (zero
-// value when the xcache is disabled). Simulator infrastructure, not
-// modeled hardware — kept out of the telemetry registry so suite output
-// is byte-identical with the cache on or off.
-func (m *Machine) XCacheStats() xcache.Stats {
-	var agg xcache.Stats
-	for _, c := range m.Cores {
-		xc := c.MMU.XCache()
-		if xc == nil {
-			continue
-		}
-		s := xc.Stats()
-		agg.Hits += s.Hits
-		agg.Misses += s.Misses
-		agg.Stale += s.Stale
-		agg.Fills += s.Fills
-		agg.Uncacheable += s.Uncacheable
-		agg.Audits += s.Audits
-		agg.AuditMismatches += s.AuditMismatches
-	}
-	return agg
 }
 
 func (m *Machine) auditGroup(r *kernel.AuditReport, where string, g *tlb.Group, groupVA, ccidTagged bool) {

@@ -57,9 +57,8 @@ func BenchmarkTranslate(b *testing.B) {
 // BenchmarkMachineRun measures whole-machine simulation throughput (the
 // scheduler loop, including the gated Info plumbing) with telemetry off.
 //
-// The variants isolate the simulator's perf levers: XCacheOff vs
-// BabelFish is the translation-result cache's win on the classic serial
-// scheduler; Wide vs Sharded is core-sharded stepping's win on a
+// The variants isolate the simulator's perf levers: Wide vs Sharded is
+// core-sharded stepping's win on a
 // multi-core machine (bounded by host CPUs — on a single-CPU host it
 // measures barrier overhead instead); Victima and Coalesced price the
 // per-miss policy-store probes of the registry architectures.
@@ -67,17 +66,15 @@ func BenchmarkMachineRun(b *testing.B) {
 	cases := []struct {
 		name   string
 		arch   string
-		xcache bool
 		cores  int
 		shards int
 	}{
-		{"Baseline", "baseline", true, 1, 0},
-		{"BabelFish", "babelfish", true, 1, 0},
-		{"BabelFishXCacheOff", "babelfish", false, 1, 0},
-		{"BabelFishWide", "babelfish", true, 4, 0},
-		{"BabelFishSharded", "babelfish", true, 4, 4},
-		{"Victima", "victima", true, 1, 0},
-		{"Coalesced", "coalesced", true, 1, 0},
+		{"Baseline", "baseline", 1, 0},
+		{"BabelFish", "babelfish", 1, 0},
+		{"BabelFishWide", "babelfish", 4, 0},
+		{"BabelFishSharded", "babelfish", 4, 4},
+		{"Victima", "victima", 1, 0},
+		{"Coalesced", "coalesced", 1, 0},
 	}
 	for _, c := range cases {
 		c := c
@@ -88,7 +85,6 @@ func BenchmarkMachineRun(b *testing.B) {
 			}
 			p.Cores = c.cores
 			p.MemBytes = 512 << 20
-			p.XCache = c.xcache
 			p.CoreShards = c.shards
 			m := sim.New(p)
 			d, err := workloads.Deploy(m, workloads.MongoDB(), 0.25, 42)

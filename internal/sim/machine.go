@@ -24,7 +24,6 @@ import (
 	"babelfish/internal/physmem"
 	"babelfish/internal/telemetry"
 	"babelfish/internal/trace"
-	"babelfish/internal/xcache"
 	"babelfish/internal/xlatpolicy"
 )
 
@@ -117,16 +116,6 @@ type Params struct {
 	// core's TLBs, PWC and caches.
 	SMT bool
 
-	// XCache enables the per-core translation-result cache in front of
-	// the modeled TLB path (internal/xcache). Simulator infrastructure,
-	// not modeled hardware: suite output is byte-identical on or off.
-	XCache bool
-	// XCacheEntries sizes the cache (0 = xcache.DefaultEntries).
-	XCacheEntries int
-	// XCacheAudit, when non-zero, cross-checks every Nth xcache hit
-	// against the modeled lookup and latches any divergence for Audit.
-	XCacheAudit uint64
-
 	// CoreShards > 0 selects the sharded stepping mode: cores run their
 	// quanta concurrently on up to CoreShards goroutines between
 	// deterministic barriers, with kernel effects deferred to the barrier
@@ -151,7 +140,6 @@ func DefaultParams(mode kernel.Mode) Params {
 		Quantum:   2_000_000,
 		CtxSwitch: 2000,
 		CPITenths: 5,
-		XCache:    true,
 		MMU: mmu.Config{
 			BabelFish:       mode == kernel.ModeBabelFish,
 			ASLRHW:          kcfg.ASLR == kernel.ASLRHW,
@@ -183,18 +171,6 @@ func ParamsForArch(name string) (Params, error) {
 	p.MMU.Policy = a.Policy
 	p.MMU.BabelFish = a.OPC()
 	return p, nil
-}
-
-// Validate checks cross-field constraints that New would otherwise have
-// to resolve silently. CLIs call it to reject a configuration with a
-// clear error; New itself self-disables the xcache for non-replayable
-// policies rather than diverge.
-func (p Params) Validate() error {
-	if p.XCache && p.MMU.Policy != nil && !p.MMU.Policy.XCacheReplayable() {
-		return fmt.Errorf("sim: translation-result cache cannot replay policy %q byte-identically; disable the xcache for this architecture",
-			p.MMU.Policy.Name())
-	}
-	return nil
 }
 
 // Task is one schedulable process with its access generator.
@@ -370,13 +346,6 @@ func New(p Params) *Machine {
 		hier := cache.NewHierarchy(p.Hier, l3)
 		core := &Core{ID: i, Hier: hier, Mem: hier}
 		core.MMU = mmu.New(p.MMU, mem, hier, os)
-		// The xcache's validity is anchored to L1 TLB generation counters;
-		// a policy that cannot be replayed under that signal self-disables
-		// the cache (Params.Validate surfaces the same condition as an
-		// error for CLIs that want to reject instead).
-		if p.XCache && core.MMU.Policy().XCacheReplayable() {
-			core.MMU.EnableXCache(xcache.Config{Entries: p.XCacheEntries, AuditEvery: p.XCacheAudit})
-		}
 		m.Cores = append(m.Cores, core)
 	}
 	if sharded {

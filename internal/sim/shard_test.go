@@ -12,7 +12,7 @@ import (
 // TestShardedWidthIdentity runs the full kernel-mutation storm under
 // sharded stepping at widths 1 and 4: the quantum-barrier design
 // guarantees byte-identical results at any width (shard.go's determinism
-// argument), and the xcache must stay transparent under sharding too.
+// argument).
 func TestShardedWidthIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("storm identity is slow")
@@ -25,13 +25,6 @@ func TestShardedWidthIdentity(t *testing.T) {
 	four.CoreShards = 4
 	if got := runStorm(t, four); got != want {
 		t.Errorf("core-shards=4 diverged from 1:\n--- 1 ---\n%s--- 4 ---\n%s", want, got)
-	}
-
-	noxc := stormParams()
-	noxc.CoreShards = 4
-	noxc.XCache = false
-	if got := runStorm(t, noxc); got != want {
-		t.Errorf("sharded xcache-off diverged from sharded xcache-on:\n--- on ---\n%s--- off ---\n%s", want, got)
 	}
 }
 
@@ -46,7 +39,6 @@ func TestShardedRaceCoverage(t *testing.T) {
 	p.MemBytes = 256 << 20
 	p.Quantum = 20_000
 	p.CoreShards = 4
-	p.XCacheAudit = 128
 	m := sim.New(p)
 	d, err := workloads.Deploy(m, workloads.GraphChi(), 0.25, 11)
 	if err != nil {
@@ -70,7 +62,13 @@ func TestShardedRaceCoverage(t *testing.T) {
 	if rep := m.AuditTLBs(); !rep.OK() {
 		t.Fatalf("TLB audit:\n%s", rep)
 	}
-	if s := m.XCacheStats(); s.Hits == 0 {
-		t.Fatalf("sharded run never hit the xcache: %+v", s)
+	// Vacuity guard: the concurrent phases must have run real
+	// translations, not just faulted at the barrier.
+	var l1Hits uint64
+	for _, c := range m.Cores {
+		l1Hits += c.MMU.Stats().L1Hits
+	}
+	if l1Hits == 0 {
+		t.Fatal("sharded run never hit the L1 TLB")
 	}
 }

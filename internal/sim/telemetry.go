@@ -11,7 +11,6 @@ import (
 	"babelfish/internal/physmem"
 	"babelfish/internal/telemetry"
 	"babelfish/internal/trace"
-	"babelfish/internal/xcache"
 )
 
 // Histogram names in the machine's registry.
@@ -98,26 +97,6 @@ func (m *Machine) registerMetrics() {
 	reg.Gauge("phys.frames_free", "frame", "free 4KB frames", func() float64 { return float64(m.Mem.FreeFrames()) })
 	reg.Gauge("phys.frames_allocated", "frame", "allocated 4KB frames", func() float64 { return float64(m.Mem.Allocated()) })
 	reg.Gauge("phys.frames_peak", "frame", "peak allocated 4KB frames", func() float64 { return float64(m.Mem.PeakAllocated()) })
-
-	// Translation-result cache (host-side memoization, internal/xcache).
-	// Counters are aggregated across cores; the hit rate is the headline
-	// gauge for judging whether the cache pays off on a workload.
-	xstat := func(f func(xcache.Stats) uint64) func() uint64 {
-		return func() uint64 { return f(m.XCacheStats()) }
-	}
-	reg.Counter("xcache.hits", "probe", "translation results served from the xcache", xstat(func(s xcache.Stats) uint64 { return s.Hits }))
-	reg.Counter("xcache.misses", "probe", "xcache probes that ran the modeled path", xstat(func(s xcache.Stats) uint64 { return s.Misses }))
-	reg.Counter("xcache.stale", "probe", "xcache probes rejected by a TLB-set generation move (invalidations)", xstat(func(s xcache.Stats) uint64 { return s.Stale }))
-	reg.Counter("xcache.fills", "entry", "xcache entries installed after cacheable L1 hits", xstat(func(s xcache.Stats) uint64 { return s.Fills }))
-	reg.Counter("xcache.uncacheable", "probe", "L1 hits refused by the cacheability gate", xstat(func(s xcache.Stats) uint64 { return s.Uncacheable }))
-	reg.Counter("xcache.audit_mismatches", "event", "sampled cross-checks where replay diverged from the model", xstat(func(s xcache.Stats) uint64 { return s.AuditMismatches }))
-	reg.Gauge("xcache.hit_rate", "frac", "xcache hits over probes", func() float64 {
-		s := m.XCacheStats()
-		if total := s.Hits + s.Misses + s.Stale; total > 0 {
-			return float64(s.Hits) / float64(total)
-		}
-		return 0
-	})
 
 	// Derived translation gauges (the paper's headline axes).
 	reg.Gauge("xlat.mpki_data", "mpki", "L2 TLB data misses per kilo-instruction", func() float64 { return m.aggregateCached().MPKIData() })

@@ -81,15 +81,32 @@ func corruptOneL2Entry(m *sim.Machine, fn func(*tlb.Entry)) bool {
 }
 
 // TestTLBAuditDetectsCorruption: the audit must notice a cached
-// translation pointing at the wrong frame.
+// translation pointing at the wrong frame, in the shared L2 (group
+// addresses) and in the private L1D (process addresses) alike.
 func TestTLBAuditDetectsCorruption(t *testing.T) {
 	m := warmMachine(t, kernel.ModeBabelFish)
 	if !corruptOneL2Entry(m, func(e *tlb.Entry) { e.PPN++ }) {
 		t.Fatal("no valid L2 entry to corrupt")
 	}
-	rep := m.AuditTLBs()
-	if rep.OK() {
-		t.Fatal("audit missed a corrupted PPN")
+	if m.AuditTLBs().OK() {
+		t.Fatal("audit missed a corrupted L2 PPN")
+	}
+
+	// A frame moved in place in the L1D 4KB structure, bypassing every
+	// Insert/Invalidate seam — what a missed invalidation leaves behind.
+	m = warmMachine(t, kernel.ModeBabelFish)
+	corrupted := false
+	m.Cores[0].MMU.L1D.ForEachValid(func(sz memdefs.PageSizeClass, e *tlb.Entry) {
+		if !corrupted && sz == memdefs.Page4K {
+			e.PPN ^= 1
+			corrupted = true
+		}
+	})
+	if !corrupted {
+		t.Fatal("no valid 4KB L1D entry to corrupt")
+	}
+	if m.AuditTLBs().OK() {
+		t.Fatal("audit missed a corrupted L1D PPN")
 	}
 }
 

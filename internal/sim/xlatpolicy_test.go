@@ -291,90 +291,6 @@ func TestPolicyStormAuditsClean(t *testing.T) {
 	}
 }
 
-// TestPolicyXCacheStormIdentity is the xcache gate for the new archs:
-// with every built-in policy replayable, enabling the translation-result
-// cache must not change a single byte of the storm's results.
-func TestPolicyXCacheStormIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("storm identity is slow")
-	}
-	for _, arch := range []string{"victima", "coalesced"} {
-		arch := arch
-		t.Run(arch, func(t *testing.T) {
-			off, err := sim.ParamsForArch(arch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			off.Cores = 2
-			off.MemBytes = 96 << 20
-			off.Quantum = 50_000
-			on := off
-			off.XCache = false
-			on.XCache = true
-			want := runStorm(t, off)
-			if got := runStorm(t, on); got != want {
-				t.Errorf("%s: xcache on diverged from off:\n--- off ---\n%s--- on ---\n%s", arch, want, got)
-			}
-		})
-	}
-}
-
-// nonReplayablePolicy wraps a built-in policy but declares its lookups
-// non-replayable, standing in for a future policy that interposes on the
-// L1 probe path.
-type nonReplayablePolicy struct{ xlatpolicy.Policy }
-
-func (nonReplayablePolicy) Name() string           { return "test-nonreplayable" }
-func (nonReplayablePolicy) XCacheReplayable() bool { return false }
-
-func init() {
-	xlatpolicy.Register(xlatpolicy.Arch{
-		Name:   "test-nonreplayable",
-		Desc:   "test-only: baseline tagged non-replayable",
-		Policy: nonReplayablePolicy{xlatpolicy.MustGet("baseline").Policy},
-	})
-}
-
-// TestNonReplayablePolicyGatesXCache: a policy that cannot replay
-// byte-identically must be rejected by Params.Validate (the CLIs' clear
-// error) and self-disabled by sim.New (the machine never silently
-// diverges).
-func TestNonReplayablePolicyGatesXCache(t *testing.T) {
-	p, err := sim.ParamsForArch("test-nonreplayable")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.XCache = true
-	if err := p.Validate(); err == nil {
-		t.Fatal("Validate accepted the xcache over a non-replayable policy")
-	}
-	p.Cores = 1
-	m := sim.New(p)
-	if m.Cores[0].MMU.XCache() != nil {
-		t.Fatal("sim.New enabled the xcache over a non-replayable policy")
-	}
-
-	// With the cache off the config is legal.
-	p.XCache = false
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate rejected xcache-off params: %v", err)
-	}
-
-	// Replayable policies keep the cache.
-	rp, err := sim.ParamsForArch("victima")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp.Cores = 1
-	rp.XCache = true
-	if err := rp.Validate(); err != nil {
-		t.Fatalf("Validate rejected a replayable policy: %v", err)
-	}
-	if sim.New(rp).Cores[0].MMU.XCache() == nil {
-		t.Fatal("xcache disabled for a replayable policy")
-	}
-}
-
 // TestPolicyShardedIdentity: the new archs must keep the sharded-stepping
 // guarantee — byte-identical results at any shard width >= 1 (classic
 // serial stepping, width 0, is a different schedule by design).

@@ -159,20 +159,6 @@ func (g *Group) Stats() Stats {
 	return s
 }
 
-// GateSig sums the cacheability signature (see TLB.GateSig) across the
-// group's structures. A group lookup whose signature did not move is a
-// pure function of the probed sets' contents, so a translation-result
-// cache may capture it under the sets' generation counters.
-func (g *Group) GateSig() uint64 {
-	var sig uint64
-	for _, t := range g.BydSize {
-		if t != nil {
-			sig += t.GateSig()
-		}
-	}
-	return sig
-}
-
 // ResetStats zeroes every structure's counters.
 func (g *Group) ResetStats() {
 	for _, t := range g.BydSize {

@@ -155,16 +155,6 @@ type TLB struct {
 	numSets int
 	tick    uint64
 	stats   Stats
-
-	// gens holds one generation counter per set, bumped whenever the
-	// set's *contents* change (an insert, or an invalidation that removed
-	// at least one entry). LRU timestamps are deliberately excluded: they
-	// never change a lookup's outcome, and the next content change goes
-	// through Insert, which bumps the generation itself. A translation
-	// result cached outside the TLB (internal/xcache) is therefore valid
-	// exactly as long as the generations of every set it probed are
-	// unchanged.
-	gens []uint64
 }
 
 // New builds a TLB. Fully-associative structures use Ways == 0 or
@@ -190,7 +180,6 @@ func New(cfg Config) *TLB {
 	t := &TLB{cfg: cfg, numSets: numSets, ways: ways}
 	t.tagw = make([]uint64, numSets*ways)
 	t.entries = make([]Entry, numSets*ways)
-	t.gens = make([]uint64, numSets)
 	return t
 }
 
@@ -206,51 +195,6 @@ func (t *TLB) ResetStats() { t.stats = Stats{} }
 // base returns the flat index of the first way of vpn's set.
 func (t *TLB) base(vpn memdefs.VPN) int {
 	return (int(vpn) & (t.numSets - 1)) * t.ways
-}
-
-// SetGen returns a pointer to the generation counter of vpn's set plus
-// its current value. A caller caching a lookup result snapshots the pair
-// for every set the lookup probed; the cached result is provably still
-// what the modeled lookup would produce while *ptr == val (the set's
-// contents have not changed).
-func (t *TLB) SetGen(vpn memdefs.VPN) (*uint64, uint64) {
-	g := &t.gens[int(vpn)&(t.numSets-1)]
-	return g, *g
-}
-
-// ReplayMiss applies exactly the state changes a modeled LookupEntry
-// miss performs: the access and miss counters and the LRU tick. Used by
-// the translation-result cache to keep stats and LRU state byte-identical
-// to the modeled path when a cached result short-circuits the lookup.
-func (t *TLB) ReplayMiss() {
-	t.stats.Accesses++
-	t.tick++
-	t.stats.Misses++
-}
-
-// ReplayHit applies exactly the state changes a modeled LookupEntry hit
-// on e performs (the plain-hit path: no mask check, no CoW/prot fault).
-// shared tells whether the modeled path counted a shared hit
-// (e.BroughtBy != probing PID at fill time — invariant while the set
-// generation is unchanged, since BroughtBy is only written by Insert).
-func (t *TLB) ReplayHit(e *Entry, shared bool) {
-	t.stats.Accesses++
-	t.tick++
-	t.stats.Hits++
-	if shared {
-		t.stats.SharedHits++
-	}
-	e.lru = t.tick
-}
-
-// GateSig is the cacheability signature: the sum of the counters that
-// fire when a lookup's outcome depended on state outside the set-content
-// generations (PC-bitmask reads against kernel MaskPage state, private
-// -copy skips, CoW/prot fault classifications). A lookup is safe to
-// cache only if the signature did not move across it.
-func (t *TLB) GateSig() uint64 {
-	s := &t.stats
-	return s.MaskChecks + s.PrivateCopySkips + s.CoWFaultHits + s.ProtFaultHits
 }
 
 // permOK checks the access against entry permissions, ignoring the CoW
@@ -380,9 +324,7 @@ func (t *TLB) Insert(e Entry) {
 		e.MaskLoaded = true
 		t.stats.MaskLoads++
 	}
-	si := int(e.VPN) & (t.numSets - 1)
-	t.gens[si]++
-	base := si * t.ways
+	base := t.base(e.VPN)
 	tags := t.tagw[base : base+t.ways]
 	victim := 0
 	bestLRU := ^uint64(0)
@@ -416,9 +358,6 @@ func (t *TLB) InvalidateVPN(vpn memdefs.VPN) int {
 			n++
 		}
 	}
-	if n > 0 {
-		t.gens[int(vpn)&(t.numSets-1)]++
-	}
 	t.stats.Invalidations += uint64(n)
 	return n
 }
@@ -438,9 +377,6 @@ func (t *TLB) InvalidateSharedVPN(vpn memdefs.VPN, ccid memdefs.CCID) int {
 			n++
 		}
 	}
-	if n > 0 {
-		t.gens[int(vpn)&(t.numSets-1)]++
-	}
 	t.stats.Invalidations += uint64(n)
 	return n
 }
@@ -458,9 +394,6 @@ func (t *TLB) InvalidatePCIDVPN(vpn memdefs.VPN, pcid memdefs.PCID) int {
 			n++
 		}
 	}
-	if n > 0 {
-		t.gens[int(vpn)&(t.numSets-1)]++
-	}
 	t.stats.Invalidations += uint64(n)
 	return n
 }
@@ -471,18 +404,11 @@ func (t *TLB) InvalidatePCIDVPN(vpn memdefs.VPN, pcid memdefs.PCID) int {
 // were brought in by that PCID; other sharers simply refill.
 func (t *TLB) FlushPCID(pcid memdefs.PCID) int {
 	n := 0
-	for s := 0; s < t.numSets; s++ {
-		removed := false
-		for i := s * t.ways; i < (s+1)*t.ways; i++ {
-			if t.tagw[i]&tagValid != 0 && t.entries[i].PCID == pcid {
-				t.tagw[i] = 0
-				t.entries[i].Valid = false
-				removed = true
-				n++
-			}
-		}
-		if removed {
-			t.gens[s]++
+	for i, w := range t.tagw {
+		if w&tagValid != 0 && t.entries[i].PCID == pcid {
+			t.tagw[i] = 0
+			t.entries[i].Valid = false
+			n++
 		}
 	}
 	t.stats.Invalidations += uint64(n)
@@ -494,9 +420,6 @@ func (t *TLB) FlushAll() {
 	clear(t.tagw)
 	for i := range t.entries {
 		t.entries[i].Valid = false
-	}
-	for s := range t.gens {
-		t.gens[s]++
 	}
 }
 

@@ -29,12 +29,6 @@ func (b *builtin) OPC() bool { return b.opc }
 
 func (b *builtin) SharedKernel() bool { return b.shared }
 
-// XCacheReplayable is true for every built-in policy: their extra
-// structures are probed strictly after an L2 TLB miss, so they can never
-// change the outcome of the clean 4KB L1 hits the xcache captures, and
-// the L1 generation counters remain a complete validity signal.
-func (b *builtin) XCacheReplayable() bool { return true }
-
 func (b *builtin) NewCore(c CoreConfig) Core {
 	if b.newCore == nil {
 		return nil

@@ -56,17 +56,6 @@ type Policy interface {
 	// for this architecture.
 	SharedKernel() bool
 
-	// XCacheReplayable reports whether the translation-result cache
-	// (internal/xcache) can replay this policy's lookups byte-identically.
-	// The xcache captures only clean 4KB first-probe L1 hits and anchors
-	// their validity to the L1 TLB's per-set generation counters; a policy
-	// whose extra structures are only probed after an L2 miss can never
-	// change an L1 hit's outcome, so every built-in policy is replayable.
-	// A policy that interposes on (or replaces) the L1 probe path must
-	// return false, and the machine then refuses to enable the xcache
-	// rather than silently diverge.
-	XCacheReplayable() bool
-
 	// NewCore builds the policy's per-core extension state, or nil when
 	// the policy adds no extra lookup targets (baseline, babelfish).
 	NewCore(c CoreConfig) Core

@@ -100,9 +100,6 @@ func TestBuiltinTagModes(t *testing.T) {
 		if l1, l2 := a.TagModes(false); l1 != tc.l1SW || l2 != tc.l2SW {
 			t.Errorf("%s: TagModes(sw)=(%v,%v), want (%v,%v)", tc.arch, l1, l2, tc.l1SW, tc.l2SW)
 		}
-		if !a.XCacheReplayable() {
-			t.Errorf("%s: built-in policy must be xcache-replayable", tc.arch)
-		}
 		core := a.NewCore(CoreConfig{Mem: mem})
 		if (core != nil) != tc.hasCore {
 			t.Errorf("%s: NewCore != nil is %v, want %v", tc.arch, core != nil, tc.hasCore)
