@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"babelfish/internal/cache"
 	"babelfish/internal/experiments"
 	"babelfish/internal/kernel"
 	"babelfish/internal/memdefs"
@@ -342,6 +343,7 @@ func BenchmarkTLBLookup(b *testing.B) {
 // BenchmarkTranslateWalk microbenchmarks a full machine translation,
 // walk included.
 func BenchmarkTranslateWalk(b *testing.B) {
+	b.ReportAllocs()
 	p := sim.DefaultParams(kernel.ModeBabelFish)
 	p.Cores = 1
 	p.MemBytes = 256 << 20
@@ -507,15 +509,33 @@ func BenchmarkTelemetry(b *testing.B) {
 	b.Run("on", func(b *testing.B) { run(b, 100_000, true) })
 }
 
-// BenchmarkCacheAccess measures one L1-hit data access.
+// BenchmarkCacheAccess measures one data access through the cache
+// hierarchy: "hit" repeats one L1-resident line; "miss" cycles through
+// four times the L3's capacity in lines, so every access misses the L1D,
+// L2 and L3 and is served by DRAM.
 func BenchmarkCacheAccess(b *testing.B) {
-	m := NewMachine(Options{Arch: ArchBaseline, Cores: 1, Mem: 256 << 20})
-	h := m.Cores[0].Hier
-	h.Data(0x1000, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		m := NewMachine(Options{Arch: ArchBaseline, Cores: 1, Mem: 256 << 20})
+		h := m.Cores[0].Hier
 		h.Data(0x1000, false)
-	}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.Data(0x1000, false)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		m := NewMachine(Options{Arch: ArchBaseline, Cores: 1, Mem: 256 << 20})
+		h := m.Cores[0].Hier
+		lines := 4 * m.Params.L3.SizeBytes / 64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, where := h.Data(memdefs.PAddr(i%lines)*64, false); where != cache.WhereMem {
+				b.Fatalf("access %d served at %v, want Mem", i, where)
+			}
+		}
+	})
 }
 
 // BenchmarkZipf measures the YCSB zipfian draw.

@@ -16,6 +16,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"babelfish/internal/memdefs"
@@ -69,31 +70,34 @@ const (
 
 // Cache is one set-associative cache level backed by a lower level.
 //
-// Geometry is flat: tags[set*ways+way] holds the packed tag word and
-// lru[set*ways+way] the replacement tick. On a hit the line is swapped
-// to way 0 of its set (MRU-first), which keeps the common repeated-line
-// probe to a single compare. The swap is invisible in every observable:
-// replacement uses per-access ticks that are unique across a cache's
-// lifetime (ties only between invalid lines, which are interchangeable),
-// so victim choice — and therefore every stat — is independent of way
-// order within a set.
+// Geometry is flat: tags[set*ways+way] holds the packed tag word, and
+// each set is kept in recency order — way 0 is the most recently used
+// line and the last way the least, so the last way is always the victim.
+// A hit moves its line to way 0 and shifts the more recent lines down
+// one way; a miss drops the last way and shifts the whole set down to
+// make room at way 0. Invalid lines therefore form a suffix of the set:
+// a set starts empty, fills enter at the front, and only InvalidateAll
+// invalidates (the whole cache at once). Evicting the last way is exact
+// LRU with no per-line ticks, and the common repeated-line probe stays a
+// single compare at way 0.
 type Cache struct {
 	cfg     Config
 	below   Backend
 	tags    []uint64
-	lru     []uint64
 	ways    int
 	numSets int
 	lineOff uint
-	tick    uint64
 	stats   Stats
 }
 
-// New builds a cache level. Panics on a non-power-of-two geometry since
-// configurations are fixed at build time.
+// New builds a cache level. Panics on a non-power-of-two line size or
+// set count since configurations are fixed at build time.
 func New(cfg Config, below Backend) *Cache {
 	if cfg.LineSize <= 0 || cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
 		panic("cache: invalid config " + cfg.Name)
+	}
+	if cfg.LineSize&(cfg.LineSize-1) != 0 {
+		panic(fmt.Sprintf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineSize))
 	}
 	numLines := cfg.SizeBytes / cfg.LineSize
 	numSets := numLines / cfg.Ways
@@ -103,13 +107,14 @@ func New(cfg Config, below Backend) *Cache {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: sets %d not a power of two", cfg.Name, numSets))
 	}
-	c := &Cache{cfg: cfg, below: below, numSets: numSets, ways: cfg.Ways}
-	c.tags = make([]uint64, numSets*cfg.Ways)
-	c.lru = make([]uint64, numSets*cfg.Ways)
-	for off := cfg.LineSize; off > 1; off >>= 1 {
-		c.lineOff++
+	return &Cache{
+		cfg:     cfg,
+		below:   below,
+		tags:    make([]uint64, numSets*cfg.Ways),
+		ways:    cfg.Ways,
+		numSets: numSets,
+		lineOff: uint(bits.TrailingZeros(uint(cfg.LineSize))),
 	}
-	return c
 }
 
 // Name returns the configured name.
@@ -150,62 +155,41 @@ func (c *Cache) Below() Backend { return c.below }
 // the level below for observers; the cache itself is kind-agnostic.
 func (c *Cache) Access(pa memdefs.PAddr, kind memdefs.AccessKind, write bool) (memdefs.Cycles, Where) {
 	c.stats.Accesses++
-	c.tick++
 	blk := uint64(pa) >> c.lineOff
 	base := (int(blk) & (c.numSets - 1)) * c.ways
 	want := blk | lineValid
 	tags := c.tags[base : base+c.ways]
-	// MRU fast path: repeated lines sit at way 0 after the first hit.
+	// MRU fast path: a repeated line is already at way 0.
 	if tags[0]&^lineDirty == want {
 		c.stats.Hits++
-		c.lru[base] = c.tick
 		if write {
 			tags[0] |= lineDirty
 		}
 		return c.cfg.AccessTime, c.cfg.Level
 	}
 	for i := 1; i < len(tags); i++ {
-		if tags[i]&^lineDirty == want {
+		if w := tags[i]; w&^lineDirty == want {
 			c.stats.Hits++
-			// Swap the hit line to way 0. Way order within a set is
-			// unobservable (see the type comment), so this is pure layout.
-			w := tags[i]
 			if write {
 				w |= lineDirty
 			}
-			tags[i], tags[0] = tags[0], w
-			c.lru[base+i] = c.lru[base]
-			c.lru[base] = c.tick
+			copy(tags[1:i+1], tags[:i])
+			tags[0] = w
 			return c.cfg.AccessTime, c.cfg.Level
 		}
 	}
 	c.stats.Misses++
 	lat, where := c.below.Access(pa, kind, false)
-	// Choose the LRU victim (any invalid way first; they are
-	// interchangeable, so first-found matches the prior behavior).
-	victim := 0
-	for i := 1; i < len(tags); i++ {
-		if tags[i]&lineValid == 0 {
-			victim = i
-			break
-		}
-		if c.lru[base+i] < c.lru[base+victim] {
-			victim = i
-		}
-	}
-	w := tags[victim]
-	if w&(lineValid|lineDirty) == lineValid|lineDirty {
+	// The last way is the LRU line (or invalid, if the set is not full).
+	last := len(tags) - 1
+	if tags[last]&(lineValid|lineDirty) == lineValid|lineDirty {
 		c.stats.Writebacks++
 	}
-	w = want
+	copy(tags[1:], tags[:last])
 	if write {
-		w |= lineDirty
+		want |= lineDirty
 	}
-	// Fill at way 0 (MRU), moving the displaced line into the victim way.
-	tags[victim] = tags[0]
-	c.lru[base+victim] = c.lru[base]
-	tags[0] = w
-	c.lru[base] = c.tick
+	tags[0] = want
 	return c.cfg.AccessTime + lat, where
 }
 
@@ -224,10 +208,7 @@ func (c *Cache) Contains(pa memdefs.PAddr) bool {
 }
 
 // InvalidateAll empties the cache (used by tests).
-func (c *Cache) InvalidateAll() {
-	clear(c.tags)
-	clear(c.lru)
-}
+func (c *Cache) InvalidateAll() { clear(c.tags) }
 
 // Hierarchy bundles one core's private L1 (split I/D) and L2, all sharing
 // an L3 (which is shared between cores).

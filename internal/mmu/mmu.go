@@ -428,7 +428,7 @@ func (m *MMU) TranslateInto(ctx *Ctx, va memdefs.VAddr, write bool, kind memdefs
 		// 4KB leaf translation promoted into both TLB levels; a miss still
 		// pays the probe (the structure was consulted either way).
 		if m.polCore != nil {
-			if r, ok := m.polCore.ProbeMiss(&xlatpolicy.MissProbe{VA: va, SVA: sva, Q: &q}); ok {
+			if r, ok := m.polCore.ProbeMiss(xlatpolicy.MissProbe{VA: va, SVA: sva, Q: q}); ok {
 				cycles += r.Lat
 				e2 := r.Entry
 				m.L2.Insert(memdefs.Page4K, e2)
@@ -631,9 +631,9 @@ func (m *MMU) walk(ctx *Ctx, l1 *tlb.Group, va, sva memdefs.VAddr, write bool, k
 	m.L2.Insert(size, e2)
 	m.fillL1(l1, ctx, va, size, &e2)
 	if m.polCore != nil {
-		m.polCore.OnWalkFill(&xlatpolicy.WalkFill{
+		m.polCore.OnWalkFill(xlatpolicy.WalkFill{
 			VA: va, SVA: sva, Size: size,
-			Entry: &e2, Table: leafTable, Index: leafIdx,
+			Entry: e2, Table: leafTable, Index: leafIdx,
 		})
 	}
 

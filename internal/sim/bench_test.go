@@ -12,6 +12,7 @@ import (
 // a warmed TLB hierarchy, the observe gate off, and a nil Info pointer so
 // TranslateInto takes the scratch fast path (no per-access Info copy).
 func BenchmarkTranslate(b *testing.B) {
+	b.ReportAllocs()
 	p := sim.DefaultParams(kernel.ModeBabelFish)
 	p.Cores = 1
 	p.MemBytes = 256 << 20

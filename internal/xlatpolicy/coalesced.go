@@ -104,7 +104,7 @@ func (c *CoalescedCore) set(vpn memdefs.VPN) int {
 	return (int(vpn>>3) & (c.numSets - 1)) * c.cfg.Ways
 }
 
-func (c *CoalescedCore) ProbeMiss(p *MissProbe) (MissResult, bool) {
+func (c *CoalescedCore) ProbeMiss(p MissProbe) (MissResult, bool) {
 	c.probes++
 	c.tick++
 	vpn := memdefs.PageVPN(p.SVA)
@@ -156,11 +156,11 @@ func (c *CoalescedCore) MissPenalty() memdefs.Cycles { return c.cfg.ProbeLat }
 // permission/CoW bits; under TagCCID the whole run must additionally be
 // shared clean state (no Owned or ORPC bits), so a run entry never needs
 // the Figure-8 mask machinery.
-func (c *CoalescedCore) OnWalkFill(f *WalkFill) {
+func (c *CoalescedCore) OnWalkFill(f WalkFill) {
 	if f.Size != memdefs.Page4K {
 		return
 	}
-	e := f.Entry
+	e := &f.Entry
 	if c.cfg.Mode == tlb.TagCCID && (e.Owned || e.ORPC) {
 		return
 	}

@@ -78,9 +78,9 @@ func NewVictimaCore(cfg VictimaConfig) Core {
 	}
 }
 
-func (v *victimaCore) ProbeMiss(p *MissProbe) (MissResult, bool) {
+func (v *victimaCore) ProbeMiss(p MissProbe) (MissResult, bool) {
 	v.probes++
-	q := *p.Q
+	q := p.Q
 	q.VPN = memdefs.PageVPN(p.SVA)
 	res, e, _ := v.store.LookupEntry(q)
 	if res != tlb.Hit {
@@ -95,14 +95,14 @@ func (v *victimaCore) ProbeMiss(p *MissProbe) (MissResult, bool) {
 
 func (v *victimaCore) MissPenalty() memdefs.Cycles { return v.cfg.ProbeLat }
 
-func (v *victimaCore) OnWalkFill(f *WalkFill) {
+func (v *victimaCore) OnWalkFill(f WalkFill) {
 	// Only 4KB leaves are parked: huge pages already have 512× the reach
 	// and would monopolize the repurposed lines.
 	if f.Size != memdefs.Page4K {
 		return
 	}
 	v.fills++
-	v.store.Insert(*f.Entry)
+	v.store.Insert(f.Entry)
 }
 
 func (v *victimaCore) InvalidateVA(va memdefs.VAddr) {

@@ -70,7 +70,8 @@ type CoreConfig struct {
 }
 
 // MissProbe describes one translation that missed the whole TLB group
-// path (L1 and L2), just before the hardware page walk.
+// path (L1 and L2), just before the hardware page walk. It is passed by
+// value (see Core).
 type MissProbe struct {
 	// VA is the process virtual address; SVA the group (shared) virtual
 	// address the L2 TLB was probed with — identical unless the ASLR-HW
@@ -79,7 +80,7 @@ type MissProbe struct {
 	// Q carries the probe tags (PCID/CCID/PID, write/exec, PCBit). Its
 	// VPN field is unspecified; implementations derive the VPN they need
 	// from SVA.
-	Q *tlb.Lookup
+	Q tlb.Lookup
 }
 
 // MissResult is a successful policy hit: a 4KB leaf translation for the
@@ -94,12 +95,12 @@ type MissResult struct {
 }
 
 // WalkFill describes a completed hardware page walk whose leaf was just
-// installed into the TLBs.
+// installed into the TLBs. It is passed by value (see Core).
 type WalkFill struct {
 	VA, SVA memdefs.VAddr
 	Size    memdefs.PageSizeClass
 	// Entry is the L2 TLB entry the walk built (group address space).
-	Entry *tlb.Entry
+	Entry tlb.Entry
 	// Table/Index locate the leaf PTE inside its last-level table frame
 	// (valid only for Size == Page4K; huge-page leaves live higher up).
 	Table memdefs.PPN
@@ -111,6 +112,11 @@ type WalkFill struct {
 // same invalidation seams as the L2 TLB (see the package comment for the
 // contract). A Core is also a memsys.Device so its counters join the
 // machine's telemetry registry and stats reset.
+//
+// ProbeMiss and OnWalkFill take their arguments by value, never by
+// pointer: the compiler cannot see which Core is behind the call, so a
+// pointer handed through this interface would move the MMU's lookup tags
+// and walk entry to the heap on every translation.
 type Core interface {
 	memsys.Device
 
@@ -119,7 +125,7 @@ type Core interface {
 	// charges Lat, promotes Entry into the L2 and L1 TLBs and resolves
 	// the access without walking. ok=false falls through to the walk and
 	// charges MissPenalty.
-	ProbeMiss(p *MissProbe) (r MissResult, ok bool)
+	ProbeMiss(p MissProbe) (r MissResult, ok bool)
 
 	// MissPenalty is the probe latency charged when ProbeMiss returns
 	// ok=false (the structure was still consulted).
@@ -127,7 +133,7 @@ type Core interface {
 
 	// OnWalkFill observes a completed walk (after the TLB insert); the
 	// policy may park or coalesce the new translation.
-	OnWalkFill(f *WalkFill)
+	OnWalkFill(f WalkFill)
 
 	// Invalidation seams, mirrored from the L2 TLB with identical
 	// arguments (group address space).

@@ -112,9 +112,9 @@ func TestBuiltinTagModes(t *testing.T) {
 
 // --- Victima parked-PTE store ---
 
-func victimaProbe(vpn memdefs.VPN, pcid memdefs.PCID) *MissProbe {
+func victimaProbe(vpn memdefs.VPN, pcid memdefs.PCID) MissProbe {
 	va := vpn.Addr()
-	return &MissProbe{VA: va, SVA: va, Q: &tlb.Lookup{PCID: pcid}}
+	return MissProbe{VA: va, SVA: va, Q: tlb.Lookup{PCID: pcid}}
 }
 
 func TestVictimaParkAndProbe(t *testing.T) {
@@ -131,7 +131,7 @@ func TestVictimaParkAndProbe(t *testing.T) {
 	}
 
 	// Park on walk fill; the next probe resolves without walking.
-	v.OnWalkFill(&WalkFill{VA: va, SVA: va, Size: memdefs.Page4K, Entry: &e})
+	v.OnWalkFill(WalkFill{VA: va, SVA: va, Size: memdefs.Page4K, Entry: e})
 	r, ok := v.ProbeMiss(victimaProbe(e.VPN, 9))
 	if !ok {
 		t.Fatal("parked PTE not found")
@@ -147,7 +147,7 @@ func TestVictimaParkAndProbe(t *testing.T) {
 
 	// Huge-page fills are not parked (512x reach already).
 	huge := tlb.Entry{Valid: true, VPN: 0x200000 >> 12, PPN: 512, Perm: memdefs.PermRead, PCID: 9}
-	v.OnWalkFill(&WalkFill{VA: huge.VPN.Addr(), SVA: huge.VPN.Addr(), Size: memdefs.Page2M, Entry: &huge})
+	v.OnWalkFill(WalkFill{VA: huge.VPN.Addr(), SVA: huge.VPN.Addr(), Size: memdefs.Page2M, Entry: huge})
 	if occ := v.(interface{ Occupancy() int }).Occupancy(); occ != 1 {
 		t.Fatalf("occupancy = %d after a huge fill, want 1 (4K only)", occ)
 	}
@@ -158,7 +158,7 @@ func TestVictimaInvalidationSeams(t *testing.T) {
 	occ := func() int { return v.(interface{ Occupancy() int }).Occupancy() }
 	fill := func(vpn memdefs.VPN, pcid memdefs.PCID) {
 		e := tlb.Entry{Valid: true, VPN: vpn, PPN: memdefs.PPN(vpn) + 1000, Perm: memdefs.PermRead, PCID: pcid}
-		v.OnWalkFill(&WalkFill{VA: vpn.Addr(), SVA: vpn.Addr(), Size: memdefs.Page4K, Entry: &e})
+		v.OnWalkFill(WalkFill{VA: vpn.Addr(), SVA: vpn.Addr(), Size: memdefs.Page4K, Entry: e})
 	}
 
 	fill(0x10, 1)
@@ -228,14 +228,14 @@ func (f *coalFixture) fill(baseVPN memdefs.VPN, idx int, basePPN memdefs.PPN, fl
 		PCID:  1,
 		CCID:  7,
 	}
-	f.core.OnWalkFill(&WalkFill{
+	f.core.OnWalkFill(WalkFill{
 		VA: e.VPN.Addr(), SVA: e.VPN.Addr(), Size: memdefs.Page4K,
-		Entry: &e, Table: f.table, Index: idx,
+		Entry: e, Table: f.table, Index: idx,
 	})
 }
 
-func coalProbe(vpn memdefs.VPN, write bool) *MissProbe {
-	return &MissProbe{VA: vpn.Addr(), SVA: vpn.Addr(), Q: &tlb.Lookup{PCID: 1, CCID: 7, Write: write}}
+func coalProbe(vpn memdefs.VPN, write bool) MissProbe {
+	return MissProbe{VA: vpn.Addr(), SVA: vpn.Addr(), Q: tlb.Lookup{PCID: 1, CCID: 7, Write: write}}
 }
 
 func TestCoalescedRunFormation(t *testing.T) {
