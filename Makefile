@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench
+.PHONY: build test race
 
 build:
 	$(GO) build ./...
@@ -12,9 +12,3 @@ test:
 # neither across experiment cells nor across fleet nodes.
 race:
 	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/fleet/... ./internal/par/... ./internal/xlatpolicy/...
-
-# Regenerate BENCH_8.json: hot-path and fleet-epoch ns/op plus suite
-# wall-clock serial vs jobs=4, failing if the parallel output is not
-# byte-identical or the previous BENCH_7.json baseline is missing.
-bench:
-	./scripts/bench.sh BENCH_8.json

@@ -23,9 +23,7 @@
 // (architecture × app × config) after the run — Chrome trace-event JSON
 // for Perfetto, or compact JSONL when FILE ends in .jsonl — showing how
 // each experiment decomposed into its plan; -flight-depth N sizes the
-// span ring. The per-run -series-out and -flight-recorder facilities
-// live in bfsim and bffleet, which own a single machine or cluster;
-// bfbench rejects those flags and points there.
+// span ring.
 package main
 
 import (
@@ -55,17 +53,9 @@ func main() {
 		coreShards = flag.Int("core-shards", 0, "step each machine's cores on up to N goroutines with a deterministic quantum barrier (0 = classic serial); output is identical at any width >= 1")
 
 		traceOut    = flag.String("trace-out", "", "export one span per experiment cell after the run (Chrome trace JSON; .jsonl for compact JSONL)")
-		seriesOut   = flag.String("series-out", "", "unsupported here; bfsim and bffleet stream time series")
-		flightDir   = flag.String("flight-recorder", "", "unsupported here; bfsim and bffleet write post-mortem bundles")
 		flightDepth = flag.Int("flight-depth", 0, "span-ring depth for -trace-out (0 = default)")
 	)
 	flag.Parse()
-	if *seriesOut != "" {
-		usageErr("-series-out is not supported by bfbench (experiment cells are snapshots, not streams); use bfsim or bffleet")
-	}
-	if *flightDir != "" {
-		usageErr("-flight-recorder is not supported by bfbench; use bfsim or bffleet, which own the failing machine or cluster")
-	}
 	if *flightDepth < 0 {
 		usageErr("-flight-depth must be non-negative")
 	}

@@ -57,9 +57,9 @@
 // width >= 1.
 //
 // -trace-out FILE exports the run's causal spans (fleet request →
-// placement → node epoch → quantum → fault) and fleet/machine trace
-// events after the run: Chrome trace-event JSON for Perfetto by
-// default, compact JSONL when FILE ends in .jsonl. With -arch both the
+// placement → node epoch → quantum → fault) after the run: Chrome
+// trace-event JSON for Perfetto by default, compact JSONL when FILE
+// ends in .jsonl. With -arch both the
 // stream names are prefixed per architecture. -series-out FILE streams
 // a per-epoch time series of the fleet registry while the run is live
 // (Prometheus text when FILE ends in .prom, JSONL otherwise; single
@@ -144,7 +144,7 @@ func run() int {
 		eventsN    = flag.Int("events", 0, "print the last N audit-log events of each run")
 		nodeTel    = flag.Bool("node-telemetry", false, "enable per-node machine histograms (merged fleet-wide translation latency)")
 
-		traceOut    = flag.String("trace-out", "", "export causal spans and trace events after the run (Chrome trace JSON; .jsonl for compact JSONL)")
+		traceOut    = flag.String("trace-out", "", "export causal spans after the run (Chrome trace JSON; .jsonl for compact JSONL)")
 		seriesOut   = flag.String("series-out", "", "stream a per-epoch time series of the fleet registry (.prom for Prometheus text, JSONL otherwise; single -arch only)")
 		seriesEvery = flag.Int("series-every", 1, "sample the fleet registry every N epochs (with -series-out)")
 		flightDir   = flag.String("flight-recorder", "", "write post-mortem bundles to this directory on condemnation, OOM-kill escalation or container loss")

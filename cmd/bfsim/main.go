@@ -9,7 +9,7 @@
 //	      [-cores N] [-containers N] [-scale F] [-warm N] [-measure N] [-seed N]
 //	      [-audit] [-failnth N] [-failseed N] [-jobs N] [-cpuprofile FILE]
 //	      [-core-shards N]
-//	      [-metrics-out FILE] [-sample-every N] [-trace N]
+//	      [-metrics-out FILE] [-sample-every N]
 //	      [-trace-out FILE] [-series-out FILE] [-flight-recorder DIR] [-flight-depth N]
 //	      [-inject-mem tlb,pwc,cache,dram|all] [-inject-mem-nth N] [-inject-mem-prob P]
 //	      [-inject-mem-seed N] [-inject-mem-after N] [-inject-mem-max N]
@@ -36,7 +36,7 @@
 //
 // -core-shards N steps each machine's cores on up to N goroutines with a deterministic quantum
 // barrier; the report is identical at any width >= 1. (Sharded stepping
-// yields to the classic serial scheduler while -trace, telemetry or span
+// yields to the classic serial scheduler while telemetry or span
 // recording is active, so those flags compose without surprises.)
 //
 // -jobs N simulates the architectures of -arch both on N workers (0 =
@@ -50,12 +50,10 @@
 // architecture, and — with -sample-every N — a time series sampled every
 // N simulated cycles of the measured phase.
 //
-// The -trace family: -trace N keeps a bounded ring of raw translation
-// events and dumps the last N as text; -trace-out FILE exports the
-// run's causal spans (scheduling quanta and the faults inside them,
-// plus the ring's events when -trace is also set) as Chrome trace-event
-// JSON for Perfetto — or compact JSONL when FILE ends in .jsonl — with
-// one stream per architecture, in declaration order. -series-out FILE
+// -trace-out FILE exports the run's causal spans (scheduling quanta,
+// the faults inside them and OOM kills) as Chrome trace-event JSON for
+// Perfetto — or compact JSONL when FILE ends in .jsonl — with one
+// stream per architecture, in declaration order. -series-out FILE
 // streams the registry time series while the run is live (requires
 // -sample-every; .prom selects Prometheus text, JSONL otherwise;
 // single -arch only). -flight-recorder DIR writes a post-mortem bundle
@@ -79,7 +77,6 @@ import (
 	"sync"
 
 	"babelfish"
-	"babelfish/internal/faultinject"
 	"babelfish/internal/memsys"
 	"babelfish/internal/metrics"
 	"babelfish/internal/obs"
@@ -112,7 +109,6 @@ func run() int {
 		warm        = flag.Uint64("warm", 500_000, "warm-up instructions per core")
 		measure     = flag.Uint64("measure", 1_000_000, "measured instructions per core")
 		seed        = flag.Uint64("seed", 42, "random seed")
-		traceN      = flag.Int("trace", 0, "dump the last N translation events of each run")
 		audit       = flag.Bool("audit", false, "run the kernel invariant auditor (page tables + TLBs) after each run; exit non-zero on violations")
 		failNth     = flag.Uint64("failnth", 0, "fail every Nth frame allocation during the measured run (0 = off)")
 		failSeed    = flag.Uint64("failseed", 1, "fault-injector seed")
@@ -122,7 +118,7 @@ func run() int {
 		metricsOut  = flag.String("metrics-out", "", "write a JSON telemetry report to this file")
 		sampleEvery = flag.Uint64("sample-every", 0, "sample the metric registry every N simulated cycles (requires -metrics-out or -series-out)")
 
-		traceOut    = flag.String("trace-out", "", "export causal spans (and -trace ring events) after the run (Chrome trace JSON; .jsonl for compact JSONL)")
+		traceOut    = flag.String("trace-out", "", "export causal spans after the run (Chrome trace JSON; .jsonl for compact JSONL)")
 		seriesOut   = flag.String("series-out", "", "stream the registry time series (.prom for Prometheus text, JSONL otherwise; requires -sample-every, single -arch)")
 		flightDir   = flag.String("flight-recorder", "", "write a post-mortem bundle to this directory when a run OOM-kills a task or fails -audit")
 		flightDepth = flag.Int("flight-depth", 0, "span-ring depth per architecture (0 = default)")
@@ -168,9 +164,6 @@ func run() int {
 	}
 	if *measure == 0 {
 		usageErr("-measure must be non-zero (nothing would be simulated)")
-	}
-	if *traceN < 0 {
-		usageErr("-trace must be non-negative")
 	}
 	if *coreShards < 0 {
 		usageErr("-core-shards must be non-negative (0 = classic serial stepping)")
@@ -276,9 +269,6 @@ func run() int {
 			res.err = err
 			return
 		}
-		if *traceN > 0 {
-			m.EnableTracing(*traceN)
-		}
 		if rep != nil || *seriesOut != "" {
 			m.EnableTelemetry(*sampleEvery)
 		}
@@ -327,7 +317,7 @@ func run() int {
 		// Under injection the prefault is expected to hit OOM part-way:
 		// the remaining pages fault in during the run, under pressure.
 		if *failNth > 0 {
-			m.Mem.SetInjector(faultinject.New(faultinject.Config{Seed: *failSeed, Nth: *failNth}))
+			m.Mem.SetInjector(memsys.NewInjector(memsys.InjectConfig{Seed: *failSeed, Nth: *failNth}))
 		}
 		if err := d.PrefaultAll(); err != nil {
 			if *failNth == 0 || !errors.Is(err, physmem.ErrOutOfMemory) {
@@ -377,11 +367,6 @@ func run() int {
 			if !krep.OK() || !mrep.OK() || !trep.OK() {
 				res.auditFailed = true
 			}
-		}
-		if m.Tracer != nil {
-			fmt.Fprintf(&res.out, "--- %s: last %d translation events ---\n", name, *traceN)
-			m.Tracer.Dump(&res.out, *traceN)
-			fmt.Fprint(&res.out, m.Tracer.Summarize())
 		}
 		if rep != nil {
 			res.tel = m.TelemetryReport(name)

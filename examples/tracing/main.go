@@ -1,16 +1,19 @@
-// Tracing example: watch BabelFish work at the level of individual
-// translations. Runs two co-located FIO containers with the event tracer
-// attached, prints a window of raw translation events, and summarizes
-// where translations were served — then does the same on the baseline so
-// the difference (L2 hits instead of walks) is visible event by event.
+// Tracing example: watch BabelFish work at the level of translations.
+// Runs two co-located FIO containers with telemetry and the span
+// recorder attached, prints the last few recorded spans (scheduling
+// quanta and any faults inside them), and summarizes where translations
+// were served from the registry's MMU counters and the xlat.latency
+// histogram — then does the same on the baseline so the difference (L2
+// hits instead of walks) is visible side by side.
 package main
 
 import (
 	"fmt"
 	"log"
-	"os"
+	"strings"
 
 	"babelfish"
+	"babelfish/internal/obs"
 )
 
 func main() {
@@ -20,7 +23,9 @@ func main() {
 			name = "BabelFish"
 		}
 		m := babelfish.NewMachine(babelfish.Options{Arch: arch, Cores: 1})
-		ring := m.EnableTracing(500_000)
+		reg := m.EnableTelemetry(0)
+		rec := obs.NewRecorder(4, 0, 4096)
+		m.EnableObs(rec, -1)
 
 		d, err := babelfish.DeployApp(m, babelfish.FIO, 0.25, 4)
 		if err != nil {
@@ -38,13 +43,34 @@ func main() {
 			log.Fatal(err)
 		}
 
-		fmt.Printf("=== %s: last 8 translation events ===\n", name)
-		ring.Dump(os.Stdout, 8)
-		s := ring.Summarize()
-		fmt.Printf("summary: %s", s)
-		walkFrac := float64(s.Walks) / float64(s.Accesses)
+		fmt.Printf("=== %s: %d spans recorded, last 4 shown ===\n", name, rec.Total())
+		spans := rec.Spans()
+		quanta := 0
+		for _, s := range spans {
+			if s.Kind == obs.KQuantum {
+				quanta++
+			}
+		}
+		for _, s := range spans[max(0, len(spans)-4):] {
+			line := fmt.Sprintf("%12d core%d pid%-4d %-8s %8d cyc %s", s.Start, s.Core, s.PID, s.Kind, s.Dur, s.Detail)
+			fmt.Println(strings.TrimRight(line, " "))
+		}
+
+		val := func(metric string) float64 {
+			v, ok := reg.Value(metric)
+			if !ok {
+				log.Fatalf("metric %s not registered", metric)
+			}
+			return v
+		}
+		n := val("mmu.translations")
+		fmt.Printf("summary: translations=%.0f (L1 %.0f, L2 %.0f, walk %.0f) faults=%.0f quanta=%d xlatCyc=%.0f faultCyc=%.0f\n",
+			n, val("mmu.l1_hits"), val("mmu.l2_hits"), val("mmu.walks"), val("mmu.faults"),
+			quanta, val("mmu.xlat_cycles"), val("mmu.fault_cycles"))
+		h := m.XlatHist()
+		fmt.Printf("xlat.latency: p50 %.0f  p99 %.0f  max %d cycles\n", h.Quantile(0.5), h.Quantile(0.99), h.Max())
 		fmt.Printf("walk fraction: %.2f%%   mean translation cost: %.1f cycles\n\n",
-			100*walkFrac, float64(s.XlatCycles)/float64(s.Accesses))
+			100*val("mmu.walks")/n, val("mmu.xlat_cycles")/n)
 	}
 	fmt.Println("BabelFish turns a slice of the baseline's page walks into L2 TLB hits;")
 	fmt.Println("rerun with different apps/seeds via the babelfish package to explore.")

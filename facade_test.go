@@ -57,19 +57,20 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err := d.PrefaultAll(); err != nil {
 		t.Fatal(err)
 	}
-	ring := m.EnableTracing(200_000)
+	reg := m.EnableTelemetry(0)
 	if err := m.Run(100_000); err != nil {
 		t.Fatal(err)
 	}
 	if d.MeanLatency() <= 0 {
 		t.Fatal("no latency recorded")
 	}
-	if ring.Total() == 0 {
-		t.Fatal("tracing recorded nothing")
+	translations, _ := reg.Value("mmu.translations")
+	instrs, _ := reg.Value("sim.instrs")
+	if translations == 0 || instrs == 0 {
+		t.Fatalf("registry recorded nothing: translations=%v instrs=%v", translations, instrs)
 	}
-	s := ring.Summarize()
-	if s.Accesses == 0 || s.Switches == 0 {
-		t.Fatalf("trace summary: %+v", s)
+	if got := m.XlatHist().Count(); float64(got) != translations {
+		t.Fatalf("xlat.latency saw %d translations, mmu.translations = %v", got, translations)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"babelfish/internal/obs"
 	"babelfish/internal/sim"
 	"babelfish/internal/telemetry"
-	"babelfish/internal/trace"
 )
 
 // Observability threading for the fleet: a control-plane span recorder
@@ -175,68 +174,29 @@ func (c *Cluster) recordEventSpan(kind EventKind, nodeID, ctID int, detail strin
 }
 
 // ObsStreams assembles the export streams in deterministic order: the
-// control plane first (spans in the epoch timebase, plus the fleet
-// events that have trace-level kinds), then every node (machine spans
-// and trace events in core cycles; a down node exports its recorder's
-// retained spans and no events).
+// control plane first (spans in the epoch timebase), then every node
+// (machine spans in core cycles; a down node exports its recorder's
+// retained spans).
 func (c *Cluster) ObsStreams() []obs.Stream {
 	if !c.obsOn {
 		return nil
 	}
-	streams := []obs.Stream{{
-		Name: "control", Spans: c.ctlRec.Spans(), Events: c.fleetTraceEvents(),
-	}}
+	streams := []obs.Stream{{Name: "control", Spans: c.ctlRec.Spans()}}
 	for _, n := range c.nodes {
 		st := obs.Stream{Name: fmt.Sprintf("node%d", n.id)}
 		if n.rec != nil {
 			st.Spans = n.rec.Spans()
-		}
-		if n.m != nil {
-			if ms := n.m.ObsStream(st.Name); len(ms.Events) > 0 {
-				st.Events = ms.Events
-			}
 		}
 		streams = append(streams, st)
 	}
 	return streams
 }
 
-// fleetTraceEvents converts the control-plane actions that have
-// trace-level kinds (place, crash, fence, shed) into trace events:
-// Core carries the node ID, PID the container ID, At the epoch.
-func (c *Cluster) fleetTraceEvents() []trace.Event {
-	var out []trace.Event
-	for _, e := range c.events {
-		var k trace.Kind
-		switch e.Kind {
-		case EvPlaced:
-			k = trace.EvPlace
-		case EvCrash:
-			k = trace.EvCrash
-		case EvFence:
-			k = trace.EvFence
-		case EvShed:
-			k = trace.EvShed
-		default:
-			continue
-		}
-		ev := trace.Event{Kind: k, At: memdefs.Cycles(e.Epoch)}
-		if e.Node >= 0 {
-			ev.Core = uint8(e.Node)
-		}
-		if e.Container >= 0 {
-			ev.PID = memdefs.PID(e.Container)
-		}
-		out = append(out, ev)
-	}
-	return out
-}
-
 // flightDump writes one post-mortem bundle: the retained spans of every
-// recorder, the converted event streams, a Prometheus snapshot of the
-// fleet registry and the audit report taken at the trigger. Bounded by
-// maxFlightBundles per run; the bundle label is deterministic (epoch +
-// trigger), so re-running the seed regenerates identical bundles.
+// recorder, a Prometheus snapshot of the fleet registry and the audit
+// report taken at the trigger. Bounded by maxFlightBundles per run; the
+// bundle label is deterministic (epoch + trigger), so re-running the
+// seed regenerates identical bundles.
 func (c *Cluster) flightDump(prefix, trigger string) error {
 	if c.flightBundles >= maxFlightBundles {
 		return nil

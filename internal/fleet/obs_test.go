@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,6 +59,67 @@ func TestFleetObsJobsIdentical(t *testing.T) {
 	}
 	if len(j1) == 0 || !bytes.Contains(c1, []byte("injected fault")) {
 		t.Fatalf("export suspiciously empty: chrome=%d jsonl=%d bytes", len(c1), len(j1))
+	}
+}
+
+// TestFleetObsExportsEachActionOnce: in a chaos run's export every crash
+// and every placement of the event log is recorded exactly once in the
+// control stream. A record is matched by its name or its kind, whatever
+// the line type, so a second flat copy of the same action would count as
+// a duplicate.
+func TestFleetObsExportsEachActionOnce(t *testing.T) {
+	cfg := chaosConfig()
+	cfg.Obs.Enabled = true
+	c := mustRun(t, cfg)
+	want := map[string]int{}
+	for _, e := range c.Events() {
+		switch e.Kind {
+		case EvCrash:
+			want[fmt.Sprintf("crash node %d epoch %d", e.Node, e.Epoch)]++
+		case EvPlaced:
+			want[fmt.Sprintf("placed ct %d node %d epoch %d", e.Container, e.Node, e.Epoch)]++
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("chaos run recorded no crash or placement; the test is vacuous")
+	}
+	_, jsonl := exportObs(t, c)
+	got := map[string]int{}
+	for _, raw := range bytes.Split(bytes.TrimSpace(jsonl), []byte("\n")) {
+		var line map[string]any
+		if err := json.Unmarshal(raw, &line); err != nil {
+			t.Fatalf("bad JSONL line %q: %v", raw, err)
+		}
+		if line["stream"] != "control" {
+			continue
+		}
+		// field reads the first numeric key present (span lines and any
+		// flat record name the same subject differently).
+		field := func(keys ...string) int {
+			for _, k := range keys {
+				if v, ok := line[k].(float64); ok {
+					return int(v)
+				}
+			}
+			return -1
+		}
+		node, ct, at := field("node", "core"), field("task", "pid"), field("start", "at")
+		switch name, kind := line["name"], line["kind"]; {
+		case name == EvCrash.String() || kind == EvCrash.String():
+			got[fmt.Sprintf("crash node %d epoch %d", node, at)]++
+		case name == EvPlaced.String() || kind == obs.KPlace.String():
+			got[fmt.Sprintf("placed ct %d node %d epoch %d", ct, node, at)]++
+		}
+	}
+	for k, n := range want {
+		if got[k] != n {
+			t.Errorf("%s: exported %d times, want %d", k, got[k], n)
+		}
+	}
+	for k := range got {
+		if want[k] == 0 {
+			t.Errorf("%s: exported but not in the event log", k)
+		}
 	}
 }
 

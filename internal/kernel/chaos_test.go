@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"testing"
 
-	"babelfish/internal/faultinject"
 	"babelfish/internal/memdefs"
+	"babelfish/internal/memsys"
 	"babelfish/internal/physmem"
 )
 
@@ -29,7 +29,7 @@ func chaosRound(t *testing.T, mode Mode, nth uint64) (uint64, uint64) {
 	tmpl.MustMapFile(r, f, 0, rw, true, "data")
 	tmpl.MustMapAnon(rh, rw, "heap")
 
-	inj := faultinject.New(faultinject.Config{Seed: 0xBF, Nth: nth})
+	inj := memsys.NewInjector(memsys.InjectConfig{Seed: 0xBF, Nth: nth})
 	k.Mem.SetInjector(inj)
 	defer k.Mem.SetInjector(nil)
 
@@ -110,7 +110,7 @@ func TestChaosTHPBlocks(t *testing.T) {
 	r := g.MustRegion("buf", SegHeap, 2048)
 	p.MustMapAnon(r, rw, "buf")
 
-	k.Mem.SetInjector(faultinject.New(faultinject.Config{Seed: 9, Nth: 2}))
+	k.Mem.SetInjector(memsys.NewInjector(memsys.InjectConfig{Seed: 9, Nth: 2}))
 	defer k.Mem.SetInjector(nil)
 	for i := 0; i < 4; i++ {
 		_, err := k.HandleFault(p.PID, p.ProcVA(r.PageVA(i*512)), true, memdefs.AccessData)

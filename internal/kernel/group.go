@@ -59,15 +59,6 @@ func (k *Kernel) NewGroup(name string, seed uint64) *Group {
 	return g
 }
 
-// Members returns the group's live processes in PID order.
-func (g *Group) Members() []*Process {
-	out := make([]*Process, 0, len(g.members))
-	for _, pid := range sortedPIDs(g.members) {
-		out = append(out, g.members[pid])
-	}
-	return out
-}
-
 // MemberCount returns the number of live members.
 func (g *Group) MemberCount() int { return len(g.members) }
 
@@ -264,6 +255,3 @@ func (g *Group) SharedTableFor(gva memdefs.VAddr) (memdefs.PPN, bool) {
 	ppn, ok := g.sharedPTE[regionKey2M(gva)]
 	return ppn, ok
 }
-
-// GroupOffsets exposes the group's per-segment ASLR offsets (tests).
-func (g *Group) GroupOffsets() [NumSegs]memdefs.VAddr { return g.groupOff }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Mode selects what an injected fault does to the device's result.
@@ -83,9 +84,11 @@ func (t Target) String() string {
 	return strings.Join(names, ",")
 }
 
-// InjectConfig mirrors faultinject.Config: the decision for event seq is
-// a pure function of (InjectConfig, seq), so a run with the same seed and
-// workload injects the same faults — chaos runs are replayable.
+// InjectConfig is the one fault-injection policy: the decision for event
+// seq is a pure function of (InjectConfig, seq), so a run with the same
+// seed and workload injects the same faults — chaos runs are replayable.
+// Memory-system devices (Fire), fleet crash/partition schedules (Fire)
+// and frame allocation (FailAlloc) all evaluate it.
 type InjectConfig struct {
 	// Seed perturbs the probabilistic coin flips.
 	Seed uint64
@@ -105,15 +108,16 @@ type InjectConfig struct {
 // Enabled reports whether this config can ever inject.
 func (c InjectConfig) Enabled() bool { return c.Nth > 0 || c.Prob > 0 }
 
-// Injector decides, per device event, whether to inject a fault. Each
-// device instance owns its injector: the machine is single-goroutine per
-// run, so the event sequence — and therefore the fault pattern — is
-// deterministic. Decisions follow faultinject: Nth and Prob compose (either
-// may fire), gated by After and capped by MaxFaults.
+// Injector decides, per event, whether to inject a fault. Nth and Prob
+// compose (either may fire), gated by After and capped by MaxFaults.
+// Fire numbers the events itself: each device instance owns its
+// injector and steps it from one goroutine, so the event sequence — and
+// therefore the fault pattern — is deterministic. FailAlloc takes the
+// sequence number from its caller instead (physmem's allocation count).
 type Injector struct {
 	cfg      InjectConfig
 	seq      uint64
-	injected uint64
+	injected atomic.Uint64
 }
 
 // NewInjector returns an injector with the given policy. A nil *Injector
@@ -127,23 +131,40 @@ func (in *Injector) Fire() bool {
 		return false
 	}
 	in.seq++
+	return in.decide(in.seq)
+}
+
+// FailAlloc implements physmem.Injector: it reports whether allocation
+// number seq fails, applying the same rule as Fire at the caller's
+// sequence number. physmem calls it with the Memory's lock held, so
+// allocations — even from concurrently stepped cores — are serialized
+// here; Injected stays readable from any goroutine. Nil-safe.
+func (in *Injector) FailAlloc(seq uint64) bool {
+	if in == nil {
+		return false
+	}
+	return in.decide(seq)
+}
+
+// decide is the injection rule for event seq; it counts a fault when it
+// fires.
+func (in *Injector) decide(seq uint64) bool {
 	c := &in.cfg
-	if in.seq <= c.After {
+	if seq <= c.After {
 		return false
 	}
-	if c.MaxFaults > 0 && in.injected >= c.MaxFaults {
+	if c.MaxFaults > 0 && in.injected.Load() >= c.MaxFaults {
 		return false
 	}
-	hit := false
-	if c.Nth > 0 && in.seq%c.Nth == 0 {
-		hit = true
-	}
+	hit := c.Nth > 0 && seq%c.Nth == 0
 	if !hit && c.Prob > 0 {
-		u := float64(splitmix64(c.Seed^in.seq)>>11) / (1 << 53)
+		// 53-bit uniform in [0,1) from the seeded hash of the sequence
+		// number: independent of call interleaving.
+		u := float64(splitmix64(c.Seed^seq)>>11) / (1 << 53)
 		hit = u < c.Prob
 	}
 	if hit {
-		in.injected++
+		in.injected.Add(1)
 	}
 	return hit
 }
@@ -173,10 +194,11 @@ func (in *Injector) Injected() uint64 {
 	if in == nil {
 		return 0
 	}
-	return in.injected
+	return in.injected.Load()
 }
 
-// Seq returns how many events this injector has seen.
+// Seq returns how many events Fire has numbered (FailAlloc's sequence
+// numbers come from its caller and do not advance it).
 func (in *Injector) Seq() uint64 {
 	if in == nil {
 		return 0
@@ -184,9 +206,9 @@ func (in *Injector) Seq() uint64 {
 	return in.seq
 }
 
-// splitmix64 is the same avalanche mix used by faultinject: every input
-// bit affects every output bit, so consecutive sequence numbers give
-// independent coin flips.
+// splitmix64 is the same avalanche mix the kernel's ASLR uses: every
+// input bit affects every output bit, so consecutive sequence numbers
+// give independent coin flips.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -1,6 +1,9 @@
 package memsys
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // drain runs n Fire() calls and returns the fired sequence numbers.
 func drain(in *Injector, n uint64) []uint64 {
@@ -93,9 +96,101 @@ func TestInjectorNthAndProbCompose(t *testing.T) {
 	}
 }
 
+// TestFailAllocMatchesFire: FailAlloc applies Fire's rule at the
+// caller's sequence number, so stepping it through 1, 2, 3, ... fires on
+// exactly the events Fire does, under every policy knob.
+func TestFailAllocMatchesFire(t *testing.T) {
+	for _, cfg := range []InjectConfig{
+		{},
+		{Nth: 7},
+		{Seed: 99, Prob: 0.25},
+		{Seed: 7, Nth: 100, Prob: 0.05},
+		{Nth: 1, After: 10, MaxFaults: 3},
+		{Seed: 0xBEEF, Prob: 0.25, Nth: 7, After: 40, MaxFaults: 50},
+	} {
+		fire, alloc := NewInjector(cfg), NewInjector(cfg)
+		for seq := uint64(1); seq <= 4000; seq++ {
+			if f, a := fire.Fire(), alloc.FailAlloc(seq); f != a {
+				t.Fatalf("%+v: seq %d: Fire=%v FailAlloc=%v", cfg, seq, f, a)
+			}
+		}
+		if fire.Injected() != alloc.Injected() {
+			t.Fatalf("%+v: injected %d vs %d", cfg, fire.Injected(), alloc.Injected())
+		}
+		if !cfg.Enabled() && alloc.Injected() != 0 {
+			t.Fatalf("%+v: disabled config failed %d allocations", cfg, alloc.Injected())
+		}
+	}
+}
+
+// failAllocs steps FailAlloc through seq 1..n and returns the failed seqs.
+func failAllocs(in *Injector, n uint64) []uint64 {
+	var fails []uint64
+	for seq := uint64(1); seq <= n; seq++ {
+		if in.FailAlloc(seq) {
+			fails = append(fails, seq)
+		}
+	}
+	return fails
+}
+
+func TestFailAllocProbDeterministic(t *testing.T) {
+	a := NewInjector(InjectConfig{Seed: 99, Prob: 0.25})
+	b := NewInjector(InjectConfig{Seed: 99, Prob: 0.25})
+	fa, fb := failAllocs(a, 4000), failAllocs(b, 4000)
+	if !reflect.DeepEqual(fa, fb) {
+		t.Fatal("same seed diverged")
+	}
+	// 4000 trials at p=0.25: expect ~1000; allow a wide deterministic band.
+	if len(fa) < 800 || len(fa) > 1200 {
+		t.Fatalf("p=0.25 over 4000 trials hit %d times", len(fa))
+	}
+	// A different seed must give a different fault pattern.
+	c := NewInjector(InjectConfig{Seed: 100, Prob: 0.25})
+	a = NewInjector(InjectConfig{Seed: 99, Prob: 0.25})
+	if reflect.DeepEqual(failAllocs(c, 200), failAllocs(a, 200)) {
+		t.Fatal("seeds 99 and 100 produced identical patterns over 200 allocations")
+	}
+}
+
+func TestFailAllocAfterAndMax(t *testing.T) {
+	in := NewInjector(InjectConfig{Nth: 1, After: 10, MaxFaults: 3})
+	if fails, want := failAllocs(in, 20), []uint64{11, 12, 13}; !reflect.DeepEqual(fails, want) {
+		t.Fatalf("failed at %v, want %v", fails, want)
+	}
+	if in.Injected() != 3 {
+		t.Fatalf("Injected() = %d, want 3", in.Injected())
+	}
+}
+
+func TestFailAllocZeroConfigNeverFails(t *testing.T) {
+	in := NewInjector(InjectConfig{})
+	if fails := failAllocs(in, 1000); len(fails) != 0 {
+		t.Fatalf("zero-config injector failed seqs %v", fails)
+	}
+}
+
+// TestFailAllocUsesCallerSeq: FailAlloc decides at the sequence number it
+// is given and leaves the injector's own event counter alone.
+func TestFailAllocUsesCallerSeq(t *testing.T) {
+	in := NewInjector(InjectConfig{Nth: 5})
+	var fails []uint64
+	for _, seq := range []uint64{3, 5, 9, 10, 20, 21, 1000} {
+		if in.FailAlloc(seq) {
+			fails = append(fails, seq)
+		}
+	}
+	if want := []uint64{5, 10, 20, 1000}; !reflect.DeepEqual(fails, want) {
+		t.Fatalf("failed at %v, want %v", fails, want)
+	}
+	if in.Injected() != 4 || in.Seq() != 0 {
+		t.Fatalf("injected=%d seq=%d, want 4 and 0", in.Injected(), in.Seq())
+	}
+}
+
 func TestInjectorNilSafe(t *testing.T) {
 	var in *Injector
-	if in.Fire() {
+	if in.Fire() || in.FailAlloc(1) {
 		t.Fatal("nil injector fired")
 	}
 	if in.Injected() != 0 || in.Seq() != 0 || in.Mode() != ModeDrop {

@@ -298,8 +298,8 @@ func (m *MMU) Translate(ctx *Ctx, va memdefs.VAddr, write bool, kind memdefs.Acc
 // TranslateInto is Translate without the Info copy on return: the caller
 // passes where the resolution details should be written, or nil when it
 // does not care. The simulator's inner loop calls this with nil whenever
-// no tracer or telemetry is attached, so the common path does not pay for
-// copying a multi-word struct per memory access. With nil the details
+// no span recorder or telemetry is attached, so the common path does not
+// pay for copying a multi-word struct per memory access. With nil the details
 // land in a per-MMU scratch Info — safe because an MMU belongs to exactly
 // one core and is never called concurrently.
 func (m *MMU) TranslateInto(ctx *Ctx, va memdefs.VAddr, write bool, kind memdefs.AccessKind, info *Info) (memdefs.PPN, memdefs.Cycles, error) {

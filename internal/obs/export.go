@@ -5,26 +5,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"babelfish/internal/trace"
 )
 
 // TraceSchemaVersion identifies the exported trace layout (Chrome JSON
 // otherData and JSONL header). Any change to the key set MUST bump this
 // constant — the golden schema test (schema_test.go) and CI's obs-smoke
 // job fail otherwise.
-const TraceSchemaVersion = 1
+const TraceSchemaVersion = 2
 
 // Stream is one process-scope worth of observability data headed for an
 // exporter: a node, an architecture, or the fleet control plane. Spans
-// come from an obs.Recorder; Events optionally joins the flat event
-// stream (a machine's trace.Ring, or fleet events converted through the
-// fleet-level trace kinds) into the same export.
+// come from an obs.Recorder.
 type Stream struct {
 	// Name labels the stream ("babelfish/node3", "baseline", "control").
-	Name   string
-	Spans  []Span
-	Events []trace.Event
+	Name  string
+	Spans []Span
 }
 
 // chromeEvent is one entry of the Chrome trace-event format. Ph "X" is a
@@ -86,8 +81,8 @@ func spanTid(s Span) int {
 // WriteChrome exports the streams as one Chrome trace-event JSON file.
 // Every stream becomes a Perfetto process (pid = stream index) named by
 // a metadata event; spans are complete events on per-core thread lanes,
-// zero-duration spans and trace events are instants. Deterministic:
-// streams, spans and events are emitted in the order given.
+// zero-duration spans are instants. Deterministic: streams and spans
+// are emitted in the order given.
 func WriteChrome(w io.Writer, tool string, streams []Stream) error {
 	ct := chromeTrace{
 		TraceEvents: []chromeEvent{},
@@ -114,55 +109,10 @@ func WriteChrome(w io.Writer, tool string, streams []Stream) error {
 			}
 			ct.TraceEvents = append(ct.TraceEvents, ev)
 		}
-		for _, e := range st.Events {
-			ct.TraceEvents = append(ct.TraceEvents, traceEventChrome(pid, e))
-		}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(ct)
-}
-
-// traceEventChrome converts one flat trace.Event. Accesses and faults
-// carry their latency as the duration; switches and fleet events are
-// instants (fleet events use Core as the node and PID as the container,
-// see the trace package).
-func traceEventChrome(pid int, e trace.Event) chromeEvent {
-	ev := chromeEvent{
-		Name: e.Kind.String(), Cat: "trace", Ts: uint64(e.At),
-		Pid: pid, Tid: int(e.Core),
-	}
-	args := map[string]string{}
-	switch e.Kind {
-	case trace.EvAccess:
-		ev.Name = "access " + trace.LevelName(e.Level)
-		ev.Ph, ev.Dur = "X", uint64(e.Cycles)
-		args["va"] = fmt.Sprintf("%#x", uint64(e.VA))
-		args["pid"] = fmt.Sprint(e.PID)
-		if e.Write {
-			args["write"] = "1"
-		}
-		if e.Instr {
-			args["instr"] = "1"
-		}
-	case trace.EvFault:
-		ev.Ph, ev.Dur = "X", uint64(e.Cycles)
-		args["va"] = fmt.Sprintf("%#x", uint64(e.VA))
-		args["pid"] = fmt.Sprint(e.PID)
-	case trace.EvPlace, trace.EvCrash, trace.EvFence, trace.EvShed:
-		ev.Ph, ev.S = "i", "t"
-		args["node"] = fmt.Sprint(e.Core)
-		if e.Kind != trace.EvCrash {
-			args["container"] = fmt.Sprint(e.PID)
-		}
-	default: // EvSwitch
-		ev.Ph, ev.S = "i", "t"
-		args["pid"] = fmt.Sprint(e.PID)
-	}
-	if len(args) > 0 {
-		ev.Args = args
-	}
-	return ev
 }
 
 // jsonlSpan is one span line of the JSONL export.
@@ -182,19 +132,6 @@ type jsonlSpan struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// jsonlEvent is one flat-event line of the JSONL export.
-type jsonlEvent struct {
-	Type   string `json:"type"` // "event"
-	Stream string `json:"stream"`
-	Kind   string `json:"kind"`
-	Core   int    `json:"core"`
-	PID    int    `json:"pid"`
-	VA     string `json:"va,omitempty"`
-	Level  string `json:"level,omitempty"`
-	Cycles uint64 `json:"cycles,omitempty"`
-	At     uint64 `json:"at"`
-}
-
 // jsonlHeader is the first line of the JSONL export.
 type jsonlHeader struct {
 	Type          string `json:"type"` // "header"
@@ -211,7 +148,7 @@ func optInt(v int) *int {
 }
 
 // WriteJSONL exports the streams as a compact JSON-lines file: a header
-// line, then one line per span and per flat event, in stream order.
+// line, then one line per span, in stream order.
 func WriteJSONL(w io.Writer, tool string, streams []Stream) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -230,21 +167,6 @@ func WriteJSONL(w io.Writer, tool string, streams []Stream) error {
 			}
 			if s.Parent != 0 {
 				line.Parent = fmt.Sprintf("%016x", uint64(s.Parent))
-			}
-			if err := enc.Encode(line); err != nil {
-				return err
-			}
-		}
-		for _, e := range st.Events {
-			line := jsonlEvent{
-				Type: "event", Stream: st.Name, Kind: e.Kind.String(),
-				Core: int(e.Core), PID: int(e.PID), At: uint64(e.At), Cycles: uint64(e.Cycles),
-			}
-			if e.VA != 0 {
-				line.VA = fmt.Sprintf("%#x", uint64(e.VA))
-			}
-			if e.Kind == trace.EvAccess {
-				line.Level = trace.LevelName(e.Level)
 			}
 			if err := enc.Encode(line); err != nil {
 				return err

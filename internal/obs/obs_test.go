@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"babelfish/internal/trace"
 )
 
 func TestIDsDeterministicAndNonZero(t *testing.T) {
@@ -102,30 +100,27 @@ func TestKindStrings(t *testing.T) {
 }
 
 // sampleStreams builds a two-stream export exercising every encoding
-// path: spans with and without parents/durations, machine trace events
-// and fleet-level trace events.
+// path: spans with and without parents, details and durations, on the
+// control plane (fleet events, a request, a placement) and on a node
+// (epoch, quantum, fault and an OOM-kill instant).
 func sampleStreams(t *testing.T) []Stream {
 	t.Helper()
 	ctl := NewRecorder(42, ControlScope, 64)
-	crash := ctl.Record(Span{Kind: KEvent, Name: "crash", Node: 2, Core: -1, Task: -1, PID: -1, Start: 3})
-	ctl.Record(Span{Kind: KRequest, Name: "container 5", Node: -1, Core: -1, Task: 5, PID: -1, Start: 0, Dur: 8, Detail: "x"})
+	crash := ctl.Record(Span{Kind: KEvent, Name: "crash", Node: 2, Core: -1, Task: -1, PID: -1, Start: 3, Detail: "injected fault"})
+	req := ctl.Record(Span{Kind: KRequest, Name: "container 5", Node: 0, Core: -1, Task: 5, PID: -1, Start: 0, Dur: 6})
 	ctl.Record(Span{Kind: KEvent, Name: "queued", Parent: crash, Node: -1, Core: -1, Task: 5, PID: -1, Start: 4})
+	place := ctl.Record(Span{Kind: KPlace, Name: "placed", Parent: req, Node: 0, Core: -1, Task: 5, PID: -1, Start: 6})
+	ctl.Record(Span{Kind: KEvent, Name: "fence", Parent: place, Node: 2, Core: -1, Task: 5, PID: -1, Start: 7})
+	ctl.Record(Span{Kind: KEvent, Name: "shed", Node: 1, Core: -1, Task: 4, PID: -1, Start: 9})
 	node := NewRecorder(42, 0, 64)
 	ep := node.Record(Span{Kind: KEpoch, Name: "epoch 1", Node: 0, Core: -1, Task: -1, PID: -1, Start: 1000, Dur: 500})
-	node.Record(Span{Kind: KQuantum, Name: "quantum", Parent: ep, Node: 0, Core: 1, Task: -1, PID: 3, Start: 1100, Dur: 200})
-	node.Record(Span{Kind: KFault, Name: "fault", Parent: ep, Node: 0, Core: 1, Task: -1, PID: 3, Start: 1150, Dur: 40})
+	q := node.NewID()
+	node.Record(Span{Kind: KFault, Name: "fault", Parent: q, Node: 0, Core: 1, Task: -1, PID: 3, Start: 1150, Dur: 900, Detail: "va=0x2000 faults=1"})
+	node.Record(Span{Kind: KEvent, Name: "oomkill", Parent: q, Node: 0, Core: 1, Task: -1, PID: 3, Start: 1280})
+	node.Record(Span{ID: q, Kind: KQuantum, Name: "quantum", Parent: ep, Node: 0, Core: 1, Task: -1, PID: 3, Start: 1100, Dur: 200})
 	return []Stream{
-		{Name: "control", Spans: ctl.Spans(), Events: []trace.Event{
-			{Kind: trace.EvCrash, Core: 2, At: 3},
-			{Kind: trace.EvPlace, Core: 0, PID: 5, At: 6},
-			{Kind: trace.EvFence, Core: 2, PID: 5, At: 7},
-			{Kind: trace.EvShed, Core: 1, PID: 4, At: 9},
-		}},
-		{Name: "node0", Spans: node.Spans(), Events: []trace.Event{
-			{Kind: trace.EvAccess, Core: 1, PID: 3, VA: 0x1000, Level: trace.LevelL2, Cycles: 10, At: 1120, Write: true},
-			{Kind: trace.EvFault, Core: 1, PID: 3, VA: 0x2000, Cycles: 900, At: 1150},
-			{Kind: trace.EvSwitch, Core: 1, PID: 3, At: 1300},
-		}},
+		{Name: "control", Spans: ctl.Spans()},
+		{Name: "node0", Spans: node.Spans()},
 	}
 }
 
@@ -141,7 +136,7 @@ func TestWriteChromeValid(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &ct); err != nil {
 		t.Fatalf("chrome export is not valid JSON: %v", err)
 	}
-	if ct.OtherData["schemaVersion"] != "1" || ct.OtherData["tool"] != "test" {
+	if ct.OtherData["schemaVersion"] != "2" || ct.OtherData["tool"] != "test" {
 		t.Fatalf("otherData = %v", ct.OtherData)
 	}
 	phases := map[string]int{}
@@ -162,7 +157,7 @@ func TestWriteChromeValid(t *testing.T) {
 	if phases["X"] == 0 || phases["i"] == 0 {
 		t.Fatalf("phases missing complete/instant events: %v", phases)
 	}
-	for _, want := range []string{"process_name", "quantum", "access L2", "crash", "place"} {
+	for _, want := range []string{"process_name", "quantum", "fault", "oomkill", "crash", "placed", "fence", "shed"} {
 		if !names[want] {
 			t.Fatalf("chrome export missing event name %q", want)
 		}
@@ -195,19 +190,15 @@ func TestWriteJSONLValid(t *testing.T) {
 	if types[0] != "header" {
 		t.Fatalf("first line type = %q", types[0])
 	}
-	nspans, nevents := 0, 0
+	nspans := 0
 	for _, typ := range types[1:] {
-		switch typ {
-		case "span":
-			nspans++
-		case "event":
-			nevents++
-		default:
-			t.Fatalf("unknown line type %q", typ)
+		if typ != "span" {
+			t.Fatalf("line type %q, want only spans after the header", typ)
 		}
+		nspans++
 	}
-	if nspans != 6 || nevents != 7 {
-		t.Fatalf("spans=%d events=%d, want 6 and 7", nspans, nevents)
+	if nspans != 10 {
+		t.Fatalf("spans=%d, want 10", nspans)
 	}
 }
 

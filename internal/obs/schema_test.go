@@ -20,7 +20,7 @@ var (
 )
 
 // goldenTracePaths freezes the Chrome-export key shape of
-// TraceSchemaVersion 1. "args" is a free-form string map (its keys vary
+// TraceSchemaVersion 2. "args" is a free-form string map (its keys vary
 // by event kind) and is skipped like the report schema's "config".
 var goldenTracePaths = []string{
 	"otherData",
@@ -47,17 +47,14 @@ var requiredTracePaths = []string{
 }
 
 // goldenJSONLPaths freezes the key set of every JSONL line type
-// combined (header + span + event); each line contributes only the keys
-// its type defines, so the union is validated per line below.
+// combined (header + span); each line contributes only the keys its type
+// defines, so the union is validated per line below.
 var goldenJSONLPaths = []string{
-	"at",
 	"core",
-	"cycles",
 	"detail",
 	"dur",
 	"id",
 	"kind",
-	"level",
 	"name",
 	"node",
 	"parent",
@@ -68,7 +65,6 @@ var goldenJSONLPaths = []string{
 	"task",
 	"tool",
 	"type",
-	"va",
 }
 
 // collectKeyPaths mirrors the telemetry schema test: every object key
@@ -223,8 +219,8 @@ func TestJSONLSchemaGolden(t *testing.T) {
 	}
 }
 
-func TestTraceSchemaVersionIsOne(t *testing.T) {
-	if TraceSchemaVersion != 1 {
+func TestTraceSchemaVersionIsTwo(t *testing.T) {
+	if TraceSchemaVersion != 2 {
 		t.Fatalf("TraceSchemaVersion = %d: update the golden sets in schema_test.go "+
 			"for the new schema, then adjust this test", TraceSchemaVersion)
 	}

@@ -105,19 +105,3 @@ func (e Entry) Perm() memdefs.Perm {
 	}
 	return p
 }
-
-// PermFlags converts a memdefs.Perm to entry flag bits (Present implied
-// separately).
-func PermFlags(p memdefs.Perm) Entry {
-	var e Entry
-	if p.CanWrite() {
-		e |= FlagWrite
-	}
-	if !p.CanExec() {
-		e |= FlagNX
-	}
-	if p&memdefs.PermUser != 0 {
-		e |= FlagUser
-	}
-	return e
-}

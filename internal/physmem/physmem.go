@@ -71,11 +71,11 @@ type Frame struct {
 
 // Injector decides whether an allocation attempt should artificially
 // fail. It is the seam chaos tests use to model memory pressure (see
-// internal/faultinject). seq is the 1-based allocation sequence number of
-// the Memory; kind is what the caller is allocating. Implementations are
-// called with the Memory's lock held and must not call back into it.
+// memsys.Injector). seq is the 1-based allocation sequence number of
+// the Memory. Implementations are called with the Memory's lock held and
+// must not call back into it.
 type Injector interface {
-	FailAlloc(seq uint64, kind FrameKind) bool
+	FailAlloc(seq uint64) bool
 }
 
 // Memory is a physical memory of a fixed number of frames. A quarter of
@@ -135,18 +135,11 @@ func (m *Memory) InjectedFaults() uint64 {
 	return m.injected
 }
 
-// AllocSeq reports the number of allocation attempts made so far.
-func (m *Memory) AllocSeq() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.allocSeq
-}
-
 // injectFault advances the allocation sequence and consults the injector.
 // Called with m.mu held.
-func (m *Memory) injectFault(kind FrameKind) bool {
+func (m *Memory) injectFault() bool {
 	m.allocSeq++
-	if m.inj != nil && m.inj.FailAlloc(m.allocSeq, kind) {
+	if m.inj != nil && m.inj.FailAlloc(m.allocSeq) {
 		m.injected++
 		return true
 	}
@@ -158,7 +151,7 @@ func (m *Memory) injectFault(kind FrameKind) bool {
 func (m *Memory) AllocBlock(kind FrameKind) (memdefs.PPN, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.injectFault(kind) {
+	if m.injectFault() {
 		return 0, ErrInjectedFault
 	}
 	if len(m.blocks) == 0 {
@@ -224,7 +217,7 @@ var ErrInjectedFault = fmt.Errorf("%w (injected fault)", ErrOutOfMemory)
 func (m *Memory) Alloc(kind FrameKind) (memdefs.PPN, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.injectFault(kind) {
+	if m.injectFault() {
 		return 0, ErrInjectedFault
 	}
 	if len(m.free) == 0 {

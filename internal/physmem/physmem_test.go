@@ -2,10 +2,12 @@ package physmem
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"babelfish/internal/memdefs"
+	"babelfish/internal/memsys"
 )
 
 func TestAllocUnref(t *testing.T) {
@@ -185,7 +187,7 @@ func TestGetBounds(t *testing.T) {
 
 type nthInjector struct{ n uint64 }
 
-func (i nthInjector) FailAlloc(seq uint64, kind FrameKind) bool { return seq%i.n == 0 }
+func (i nthInjector) FailAlloc(seq uint64) bool { return seq%i.n == 0 }
 
 func TestInjectorSeam(t *testing.T) {
 	m := New(1 << 20)
@@ -219,6 +221,69 @@ func TestInjectorSeam(t *testing.T) {
 	}
 	if rep := m.Audit(); !rep.OK() {
 		t.Fatalf("audit after injection: %s", rep)
+	}
+}
+
+// TestMemsysInjectorWiredIntoMemory: the memsys injector plugs into the
+// allocator seam and fails exactly every Nth allocation, even with
+// allocations arriving from several goroutines while another reads the
+// injector's count (run under -race).
+func TestMemsysInjectorWiredIntoMemory(t *testing.T) {
+	m := New(4 << 20)
+	inj := memsys.NewInjector(memsys.InjectConfig{Nth: 2})
+	m.SetInjector(inj)
+	const workers, perWorker = 4, 50
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		errs     int
+		frames   []memdefs.PPN
+		stopRead = make(chan struct{})
+		readDone = make(chan struct{})
+	)
+	go func() {
+		defer close(readDone)
+		for {
+			select {
+			case <-stopRead:
+				return
+			default:
+				_ = inj.Injected()
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				p, err := m.Alloc(FrameData)
+				mu.Lock()
+				if err != nil {
+					if !errors.Is(err, ErrOutOfMemory) {
+						t.Errorf("injected fault does not unwrap to ErrOutOfMemory: %v", err)
+					}
+					errs++
+				} else {
+					frames = append(frames, p)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stopRead)
+	<-readDone
+	const total = workers * perWorker
+	if errs != total/2 || inj.Injected() != total/2 || m.InjectedFaults() != total/2 {
+		t.Fatalf("every-2nd injector over %d allocs: errors=%d injector=%d memory=%d, want %d each",
+			total, errs, inj.Injected(), m.InjectedFaults(), total/2)
+	}
+	for _, p := range frames {
+		m.Unref(p)
+	}
+	if rep := m.Audit(); !rep.OK() {
+		t.Fatalf("audit: %s", rep)
 	}
 }
 

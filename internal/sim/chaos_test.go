@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"testing"
 
-	"babelfish/internal/faultinject"
 	"babelfish/internal/kernel"
 	"babelfish/internal/memdefs"
+	"babelfish/internal/memsys"
 	"babelfish/internal/metrics"
 	"babelfish/internal/sim"
 	"babelfish/internal/workloads"
@@ -36,7 +36,7 @@ func runChaos(t *testing.T, nth uint64) metrics.Counters {
 	// CoW and page-table growth all allocate — under injection. Deployment
 	// (and the file prefault inside it) stays injection-free so every run
 	// starts from the same baseline state.
-	m.Mem.SetInjector(faultinject.New(faultinject.Config{Seed: 0xC0FFEE, Nth: nth}))
+	m.Mem.SetInjector(memsys.NewInjector(memsys.InjectConfig{Seed: 0xC0FFEE, Nth: nth}))
 	defer m.Mem.SetInjector(nil)
 	if err := m.Run(150_000); err != nil {
 		t.Fatalf("run aborted under injection (nth=%d): %v", nth, err)

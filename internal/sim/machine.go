@@ -23,7 +23,6 @@ import (
 	"babelfish/internal/obs"
 	"babelfish/internal/physmem"
 	"babelfish/internal/telemetry"
-	"babelfish/internal/trace"
 	"babelfish/internal/xlatpolicy"
 )
 
@@ -257,11 +256,6 @@ type Machine struct {
 	coreDRAM []*dram.DRAM
 	shardEng *shardEngine
 
-	// Tracer, when non-nil, records per-access translation events,
-	// context switches and faults (see internal/trace). Enable with
-	// EnableTracing.
-	Tracer *trace.Ring
-
 	// Registry is the machine's telemetry registry: every stat producer
 	// is registered at construction via pull probes (see
 	// internal/telemetry and telemetry.go in this package). Snapshots
@@ -311,12 +305,6 @@ type Machine struct {
 type deviceGroup struct {
 	prefix string
 	devs   []memsys.Device
-}
-
-// EnableTracing attaches an event ring holding up to n events.
-func (m *Machine) EnableTracing(n int) *trace.Ring {
-	m.Tracer = trace.NewRing(n)
-	return m.Tracer
 }
 
 // New builds a machine.
@@ -415,16 +403,6 @@ func (m *Machine) buildDeviceGroups() {
 		{"cache.l3", l3devs},
 		{"dram", dramdevs},
 	}...)
-}
-
-// Devices returns the machine's memory-system devices in registration
-// order (for audits and diagnostics).
-func (m *Machine) Devices() []memsys.Device {
-	var out []memsys.Device
-	for _, g := range m.devGroups {
-		out = append(out, g.devs...)
-	}
-	return out
 }
 
 // SetMemInjector installs deterministic fault injectors at the selected
@@ -747,7 +725,7 @@ func (m *Machine) runQuantumSMT(c *Core, t1, t2 *Task) (uint64, error) {
 	var step Step
 	var instrs uint64
 	turn := 0
-	observe := m.Tracer != nil || m.telemetryOn || m.obsRec != nil
+	observe := m.telemetryOn || m.obsRec != nil
 	var tinfo mmu.Info
 	infoPtr := &tinfo
 	if !observe {
@@ -795,11 +773,6 @@ func (m *Machine) runQuantumSMT(c *Core, t1, t2 *Task) (uint64, error) {
 // runQuantumTask executes one quantum of a specific task on its core.
 func (m *Machine) runQuantumTask(c *Core, t *Task) (uint64, error) {
 	c.Cycles += m.Params.CtxSwitch
-	if m.Tracer != nil {
-		m.Tracer.Record(trace.Event{
-			Kind: trace.EvSwitch, Core: uint8(c.ID), PID: t.Proc.PID, At: c.Cycles,
-		})
-	}
 	qStart := c.Cycles
 	if m.obsRec != nil {
 		m.obsSpan = m.obsRec.NewID()
@@ -807,7 +780,7 @@ func (m *Machine) runQuantumTask(c *Core, t *Task) (uint64, error) {
 	end := c.Cycles + m.Params.Quantum
 	var step Step
 	var instrs uint64
-	observe := m.Tracer != nil || m.telemetryOn || m.obsRec != nil
+	observe := m.telemetryOn || m.obsRec != nil
 	var tinfo mmu.Info
 	infoPtr := &tinfo
 	if !observe {
@@ -855,11 +828,6 @@ func (m *Machine) oomKill(c *Core, t *Task, err error) bool {
 			Parent: m.obsSpan, Kind: obs.KEvent, Name: "oomkill",
 			Node: m.obsNode, Core: c.ID, Task: -1, PID: int(t.Proc.PID),
 			Start: uint64(c.Cycles),
-		})
-	}
-	if m.Tracer != nil {
-		m.Tracer.Record(trace.Event{
-			Kind: trace.EvFault, Core: uint8(c.ID), PID: t.Proc.PID, At: c.Cycles,
 		})
 	}
 	t.Proc.Exit()
@@ -910,12 +878,11 @@ func (m *Machine) RunTaskOnly(t *Task) error {
 // useSharded reports whether runs should go through the sharded stepping
 // engine: the machine was built with CoreShards > 0 and nothing forces
 // the classic serial schedule. SMT quanta interleave two tasks step by
-// step, and observation (tracer, telemetry sampler, obs recorder) hooks
-// every access into shared structures — both fall back to classic
-// scheduling, which is valid on a sharded build.
+// step, and observation (telemetry histograms and sampler, obs span
+// recorder) hooks every access into shared structures — both fall back
+// to classic scheduling, which is valid on a sharded build.
 func (m *Machine) useSharded() bool {
-	return m.shardEng != nil && !m.Params.SMT &&
-		m.Tracer == nil && !m.telemetryOn && m.obsRec == nil
+	return m.shardEng != nil && !m.Params.SMT && !m.telemetryOn && m.obsRec == nil
 }
 
 // Run executes until every core has run at least instrBudget instructions

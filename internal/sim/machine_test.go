@@ -5,6 +5,7 @@ import (
 
 	"babelfish/internal/kernel"
 	"babelfish/internal/memdefs"
+	"babelfish/internal/obs"
 )
 
 // seqGen touches a fixed list of group VAs round-robin; used to drive the
@@ -241,22 +242,27 @@ func TestSMTFallsBackWithOneTask(t *testing.T) {
 	}
 }
 
-// TestTracerRecordsFaults verifies fault events reach the ring.
+// TestTracerRecordsFaults verifies faults and quanta reach the span
+// recorder.
 func TestTracerRecordsFaults(t *testing.T) {
 	m := testMachine(t, kernel.ModeBaseline, 1)
-	ring := m.EnableTracing(100_000)
+	rec := obs.NewRecorder(1, 0, 1<<16)
+	m.EnableObs(rec, -1)
 	g := m.Kernel.NewGroup("app", 2)
 	p, gvas := setupProc(t, m, g, 16)
 	m.AddTask(0, p, &seqGen{proc: p, gvas: gvas, limit: 64})
 	if err := m.RunToCompletion(); err != nil {
 		t.Fatal(err)
 	}
-	s := ring.Summarize()
-	if s.Faults == 0 {
-		t.Fatal("no fault events traced (demand paging must fault)")
+	kinds := map[obs.Kind]int{}
+	for _, s := range rec.Spans() {
+		kinds[s.Kind]++
 	}
-	if s.Accesses == 0 || s.Switches == 0 {
-		t.Fatalf("trace incomplete: %+v", s)
+	if kinds[obs.KFault] == 0 {
+		t.Fatal("no fault spans recorded (demand paging must fault)")
+	}
+	if kinds[obs.KQuantum] == 0 {
+		t.Fatalf("no quantum spans recorded: %v", kinds)
 	}
 }
 
@@ -265,7 +271,8 @@ func TestTracerRecordsFaults(t *testing.T) {
 func TestQuantumBounds(t *testing.T) {
 	m := testMachine(t, kernel.ModeBaseline, 1)
 	m.Params.Quantum = 10_000
-	ring := m.EnableTracing(1 << 20)
+	rec := obs.NewRecorder(1, 0, 1<<16)
+	m.EnableObs(rec, -1)
 	g := m.Kernel.NewGroup("app", 3)
 	p1, gvas := setupProc(t, m, g, 8)
 	p2, _, err := m.Kernel.Fork(p1, "p2")
@@ -277,24 +284,29 @@ func TestQuantumBounds(t *testing.T) {
 	if err := m.Run(100_000); err != nil {
 		t.Fatal(err)
 	}
-	// Between consecutive SWITCH events at most quantum + slack cycles
-	// may pass.
-	var lastSwitch int64 = -1
-	for _, e := range ring.Events() {
-		if e.Kind != 2 { // trace.EvSwitch
+	if rec.Total() > uint64(rec.Len()) {
+		t.Fatalf("span ring wrapped (%d of %d kept); raise its depth", rec.Len(), rec.Total())
+	}
+	// Between the starts of consecutive quanta at most quantum + slack
+	// cycles may pass.
+	var lastStart int64 = -1
+	quanta := 0
+	for _, s := range rec.Spans() {
+		if s.Kind != obs.KQuantum {
 			continue
 		}
-		if lastSwitch >= 0 {
-			gap := int64(e.At) - lastSwitch
+		quanta++
+		if lastStart >= 0 {
+			gap := int64(s.Start) - lastStart
 			// One in-flight step may overshoot the quantum boundary; the
 			// worst case is a major fault (40k cycles).
 			if gap > int64(m.Params.Quantum)+50_000 {
 				t.Fatalf("quantum gap %d cycles (quantum %d)", gap, m.Params.Quantum)
 			}
 		}
-		lastSwitch = int64(e.At)
+		lastStart = int64(s.Start)
 	}
-	if lastSwitch < 0 {
-		t.Fatal("no switches recorded")
+	if quanta < 2 {
+		t.Fatalf("%d quanta recorded, want at least 2 to measure a gap", quanta)
 	}
 }

@@ -41,15 +41,12 @@ func (m *Machine) recordQuantum(c *Core, pid int, detail string, start memdefs.C
 	m.obsSpan = 0
 }
 
-// ObsStream assembles the machine's export stream: its recorded spans
-// plus the trace ring's events, both in simulated core cycles.
+// ObsStream assembles the machine's export stream: its recorded spans,
+// in simulated core cycles.
 func (m *Machine) ObsStream(name string) obs.Stream {
 	st := obs.Stream{Name: name}
 	if m.obsRec != nil {
 		st.Spans = m.obsRec.Spans()
-	}
-	if m.Tracer != nil {
-		st.Events = m.Tracer.Events()
 	}
 	return st
 }

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"babelfish/internal/container"
-	"babelfish/internal/faultinject"
 	"babelfish/internal/kernel"
+	"babelfish/internal/memsys"
 	"babelfish/internal/sim"
 	"babelfish/internal/workloads"
 )
@@ -69,7 +69,7 @@ func runStorm(t *testing.T, p sim.Params) string {
 	e.Stop(d, cs[2]) // teardown storm
 	run(40_000)
 	start(2, 40) // recycle: new generation on the group's layout
-	m.Mem.SetInjector(faultinject.New(faultinject.Config{Seed: 0xBEEF, Nth: 7}))
+	m.Mem.SetInjector(memsys.NewInjector(memsys.InjectConfig{Seed: 0xBEEF, Nth: 7}))
 	run(80_000) // OOM-reclaim storm
 	m.Mem.SetInjector(nil)
 	run(40_000) // settle

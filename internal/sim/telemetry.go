@@ -10,7 +10,6 @@ import (
 	"babelfish/internal/obs"
 	"babelfish/internal/physmem"
 	"babelfish/internal/telemetry"
-	"babelfish/internal/trace"
 )
 
 // Histogram names in the machine's registry.
@@ -119,9 +118,6 @@ func (m *Machine) EnableTelemetry(sampleEvery uint64) *telemetry.Registry {
 	return m.Registry
 }
 
-// TelemetryEnabled reports whether histogram/sampling collection is on.
-func (m *Machine) TelemetryEnabled() bool { return m.telemetryOn }
-
 // Sampler returns the cycle-driven sampler (nil when sampling is off).
 func (m *Machine) Sampler() *telemetry.Sampler { return m.sampler }
 
@@ -145,9 +141,9 @@ func (m *Machine) TelemetryReport(label string) telemetry.ArchReport {
 }
 
 // observeTranslation is the single instrumentation seam for a completed
-// translation: the trace ring and the telemetry histograms both hang off
-// it, so they observe exactly the same events. Callers gate it behind
-// the Tracer/telemetryOn nil checks to keep the disabled path free.
+// translation: the telemetry histograms and the obs fault spans both
+// hang off it, so they observe exactly the same events. Callers gate it
+// behind the telemetryOn/obsRec checks to keep the disabled path free.
 func (m *Machine) observeTranslation(c *Core, t *Task, step *Step, tc memdefs.Cycles, info *mmu.Info) {
 	if m.telemetryOn {
 		m.histXlat.ObserveCycles(tc)
@@ -161,27 +157,6 @@ func (m *Machine) observeTranslation(c *Core, t *Task, step *Step, tc memdefs.Cy
 			Node: m.obsNode, Core: c.ID, Task: -1, PID: int(t.Proc.PID),
 			Start: uint64(c.Cycles), Dur: uint64(info.FaultCycles),
 			Detail: fmt.Sprintf("va=%#x faults=%d", uint64(step.VA), info.Faults),
-		})
-	}
-	if m.Tracer == nil {
-		return
-	}
-	lvl := trace.LevelWalk
-	switch info.Level {
-	case "L1":
-		lvl = trace.LevelL1
-	case "L2":
-		lvl = trace.LevelL2
-	}
-	m.Tracer.Record(trace.Event{
-		Kind: trace.EvAccess, Core: uint8(c.ID), PID: t.Proc.PID,
-		VA: step.VA, Write: step.Write, Instr: step.Kind == memdefs.AccessInstr,
-		Level: lvl, Cycles: tc, At: c.Cycles,
-	})
-	if info.Faults > 0 {
-		m.Tracer.Record(trace.Event{
-			Kind: trace.EvFault, Core: uint8(c.ID), PID: t.Proc.PID,
-			VA: step.VA, Cycles: info.FaultCycles, At: c.Cycles,
 		})
 	}
 }

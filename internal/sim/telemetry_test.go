@@ -4,33 +4,44 @@ import (
 	"testing"
 
 	"babelfish/internal/kernel"
+	"babelfish/internal/obs"
 )
 
-// TestTraceAndHistogramAgree: the trace ring and the telemetry histograms
-// hang off the same instrumentation seam, so with both enabled they must
-// observe exactly the same events.
+// TestTraceAndHistogramAgree: the telemetry histograms and the obs fault
+// spans hang off the same instrumentation seam, so with both enabled
+// they must observe exactly the events the MMU counts.
 func TestTraceAndHistogramAgree(t *testing.T) {
 	m := testMachine(t, kernel.ModeBaseline, 1)
-	ring := m.EnableTracing(1 << 20) // large enough to never wrap here
-	m.EnableTelemetry(0)
+	rec := obs.NewRecorder(1, 0, 1<<16)
+	m.EnableObs(rec, -1)
+	reg := m.EnableTelemetry(0)
 	g := m.Kernel.NewGroup("app", 1)
 	p, gvas := setupProc(t, m, g, 16)
 	m.AddTask(0, p, &seqGen{proc: p, gvas: gvas, limit: 2000})
 	if err := m.RunToCompletion(); err != nil {
 		t.Fatal(err)
 	}
-	s := ring.Summarize()
-	if s.Accesses == 0 {
-		t.Fatal("no accesses traced")
+	translations, _ := reg.Value("mmu.translations")
+	if translations == 0 {
+		t.Fatal("no translations counted")
 	}
-	if got := m.XlatHist().Count(); got != s.Accesses {
-		t.Fatalf("xlat histogram saw %d events, trace ring saw %d accesses", got, s.Accesses)
+	if got := m.XlatHist().Count(); float64(got) != translations {
+		t.Fatalf("xlat histogram saw %d events, mmu.translations = %v", got, translations)
 	}
-	if s.Faults == 0 {
-		t.Fatal("no faults traced (demand paging must fault)")
+	if rec.Total() > uint64(rec.Len()) {
+		t.Fatalf("span ring wrapped (%d of %d kept); raise its depth", rec.Len(), rec.Total())
 	}
-	if got := m.FaultHist().Count(); got != s.Faults {
-		t.Fatalf("fault histogram saw %d events, trace ring saw %d faults", got, s.Faults)
+	var faultSpans uint64
+	for _, s := range rec.Spans() {
+		if s.Kind == obs.KFault {
+			faultSpans++
+		}
+	}
+	if faultSpans == 0 {
+		t.Fatal("no fault spans recorded (demand paging must fault)")
+	}
+	if got := m.FaultHist().Count(); got != faultSpans {
+		t.Fatalf("fault histogram saw %d events, recorder holds %d fault spans", got, faultSpans)
 	}
 	if m.XlatHist().Max() == 0 || m.FaultHist().Sum() == 0 {
 		t.Fatal("histograms recorded no latency")

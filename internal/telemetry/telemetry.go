@@ -11,7 +11,7 @@
 // nothing for the registry's existence — cost only accrues when a
 // snapshot or sample is actually taken. Histograms are push-based but
 // sit behind a single nil check at the machine's instrumentation seam,
-// shared with the trace ring, so disabled telemetry stays free.
+// shared with the obs span recorder, so disabled telemetry stays free.
 package telemetry
 
 import (

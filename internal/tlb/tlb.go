@@ -381,23 +381,6 @@ func (t *TLB) InvalidateSharedVPN(vpn memdefs.VPN, ccid memdefs.CCID) int {
 	return n
 }
 
-// InvalidatePCIDVPN removes entries for vpn belonging to one PCID (the
-// baseline's per-process invalidation).
-func (t *TLB) InvalidatePCIDVPN(vpn memdefs.VPN, pcid memdefs.PCID) int {
-	n := 0
-	base := t.base(vpn)
-	want := uint64(vpn) | tagValid
-	for i := base; i < base+t.ways; i++ {
-		if t.tagw[i] == want && t.entries[i].PCID == pcid {
-			t.tagw[i] = 0
-			t.entries[i].Valid = false
-			n++
-		}
-	}
-	t.stats.Invalidations += uint64(n)
-	return n
-}
-
 // FlushPCID invalidates every entry installed by one process — used to
 // model the fork-time shootdown round that revokes write permission on
 // CoW pages. Shared (O==0) BabelFish entries are dropped too when they

@@ -211,13 +211,6 @@ func Names() []string {
 	return out
 }
 
-// All returns the registered architectures in registration order.
-func All() []Arch {
-	out := make([]Arch, len(registry))
-	copy(out, registry)
-	return out
-}
-
 // UsageList renders the accepted -arch values for CLI usage strings,
 // e.g. "baseline|babelfish|victima|coalesced". extra values (like "both")
 // are appended by the caller's convention.
