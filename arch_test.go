@@ -1,10 +1,10 @@
 package babelfish
 
 import (
-	"strings"
 	"testing"
 
 	"babelfish/internal/kernel"
+	"babelfish/internal/xlatpolicy"
 )
 
 // TestArchEnumResolvesRegistry: every enum value must map onto a
@@ -16,7 +16,7 @@ func TestArchEnumResolvesRegistry(t *testing.T) {
 		ArchCoalesced, ArchBabelFishVictima, ArchBabelFishCoalesced,
 	}
 	for _, a := range enums {
-		if !ValidArch(a.policyName()) {
+		if _, ok := xlatpolicy.Get(a.policyName()); !ok {
 			t.Errorf("%v: policy name %q not registered", a, a.policyName())
 		}
 	}
@@ -25,23 +25,6 @@ func TestArchEnumResolvesRegistry(t *testing.T) {
 	}
 	if ArchVictima.String() != "victima" || ArchBabelFishCoalesced.String() != "babelfish+coalesced" {
 		t.Errorf("enum strings drifted: %q %q", ArchVictima, ArchBabelFishCoalesced)
-	}
-}
-
-// TestArchUsageFromRegistry: CLI usage text is generated, never
-// hand-listed, so a newly registered policy shows up everywhere at once.
-func TestArchUsageFromRegistry(t *testing.T) {
-	u := ArchUsage("both")
-	for _, name := range ArchNames() {
-		if !strings.Contains(u, name) {
-			t.Errorf("ArchUsage missing registered %q: %s", name, u)
-		}
-	}
-	if !strings.HasSuffix(u, "|both") {
-		t.Errorf("ArchUsage(both) = %q, want trailing |both", u)
-	}
-	if ValidArch("nosuch") {
-		t.Error("ValidArch(nosuch) = true")
 	}
 }
 

@@ -102,16 +102,6 @@ func (a Arch) String() string {
 // order — the accepted NewMachineArch (and CLI -arch) values.
 func ArchNames() []string { return xlatpolicy.Names() }
 
-// ArchUsage renders the accepted -arch values for CLI usage strings,
-// with any extra conventions ("both") appended.
-func ArchUsage(extra ...string) string { return xlatpolicy.UsageList(extra...) }
-
-// ValidArch reports whether name is a registered architecture.
-func ValidArch(name string) bool {
-	_, ok := xlatpolicy.Get(name)
-	return ok
-}
-
 // Options configures a machine.
 type Options struct {
 	Arch  Arch

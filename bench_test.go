@@ -22,6 +22,7 @@ import (
 	"babelfish/internal/sim"
 	"babelfish/internal/tlb"
 	"babelfish/internal/workloads"
+	"babelfish/internal/ycsb"
 )
 
 func benchOpts() experiments.Options { return experiments.Quick() }
@@ -541,9 +542,9 @@ func BenchmarkCacheAccess(b *testing.B) {
 // BenchmarkZipf measures the YCSB zipfian draw.
 func BenchmarkZipf(b *testing.B) {
 	rng := workloads.NewRNG(1)
-	z := workloads.NewZipf(rng, 100_000, 0.99)
+	z := ycsb.NewZipf(100_000, 0.99)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		z.Next()
+		z.Draw(rng.Float64())
 	}
 }

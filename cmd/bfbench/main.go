@@ -3,9 +3,15 @@
 //
 // Usage:
 //
-//	bfbench [-exp all|tableI|fig9|fig10a|fig10b|fig11|tableII|tableIII|largertlb|bringup|resources|archcompare|loadramp]
+//	bfbench [-exp all|tableI|fig7|fig9|fig10a|fig10b|fig11|tableII|tableIII|largertlb|bringup|resources|sweeps|archcompare|loadramp]
 //	        [-arch NAME,NAME,...] [-cores N] [-scale F] [-warm N] [-measure N] [-seed N] [-quick]
-//	        [-trace-out FILE] [-flight-depth N]
+//	        [-format text|json|markdown]
+//	        [shared flags: -jobs -core-shards -trace-out -flight-depth]
+//
+// The shared flags are documented in package internal/cli. -jobs runs
+// experiment cells in parallel; -trace-out exports one span per executed
+// cell (architecture × app × config), showing how each experiment
+// decomposed into its plan.
 //
 // -exp archcompare runs the architecture head-to-head sweep: every
 // workload measured under each requested translation policy (-arch, a
@@ -17,70 +23,72 @@
 // identity CI job.
 //
 // Each experiment prints rows shaped like the paper's; the headers quote
-// the paper's numbers for comparison.
-//
-// -trace-out FILE exports one span per executed experiment cell
-// (architecture × app × config) after the run — Chrome trace-event JSON
-// for Perfetto, or compact JSONL when FILE ends in .jsonl — showing how
-// each experiment decomposed into its plan; -flight-depth N sizes the
-// span ring.
+// the paper's numbers for comparison. -cores, -scale, -warm, -measure
+// and -seed override the chosen option set when non-zero. -format json
+// or markdown runs the whole pinned suite.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
+	"babelfish/internal/cli"
 	"babelfish/internal/experiments"
 	"babelfish/internal/obs"
 	"babelfish/internal/xlatpolicy"
 )
 
-func main() {
+// validExp reports whether runExp knows the -exp value (any case).
+func validExp(exp string) bool {
+	return slices.Contains([]string{"all", "tablei", "fig7", "fig9", "fig10", "fig10a", "fig10b", "fig11",
+		"tableii", "tableiii", "largertlb", "bringup", "resources", "sweeps", "archcompare", "loadramp"},
+		strings.ToLower(exp))
+}
+
+func main() { os.Exit(run(os.Args[1:])) }
+
+func run(args []string) int {
+	c := cli.New("bfbench", false)
 	var (
-		exp     = flag.String("exp", "all", "experiment id (all, tableI, fig9, fig10a, fig10b, fig11, tableII, tableIII, largertlb, bringup, resources, sweeps, fig7, archcompare, loadramp)")
-		archs   = flag.String("arch", "", "architectures for -exp archcompare or loadramp, comma-separated from "+xlatpolicy.UsageList()+" (empty = all registered / the baseline-babelfish pair)")
-		cores   = flag.Int("cores", 0, "number of cores (0 = default 8)")
-		scale   = flag.Float64("scale", 0, "dataset scale factor (0 = default 1.0)")
-		warm    = flag.Uint64("warm", 0, "warm-up instructions per core (0 = default)")
-		measure = flag.Uint64("measure", 0, "measured instructions per core (0 = default)")
-		seed    = flag.Uint64("seed", 0, "random seed (0 = default)")
-		quick   = flag.Bool("quick", false, "use the reduced smoke-test options")
-		format  = flag.String("format", "text", "output format: text, json or markdown (json/markdown run all experiments)")
-		jobs    = flag.Int("jobs", 0, "parallel experiment cells (default GOMAXPROCS, 1 = serial); output is identical at any width")
-
-		coreShards = flag.Int("core-shards", 0, "step each machine's cores on up to N goroutines with a deterministic quantum barrier (0 = classic serial); output is identical at any width >= 1")
-
-		traceOut    = flag.String("trace-out", "", "export one span per experiment cell after the run (Chrome trace JSON; .jsonl for compact JSONL)")
-		flightDepth = flag.Int("flight-depth", 0, "span-ring depth for -trace-out (0 = default)")
+		exp     = c.String("exp", "all", "experiment id (all, tableI, fig9, fig10a, fig10b, fig11, tableII, tableIII, largertlb, bringup, resources, sweeps, fig7, archcompare, loadramp)")
+		archs   = c.String("arch", "", "architectures for -exp archcompare or loadramp, comma-separated from "+xlatpolicy.UsageList()+" (empty = all registered / the baseline-babelfish pair)")
+		cores   = c.Int("cores", 0, "number of cores (0 = default 8)")
+		scale   = c.Float64("scale", 0, "dataset scale factor (0 = default 1.0)")
+		warm    = c.Uint64("warm", 0, "warm-up instructions per core (0 = default)")
+		measure = c.Uint64("measure", 0, "measured instructions per core (0 = default)")
+		seed    = c.Uint64("seed", 0, "random seed (0 = default)")
+		quick   = c.Bool("quick", false, "use the reduced smoke-test options")
+		format  = c.String("format", "text", "output format: text, json or markdown (json/markdown run all experiments)")
 	)
-	flag.Parse()
-	if *flightDepth < 0 {
-		usageErr("-flight-depth must be non-negative")
+	if status, ok := c.Parse(args); !ok {
+		return status
 	}
-	if *coreShards < 0 {
-		usageErr("-core-shards must be non-negative (0 = classic serial stepping)")
+	if !validExp(*exp) {
+		return c.UsageErr("unknown experiment %q", *exp)
 	}
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "jobs" && *jobs <= 0 {
-			usageErr("-jobs must be positive (omit the flag for GOMAXPROCS)")
+	expID := strings.ToLower(*exp)
+	if *format != "text" && *format != "json" && *format != "markdown" {
+		return c.UsageErr("unknown format %q (want text, json or markdown)", *format)
+	}
+	if *cores < 0 {
+		return c.UsageErr("-cores must be non-negative (0 = default)")
+	}
+	if *scale != 0 {
+		if err := cli.Positive("scale", *scale); err != nil {
+			return c.UsageErr("%v (0 = default)", err)
 		}
-		if f.Name == "flight-depth" && *traceOut == "" {
-			usageErr("-flight-depth has no effect without -trace-out")
-		}
-		if f.Name == "arch" {
-			if e := strings.ToLower(*exp); e != "archcompare" && e != "loadramp" {
-				usageErr("-arch only applies to -exp archcompare or loadramp")
-			}
-		}
-	})
+	}
+	if c.Given("arch") && expID != "archcompare" && expID != "loadramp" {
+		return c.UsageErr("-arch only applies to -exp archcompare or loadramp")
+	}
 	var archList []string
 	if *archs != "" {
 		for _, name := range strings.Split(*archs, ",") {
 			name = strings.TrimSpace(name)
 			if _, ok := xlatpolicy.Get(name); !ok {
-				usageErr("unknown arch %q (want %s)", name, xlatpolicy.UsageList())
+				return c.UsageErr("unknown arch %q (want %s)", name, xlatpolicy.UsageList())
 			}
 			archList = append(archList, name)
 		}
@@ -105,61 +113,43 @@ func main() {
 	if *seed > 0 {
 		o.Seed = *seed
 	}
-	o.Jobs = *jobs
-	o.CoreShards = *coreShards
+	o.Jobs = c.Jobs
+	o.CoreShards = c.CoreShards
 
 	var cellRec *obs.Recorder
-	if *traceOut != "" {
-		cellRec = obs.NewRecorder(o.Seed, obs.ControlScope, obs.Options{Depth: *flightDepth}.RingDepth())
+	if c.TraceOut != "" {
+		cellRec = obs.NewRecorder(o.Seed, obs.ControlScope, obs.Options{Depth: c.FlightDepth}.RingDepth())
 		experiments.SetObsRecorder(cellRec)
 	}
-	writeTrace := func() {
-		if cellRec == nil {
-			return
+
+	var err error
+	switch *format {
+	case "json", "markdown":
+		var rep *experiments.Report
+		if rep, err = experiments.RunAll(o); err == nil {
+			if *format == "json" {
+				err = rep.WriteJSON(os.Stdout)
+			} else {
+				err = rep.WriteMarkdown(os.Stdout)
+			}
 		}
+	default:
+		err = runExp(expID, o, archList)
+	}
+	if err != nil {
+		return c.Fail(err)
+	}
+	if cellRec != nil {
+		// stdout carries the report, so the trace line goes to stderr.
 		streams := []obs.Stream{{Name: "cells", Spans: cellRec.Spans()}}
-		if err := obs.WriteTraceFile(*traceOut, "bfbench", streams); err != nil {
-			fmt.Fprintln(os.Stderr, "bfbench:", err)
-			os.Exit(1)
+		if err := cli.WriteTrace(os.Stderr, c.TraceOut, "bfbench", streams); err != nil {
+			return c.Fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "bfbench: trace (schema v%d, %d cells) written to %s\n",
-			obs.TraceSchemaVersion, cellRec.Total(), *traceOut)
 	}
-
-	if *format == "json" || *format == "markdown" {
-		rep, err := experiments.RunAll(o)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bfbench:", err)
-			os.Exit(1)
-		}
-		if *format == "json" {
-			err = rep.WriteJSON(os.Stdout)
-		} else {
-			err = rep.WriteMarkdown(os.Stdout)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bfbench:", err)
-			os.Exit(1)
-		}
-		writeTrace()
-		return
-	}
-	if err := run(strings.ToLower(*exp), o, archList); err != nil {
-		fmt.Fprintln(os.Stderr, "bfbench:", err)
-		os.Exit(1)
-	}
-	writeTrace()
+	return 0
 }
 
-// usageErr reports a flag mistake with the full usage text and exits
-// with status 2, mirroring the flag package's own error convention.
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "bfbench: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
-}
-
-func run(exp string, o experiments.Options, archList []string) error {
+func runExp(exp string, o experiments.Options, archList []string) error {
 	want := func(name string) bool { return exp == "all" || exp == name }
 
 	// The head-to-head sweep is opt-in only: it is not part of "all" (or
@@ -186,7 +176,7 @@ func run(exp string, o experiments.Options, archList []string) error {
 		return nil
 	}
 
-	if want("tablei") || want("tableI") {
+	if want("tablei") {
 		fmt.Println(experiments.TableI(o))
 	}
 	if want("fig7") {
@@ -203,14 +193,12 @@ func run(exp string, o experiments.Options, archList []string) error {
 		}
 		fmt.Println(r)
 	}
-	if want("fig10a") || want("fig10b") || (exp == "all") || exp == "fig10" {
-		if exp == "all" || strings.HasPrefix(exp, "fig10") {
-			r, err := experiments.Fig10(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r)
+	if want("fig10") || exp == "fig10a" || exp == "fig10b" {
+		r, err := experiments.Fig10(o)
+		if err != nil {
+			return err
 		}
+		fmt.Println(r)
 	}
 	if want("fig11") || want("tableii") {
 		r, err := experiments.Fig11(o)

@@ -7,13 +7,18 @@
 //
 //	bfsim [-app mongodb|arangodb|httpd|graphchi|fio] [-arch NAME|both]
 //	      [-cores N] [-containers N] [-scale F] [-warm N] [-measure N] [-seed N]
-//	      [-audit] [-failnth N] [-failseed N] [-jobs N] [-cpuprofile FILE]
-//	      [-core-shards N]
-//	      [-metrics-out FILE] [-sample-every N]
-//	      [-trace-out FILE] [-series-out FILE] [-flight-recorder DIR] [-flight-depth N]
+//	      [-audit] [-failnth N] [-failseed N] [-cpuprofile FILE]
+//	      [-metrics-out FILE] [-sample-every N] [-series-out FILE]
 //	      [-inject-mem tlb,pwc,cache,dram|all] [-inject-mem-nth N] [-inject-mem-prob P]
 //	      [-inject-mem-seed N] [-inject-mem-after N] [-inject-mem-max N]
 //	      [-inject-mem-mode drop|poison]
+//	      [shared flags: -jobs -core-shards -trace-out -flight-recorder -flight-depth]
+//
+// The shared flags are documented in package internal/cli. With -arch
+// both, -jobs runs the two architectures in parallel; -trace-out writes
+// one stream per architecture (scheduling quanta, the faults inside them
+// and OOM kills); -flight-recorder writes a bundle after any run that
+// OOM-killed a task or failed -audit.
 //
 // -audit cross-checks the allocator's refcounts against the kernel's page
 // tables — and every valid TLB entry against a live PTE — after each run
@@ -34,180 +39,131 @@
 // with -audit to watch the TLB audit catch the corruption (the run then
 // deliberately exits non-zero).
 //
-// -core-shards N steps each machine's cores on up to N goroutines with a deterministic quantum
-// barrier; the report is identical at any width >= 1. (Sharded stepping
-// yields to the classic serial scheduler while telemetry or span
-// recording is active, so those flags compose without surprises.)
-//
-// -jobs N simulates the architectures of -arch both on N workers (0 =
-// GOMAXPROCS). Each run owns its machine, so the results and the printed
-// report are identical at any width: output is buffered per architecture
-// and replayed in order. -cpuprofile FILE writes a pprof CPU profile of
-// the whole run.
+// -cpuprofile FILE writes a pprof CPU profile of the whole run.
 //
 // -metrics-out FILE writes a versioned JSON run report: the run config,
 // the full telemetry registry and latency histograms for each simulated
 // architecture, and — with -sample-every N — a time series sampled every
-// N simulated cycles of the measured phase.
-//
-// -trace-out FILE exports the run's causal spans (scheduling quanta,
-// the faults inside them and OOM kills) as Chrome trace-event JSON for
-// Perfetto — or compact JSONL when FILE ends in .jsonl — with one
-// stream per architecture, in declaration order. -series-out FILE
-// streams the registry time series while the run is live (requires
-// -sample-every; .prom selects Prometheus text, JSONL otherwise;
-// single -arch only). -flight-recorder DIR writes a post-mortem bundle
-// (trace.json, trace.jsonl, metrics.prom, audit.txt) after any run
-// that OOM-killed a task or failed the -audit; -flight-depth N sizes
-// the span ring (default 4096). All obs files are deterministic: the
-// same flags rewrite byte-identical bytes, and leaving them off leaves
-// the simulation untouched.
+// N simulated cycles of the measured phase. -series-out FILE streams the
+// registry time series while the run is live (requires -sample-every;
+// .prom selects Prometheus text, JSONL otherwise; single -arch only).
 package main
 
 import (
 	"bytes"
 	"errors"
-	"flag"
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"runtime/pprof"
-	"strings"
-	"sync"
 
 	"babelfish"
+	"babelfish/internal/cli"
 	"babelfish/internal/memsys"
 	"babelfish/internal/metrics"
 	"babelfish/internal/obs"
+	"babelfish/internal/par"
 	"babelfish/internal/physmem"
 	"babelfish/internal/telemetry"
+	"babelfish/internal/workloads"
+	"babelfish/internal/xlatpolicy"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:])) }
 
 // archResult is one architecture's finished run: its table row, its
 // buffered prints (replayed in declaration order so -jobs never reorders
 // output), and its telemetry section.
 type archResult struct {
-	name        string
 	out         bytes.Buffer
 	row         []interface{}
 	tel         telemetry.ArchReport
 	stream      obs.Stream
 	auditFailed bool
-	err         error
 }
 
-func run() int {
+func run(args []string) int {
+	c := cli.New("bfsim", true)
 	var (
-		app         = flag.String("app", "mongodb", "workload: mongodb, arangodb, httpd, graphchi, fio")
-		arch        = flag.String("arch", "both", "architecture: "+babelfish.ArchUsage("both"))
-		cores       = flag.Int("cores", 2, "number of cores")
-		containers  = flag.Int("containers", 2, "containers per core")
-		scale       = flag.Float64("scale", 0.5, "dataset scale factor")
-		warm        = flag.Uint64("warm", 500_000, "warm-up instructions per core")
-		measure     = flag.Uint64("measure", 1_000_000, "measured instructions per core")
-		seed        = flag.Uint64("seed", 42, "random seed")
-		audit       = flag.Bool("audit", false, "run the kernel invariant auditor (page tables + TLBs) after each run; exit non-zero on violations")
-		failNth     = flag.Uint64("failnth", 0, "fail every Nth frame allocation during the measured run (0 = off)")
-		failSeed    = flag.Uint64("failseed", 1, "fault-injector seed")
-		jobs        = flag.Int("jobs", 0, "run architectures on N parallel workers (default GOMAXPROCS, 1 = serial); output is identical at any width")
-		coreShards  = flag.Int("core-shards", 0, "step each machine's cores on up to N goroutines with a deterministic quantum barrier (0 = classic serial); output is identical at any width >= 1")
-		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
-		metricsOut  = flag.String("metrics-out", "", "write a JSON telemetry report to this file")
-		sampleEvery = flag.Uint64("sample-every", 0, "sample the metric registry every N simulated cycles (requires -metrics-out or -series-out)")
+		app         = c.String("app", "mongodb", "workload: mongodb, arangodb, httpd, graphchi, fio")
+		arch        = c.String("arch", "both", "architecture: "+xlatpolicy.UsageList("both"))
+		cores       = c.Int("cores", 2, "number of cores")
+		containers  = c.Int("containers", 2, "containers per core")
+		scale       = c.Float64("scale", 0.5, "dataset scale factor")
+		warm        = c.Uint64("warm", 500_000, "warm-up instructions per core")
+		measure     = c.Uint64("measure", 1_000_000, "measured instructions per core")
+		seed        = c.Uint64("seed", 42, "random seed")
+		audit       = c.Bool("audit", false, "run the kernel invariant auditor (page tables + TLBs) after each run; exit non-zero on violations")
+		failNth     = c.Uint64("failnth", 0, "fail every Nth frame allocation during the measured run (0 = off)")
+		failSeed    = c.Uint64("failseed", 1, "fault-injector seed")
+		cpuprofile  = c.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
+		metricsOut  = c.String("metrics-out", "", "write a JSON telemetry report to this file")
+		sampleEvery = c.Uint64("sample-every", 0, "sample the metric registry every N simulated cycles (requires -metrics-out or -series-out)")
+		seriesOut   = c.String("series-out", "", "stream the registry time series (.prom for Prometheus text, JSONL otherwise; requires -sample-every, single -arch)")
 
-		traceOut    = flag.String("trace-out", "", "export causal spans after the run (Chrome trace JSON; .jsonl for compact JSONL)")
-		seriesOut   = flag.String("series-out", "", "stream the registry time series (.prom for Prometheus text, JSONL otherwise; requires -sample-every, single -arch)")
-		flightDir   = flag.String("flight-recorder", "", "write a post-mortem bundle to this directory when a run OOM-kills a task or fails -audit")
-		flightDepth = flag.Int("flight-depth", 0, "span-ring depth per architecture (0 = default)")
-
-		injectMem      = flag.String("inject-mem", "", "inject memory-system faults at these seams (comma-separated: tlb, pwc, cache, dram, all)")
-		injectMemNth   = flag.Uint64("inject-mem-nth", 0, "inject on every Nth device event (0 = off)")
-		injectMemProb  = flag.Float64("inject-mem-prob", 0, "inject each device event with this probability (0 = off)")
-		injectMemSeed  = flag.Uint64("inject-mem-seed", 1, "memory-fault injector seed")
-		injectMemAfter = flag.Uint64("inject-mem-after", 0, "suppress injection for the first N device events")
-		injectMemMax   = flag.Uint64("inject-mem-max", 0, "cap total injected faults per seam (0 = unlimited)")
-		injectMemMode  = flag.String("inject-mem-mode", "drop", "what an injected fault does: drop (absorbed) or poison (TLB only; caught by -audit)")
+		injectMem      = c.String("inject-mem", "", "inject memory-system faults at these seams (comma-separated: tlb, pwc, cache, dram, all)")
+		injectMemNth   = c.Uint64("inject-mem-nth", 0, "inject on every Nth device event (0 = off)")
+		injectMemProb  = c.Float64("inject-mem-prob", 0, "inject each device event with this probability (0 = off)")
+		injectMemSeed  = c.Uint64("inject-mem-seed", 1, "memory-fault injector seed")
+		injectMemAfter = c.Uint64("inject-mem-after", 0, "suppress injection for the first N device events")
+		injectMemMax   = c.Uint64("inject-mem-max", 0, "cap total injected faults per seam (0 = unlimited)")
+		injectMemMode  = c.String("inject-mem-mode", "drop", "what an injected fault does: drop (absorbed) or poison (TLB only; caught by -audit)")
 	)
-	flag.Parse()
-
-	apps := map[string]babelfish.App{
-		"mongodb": babelfish.MongoDB, "arangodb": babelfish.ArangoDB,
-		"httpd": babelfish.HTTPd, "graphchi": babelfish.GraphChi, "fio": babelfish.FIO,
-	}
-	a, ok := apps[*app]
-	if !ok {
-		usageErr("unknown app %q (want mongodb, arangodb, httpd, graphchi or fio)", *app)
+	if status, ok := c.Parse(args); !ok {
+		return status
 	}
 
-	// -arch values come from the xlatpolicy registry; "both" keeps its
-	// historical meaning of the paper's head-to-head pair.
-	var archs []string
-	switch {
-	case *arch == "both":
-		archs = []string{"baseline", "babelfish"}
-	case babelfish.ValidArch(*arch):
-		archs = []string{*arch}
-	default:
-		usageErr("unknown arch %q (want %s)", *arch, babelfish.ArchUsage("both"))
+	spec, err := cli.App(*app)
+	if err != nil {
+		return c.UsageErr("%v", err)
+	}
+	archs, err := cli.Arch(*arch)
+	if err != nil {
+		return c.UsageErr("%v", err)
 	}
 
 	// Flag consistency: catch silently-ignored or nonsensical combinations
 	// before spending minutes simulating.
 	if *cores < 1 || *containers < 1 {
-		usageErr("-cores and -containers must be at least 1")
+		return c.UsageErr("-cores and -containers must be at least 1")
 	}
-	if *scale <= 0 {
-		usageErr("-scale must be positive")
+	if err := cli.Positive("scale", *scale); err != nil {
+		return c.UsageErr("%v", err)
 	}
 	if *measure == 0 {
-		usageErr("-measure must be non-zero (nothing would be simulated)")
-	}
-	if *coreShards < 0 {
-		usageErr("-core-shards must be non-negative (0 = classic serial stepping)")
+		return c.UsageErr("-measure must be non-zero (nothing would be simulated)")
 	}
 	if *sampleEvery > 0 && *metricsOut == "" && *seriesOut == "" {
-		usageErr("-sample-every requires -metrics-out or -series-out (the time series needs somewhere to go)")
+		return c.UsageErr("-sample-every requires -metrics-out or -series-out (the time series needs somewhere to go)")
 	}
 	if *seriesOut != "" {
 		if *sampleEvery == 0 {
-			usageErr("-series-out requires -sample-every (it streams the sampled series)")
+			return c.UsageErr("-series-out requires -sample-every (it streams the sampled series)")
 		}
 		if len(archs) > 1 {
-			usageErr("-series-out needs a single architecture (pick one -arch value, not both)")
+			return c.UsageErr("-series-out needs a single architecture (pick one -arch value, not both)")
 		}
 	}
-	if *flightDepth < 0 {
-		usageErr("-flight-depth must be non-negative")
+	if c.Given("failseed") && *failNth == 0 {
+		return c.UsageErr("-failseed has no effect without -failnth")
 	}
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "jobs" && *jobs <= 0 {
-			usageErr("-jobs must be positive (omit the flag for GOMAXPROCS)")
-		}
-		if f.Name == "failseed" && *failNth == 0 {
-			usageErr("-failseed has no effect without -failnth")
-		}
-		if f.Name == "flight-depth" && *traceOut == "" && *flightDir == "" {
-			usageErr("-flight-depth has no effect without -trace-out or -flight-recorder")
-		}
-		if strings.HasPrefix(f.Name, "inject-mem-") && *injectMem == "" {
-			usageErr("-%s has no effect without -inject-mem", f.Name)
-		}
-	})
 	var memTargets memsys.Target
 	var memCfg memsys.InjectConfig
-	if *injectMem != "" {
-		var err error
+	if *injectMem == "" {
+		for _, name := range []string{"after", "max", "mode", "nth", "prob", "seed"} {
+			if c.Given("inject-mem-" + name) {
+				return c.UsageErr("-inject-mem-%s has no effect without -inject-mem", name)
+			}
+		}
+	} else {
 		if memTargets, err = memsys.ParseTargets(*injectMem); err != nil {
-			usageErr("%v", err)
+			return c.UsageErr("%v", err)
 		}
 		if *injectMemNth == 0 && *injectMemProb == 0 {
-			usageErr("-inject-mem needs a policy: set -inject-mem-nth and/or -inject-mem-prob")
+			return c.UsageErr("-inject-mem needs a policy: set -inject-mem-nth and/or -inject-mem-prob")
 		}
 		if *injectMemProb < 0 || *injectMemProb >= 1 || math.IsNaN(*injectMemProb) {
-			usageErr("-inject-mem-prob must be in [0, 1)")
+			return c.UsageErr("-inject-mem-prob must be in [0, 1)")
 		}
 		mode := memsys.ModeDrop
 		switch *injectMemMode {
@@ -215,10 +171,10 @@ func run() int {
 		case "poison":
 			mode = memsys.ModePoison
 			if memTargets != memsys.TargetTLB {
-				usageErr("-inject-mem-mode poison only applies to the tlb target (got %q)", *injectMem)
+				return c.UsageErr("-inject-mem-mode poison only applies to the tlb target (got %q)", *injectMem)
 			}
 		default:
-			usageErr("unknown -inject-mem-mode %q (want drop or poison)", *injectMemMode)
+			return c.UsageErr("unknown -inject-mem-mode %q (want drop or poison)", *injectMemMode)
 		}
 		memCfg = memsys.InjectConfig{
 			Seed: *injectMemSeed, Nth: *injectMemNth, Prob: *injectMemProb,
@@ -229,11 +185,11 @@ func run() int {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			return fail(err)
+			return c.Fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			return fail(err)
+			return c.Fail(err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -258,16 +214,14 @@ func run() int {
 		})
 	}
 
-	obsOn := *traceOut != "" || *flightDir != ""
-	runArch := func(res *archResult, idx int, name string) {
-		res.name = name
+	obsOn := c.TraceOut != "" || c.FlightDir != ""
+	runArch := func(res *archResult, idx int, name string) (err error) {
 		m, err := babelfish.NewMachineArch(name, babelfish.Options{
 			Cores:      *cores,
-			CoreShards: *coreShards,
+			CoreShards: c.CoreShards,
 		})
 		if err != nil {
-			res.err = err
-			return
+			return err
 		}
 		if rep != nil || *seriesOut != "" {
 			m.EnableTelemetry(*sampleEvery)
@@ -275,42 +229,28 @@ func run() int {
 		if obsOn {
 			// Span IDs are pure in (seed, arch index, sequence), so the
 			// export is byte-identical at any -jobs width.
-			rec := obs.NewRecorder(*seed, uint64(idx), obs.Options{Depth: *flightDepth}.RingDepth())
+			rec := obs.NewRecorder(*seed, uint64(idx), obs.Options{Depth: c.FlightDepth}.RingDepth())
 			m.EnableObs(rec, idx)
 		}
-		var seriesFile *os.File
 		if *seriesOut != "" {
-			sink, f, err := telemetry.FileSink(*seriesOut, "bfsim")
-			if err != nil {
-				res.err = err
-				return
-			}
-			seriesFile = f
-			if err := m.Sampler().SetSink(sink); err != nil {
-				f.Close()
-				res.err = err
-				return
+			finish, serr := cli.StreamSeries(*seriesOut, "bfsim", m.Sampler())
+			if serr != nil {
+				return serr
 			}
 			defer func() {
-				err := m.Sampler().FlushSink()
-				if cerr := seriesFile.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil && res.err == nil {
-					res.err = err
+				if ferr := finish(); err == nil {
+					err = ferr
 				}
 			}()
 		}
-		d, err := babelfish.DeployApp(m, a, *scale, *seed)
+		d, err := workloads.Deploy(m.Machine, spec(), *scale, *seed)
 		if err != nil {
-			res.err = err
-			return
+			return err
 		}
-		for c := 0; c < *cores; c++ {
+		for core := 0; core < *cores; core++ {
 			for j := 0; j < *containers; j++ {
-				if _, _, err := d.Spawn(c, *seed+uint64(c*131+j)); err != nil {
-					res.err = err
-					return
+				if _, _, err := d.Spawn(core, *seed+uint64(core*131+j)); err != nil {
+					return err
 				}
 			}
 		}
@@ -321,34 +261,30 @@ func run() int {
 		}
 		if err := d.PrefaultAll(); err != nil {
 			if *failNth == 0 || !errors.Is(err, physmem.ErrOutOfMemory) {
-				res.err = err
-				return
+				return err
 			}
 		}
 		if memTargets != 0 {
 			m.SetMemInjector(memTargets, memCfg)
 		}
 		if err := m.Run(*warm); err != nil {
-			res.err = err
-			return
+			return err
 		}
 		m.ResetStats()
 		if err := m.Run(*measure); err != nil {
-			res.err = err
-			return
+			return err
 		}
 		m.Mem.SetInjector(nil)
 		ag := m.Aggregate()
 		ks := m.Kernel.Stats()
 		res.row = []interface{}{name, d.MeanLatency(), d.TailLatency(95), ag.MPKIData(), ag.MPKIInstr(),
 			ag.SharedHitFracD(), ag.SharedHitFracI(), ag.Faults, ks.MinorFaults, ks.CoWFaults}
-		c, err := m.Counters()
+		cnt, err := m.Counters()
 		if err != nil {
-			res.err = err
-			return
+			return err
 		}
-		if c.Any() || *audit {
-			fmt.Fprintf(&res.out, "%s robustness: %s\n", name, c)
+		if cnt.Any() || *audit {
+			fmt.Fprintf(&res.out, "%s robustness: %s\n", name, cnt)
 		}
 		if memTargets != 0 {
 			fmt.Fprintf(&res.out, "%s mem-injection (%s, %s): %d faults injected\n",
@@ -374,17 +310,16 @@ func run() int {
 		if obsOn {
 			res.stream = m.ObsStream(name)
 		}
-		if *flightDir != "" && (m.OOMKills() > 0 || res.auditFailed) {
+		if c.FlightDir != "" && (m.OOMKills() > 0 || res.auditFailed) {
 			trigger := "oom-kill"
 			if res.auditFailed {
 				trigger = "audit-violation"
 			}
 			var prom bytes.Buffer
 			if err := telemetry.WriteProm(&prom, m.Registry); err != nil {
-				res.err = err
-				return
+				return err
 			}
-			path, err := obs.WriteBundle(*flightDir, obs.Bundle{
+			path, err := obs.WriteBundle(c.FlightDir, obs.Bundle{
 				Label: name + "-" + trigger, Tool: "bfsim", Trigger: trigger,
 				Streams:     []obs.Stream{res.stream},
 				MetricsProm: prom.Bytes(),
@@ -392,85 +327,53 @@ func run() int {
 					m.OOMKills(), res.auditFailed, res.out.String()),
 			})
 			if err != nil {
-				res.err = err
-				return
+				return err
 			}
 			fmt.Fprintf(&res.out, "%s: flight-recorder bundle written to %s\n", name, path)
 		}
+		return nil
 	}
 
 	// Each architecture run owns its machine; runs only share the
 	// seed-keyed workload graph cache and atomic bug counters, so they can
 	// execute concurrently and still be deterministic.
-	width := *jobs
-	if width <= 0 {
-		width = runtime.GOMAXPROCS(0)
-	}
 	results := make([]archResult, len(archs))
-	sem := make(chan struct{}, width)
-	var wg sync.WaitGroup
-	for i := range archs {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			runArch(&results[i], i, archs[i])
-		}(i)
+	var plan par.Plan
+	for i, name := range archs {
+		plan.Add(name, func() error { return runArch(&results[i], i, name) })
 	}
-	wg.Wait()
+	if err := plan.Execute(c.Jobs); err != nil {
+		return c.Fail(err)
+	}
 
 	auditFailed := false
 	t := metrics.NewTable(fmt.Sprintf("%s: %d cores x %d containers, scale %.2f", *app, *cores, *containers, *scale),
 		"arch", "meanLat", "p95Lat", "mpkiD", "mpkiI", "sharedD", "sharedI", "faults", "minor", "cow")
+	streams := make([]obs.Stream, len(results))
 	for i := range results {
 		res := &results[i]
-		if res.err != nil {
-			return fail(res.err)
-		}
 		os.Stdout.Write(res.out.Bytes())
 		t.Row(res.row...)
 		if rep != nil {
 			rep.AddArch(res.tel)
 		}
+		streams[i] = res.stream
 		auditFailed = auditFailed || res.auditFailed
 	}
 	fmt.Println(t)
 	if rep != nil {
 		if err := rep.WriteFile(*metricsOut); err != nil {
-			return fail(err)
+			return c.Fail(err)
 		}
 		fmt.Printf("telemetry report (schema v%d) written to %s\n", telemetry.SchemaVersion, *metricsOut)
 	}
-	if *traceOut != "" {
-		streams := make([]obs.Stream, len(results))
-		for i := range results {
-			streams[i] = results[i].stream
+	if c.TraceOut != "" {
+		if err := cli.WriteTrace(os.Stdout, c.TraceOut, "bfsim", streams); err != nil {
+			return c.Fail(err)
 		}
-		if err := obs.WriteTraceFile(*traceOut, "bfsim", streams); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("trace (schema v%d) written to %s\n", obs.TraceSchemaVersion, *traceOut)
 	}
 	if auditFailed {
-		fmt.Fprintln(os.Stderr, "bfsim: audit found invariant violations")
-		return 1
+		return c.Fail(errors.New("audit found invariant violations"))
 	}
 	return 0
-}
-
-// fail reports a runtime error and selects the non-zero exit status; the
-// caller returns it from run so deferred cleanup (the CPU profile) still
-// flushes.
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "bfsim:", err)
-	return 1
-}
-
-// usageErr reports a flag mistake with the full usage text and exits
-// non-zero, mirroring the flag package's own error convention.
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "bfsim: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
 }

@@ -15,6 +15,7 @@ import (
 	"os"
 	"sort"
 
+	"babelfish/internal/cli"
 	"babelfish/internal/kernel"
 	"babelfish/internal/memdefs"
 	"babelfish/internal/metrics"
@@ -50,15 +51,11 @@ func main() {
 		}
 		gen, proc = task.Gen, task.Proc
 	} else {
-		specs := map[string]func() *workloads.AppSpec{
-			"mongodb": workloads.MongoDB, "arangodb": workloads.ArangoDB,
-			"httpd": workloads.HTTPd, "graphchi": workloads.GraphChi, "fio": workloads.FIO,
-		}
-		mk, ok := specs[*app]
-		if !ok {
+		spec, err := cli.App(*app)
+		if err != nil {
 			fatal(fmt.Errorf("unknown app %q", *app))
 		}
-		d, err := workloads.Deploy(m, mk(), *scale, *seed)
+		d, err := workloads.Deploy(m, spec(), *scale, *seed)
 		if err != nil {
 			fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"babelfish/internal/graph"
 	"babelfish/internal/kernel"
 	"babelfish/internal/sim"
+	"babelfish/internal/ycsb"
 )
 
 // Compute applications: two containers run the same program over
@@ -292,7 +293,7 @@ type fioGen struct {
 	env  Env
 	rng  *RNG
 	code *codeWalker
-	zipf *Zipf
+	zipf *ycsb.Zipf
 	q    stepQueue
 	salt uint64
 }
@@ -304,7 +305,7 @@ func newFioGen(env Env, seed uint64) *fioGen {
 		code: newCodeWalker(env.P, rng, 0.08, 0.10, env.RBin, env.RLibs, env.RInfra),
 		// Mild skew: FIO touches most of the dataset but I/O benchmarks
 		// re-touch hot blocks.
-		zipf: NewZipf(rng, env.RDataset.Pages, 0.97),
+		zipf: ycsb.NewZipf(env.RDataset.Pages, 0.97),
 	}
 }
 
@@ -317,7 +318,7 @@ func (g *fioGen) buildOp() {
 	g.q.push(s)
 
 	write := g.rng.Bool(0.30)
-	page := g.zipf.Next()
+	page := g.zipf.Draw(g.rng.Float64())
 	// A 4KB block op touches several lines of the target page.
 	for i := 0; i < 6; i++ {
 		dataStep(&s, p, pageAddr(e.RDataset, page, g.salt*17+uint64(i)*5), write, 3)

@@ -168,7 +168,7 @@ type dataServingGen struct {
 
 	code     *codeWalker
 	reqs     *ycsb.Generator
-	zipfPriv *Zipf
+	zipfPriv *ycsb.Zipf
 	btree    *kvstore.BTree
 	lsm      *kvstore.LSM
 
@@ -220,7 +220,7 @@ func (g *dataServingGen) init() {
 		panic(err) // workload mixes are fixed at compile time
 	}
 	if e.RPrivate.Pages > 0 {
-		g.zipfPriv = NewZipf(g.rng, e.RPrivate.Pages, g.privTheta)
+		g.zipfPriv = ycsb.NewZipf(e.RPrivate.Pages, g.privTheta)
 	}
 	if vma, ok := e.P.FindVMA(e.RDataset.PageVA(0)); ok {
 		g.dsWritable = vma.Perm.CanWrite()
@@ -330,7 +330,7 @@ func (g *dataServingGen) buildRequest() {
 			probe(e.RDataset, g.recordPage(req.Key), g.dsWritable, g.recordLines, g.salt*7)
 			if !g.dsWritable {
 				// LSM-style stores buffer updates privately (memtable).
-				probe(e.RPrivate, g.zipfPriv.Next(), true, 2, g.salt*11)
+				probe(e.RPrivate, g.zipfPriv.Draw(g.rng.Float64()), true, 2, g.salt*11)
 			}
 		case ycsb.OpScan:
 			pages := req.ScanLen / g.recordsPerPage
@@ -351,10 +351,10 @@ func (g *dataServingGen) buildRequest() {
 		}
 		// Private state (block cache, session heap).
 		for j := 0; j < g.privProbes; j++ {
-			probe(e.RPrivate, g.zipfPriv.Next(), false, 3, g.salt*3+uint64(j))
+			probe(e.RPrivate, g.zipfPriv.Draw(g.rng.Float64()), false, 3, g.salt*3+uint64(j))
 		}
 		for j := 0; j < g.privWrites; j++ {
-			probe(e.RPrivate, g.zipfPriv.Next(), true, 3, g.salt*5+uint64(j))
+			probe(e.RPrivate, g.zipfPriv.Draw(g.rng.Float64()), true, 3, g.salt*5+uint64(j))
 		}
 		emitCode()
 	}

@@ -5,6 +5,7 @@ import (
 
 	"babelfish/internal/kernel"
 	"babelfish/internal/sim"
+	"babelfish/internal/ycsb"
 )
 
 // buildPair deploys one app with two containers per core on a small
@@ -119,10 +120,10 @@ func TestEndToEndFunctionsRunToCompletion(t *testing.T) {
 
 func TestZipfDistribution(t *testing.T) {
 	rng := NewRNG(7)
-	z := NewZipf(rng, 1000, 0.99)
+	z := ycsb.NewZipf(1000, 0.99)
 	counts := make([]int, 1000)
 	for i := 0; i < 100_000; i++ {
-		counts[z.Next()]++
+		counts[z.Draw(rng.Float64())]++
 	}
 	if counts[0] <= counts[500] {
 		t.Error("zipf head not hotter than middle")

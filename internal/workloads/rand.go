@@ -16,8 +16,6 @@
 // the same program against different request streams.
 package workloads
 
-import "math"
-
 // RNG is a small deterministic PRNG (splitmix64) so runs are reproducible
 // and independent of the stdlib's seeding.
 type RNG struct{ s uint64 }
@@ -49,60 +47,3 @@ func (r *RNG) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
-
-// Zipf generates zipfian-distributed item indices in [0, n) with the
-// YCSB parameterization (theta = 0.99 by default), using the Gray et al.
-// algorithm YCSB itself uses.
-type Zipf struct {
-	n     int
-	theta float64
-	alpha float64
-	zetan float64
-	eta   float64
-	zeta2 float64
-	rng   *RNG
-}
-
-// NewZipf builds a zipfian generator over n items.
-func NewZipf(rng *RNG, n int, theta float64) *Zipf {
-	if n < 1 {
-		n = 1
-	}
-	z := &Zipf{n: n, theta: theta, rng: rng}
-	z.zetan = zetaStatic(n, theta)
-	z.zeta2 = zetaStatic(2, theta)
-	z.alpha = 1.0 / (1.0 - theta)
-	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
-	return z
-}
-
-func zetaStatic(n int, theta float64) float64 {
-	sum := 0.0
-	for i := 1; i <= n; i++ {
-		sum += 1.0 / math.Pow(float64(i), theta)
-	}
-	return sum
-}
-
-// Next returns the next item index; low indices are the hottest.
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	uz := u * z.zetan
-	if uz < 1.0 {
-		return 0
-	}
-	if uz < 1.0+math.Pow(0.5, z.theta) {
-		return 1
-	}
-	idx := int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
-	if idx >= z.n {
-		idx = z.n - 1
-	}
-	if idx < 0 {
-		idx = 0
-	}
-	return idx
-}
-
-// N returns the item count.
-func (z *Zipf) N() int { return z.n }

@@ -117,25 +117,27 @@ func (r *rng) intn(n int) int {
 	return int(r.next() % uint64(n))
 }
 
-// zipf is the Gray et al. zipfian generator YCSB uses.
-type zipf struct {
+// Zipf samples zipfian-distributed item indices in [0, n) with the Gray
+// et al. algorithm YCSB uses; low indices are the hottest.
+type Zipf struct {
 	n     int
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
-	zeta2 float64
+	two   float64 // 1 + 0.5^theta: u*zetan below it draws index 1
 }
 
-func newZipf(n int, theta float64) *zipf {
+// NewZipf builds a sampler over n items (at least 1) with skew theta.
+func NewZipf(n int, theta float64) *Zipf {
 	if n < 1 {
 		n = 1
 	}
-	z := &zipf{n: n, theta: theta}
+	z := &Zipf{n: n}
 	z.zetan = zeta(n, theta)
-	z.zeta2 = zeta(2, theta)
+	zeta2 := zeta(2, theta)
 	z.alpha = 1 / (1 - theta)
-	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta2/z.zetan)
+	z.two = 1 + math.Pow(0.5, theta)
 	return z
 }
 
@@ -147,13 +149,13 @@ func zeta(n int, theta float64) float64 {
 	return s
 }
 
-func (z *zipf) draw(r *rng) int {
-	u := r.float()
+// Draw maps a uniform u in [0, 1) to an item index.
+func (z *Zipf) Draw(u float64) int {
 	uz := u * z.zetan
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.two {
 		return 1
 	}
 	idx := int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
@@ -204,7 +206,7 @@ type Generator struct {
 	cfg     Config
 	mix     Mix
 	rng     rng
-	zipf    *zipf
+	zipf    *Zipf
 	records int // grows with inserts
 }
 
@@ -240,7 +242,7 @@ func New(cfg Config) (*Generator, error) {
 		cfg:     cfg,
 		mix:     mix,
 		rng:     rng{s: cfg.Seed},
-		zipf:    newZipf(cfg.Records, cfg.Theta),
+		zipf:    NewZipf(cfg.Records, cfg.Theta),
 		records: cfg.Records,
 	}
 	return g, nil
@@ -256,17 +258,17 @@ func (g *Generator) key() int {
 		return g.rng.intn(g.records)
 	case DistLatest:
 		// Hot keys are the most recent: rank 0 = newest record.
-		rank := g.zipf.draw(&g.rng)
+		rank := g.zipf.Draw(g.rng.float())
 		k := g.records - 1 - rank
 		if k < 0 {
 			k = 0
 		}
 		return k
 	case DistScrambledZipfian:
-		rank := g.zipf.draw(&g.rng)
+		rank := g.zipf.Draw(g.rng.float())
 		return int(fnvHash64(uint64(rank)) % uint64(g.records))
 	default: // plain zipfian
-		return g.zipf.draw(&g.rng)
+		return g.zipf.Draw(g.rng.float())
 	}
 }
 
