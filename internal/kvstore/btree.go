@@ -9,6 +9,7 @@ package kvstore
 
 import (
 	"fmt"
+	"slices"
 )
 
 // PageID identifies a page of the store's file, starting at 0.
@@ -66,26 +67,31 @@ func (t *BTree) Pages() int {
 
 // PagePath returns the pages visited looking up a key: root, inner
 // nodes, leaf. Keys out of range are clamped.
-func (t *BTree) PagePath(key int) []PageID {
+func (t *BTree) PagePath(key int) []PageID { return t.AppendPagePath(nil, key) }
+
+// AppendPagePath appends key's PagePath to dst and returns the extended
+// slice; reusing dst keeps a lookup free of allocations.
+func (t *BTree) AppendPagePath(dst []PageID, key int) []PageID {
 	if key < 0 {
 		key = 0
 	}
 	if key >= t.Keys {
 		key = t.Keys - 1
 	}
-	leaf := key / t.KeysPerLeaf
-	path := make([]PageID, t.Height())
+	h := t.Height()
+	dst = slices.Grow(dst, h)[:len(dst)+h]
+	path := dst[len(dst)-h:]
 	// Walk bottom-up computing each level's node index, then emit
 	// top-down.
-	idx := leaf
-	for l := t.Height() - 1; l >= 0; l-- {
+	idx := key / t.KeysPerLeaf
+	for l := h - 1; l >= 0; l-- {
 		if idx >= t.levelWidth[l] {
 			idx = t.levelWidth[l] - 1
 		}
 		path[l] = t.levelStart[l] + PageID(idx)
 		idx /= t.Fanout
 	}
-	return path
+	return dst
 }
 
 // LeafPage returns just the leaf page of a key.

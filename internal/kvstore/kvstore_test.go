@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -180,5 +181,35 @@ func TestLSMDeterministic(t *testing.T) {
 				t.Fatal("nondeterministic lookup pages")
 			}
 		}
+	}
+}
+
+// TestAppendVariantsReuseBuffer: the Append forms keep dst's prefix, add
+// exactly the pages the allocating forms return, and once the buffer is
+// large enough they do not allocate.
+func TestAppendVariantsReuseBuffer(t *testing.T) {
+	tr, _ := NewBTree(100_000, 128, 64)
+	l, _ := NewLSM(50_000, 64, 4, 3, 10)
+	prefix := []PageID{-7, -8}
+	for k := -3; k < 100_003; k += 997 {
+		salt := uint64(k % 3)
+		for _, c := range []struct {
+			name      string
+			want, got []PageID
+		}{
+			{"AppendPagePath", tr.PagePath(k), tr.AppendPagePath(slices.Clone(prefix), k)},
+			{"AppendLookup", l.Lookup(k, salt), l.AppendLookup(slices.Clone(prefix), k, salt)},
+		} {
+			if !slices.Equal(c.got[:len(prefix)], prefix) || !slices.Equal(c.got[len(prefix):], c.want) {
+				t.Fatalf("%s key %d: got %v, want %v after prefix %v", c.name, k, c.got, c.want, prefix)
+			}
+		}
+	}
+	buf := make([]PageID, 0, 16)
+	if a := testing.AllocsPerRun(100, func() {
+		buf = tr.AppendPagePath(buf[:0], 4242)
+		buf = l.AppendLookup(buf[:0], 4242, 1)
+	}); a != 0 {
+		t.Fatalf("%.1f allocs per reused lookup, want 0", a)
 	}
 }

@@ -112,13 +112,20 @@ func (t *LSM) Pages() int { return t.totalPages }
 // ownerSalt perturbs which L0 run "contains" the key (recent writes),
 // with 0 meaning the key lives in the leveled tiers only.
 func (t *LSM) Lookup(key int, ownerSalt uint64) []PageID {
+	return t.AppendLookup(nil, key, ownerSalt)
+}
+
+// AppendLookup appends the pages of Lookup(key, ownerSalt) to dst and
+// returns the extended slice; reusing dst keeps a lookup free of
+// allocations.
+func (t *LSM) AppendLookup(dst []PageID, key int, ownerSalt uint64) []PageID {
 	if key < 0 {
 		key = 0
 	}
 	if key >= t.Keys {
 		key = t.Keys - 1
 	}
-	var pages []PageID
+	pages := dst
 	for li, lv := range t.Levels {
 		for ri, run := range lv.runs {
 			if key < run.keyLo || key >= run.keyHi {

@@ -13,7 +13,7 @@ type AuditReport struct {
 
 	FramesTotal   int    // frames in the memory, including the reserved frame 0
 	FramesInUse   int    // frames with Kind != FrameFree
-	FreeListLen   int    // entries on the 4KB free list
+	FreeListLen   int    // free 4KB frames: the free list plus the never-allocated range
 	FreeBlocks    int    // free 2MB blocks
 	BugPanicCount uint64 // process-wide physmem invariant panics observed
 }
@@ -37,9 +37,10 @@ func (r *AuditReport) violate(format string, args ...interface{}) {
 
 // Audit cross-checks the allocator's internal invariants: the free list
 // and free-block list only hold free frames, no frame is free-listed
-// twice, allocated frames carry positive reference counts, table frames
-// (and only table frames) carry entry arrays, huge blocks are coherent,
-// and the allocated counter matches the frame map. It takes the Memory
+// twice, the never-allocated range [next, blockStart) is untouched and
+// holds no free-list entry, allocated frames carry positive reference
+// counts, table frames (and only table frames) carry entry arrays, huge
+// blocks are coherent, and the allocated counter matches the frame map. It takes the Memory
 // lock for the duration; call it at quiesce points (end of a run, between
 // chaos iterations).
 func (m *Memory) Audit() AuditReport {
@@ -47,31 +48,40 @@ func (m *Memory) Audit() AuditReport {
 	defer m.mu.Unlock()
 
 	r := AuditReport{
-		FramesTotal:   len(m.frames),
-		FreeListLen:   len(m.free),
+		FramesTotal:   m.nframes,
+		FreeListLen:   m.freeFrames(),
 		FreeBlocks:    len(m.blocks),
 		BugPanicCount: BugPanics(),
 	}
 
 	onFree := make(map[memdefs.PPN]bool, len(m.free))
 	for _, ppn := range m.free {
-		if uint64(ppn) == 0 || uint64(ppn) >= uint64(len(m.frames)) {
+		if uint64(ppn) == 0 || uint64(ppn) >= uint64(m.nframes) {
 			r.violate("free list holds out-of-range PPN %d", ppn)
 			continue
+		}
+		if ppn >= m.next {
+			r.violate("free list holds PPN %d, never allocated (bump pointer at %d)", ppn, m.next)
 		}
 		if onFree[ppn] {
 			r.violate("PPN %d appears twice on the free list", ppn)
 		}
 		onFree[ppn] = true
-		if f := m.frames[ppn]; f.Kind != FrameFree {
+		if f := m.peek(ppn); f.Kind != FrameFree {
 			r.violate("free-listed frame %d has kind %v", ppn, f.Kind)
 		} else if f.Refs != 0 {
 			r.violate("free-listed frame %d has refcount %d", ppn, f.Refs)
 		}
 	}
+	for ppn := m.next; ppn < m.blockStart; ppn++ {
+		if f := m.peek(ppn); f.Kind != FrameFree || f.Refs != 0 || f.Table != nil {
+			r.violate("never-allocated frame %d is in use (kind %v, refcount %d, table %t)",
+				ppn, f.Kind, f.Refs, f.Table != nil)
+		}
+	}
 	onBlock := make(map[memdefs.PPN]bool, len(m.blocks))
 	for _, base := range m.blocks {
-		if uint64(base) == 0 || uint64(base)+memdefs.TableSize > uint64(len(m.frames)) {
+		if uint64(base) == 0 || uint64(base)+memdefs.TableSize > uint64(m.nframes) {
 			r.violate("block list holds out-of-range base %d", base)
 			continue
 		}
@@ -84,7 +94,7 @@ func (m *Memory) Audit() AuditReport {
 		onBlock[base] = true
 		for i := 0; i < memdefs.TableSize; i++ {
 			ppn := base + memdefs.PPN(i)
-			if f := m.frames[ppn]; f.Kind != FrameFree {
+			if f := m.peek(ppn); f.Kind != FrameFree {
 				r.violate("frame %d of free block %d has kind %v", ppn, base, f.Kind)
 			}
 			if onFree[ppn] {
@@ -94,9 +104,9 @@ func (m *Memory) Audit() AuditReport {
 	}
 
 	inUse := 0
-	for i := 1; i < len(m.frames); i++ {
+	for i := 1; i < m.nframes; i++ {
 		ppn := memdefs.PPN(i)
-		f := &m.frames[i]
+		f := m.peek(ppn)
 		switch f.Kind {
 		case FrameFree:
 			if f.Refs != 0 {
@@ -114,7 +124,7 @@ func (m *Memory) Audit() AuditReport {
 				// no references (the base holds the block's count). Verify a
 				// live base exists.
 				base := ppn &^ memdefs.PPN(memdefs.TableSize-1)
-				bf := &m.frames[base]
+				bf := m.peek(base)
 				if bf.BlockPages != memdefs.TableSize || bf.Kind == FrameFree || bf.Refs <= 0 {
 					r.violate("allocated frame %d (%v) has zero refs and no live block base", ppn, f.Kind)
 				}

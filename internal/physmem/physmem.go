@@ -78,14 +78,34 @@ type Injector interface {
 	FailAlloc(seq uint64) bool
 }
 
+// chunkFrames is the number of frames whose metadata is allocated
+// together: one 2MB block's worth.
+const chunkFrames = memdefs.TableSize
+
+// frameChunk is the metadata of one aligned run of chunkFrames frames.
+type frameChunk [chunkFrames]Frame
+
 // Memory is a physical memory of a fixed number of frames. A quarter of
 // the frames are reserved as 2MB-aligned blocks for huge-page allocation.
 type Memory struct {
-	mu     sync.Mutex
-	frames []Frame
-	free   []memdefs.PPN
-	blocks []memdefs.PPN // free 512-frame aligned blocks (base PPNs)
-	inj    Injector
+	mu sync.Mutex
+	// chunks holds the frame metadata. A chunk is allocated when one of
+	// its frames is first handed out, and a nil chunk's frames are all
+	// free, so a machine's heap grows with the memory it uses rather
+	// than with its capacity.
+	chunks  []*frameChunk
+	nframes int
+	// The 4KB frames [1, blockStart) are handed out from two places: free,
+	// a LIFO stack of frames returned by Unref, and, when it is empty, the
+	// bump pointer next. Frames in [next, blockStart) have never been
+	// allocated. The order is that of one stack holding every PPN,
+	// lowest on top; frame layout feeds cache and TLB indexing, so it
+	// must not change.
+	free       []memdefs.PPN
+	next       memdefs.PPN
+	blockStart memdefs.PPN
+	blocks     []memdefs.PPN // free 512-frame aligned blocks (base PPNs)
+	inj        Injector
 	// Stats
 	allocated int
 	peak      int
@@ -100,7 +120,7 @@ func New(bytes uint64) *Memory {
 	if n < 2 {
 		n = 2
 	}
-	m := &Memory{frames: make([]Frame, n)}
+	m := &Memory{chunks: make([]*frameChunk, (n+chunkFrames-1)/chunkFrames), nframes: n}
 	// Reserve the top quarter (rounded to whole aligned 2MB blocks) for
 	// huge pages.
 	blockStart := n - n/4
@@ -111,12 +131,41 @@ func New(bytes uint64) *Memory {
 	if blockStart > n {
 		blockStart = n
 	}
-	m.free = make([]memdefs.PPN, 0, blockStart)
-	// Hand out low frame numbers first: push high PPNs so pops yield low ones.
-	for i := blockStart - 1; i >= 1; i-- {
-		m.free = append(m.free, memdefs.PPN(i))
-	}
+	// Hand out low frame numbers first.
+	m.next, m.blockStart = 1, memdefs.PPN(blockStart)
 	return m
+}
+
+// frame returns a frame's metadata, allocating its chunk on first use.
+// Called with m.mu held.
+func (m *Memory) frame(ppn memdefs.PPN) *Frame {
+	m.checkRange(ppn)
+	c := m.chunks[ppn/chunkFrames]
+	if c == nil {
+		c = new(frameChunk)
+		m.chunks[ppn/chunkFrames] = c
+	}
+	return &c[ppn%chunkFrames]
+}
+
+// peek returns a copy of an in-range frame's metadata without allocating
+// its chunk. Called with m.mu held.
+func (m *Memory) peek(ppn memdefs.PPN) Frame {
+	if c := m.chunks[ppn/chunkFrames]; c != nil {
+		return c[ppn%chunkFrames]
+	}
+	return Frame{}
+}
+
+func (m *Memory) checkRange(ppn memdefs.PPN) {
+	if uint64(ppn) >= uint64(m.nframes) {
+		bugf("physmem: PPN %d out of range (%d frames)", ppn, m.nframes)
+	}
+}
+
+// freeFrames counts the unallocated 4KB frames. Called with m.mu held.
+func (m *Memory) freeFrames() int {
+	return len(m.free) + int(m.blockStart-m.next)
 }
 
 // SetInjector installs (or, with nil, removes) the allocation fault
@@ -159,12 +208,12 @@ func (m *Memory) AllocBlock(kind FrameKind) (memdefs.PPN, error) {
 	}
 	base := m.blocks[len(m.blocks)-1]
 	m.blocks = m.blocks[:len(m.blocks)-1]
-	f := &m.frames[base]
+	f := m.frame(base)
 	f.Kind = kind
 	f.Refs = 1
 	f.BlockPages = memdefs.TableSize
 	for i := 1; i < memdefs.TableSize; i++ {
-		m.frames[base+memdefs.PPN(i)].Kind = kind
+		m.frame(base + memdefs.PPN(i)).Kind = kind
 	}
 	m.allocated += memdefs.TableSize
 	if m.allocated > m.peak {
@@ -181,13 +230,13 @@ func (m *Memory) FreeBlocks() int {
 }
 
 // NumFrames returns the total number of frames (including reserved frame 0).
-func (m *Memory) NumFrames() int { return len(m.frames) }
+func (m *Memory) NumFrames() int { return m.nframes }
 
 // FreeFrames returns how many frames are currently unallocated.
 func (m *Memory) FreeFrames() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.free)
+	return m.freeFrames()
 }
 
 // Allocated returns how many frames are currently in use.
@@ -220,12 +269,18 @@ func (m *Memory) Alloc(kind FrameKind) (memdefs.PPN, error) {
 	if m.injectFault() {
 		return 0, ErrInjectedFault
 	}
-	if len(m.free) == 0 {
+	var ppn memdefs.PPN
+	switch k := len(m.free); {
+	case k > 0:
+		ppn = m.free[k-1]
+		m.free = m.free[:k-1]
+	case m.next < m.blockStart:
+		ppn = m.next
+		m.next++
+	default:
 		return 0, ErrOutOfMemory
 	}
-	ppn := m.free[len(m.free)-1]
-	m.free = m.free[:len(m.free)-1]
-	f := &m.frames[ppn]
+	f := m.frame(ppn)
 	f.Kind = kind
 	f.Refs = 1
 	if kind == FrameTable {
@@ -255,11 +310,18 @@ func (m *Memory) MustAlloc(kind FrameKind) memdefs.PPN {
 // null frame, permanently FrameFree with zero references — matching the
 // allocator's view that every PPN in [0, NumFrames) is a real frame even
 // though frame 0 is never handed out. Out-of-range PPNs are a caller bug.
+//
+// Get takes no lock when the frame's chunk exists, as it does for every
+// frame that was ever handed out; the page walker reads table frames
+// through it.
 func (m *Memory) Get(ppn memdefs.PPN) *Frame {
-	if uint64(ppn) >= uint64(len(m.frames)) {
-		bugf("physmem: PPN %d out of range (%d frames)", ppn, len(m.frames))
+	m.checkRange(ppn)
+	if c := m.chunks[ppn/chunkFrames]; c != nil {
+		return &c[ppn%chunkFrames]
 	}
-	return &m.frames[ppn]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.frame(ppn)
 }
 
 // Kind reports the kind of a frame (FrameFree for out-of-range PPNs and
@@ -267,10 +329,10 @@ func (m *Memory) Get(ppn memdefs.PPN) *Frame {
 func (m *Memory) Kind(ppn memdefs.PPN) FrameKind {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if uint64(ppn) >= uint64(len(m.frames)) {
+	if uint64(ppn) >= uint64(m.nframes) {
 		return FrameFree
 	}
-	return m.frames[ppn].Kind
+	return m.peek(ppn).Kind
 }
 
 // Ref increments the reference count of an allocated frame and returns the
@@ -278,7 +340,7 @@ func (m *Memory) Kind(ppn memdefs.PPN) FrameKind {
 func (m *Memory) Ref(ppn memdefs.PPN) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f := m.Get(ppn)
+	f := m.frame(ppn)
 	if f.Kind == FrameFree {
 		bugf("physmem: Ref of free frame %d", ppn)
 	}
@@ -290,7 +352,8 @@ func (m *Memory) Ref(ppn memdefs.PPN) int {
 func (m *Memory) Refs(ppn memdefs.PPN) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.Get(ppn).Refs
+	m.checkRange(ppn)
+	return m.peek(ppn).Refs
 }
 
 // ForEachAllocated calls fn for every non-free frame with a copy of its
@@ -298,9 +361,9 @@ func (m *Memory) Refs(ppn memdefs.PPN) int {
 func (m *Memory) ForEachAllocated(fn func(ppn memdefs.PPN, f Frame)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := 1; i < len(m.frames); i++ {
-		if m.frames[i].Kind != FrameFree {
-			fn(memdefs.PPN(i), m.frames[i])
+	for i := 1; i < m.nframes; i++ {
+		if f := m.peek(memdefs.PPN(i)); f.Kind != FrameFree {
+			fn(memdefs.PPN(i), f)
 		}
 	}
 }
@@ -310,7 +373,7 @@ func (m *Memory) ForEachAllocated(fn func(ppn memdefs.PPN, f Frame)) {
 func (m *Memory) Unref(ppn memdefs.PPN) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f := m.Get(ppn)
+	f := m.frame(ppn)
 	if f.Kind == FrameFree {
 		bugf("physmem: Unref of free frame %d", ppn)
 	}
@@ -321,7 +384,7 @@ func (m *Memory) Unref(ppn memdefs.PPN) int {
 	if f.Refs == 0 {
 		if f.BlockPages == memdefs.TableSize {
 			for i := 0; i < memdefs.TableSize; i++ {
-				m.frames[ppn+memdefs.PPN(i)].Kind = FrameFree
+				m.frame(ppn + memdefs.PPN(i)).Kind = FrameFree
 			}
 			f.BlockPages = 0
 			f.Table = nil

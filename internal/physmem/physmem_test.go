@@ -2,6 +2,8 @@ package physmem
 
 import (
 	"errors"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -302,5 +304,244 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	m.Get(p).Refs = 1
 	if rep := m.Audit(); !rep.OK() {
 		t.Fatalf("audit still dirty after repair: %s", rep)
+	}
+}
+
+// refMemory is the 4KB-frame allocator Memory replaced, kept as the
+// reference: New pushed every PPN of [1, blockStart) onto the free stack,
+// highest first, and Alloc popped it. Memory now bump-allocates the
+// never-used frames instead, and must hand out the same sequence.
+type refMemory struct {
+	frames   []Frame
+	free     []memdefs.PPN
+	blocks   []memdefs.PPN
+	inj      Injector
+	allocSeq uint64
+}
+
+func newRefMemory(bytes uint64) *refMemory {
+	n := int(bytes / memdefs.PageSize)
+	if n < 2 {
+		n = 2
+	}
+	m := &refMemory{frames: make([]Frame, n)}
+	blockStart := n - n/4
+	blockStart = (blockStart + memdefs.TableSize - 1) &^ (memdefs.TableSize - 1)
+	for b := blockStart; b+memdefs.TableSize <= n; b += memdefs.TableSize {
+		m.blocks = append(m.blocks, memdefs.PPN(b))
+	}
+	if blockStart > n {
+		blockStart = n
+	}
+	m.free = make([]memdefs.PPN, 0, blockStart)
+	for i := blockStart - 1; i >= 1; i-- {
+		m.free = append(m.free, memdefs.PPN(i))
+	}
+	return m
+}
+
+func (m *refMemory) injectFault() bool {
+	m.allocSeq++
+	return m.inj != nil && m.inj.FailAlloc(m.allocSeq)
+}
+
+func (m *refMemory) Alloc(kind FrameKind) (memdefs.PPN, error) {
+	if m.injectFault() {
+		return 0, ErrInjectedFault
+	}
+	if len(m.free) == 0 {
+		return 0, ErrOutOfMemory
+	}
+	ppn := m.free[len(m.free)-1]
+	m.free = m.free[:len(m.free)-1]
+	m.frames[ppn] = Frame{Kind: kind, Refs: 1}
+	return ppn, nil
+}
+
+func (m *refMemory) AllocBlock(kind FrameKind) (memdefs.PPN, error) {
+	if m.injectFault() {
+		return 0, ErrInjectedFault
+	}
+	if len(m.blocks) == 0 {
+		return 0, ErrOutOfMemory
+	}
+	base := m.blocks[len(m.blocks)-1]
+	m.blocks = m.blocks[:len(m.blocks)-1]
+	m.frames[base] = Frame{Kind: kind, Refs: 1, BlockPages: memdefs.TableSize}
+	return base, nil
+}
+
+func (m *refMemory) Ref(ppn memdefs.PPN) int {
+	m.frames[ppn].Refs++
+	return m.frames[ppn].Refs
+}
+
+func (m *refMemory) Unref(ppn memdefs.PPN) int {
+	f := &m.frames[ppn]
+	f.Refs--
+	if f.Refs > 0 {
+		return f.Refs
+	}
+	if f.BlockPages == memdefs.TableSize {
+		*f = Frame{}
+		m.blocks = append(m.blocks, ppn)
+		return 0
+	}
+	*f = Frame{}
+	m.free = append(m.free, ppn)
+	return 0
+}
+
+func (m *refMemory) FreeFrames() int { return len(m.free) }
+
+// TestBumpAllocatorMatchesReference drives Memory and refMemory with the
+// same seeded random sequences of Alloc, AllocBlock, Ref and Unref, on
+// memories small enough to run dry, with and without an injector. After
+// every operation both must return the same PPN or count, the same error
+// and the same FreeFrames.
+func TestBumpAllocatorMatchesReference(t *testing.T) {
+	cases := []struct {
+		bytes uint64
+		nth   uint64 // injector period; 0 = no injector
+	}{
+		{0, 0},
+		{8 * memdefs.PageSize, 0},
+		{1 << 20, 0},
+		{1 << 20, 5},
+		{8 << 20, 0},
+		{8 << 20, 7},
+		{16 << 20, 3},
+	}
+	kinds := []FrameKind{FrameData, FrameTable, FrameKernel}
+	for _, tc := range cases {
+		for seed := int64(1); seed <= 4; seed++ {
+			got, want := New(tc.bytes), newRefMemory(tc.bytes)
+			if tc.nth != 0 {
+				got.SetInjector(nthInjector{n: tc.nth})
+				want.inj = nthInjector{n: tc.nth}
+			}
+			r := rand.New(rand.NewSource(seed))
+			var live []memdefs.PPN // one entry per reference held
+			allocBias := 40 + r.Intn(50)
+			for op := 0; op < 6000; op++ {
+				var desc string
+				var g, w int
+				var gerr, werr error
+				switch x := r.Intn(100); {
+				case x < 3:
+					desc = "AllocBlock"
+					gp, ge := got.AllocBlock(FrameData)
+					wp, we := want.AllocBlock(FrameData)
+					g, w, gerr, werr = int(gp), int(wp), ge, we
+					if ge == nil && we == nil {
+						live = append(live, gp)
+					}
+				case x < allocBias:
+					k := kinds[r.Intn(len(kinds))]
+					desc = "Alloc(" + k.String() + ")"
+					gp, ge := got.Alloc(k)
+					wp, we := want.Alloc(k)
+					g, w, gerr, werr = int(gp), int(wp), ge, we
+					if ge == nil && we == nil {
+						live = append(live, gp)
+					}
+				case len(live) == 0:
+					continue
+				case x < allocBias+10:
+					p := live[r.Intn(len(live))]
+					desc = "Ref"
+					g, w = got.Ref(p), want.Ref(p)
+					live = append(live, p)
+				default:
+					i := r.Intn(len(live))
+					p := live[i]
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+					desc = "Unref"
+					g, w = got.Unref(p), want.Unref(p)
+				}
+				if g != w || gerr != werr {
+					t.Fatalf("%d bytes, nth %d, seed %d, op %d %s: got (%d, %v), reference (%d, %v)",
+						tc.bytes, tc.nth, seed, op, desc, g, gerr, w, werr)
+				}
+				if gf, wf := got.FreeFrames(), want.FreeFrames(); gf != wf {
+					t.Fatalf("%d bytes, nth %d, seed %d, op %d %s: FreeFrames %d, reference %d",
+						tc.bytes, tc.nth, seed, op, desc, gf, wf)
+				}
+			}
+			rep := got.Audit()
+			if !rep.OK() {
+				t.Fatalf("%d bytes, seed %d: %s", tc.bytes, seed, rep)
+			}
+			if rep.FreeListLen != len(want.free) {
+				t.Fatalf("%d bytes, seed %d: FreeListLen %d, reference free list %d",
+					tc.bytes, seed, rep.FreeListLen, len(want.free))
+			}
+		}
+	}
+}
+
+// TestAuditNeverAllocatedRange: the frames past the bump pointer were
+// never handed out, so any use of one, or a free-list entry pointing
+// there, is corruption.
+func TestAuditNeverAllocatedRange(t *testing.T) {
+	corruptions := []struct {
+		name    string
+		corrupt func(m *Memory, untouched memdefs.PPN)
+	}{
+		{"kind", func(m *Memory, p memdefs.PPN) { m.frame(p).Kind = FrameData }},
+		{"refcount", func(m *Memory, p memdefs.PPN) { m.frame(p).Refs = 1 }},
+		{"table", func(m *Memory, p memdefs.PPN) { m.frame(p).Table = new([memdefs.TableSize]uint64) }},
+		{"free-list", func(m *Memory, p memdefs.PPN) { m.free = append(m.free, p) }},
+	}
+	for _, c := range corruptions {
+		t.Run(c.name, func(t *testing.T) {
+			m := New(1 << 20)
+			m.Unref(m.MustAlloc(FrameData)) // one frame on the free list
+			m.MustAlloc(FrameData)          // and back off it
+			m.MustAlloc(FrameData)          // one more from the bump pointer
+			if rep := m.Audit(); !rep.OK() {
+				t.Fatalf("clean memory audits dirty: %s", rep)
+			}
+			c.corrupt(m, m.next+3)
+			// Other rules may fire too; the never-allocated rule must.
+			if rep := m.Audit(); !strings.Contains(rep.String(), "never") {
+				t.Fatalf("audit missed a corrupted never-allocated frame: %s", rep)
+			}
+		})
+	}
+}
+
+// TestFrameMetadataAllocatedOnUse: a new Memory holds no frame metadata;
+// handing out a frame or a block allocates only that frame's chunk, and
+// neither the read-only accessors nor Audit allocate more.
+func TestFrameMetadataAllocatedOnUse(t *testing.T) {
+	m := New(1 << 30)
+	chunks := func() int {
+		n := 0
+		for _, c := range m.chunks {
+			if c != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if got := chunks(); got != 0 {
+		t.Fatalf("new memory holds %d chunks, want 0", got)
+	}
+	m.MustAlloc(FrameTable)
+	if _, err := m.AllocBlock(FrameData); err != nil {
+		t.Fatal(err)
+	}
+	untouched := memdefs.PPN(100_000) // never handed out
+	if m.Kind(untouched) != FrameFree || m.Refs(untouched) != 0 {
+		t.Fatalf("untouched frame %d: kind %v, refs %d", untouched, m.Kind(untouched), m.Refs(untouched))
+	}
+	m.ForEachAllocated(func(memdefs.PPN, Frame) {})
+	if rep := m.Audit(); !rep.OK() {
+		t.Fatalf("audit: %s", rep)
+	}
+	if got := chunks(); got != 2 {
+		t.Fatalf("after one frame and one block: %d chunks, want 2", got)
 	}
 }

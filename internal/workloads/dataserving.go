@@ -176,8 +176,9 @@ type dataServingGen struct {
 	indexPages     int
 	dsWritable     bool
 
-	q    stepQueue
-	salt uint64
+	q       stepQueue
+	salt    uint64
+	pageBuf []kvstore.PageID // indexWalk's reused lookup result
 }
 
 func (g *dataServingGen) init() {
@@ -265,7 +266,8 @@ func (g *dataServingGen) recordPage(key int) int {
 func (g *dataServingGen) indexWalk(key int, visit func(page int)) {
 	switch g.engine {
 	case engineBTree:
-		for _, pg := range g.btree.PagePath(key) {
+		g.pageBuf = g.btree.AppendPagePath(g.pageBuf[:0], key)
+		for _, pg := range g.pageBuf {
 			visit(int(pg) % g.indexPages)
 		}
 	case engineLSM:
@@ -274,12 +276,12 @@ func (g *dataServingGen) indexWalk(key int, visit func(page int)) {
 		if g.rng.Bool(0.10) {
 			salt = g.rng.Uint64() | 1
 		}
-		pages := g.lsm.Lookup(key, salt)
+		g.pageBuf = g.lsm.AppendLookup(g.pageBuf[:0], key, salt)
 		// All but the final data page are index-side structures; map the
 		// metadata into the hot index region and let the record access
 		// cover the data page.
-		for i, pg := range pages {
-			if i == len(pages)-1 {
+		for i, pg := range g.pageBuf {
+			if i == len(g.pageBuf)-1 {
 				break
 			}
 			visit(int(pg) % g.indexPages)

@@ -14,6 +14,7 @@ package ycsb
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Op is one database operation kind.
@@ -128,6 +129,10 @@ type Zipf struct {
 }
 
 // NewZipf builds a sampler over n items (at least 1) with skew theta.
+// Gray et al.'s sampler is only valid for 0 < theta < 1: theta = 1 makes
+// alpha infinite and theta = NaN sends every draw to item 0. NewZipf does
+// not check the range (New does); callers passing other values get the
+// formula's output as is.
 func NewZipf(n int, theta float64) *Zipf {
 	if n < 1 {
 		n = 1
@@ -141,7 +146,46 @@ func NewZipf(n int, theta float64) *Zipf {
 	return z
 }
 
+// zetaKey identifies one zeta sum. theta is keyed by its bits, not its
+// value: NaN never equals itself, so a float key would add a new entry on
+// every NaN call.
+type zetaKey struct {
+	n     int
+	theta uint64
+}
+
+// zetaMemo holds every zeta sum computed so far, for the life of the
+// process. Each container start builds its samplers over the same few
+// dataset sizes, and the O(n) sum of math.Pow calls dominated start-up;
+// the memo grows by one small entry per distinct (n, theta). It is shared
+// by all goroutines.
+var zetaMemo = struct {
+	sync.Mutex
+	m map[zetaKey]float64
+}{m: map[zetaKey]float64{}}
+
+// zeta returns zetaSum(n, theta), computing it once per (n, theta).
+// The value is the same float sum in the same order, so it is
+// bit-identical to a fresh computation.
 func zeta(n int, theta float64) float64 {
+	k := zetaKey{n: n, theta: math.Float64bits(theta)}
+	zetaMemo.Lock()
+	s, ok := zetaMemo.m[k]
+	zetaMemo.Unlock()
+	if ok {
+		return s
+	}
+	// Sum outside the lock; a concurrent miss on the same key stores the
+	// same value.
+	s = zetaSum(n, theta)
+	zetaMemo.Lock()
+	zetaMemo.m[k] = s
+	zetaMemo.Unlock()
+	return s
+}
+
+// zetaSum is the generalized harmonic number sum_{i=1..n} 1/i^theta.
+func zetaSum(n int, theta float64) float64 {
 	s := 0.0
 	for i := 1; i <= n; i++ {
 		s += 1 / math.Pow(float64(i), theta)
@@ -196,7 +240,7 @@ type Config struct {
 	Workload Workload
 	Records  int
 	Dist     DistKind // zero value picks the workload's default
-	Theta    float64  // zipfian skew; 0 = YCSB default 0.99
+	Theta    float64  // zipfian skew in (0, 1); 0 = YCSB default 0.99
 	MaxScan  int      // maximum scan length (default 100)
 	Seed     uint64
 }
@@ -210,7 +254,8 @@ type Generator struct {
 	records int // grows with inserts
 }
 
-// New builds a generator; it validates the workload.
+// New builds a generator; it validates the workload, the record count
+// and the skew.
 func New(cfg Config) (*Generator, error) {
 	mix, err := MixOf(cfg.Workload)
 	if err != nil {
@@ -221,6 +266,9 @@ func New(cfg Config) (*Generator, error) {
 	}
 	if cfg.Theta == 0 {
 		cfg.Theta = 0.99
+	}
+	if math.IsNaN(cfg.Theta) || cfg.Theta < 0 || cfg.Theta >= 1 {
+		return nil, fmt.Errorf("ycsb: zipfian skew %v outside (0, 1)", cfg.Theta)
 	}
 	if cfg.MaxScan == 0 {
 		cfg.MaxScan = 100

@@ -1,6 +1,7 @@
 package ycsb
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -156,5 +157,42 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Workload: Workload('x'), Records: 10}); err == nil {
 		t.Error("bad workload accepted")
+	}
+}
+
+// TestNewRejectsSkewOutsideUnitInterval: Gray et al.'s sampler needs
+// 0 < theta < 1. theta = 1 sends most draws to the coldest item and NaN
+// sends every draw to item 0, so New refuses them; 0 still selects the
+// YCSB default 0.99.
+func TestNewRejectsSkewOutsideUnitInterval(t *testing.T) {
+	cases := []struct {
+		name  string
+		theta float64
+		ok    bool
+	}{
+		{"default", 0, true},
+		{"NaN", math.NaN(), false},
+		{"negative", -0.5, false},
+		{"one", 1, false},
+		{"above-one", 1.5, false},
+		{"+Inf", math.Inf(1), false},
+		{"-Inf", math.Inf(-1), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := New(Config{Workload: WorkloadA, Records: 100, Theta: tc.theta})
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("theta %v rejected: %v", tc.theta, err)
+				}
+				if g.cfg.Theta != 0.99 {
+					t.Fatalf("theta 0 defaulted to %v, want 0.99", g.cfg.Theta)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("theta %v accepted", tc.theta)
+			}
+		})
 	}
 }
