@@ -176,6 +176,10 @@ func runExp(exp string, o experiments.Options, archList []string) error {
 		return nil
 	}
 
+	// The figures below share one Suite, so a serving run that several
+	// of them read (Figures 10 and 11, §VII-C, resources) is simulated
+	// once per invocation.
+	suite := new(experiments.Suite)
 	if want("tablei") {
 		fmt.Println(experiments.TableI(o))
 	}
@@ -194,14 +198,14 @@ func runExp(exp string, o experiments.Options, archList []string) error {
 		fmt.Println(r)
 	}
 	if want("fig10") || exp == "fig10a" || exp == "fig10b" {
-		r, err := experiments.Fig10(o)
+		r, err := suite.Fig10(o)
 		if err != nil {
 			return err
 		}
 		fmt.Println(r)
 	}
 	if want("fig11") || want("tableii") {
-		r, err := experiments.Fig11(o)
+		r, err := suite.Fig11(o)
 		if err != nil {
 			return err
 		}
@@ -212,7 +216,7 @@ func runExp(exp string, o experiments.Options, archList []string) error {
 		fmt.Println(experiments.TableIII())
 	}
 	if want("largertlb") {
-		r, err := experiments.LargerTLB(o)
+		r, err := suite.LargerTLB(o)
 		if err != nil {
 			return err
 		}
@@ -226,7 +230,7 @@ func runExp(exp string, o experiments.Options, archList []string) error {
 		fmt.Println(r)
 	}
 	if want("resources") {
-		r, err := experiments.Resources(o)
+		r, err := suite.Resources(o)
 		if err != nil {
 			return err
 		}

@@ -335,8 +335,9 @@ func run(args []string) int {
 	}
 
 	// Each architecture run owns its machine; runs only share the
-	// seed-keyed workload graph cache and atomic bug counters, so they can
-	// execute concurrently and still be deterministic.
+	// seed-keyed workload graph cache, the ycsb zeta memo and atomic bug
+	// counters, so they can execute concurrently and still be
+	// deterministic.
 	results := make([]archResult, len(archs))
 	var plan par.Plan
 	for i, name := range archs {

@@ -62,20 +62,19 @@ func ArchCompare(o Options, archs []string) (*ArchCompareResult, error) {
 		for j := range archs {
 			i, j, spec := i, j, spec
 			pl.add(fmt.Sprintf("archcompare/%s/%s", spec.Name, archs[j]), func() error {
-				m, d, err := deployParams(o, params[j], spec)
+				c, err := servingRun(o, params[j], spec)
 				if err != nil {
 					return err
 				}
-				ag := m.Aggregate()
 				res.Cells[i][j] = ArchCompareCell{
 					App:       spec.Name,
 					Arch:      archs[j],
-					MeanLat:   d.MeanLatency(),
-					P95Lat:    d.TailLatency(95),
-					MPKIData:  ag.MPKIData(),
-					MPKIInstr: ag.MPKIInstr(),
-					WalksPKI:  metrics.MPKI(ag.Walks, ag.Instrs),
-					Faults:    ag.Faults,
+					MeanLat:   c.meanLat,
+					P95Lat:    c.p95Lat,
+					MPKIData:  c.agg.MPKIData(),
+					MPKIInstr: c.agg.MPKIInstr(),
+					WalksPKI:  metrics.MPKI(c.agg.Walks, c.agg.Instrs),
+					Faults:    c.agg.Faults,
 				}
 				return nil
 			})

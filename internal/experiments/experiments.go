@@ -162,39 +162,53 @@ func ComputeApps() []*workloads.AppSpec {
 	return []*workloads.AppSpec{workloads.GraphChi(), workloads.FIO()}
 }
 
-// deployServing builds a machine for one app with two containers per core
-// (the paper's conservative co-location) and runs warm-up + measurement.
-func deployServing(o Options, a Arch, spec *workloads.AppSpec) (*sim.Machine, *workloads.Deployment, error) {
-	return deployParams(o, o.Params(a), spec)
+// servingCell is what the figures read from one serving run: the
+// measured-phase aggregate, the request-latency and execution-time means,
+// and the page-table census. It is all a run leaves behind; the machine
+// itself is dropped when servingRun returns.
+type servingCell struct {
+	agg       sim.AggStats
+	meanLat   float64
+	p95Lat    float64
+	execOwn   float64
+	census    [memdefs.NumLevels]int
+	maskPages int
 }
 
-// deployParams is deployServing for pre-built machine parameters (the
-// architecture head-to-head sweep measures registry policies that have no
-// Arch enum value).
-func deployParams(o Options, p sim.Params, spec *workloads.AppSpec) (*sim.Machine, *workloads.Deployment, error) {
+// servingRun builds a machine for one app with two containers per core
+// (the paper's conservative co-location), runs warm-up + measurement and
+// summarises the result.
+func servingRun(o Options, p sim.Params, spec *workloads.AppSpec) (servingCell, error) {
 	m := sim.New(p)
 	d, err := workloads.Deploy(m, spec, o.Scale, o.Seed)
 	if err != nil {
-		return nil, nil, err
+		return servingCell{}, err
 	}
 	for core := 0; core < o.Cores; core++ {
 		for j := 0; j < 2; j++ {
 			if _, _, err := d.Spawn(core, o.Seed+uint64(core*977+j*131)); err != nil {
-				return nil, nil, err
+				return servingCell{}, err
 			}
 		}
 	}
 	// Long-running services measure in steady state: page tables fully
 	// populated (the paper warms for minutes before measuring).
 	if err := d.PrefaultAll(); err != nil {
-		return nil, nil, err
+		return servingCell{}, err
 	}
 	if err := m.Run(o.WarmInstr); err != nil {
-		return nil, nil, err
+		return servingCell{}, err
 	}
 	m.ResetStats()
 	if err := m.Run(o.MeasureInstr); err != nil {
-		return nil, nil, err
+		return servingCell{}, err
 	}
-	return m, d, nil
+	return servingCell{
+		agg:       m.Aggregate(),
+		meanLat:   d.MeanLatency(),
+		p95Lat:    d.TailLatency(95),
+		execOwn:   d.MeanExecOwn(),
+		census:    m.Kernel.TableCensus(),
+		maskPages: m.Kernel.MaskPageCount(),
+	}, nil
 }

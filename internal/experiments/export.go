@@ -94,8 +94,11 @@ func (r *Fig11Result) AttributionRows() []TableIIRow {
 	return rows
 }
 
-// RunAll executes every experiment and collects the report.
-func RunAll(o Options) (*Report, error) {
+// RunAll executes every experiment and collects the report. The figures
+// share one Suite, so each serving run is simulated once.
+func RunAll(o Options) (*Report, error) { return new(Suite).runAll(o) }
+
+func (s *Suite) runAll(o Options) (*Report, error) {
 	rep := &Report{Options: o}
 	var err error
 	if rep.Fig7, err = Fig7(o); err != nil {
@@ -104,23 +107,23 @@ func RunAll(o Options) (*Report, error) {
 	if rep.Fig9, err = Fig9(o); err != nil {
 		return nil, fmt.Errorf("fig9: %w", err)
 	}
-	if rep.Fig10, err = Fig10(o); err != nil {
+	if rep.Fig10, err = s.Fig10(o); err != nil {
 		return nil, fmt.Errorf("fig10: %w", err)
 	}
-	f11, err := Fig11(o)
+	f11, err := s.Fig11(o)
 	if err != nil {
 		return nil, fmt.Errorf("fig11: %w", err)
 	}
 	rep.Fig11 = f11.Summarize()
 	rep.TableII = f11.AttributionRows()
 	rep.TableIII = TableIII()
-	if rep.LargerTLB, err = LargerTLB(o); err != nil {
+	if rep.LargerTLB, err = s.LargerTLB(o); err != nil {
 		return nil, fmt.Errorf("largertlb: %w", err)
 	}
 	if rep.Bringup, err = Bringup(o); err != nil {
 		return nil, fmt.Errorf("bringup: %w", err)
 	}
-	if rep.Resources, err = Resources(o); err != nil {
+	if rep.Resources, err = s.Resources(o); err != nil {
 		return nil, fmt.Errorf("resources: %w", err)
 	}
 	return rep, nil

@@ -30,7 +30,10 @@ type Fig10Result struct {
 
 // Fig10 runs every workload under Baseline and BabelFish and reports L2
 // TLB MPKI reductions and shared-hit fractions.
-func Fig10(o Options) (*Fig10Result, error) {
+func Fig10(o Options) (*Fig10Result, error) { return new(Suite).Fig10(o) }
+
+// Fig10 is the package-level Fig10 with its serving runs shared through s.
+func (s *Suite) Fig10(o Options) (*Fig10Result, error) {
 	specs := append(ServingApps(), ComputeApps()...)
 	// One cell per (app × arch); the last pair is the dense function
 	// variant (the MPKI behaviour is dominated by the shared runtime; the
@@ -40,22 +43,8 @@ func Fig10(o Options) (*Fig10Result, error) {
 	var pl plan
 	for i, spec := range specs {
 		i, spec := i, spec
-		pl.add("fig10/"+spec.Name+"/base", func() error {
-			m, _, err := deployServing(o, Baseline, spec)
-			if err != nil {
-				return err
-			}
-			pairs[i].base = m.Aggregate()
-			return nil
-		})
-		pl.add("fig10/"+spec.Name+"/babelfish", func() error {
-			m, _, err := deployServing(o, BabelFish, spec)
-			if err != nil {
-				return err
-			}
-			pairs[i].bf = m.Aggregate()
-			return nil
-		})
+		pl.add("fig10/"+spec.Name+"/base", s.cell(o, Baseline, spec, func(c servingCell) { pairs[i].base = c.agg }))
+		pl.add("fig10/"+spec.Name+"/babelfish", s.cell(o, BabelFish, spec, func(c servingCell) { pairs[i].bf = c.agg }))
 	}
 	fi := len(specs)
 	pl.add("fig10/functions/base", func() error {

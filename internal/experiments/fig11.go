@@ -74,7 +74,10 @@ func (t *triple) set(i int, v float64) {
 // Fig11 runs everything. This is the heaviest experiment — every workload
 // under Baseline, BabelFish-PTonly and full BabelFish — so it decomposes
 // into one cell per (workload × architecture) measurement.
-func Fig11(o Options) (*Fig11Result, error) {
+func Fig11(o Options) (*Fig11Result, error) { return new(Suite).Fig11(o) }
+
+// Fig11 is the package-level Fig11 with its serving runs shared through s.
+func (s *Suite) Fig11(o Options) (*Fig11Result, error) {
 	serving := ServingApps()
 	compute := ComputeApps()
 	res := &Fig11Result{
@@ -93,28 +96,18 @@ func Fig11(o Options) (*Fig11Result, error) {
 	for i, spec := range serving {
 		for ai, a := range fig11Archs {
 			i, ai, a, spec := i, ai, a, spec
-			pl.add("fig11/"+spec.Name+"/"+a.String(), func() error {
-				_, d, err := deployServing(o, a, spec)
-				if err != nil {
-					return err
-				}
-				res.ServingMean[i].set(ai, d.MeanLatency())
-				res.ServingTail[i].set(ai, d.TailLatency(95))
-				return nil
-			})
+			pl.add("fig11/"+spec.Name+"/"+a.String(), s.cell(o, a, spec, func(c servingCell) {
+				res.ServingMean[i].set(ai, c.meanLat)
+				res.ServingTail[i].set(ai, c.p95Lat)
+			}))
 		}
 	}
 	for i, spec := range compute {
 		for ai, a := range fig11Archs {
 			i, ai, a, spec := i, ai, a, spec
-			pl.add("fig11/"+spec.Name+"/"+a.String(), func() error {
-				_, d, err := deployServing(o, a, spec)
-				if err != nil {
-					return err
-				}
-				res.ComputeExec[i].set(ai, d.MeanExecOwn())
-				return nil
-			})
+			pl.add("fig11/"+spec.Name+"/"+a.String(), s.cell(o, a, spec, func(c servingCell) {
+				res.ComputeExec[i].set(ai, c.execOwn)
+			}))
 		}
 	}
 	// Functions: one cell per (variant × architecture); triples are

@@ -14,11 +14,18 @@ import (
 // only it writes. Because cells share no mutable state (the only
 // process-wide structures they touch are the seed-keyed workload graph
 // cache, a sync.Map whose values are deterministic functions of their
-// key, and the atomic kernel/physmem bug counters), they can execute in
-// any order on any number of workers and still produce results that are
-// byte-identical to a serial run: all randomness is seeded per cell from
-// Options.Seed, and the plan assembles results in declaration order, not
-// completion order.
+// key, the ycsb zeta memo keyed by (n, theta), whose values are the same
+// float sums a fresh computation gives, and the atomic kernel/physmem
+// bug counters), they can execute in any order on any number of workers
+// and still produce results that are byte-identical to a serial run: all
+// randomness is seeded per cell from Options.Seed, and the plan
+// assembles results in declaration order, not completion order.
+//
+// Serving cells additionally go through a Suite (suite.go), which runs
+// each distinct (options, architecture, app) measurement once and hands
+// its summary to every figure of one regeneration that asks for it. The
+// memo is scoped to the Suite, not the process, so repeated
+// regenerations in one process each simulate their cells afresh.
 //
 // The bounded executor itself lives in internal/par (the fleet layer
 // steps its nodes on the same pool); plan keeps the engine's historical

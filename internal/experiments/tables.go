@@ -76,7 +76,11 @@ type LargerTLBResult struct {
 
 // LargerTLB runs data-serving and compute apps under Baseline,
 // Baseline+LargerTLB and BabelFish.
-func LargerTLB(o Options) (*LargerTLBResult, error) {
+func LargerTLB(o Options) (*LargerTLBResult, error) { return new(Suite).LargerTLB(o) }
+
+// LargerTLB is the package-level LargerTLB with its serving runs shared
+// through s.
+func (s *Suite) LargerTLB(o Options) (*LargerTLBResult, error) {
 	res := &LargerTLBResult{}
 	specs := append(ServingApps(), ComputeApps()...)
 	vals := make([][3]float64, len(specs))
@@ -84,14 +88,9 @@ func LargerTLB(o Options) (*LargerTLBResult, error) {
 	for si, spec := range specs {
 		for ai, a := range [3]Arch{Baseline, BaselineLargerTLB, BabelFish} {
 			si, ai, a, spec := si, ai, a, spec
-			pl.add("larger-tlb/"+spec.Name+"/"+a.String(), func() error {
-				_, d, err := deployServing(o, a, spec)
-				if err != nil {
-					return err
-				}
-				vals[si][ai] = d.MeanLatency()
-				return nil
-			})
+			pl.add("larger-tlb/"+spec.Name+"/"+a.String(), s.cell(o, a, spec, func(c servingCell) {
+				vals[si][ai] = c.meanLat
+			}))
 		}
 	}
 	if err := pl.execute(o.Jobs); err != nil {
@@ -219,7 +218,11 @@ type ResourcesResult struct {
 
 // Resources computes the analytic overheads and measures the software
 // structures on a live run.
-func Resources(o Options) (*ResourcesResult, error) {
+func Resources(o Options) (*ResourcesResult, error) { return new(Suite).Resources(o) }
+
+// Resources is the package-level Resources with its two MongoDB runs
+// shared through s.
+func (s *Suite) Resources(o Options) (*ResourcesResult, error) {
 	res := &ResourcesResult{
 		AreaPct:       cacti.CoreAreaOverheadPct(cacti.BabelFishEntryBits()),
 		AreaNoMaskPct: cacti.CoreAreaOverheadPct(cacti.BabelFishNoMaskEntryBits()),
@@ -229,33 +232,22 @@ func Resources(o Options) (*ResourcesResult, error) {
 	oo := o
 	oo.Cores = 2
 	var pl plan
-	pl.add("resources/babelfish", func() error {
-		m, _, err := deployServing(oo, BabelFish, workloads.MongoDB())
-		if err != nil {
-			return err
-		}
-		census := m.Kernel.TableCensus()
-		res.MeasuredPTETables = census[memdefs.LvlPTE]
-		res.MeasuredMaskPages = m.Kernel.MaskPageCount()
+	pl.add("resources/babelfish", s.cell(oo, BabelFish, workloads.MongoDB(), func(c servingCell) {
+		res.MeasuredPTETables = c.census[memdefs.LvlPTE]
+		res.MeasuredMaskPages = c.maskPages
 		if res.MeasuredPTETables > 0 {
 			res.MeasuredMaskPct = 100 * float64(res.MeasuredMaskPages*memdefs.PageSize) /
 				float64(res.MeasuredPTETables*memdefs.PageSize*512)
 		}
-		for _, n := range census {
+		for _, n := range c.census {
 			res.BabelFishTableFrames += n
 		}
-		return nil
-	})
-	pl.add("resources/baseline", func() error {
-		mBase, _, err := deployServing(oo, Baseline, workloads.MongoDB())
-		if err != nil {
-			return err
-		}
-		for _, n := range mBase.Kernel.TableCensus() {
+	}))
+	pl.add("resources/baseline", s.cell(oo, Baseline, workloads.MongoDB(), func(c servingCell) {
+		for _, n := range c.census {
 			res.BaselineTableFrames += n
 		}
-		return nil
-	})
+	}))
 	if err := pl.execute(o.Jobs); err != nil {
 		return nil, err
 	}

@@ -5,10 +5,12 @@
 // A Plan is an ordered list of independent units of work. Units must
 // share no mutable state beyond structures that are deterministic
 // functions of their inputs (the seed-keyed workload graph cache, the
-// atomic bug counters), so they can execute in any order on any number
-// of workers and still leave results that are byte-identical to a
-// serial run: every unit writes only into slots it owns, and callers
-// assemble output in declaration order, not completion order.
+// ycsb zeta memo keyed by (n, theta), the experiment engine's per-suite
+// cell memo, the atomic bug counters), so they can execute in any order
+// on any number of workers and still leave results that are
+// byte-identical to a serial run: every unit writes only into slots it
+// owns, and callers assemble output in declaration order, not
+// completion order.
 package par
 
 import (
