@@ -8,7 +8,15 @@ build:
 test:
 	$(GO) test ./...
 
-# The parallel engine's safety proof: machines share no mutable state —
-# neither across experiment cells nor across fleet nodes.
+# The race list CI runs: the memory-pressure packages, the device layer,
+# the parallel engines (machines share no mutable state — neither across
+# experiment cells nor across fleet nodes), the fleet, the policies and
+# the generators whose memo is shared across workers.
+RACE_PKGS = ./internal/physmem/... ./internal/kernel/... ./internal/sim/... \
+	./internal/telemetry/... ./internal/experiments/... ./internal/memsys/... \
+	./internal/par/... ./internal/fleet/... ./internal/xlatpolicy/... \
+	./internal/loadgen/... ./internal/ycsb/... ./internal/kvstore/... \
+	./internal/workloads/...
+
 race:
-	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/fleet/... ./internal/par/... ./internal/xlatpolicy/...
+	$(GO) test -race $(RACE_PKGS)

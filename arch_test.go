@@ -49,7 +49,7 @@ func TestNewMachineArch(t *testing.T) {
 	if bfc.Kernel.Mode() != kernel.ModeBabelFish {
 		t.Fatalf("babelfish+coalesced kernel mode = %v, want babelfish", bfc.Kernel.Mode())
 	}
-	if !bfc.Params.MMU.BabelFish {
+	if !bfc.Params.MMU.Policy.OPC() {
 		t.Fatal("babelfish+coalesced lost the O-PC insert behaviour")
 	}
 

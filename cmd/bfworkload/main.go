@@ -7,6 +7,11 @@
 //
 //	bfworkload [-app mongodb|arangodb|httpd|graphchi|fio|faas] [-steps N]
 //	           [-scale F] [-seed N] [-sparse]
+//
+// A finite stream (a FaaS function) may end before -steps; the report
+// covers the steps actually sampled. Exit status is 0 on success, 1 on a
+// runtime error and 2 on a usage mistake: an unknown -app, a -scale that
+// is not a finite positive number, or a -steps below 1.
 package main
 
 import (
@@ -23,48 +28,66 @@ import (
 	"babelfish/internal/workloads"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+func run(args []string) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
 	var (
-		app    = flag.String("app", "mongodb", "workload: mongodb, arangodb, httpd, graphchi, fio, faas")
-		steps  = flag.Int("steps", 200_000, "steps to sample")
-		scale  = flag.Float64("scale", 0.5, "dataset scale")
-		seed   = flag.Uint64("seed", 42, "seed")
-		sparse = flag.Bool("sparse", false, "sparse FaaS input variant")
+		app    = fs.String("app", "mongodb", "workload: mongodb, arangodb, httpd, graphchi, fio, faas")
+		steps  = fs.Int("steps", 200_000, "steps to sample (fewer when a finite stream ends first)")
+		scale  = fs.Float64("scale", 0.5, "dataset scale")
+		seed   = fs.Uint64("seed", 42, "seed")
+		sparse = fs.Bool("sparse", false, "sparse FaaS input variant")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2 // the flag package has printed the error and usage
+	}
+	usageErr := func(format string, a ...any) int {
+		fmt.Fprintf(fs.Output(), "bfworkload: "+format+"\n", a...)
+		fs.Usage()
+		return 2
+	}
+	var spec func() *workloads.AppSpec
+	if *app != "faas" {
+		var err error
+		if spec, err = cli.App(*app); err != nil {
+			return usageErr("unknown app %q (want mongodb, arangodb, httpd, graphchi, fio or faas)", *app)
+		}
+	}
+	if err := cli.Positive("scale", *scale); err != nil {
+		return usageErr("%v", err)
+	}
+	if *steps < 1 {
+		return usageErr("-steps must be at least 1")
+	}
 
 	p := sim.DefaultParams(kernel.ModeBaseline)
 	p.Cores = 1
 	p.MemBytes = 2 << 30
 	m := sim.New(p)
 
-	var gen sim.Generator
-	var proc *kernel.Process
-	if *app == "faas" {
+	var task *sim.Task
+	if spec == nil {
 		fg, err := workloads.DeployFaaS(m, *sparse, *scale, *seed)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		task, _, err := fg.Spawn("parse", 0, *seed)
-		if err != nil {
-			fatal(err)
+		if task, _, err = fg.Spawn("parse", 0, *seed); err != nil {
+			return fail(err)
 		}
-		gen, proc = task.Gen, task.Proc
 	} else {
-		spec, err := cli.App(*app)
-		if err != nil {
-			fatal(fmt.Errorf("unknown app %q", *app))
-		}
 		d, err := workloads.Deploy(m, spec(), *scale, *seed)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		task, _, err := d.Spawn(0, *seed)
-		if err != nil {
-			fatal(err)
+		if task, _, err = d.Spawn(0, *seed); err != nil {
+			return fail(err)
 		}
-		gen, proc = task.Gen, task.Proc
 	}
+	gen, proc := task.Gen, task.Proc
 
 	type regionStat struct {
 		name                  string
@@ -73,12 +96,9 @@ func main() {
 	}
 	stats := map[string]*regionStat{}
 	var s sim.Step
-	var reqSteps, reqs, curReq int
+	var sampled, reqSteps, reqs, curReq int
 	var totalThink int
-	for i := 0; i < *steps; i++ {
-		if !gen.Next(&s) {
-			break
-		}
+	for ; sampled < *steps && gen.Next(&s); sampled++ {
 		gva := proc.GroupVA(s.VA)
 		vma, ok := proc.FindVMA(gva)
 		name := "?"
@@ -113,7 +133,7 @@ func main() {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	t := metrics.NewTable(fmt.Sprintf("%s access-stream sample (%d steps)", *app, *steps),
+	t := metrics.NewTable(fmt.Sprintf("%s access-stream sample (%d steps)", *app, sampled),
 		"region", "reads", "writes", "ifetch", "distinct pages", "top-page share")
 	for _, n := range names {
 		rs := stats[n]
@@ -130,11 +150,12 @@ func main() {
 	fmt.Println(t)
 	if reqs > 0 {
 		fmt.Printf("requests sampled: %d, mean steps/request: %.1f, mean think/step: %.1f instr\n",
-			reqs, float64(reqSteps)/float64(reqs), float64(totalThink)/float64(*steps))
+			reqs, float64(reqSteps)/float64(reqs), float64(totalThink)/float64(sampled))
 	}
+	return 0
 }
 
-func fatal(err error) {
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "bfworkload:", err)
-	os.Exit(1)
+	return 1
 }

@@ -62,15 +62,15 @@ func main() {
 				log.Fatal(err)
 			}
 			for _, mm := range tasks {
-				task := fg.Tasks[mm.idx]
-				if task.LatOwn.Count() == 0 {
+				mean, ok := fg.Tasks[mm.idx].MeanOwn()
+				if !ok {
 					continue
 				}
 				r := results[mm.name]
 				if arch == babelfish.ArchBaseline {
-					r[0] += task.LatOwn.Mean() / float64(cores)
+					r[0] += mean / float64(cores)
 				} else {
-					r[1] += task.LatOwn.Mean() / float64(cores)
+					r[1] += mean / float64(cores)
 				}
 				results[mm.name] = r
 			}

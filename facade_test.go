@@ -17,7 +17,7 @@ func TestNewMachineOptions(t *testing.T) {
 	if m.Kernel.Mode() != kernel.ModeBabelFish {
 		t.Fatalf("mode = %v", m.Kernel.Mode())
 	}
-	if !m.Params.MMU.BabelFish || !m.Params.MMU.ASLRHW {
+	if !m.Params.MMU.Policy.OPC() || !m.Params.MMU.ASLRHW {
 		t.Fatal("MMU not configured for BabelFish ASLR-HW")
 	}
 
@@ -27,7 +27,7 @@ func TestNewMachineOptions(t *testing.T) {
 	}
 
 	base := NewMachine(Options{Arch: ArchBaseline, Cores: 1, DisableTHP: true})
-	if base.Params.MMU.BabelFish || base.Params.Kernel.THP {
+	if base.Params.MMU.Policy.OPC() || base.Params.Kernel.THP {
 		t.Fatal("baseline variant misconfigured")
 	}
 }
@@ -90,8 +90,8 @@ func TestFacadeServerless(t *testing.T) {
 	if err := m.RunToCompletion(); err != nil {
 		t.Fatal(err)
 	}
-	if !task.Done || task.LatOwn.Count() != 1 {
-		t.Fatalf("function not measured: done=%v lat=%d", task.Done, task.LatOwn.Count())
+	if !task.Done || task.OwnReqs != 1 {
+		t.Fatalf("function not measured: done=%v lat=%d", task.Done, task.OwnReqs)
 	}
 }
 

@@ -116,9 +116,7 @@ func (e *Engine) Start(d *workloads.Deployment, coreID int, seed uint64) (*Conta
 	if err := e.M.RunTaskOnly(task); err != nil {
 		return nil, err
 	}
-	if task.Lat.Count() > 0 {
-		c.BringUpCycles = memdefs.Cycles(task.Lat.Percentile(100))
-	}
+	c.BringUpCycles = memdefs.Cycles(task.Lat.Max())
 	// Hand the task back to the workload.
 	task.Gen = workGen
 	task.Done = false

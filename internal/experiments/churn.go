@@ -59,8 +59,8 @@ func Churn(o Options, waves int) (*ChurnResult, error) {
 				return 0, 0, 0, 0, 0, err
 			}
 			for _, task := range fg.Tasks[start:] {
-				if task.LatOwn.Count() > 0 {
-					cycles += task.LatOwn.Mean()
+				if mean, ok := task.MeanOwn(); ok {
+					cycles += mean
 				}
 				task.Proc.Exit() // the container exits after its run
 			}

@@ -121,7 +121,6 @@ func (o Options) Params(a Arch) sim.Params {
 		// policy on a BabelFish kernel, the Table II attribution ablation.
 		p = sim.DefaultParams(kernel.ModeBabelFish)
 		p.MMU.Policy = xlatpolicy.MustGet("baseline").Policy
-		p.MMU.BabelFish = false
 		p.MMU.ASLRHW = false
 		p.Kernel.ASLR = kernel.ASLRSW // one layout per group; no transform
 	}

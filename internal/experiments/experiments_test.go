@@ -332,19 +332,19 @@ func TestSweepsAndVariants(t *testing.T) {
 func TestOptionsParams(t *testing.T) {
 	o := Quick()
 	base := o.Params(Baseline)
-	if base.MMU.BabelFish || base.MMU.LargerL2 {
+	if base.MMU.Policy.OPC() || base.MMU.LargerL2 {
 		t.Fatal("baseline misconfigured")
 	}
 	big := o.Params(BaselineLargerTLB)
-	if !big.MMU.LargerL2 || big.MMU.BabelFish {
+	if !big.MMU.LargerL2 || big.MMU.Policy.OPC() {
 		t.Fatal("larger-TLB misconfigured")
 	}
 	bf := o.Params(BabelFish)
-	if !bf.MMU.BabelFish || !bf.MMU.ASLRHW {
+	if !bf.MMU.Policy.OPC() || !bf.MMU.ASLRHW {
 		t.Fatal("babelfish misconfigured")
 	}
 	pt := o.Params(BabelFishPT)
-	if pt.MMU.BabelFish || pt.Kernel.Mode.String() != "BabelFish" {
+	if pt.MMU.Policy.OPC() || pt.Kernel.Mode.String() != "BabelFish" {
 		t.Fatal("PT-only misconfigured")
 	}
 	if bf.L3.SizeBytes != o.L3Bytes {

@@ -212,8 +212,8 @@ func functionRun(o Options, sparse bool, a Arch) (funcArchRun, error) {
 	for _, s := range scheds {
 		// Use the task's own cycles: three functions multiplex one
 		// core, so wall-clock would triple-count the others' slices.
-		if s.task.LatOwn.Count() > 0 {
-			pa.sums[s.name] += s.task.LatOwn.Mean()
+		if mean, ok := s.task.MeanOwn(); ok {
+			pa.sums[s.name] += mean
 			pa.counts[s.name]++
 		}
 	}

@@ -162,8 +162,8 @@ func groupSizeRun(o Options, a Arch, n int) (float64, error) {
 	}
 	var sum float64
 	for _, task := range fg.Tasks {
-		if task.LatOwn.Count() > 0 {
-			sum += task.LatOwn.Mean()
+		if mean, ok := task.MeanOwn(); ok {
+			sum += mean
 		}
 	}
 	return sum, nil

@@ -162,10 +162,7 @@ func Bringup(o Options) (*BringupResult, error) {
 			if err := m.RunTaskOnly(task); err != nil {
 				return err
 			}
-			var touch memdefs.Cycles
-			if task.Lat.Count() > 0 {
-				touch = memdefs.Cycles(task.Lat.Percentile(100))
-			}
+			touch := memdefs.Cycles(task.Lat.Max())
 			slot.Engine = engine
 			slot.Fork = forkCycles
 			slot.Touch = touch

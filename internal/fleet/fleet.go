@@ -444,7 +444,7 @@ func (c *Cluster) Finish() {
 // latency samples the node already served.
 func (c *Cluster) harvestMachine(m *sim.Machine) {
 	for _, t := range m.Tasks() {
-		t.Lat.Each(func(v float64) { c.histReqLat.Observe(uint64(v)) })
+		t.Lat.Each(c.histReqLat.Observe)
 	}
 	if c.cfg.NodeTelemetry {
 		c.histXlat.Merge(m.XlatHist())

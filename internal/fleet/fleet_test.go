@@ -267,3 +267,22 @@ func BenchmarkFleetEpoch(b *testing.B) {
 		}
 	}
 }
+
+// TestReportNamesPolicy: the report header names the translation policy
+// the nodes run, including policies other than baseline and babelfish.
+func TestReportNamesPolicy(t *testing.T) {
+	for _, arch := range []string{"baseline", "babelfish", "victima", "babelfish+coalesced"} {
+		p, err := sim.ParamsForArch(arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig(1, 1)
+		p.Cores, p.MemBytes, p.Quantum = cfg.Params.Cores, cfg.Params.MemBytes, cfg.Params.Quantum
+		cfg.Params = p
+		cfg.Epochs = 1
+		want := "fleet: 1 nodes (" + arch + ", 2 cores"
+		if got := mustRun(t, cfg).Report(); !strings.HasPrefix(got, want) {
+			t.Errorf("-arch %s report starts %q, want prefix %q", arch, strings.SplitN(got, "\n", 2)[0], want)
+		}
+	}
+}

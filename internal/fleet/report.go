@@ -13,8 +13,8 @@ import (
 func (c *Cluster) Report() string {
 	var b strings.Builder
 	arch := "baseline"
-	if c.cfg.Params.MMU.BabelFish {
-		arch = "babelfish"
+	if pol := c.cfg.Params.MMU.Policy; pol != nil {
+		arch = pol.Name()
 	}
 	fmt.Fprintf(&b, "fleet: %d nodes (%s, %d cores, %d MB), %d containers (%s, scale %g), %d epochs x %d instr, seed %d\n",
 		c.cfg.Nodes, arch, c.cfg.Params.Cores, c.cfg.Params.MemBytes>>20,

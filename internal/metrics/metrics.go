@@ -1,101 +1,12 @@
-// Package metrics provides the small statistics toolkit used by the
-// simulator: latency histograms with exact percentiles, MPKI helpers, and
-// fixed-width table formatting for the experiment reports.
+// Package metrics derives and formats the numbers the reports print:
+// MPKI, percentage reductions, guarded ratios and fixed-width tables. It
+// records nothing; the recorders live in internal/telemetry.
 package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
-
-	"babelfish/internal/memdefs"
 )
-
-// Histogram records latency samples and reports exact percentiles.
-// Samples are kept verbatim (experiment request counts are modest).
-type Histogram struct {
-	samples []float64
-	sorted  bool
-	sum     float64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	h.samples = append(h.samples, v)
-	h.sum += v
-	h.sorted = false
-}
-
-// AddCycles records a cycle-count sample.
-func (h *Histogram) AddCycles(c memdefs.Cycles) { h.Add(float64(c)) }
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int { return len(h.samples) }
-
-// Mean returns the arithmetic mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.sum / float64(len(h.samples))
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100) using
-// nearest-rank; 0 when empty.
-func (h *Histogram) Percentile(p float64) float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
-	if p <= 0 {
-		return h.samples[0]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(h.samples))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(h.samples) {
-		rank = len(h.samples)
-	}
-	return h.samples[rank-1]
-}
-
-// Max returns the largest sample.
-func (h *Histogram) Max() float64 { return h.Percentile(100) }
-
-// Min returns the smallest sample.
-func (h *Histogram) Min() float64 { return h.Percentile(0) }
-
-// Each calls fn for every recorded sample. Order is unspecified (a
-// Percentile call sorts the backing slice in place); aggregations that
-// feed order-insensitive sinks — bucketed histograms, sums — are the
-// intended use.
-func (h *Histogram) Each(fn func(float64)) {
-	for _, v := range h.samples {
-		fn(v)
-	}
-}
-
-// Merge adds every sample of other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for _, v := range other.samples {
-		h.Add(v)
-	}
-}
-
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.sum = 0
-	h.sorted = false
-}
 
 // MPKI computes misses per kilo-instruction.
 func MPKI(misses, instructions uint64) float64 {

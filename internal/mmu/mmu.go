@@ -59,20 +59,16 @@ type Config struct {
 	// Policy is the translation architecture (see internal/xlatpolicy):
 	// it decides the TLB tag modes, whether walk fills populate the O-PC
 	// field, and any extra per-core lookup structures probed between the
-	// L2 TLB miss and the page walk. nil resolves from the legacy
-	// BabelFish boolean (baseline or babelfish).
+	// L2 TLB miss and the page walk. nil resolves to baseline.
 	Policy xlatpolicy.Policy
-	// BabelFish enables CCID-tagged sharing at the L2 TLB and O-PC logic.
-	// Normalized by New to mirror the resolved policy's OPC behaviour, so
-	// readers (audit, reports) may keep consulting it.
-	BabelFish bool
 	// ASLRHW models the hardware ASLR configuration: the L1 TLBs stay
 	// per-process and every L1 miss pays the address transform.
 	ASLRHW bool
 	// ASLRXformCycles is the transform latency on an L1 miss (Table I: 2).
 	ASLRXformCycles memdefs.Cycles
 	// LargerL2 grows the conventional L2 TLB instead of adding BabelFish
-	// bits (the §VII-C comparison). Only meaningful with BabelFish=false.
+	// bits (the §VII-C comparison). Only meaningful under a policy
+	// without O-PC (baseline).
 	LargerL2 bool
 }
 
@@ -146,18 +142,10 @@ type MMU struct {
 // port is the memory port the page walker uses (a core's cache hierarchy
 // in the real machine).
 func New(cfg Config, mem *physmem.Memory, port memsys.Port, os OS) *MMU {
-	pol := cfg.Policy
-	if pol == nil {
-		if cfg.BabelFish {
-			pol = xlatpolicy.MustGet("babelfish").Policy
-		} else {
-			pol = xlatpolicy.MustGet("baseline").Policy
-		}
-		cfg.Policy = pol
+	if cfg.Policy == nil {
+		cfg.Policy = xlatpolicy.MustGet("baseline").Policy
 	}
-	// Normalize the legacy boolean to the policy's behaviour so readers
-	// (sim audit, fleet report) stay truthful under any policy.
-	cfg.BabelFish = pol.OPC()
+	pol := cfg.Policy
 	l1Mode, l2Mode := pol.TagModes(cfg.ASLRHW)
 	if cfg.ASLRXformCycles == 0 {
 		cfg.ASLRXformCycles = 2

@@ -9,7 +9,12 @@ import (
 	"babelfish/internal/memdefs"
 	"babelfish/internal/pgtable"
 	"babelfish/internal/physmem"
+	"babelfish/internal/xlatpolicy"
 )
+
+// babelfishPolicy is the BabelFish translation architecture: CCID-shared
+// L2 TLB entries with O-PC fills.
+var babelfishPolicy = xlatpolicy.MustGet("babelfish").Policy
 
 // testOS is a scriptable fault handler.
 type testOS struct {
@@ -175,7 +180,7 @@ func TestProtectionErrors(t *testing.T) {
 }
 
 func TestBabelFishCrossProcessL2Sharing(t *testing.T) {
-	r := newRig(t, Config{BabelFish: true, ASLRHW: true})
+	r := newRig(t, Config{Policy: babelfishPolicy, ASLRHW: true})
 	va := memdefs.VAddr(0x40002000)
 	r.mapPage(t, va, 0)
 
@@ -222,7 +227,7 @@ func TestBaselineNoCrossProcessSharing(t *testing.T) {
 }
 
 func TestASLRTransformApplied(t *testing.T) {
-	r := newRig(t, Config{BabelFish: true, ASLRHW: true, ASLRXformCycles: 2})
+	r := newRig(t, Config{Policy: babelfishPolicy, ASLRHW: true, ASLRXformCycles: 2})
 	const off = memdefs.VAddr(0x1000000)
 	gva := memdefs.VAddr(0x40004000)
 	r.mapPage(t, gva, 0) // tables indexed by group VA
@@ -291,7 +296,7 @@ func TestAccessedDirtySetByWalk(t *testing.T) {
 }
 
 func TestInvalidateVA(t *testing.T) {
-	r := newRig(t, Config{BabelFish: true, ASLRHW: true})
+	r := newRig(t, Config{Policy: babelfishPolicy, ASLRHW: true})
 	va := memdefs.VAddr(0x40006000)
 	r.mapPage(t, va, 0)
 	if _, _, _, err := r.mmu.Translate(&r.ctx, va, false, memdefs.AccessData); err != nil {
@@ -310,7 +315,7 @@ func TestInvalidateVA(t *testing.T) {
 func TestPWCSharedAcrossProcessesOnCore(t *testing.T) {
 	// Two processes sharing page tables reuse each other's PWC entries;
 	// with private tables they cannot.
-	r := newRig(t, Config{BabelFish: true, ASLRHW: true})
+	r := newRig(t, Config{Policy: babelfishPolicy, ASLRHW: true})
 	va := memdefs.VAddr(0x40007000)
 	r.mapPage(t, va, 0)
 	if _, _, _, err := r.mmu.Translate(&r.ctx, va, false, memdefs.AccessData); err != nil {
@@ -332,7 +337,7 @@ func TestPWCSharedAcrossProcessesOnCore(t *testing.T) {
 func TestGiantPageTranslate(t *testing.T) {
 	// 1GB mappings: leaf at the PUD level, served by the 1GB TLB
 	// structures (16-entry L2, 4-entry fully-associative L1D).
-	r := newRig(t, Config{BabelFish: true, ASLRHW: true})
+	r := newRig(t, Config{Policy: babelfishPolicy, ASLRHW: true})
 	va := memdefs.VAddr(1) << 30 // 1GB aligned
 	// Fake a 1GB leaf: a PUD entry with PS set pointing at a frame base.
 	base := r.mem.MustAlloc(physmem.FrameData)

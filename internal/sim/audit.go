@@ -22,13 +22,13 @@ import (
 func (m *Machine) AuditTLBs() kernel.AuditReport {
 	var r kernel.AuditReport
 	for _, c := range m.Cores {
-		cfg := c.MMU.Config()
-		// Under ASLR-HW the L1 TLBs stay conventional (PCID-tagged); with
-		// ASLR-SW the whole hierarchy is CCID-tagged.
-		l1CCID := cfg.BabelFish && !cfg.ASLRHW
-		m.auditGroup(&r, fmt.Sprintf("core%d/L1D", c.ID), c.MMU.L1D, false, l1CCID)
-		m.auditGroup(&r, fmt.Sprintf("core%d/L1I", c.ID), c.MMU.L1I, false, l1CCID)
-		m.auditGroup(&r, fmt.Sprintf("core%d/L2", c.ID), c.MMU.L2, true, cfg.BabelFish)
+		// The policy tags each level: under BabelFish with ASLR-HW the L1
+		// TLBs stay conventional (PCID-tagged); with ASLR-SW the whole
+		// hierarchy is CCID-tagged.
+		l1, l2 := c.MMU.Policy().TagModes(c.MMU.Config().ASLRHW)
+		m.auditGroup(&r, fmt.Sprintf("core%d/L1D", c.ID), c.MMU.L1D, false, l1 == tlb.TagCCID)
+		m.auditGroup(&r, fmt.Sprintf("core%d/L1I", c.ID), c.MMU.L1I, false, l1 == tlb.TagCCID)
+		m.auditGroup(&r, fmt.Sprintf("core%d/L2", c.ID), c.MMU.L2, true, l2 == tlb.TagCCID)
 		// Policy structures (parked PTEs, coalesced runs) cache the same
 		// group-address leaf translations as the L2 TLB; every covered
 		// page must still be backed by a live PTE, or the invalidation

@@ -2,22 +2,44 @@ package sim_test
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"babelfish/internal/kernel"
 	"babelfish/internal/memdefs"
 	"babelfish/internal/memsys"
-	"babelfish/internal/metrics"
 	"babelfish/internal/sim"
 	"babelfish/internal/workloads"
 )
+
+// robustnessCounters are the registry counters that record how a run
+// absorbed memory pressure (the counters of bfsim's robustness line).
+var robustnessCounters = []string{
+	"kernel.oom_events", "kernel.reclaimed_pages", "phys.injected_faults",
+	"sim.oom_kills", "sim.kernel_bugs",
+}
+
+// robustness reads the robustness counters from m's registry, failing the
+// test when one is not registered.
+func robustness(t *testing.T, m *sim.Machine) map[string]uint64 {
+	t.Helper()
+	c := make(map[string]uint64, len(robustnessCounters))
+	for _, name := range robustnessCounters {
+		v, ok := m.Registry.Value(name)
+		if !ok {
+			t.Fatalf("counter metric not registered: %s", name)
+		}
+		c[name] = uint64(v)
+	}
+	return c
+}
 
 // runChaos deploys the quickstart workload (two MongoDB containers on one
 // core), installs a fault injector failing every nth allocation, and runs
 // the machine. The run must complete — tasks may be OOM-killed, the machine
 // must not crash — and afterwards both the allocator's and the kernel's
 // books must balance.
-func runChaos(t *testing.T, nth uint64) metrics.Counters {
+func runChaos(t *testing.T, nth uint64) map[string]uint64 {
 	t.Helper()
 	p := sim.DefaultParams(kernel.ModeBabelFish)
 	p.Cores = 1
@@ -64,12 +86,9 @@ func runChaos(t *testing.T, nth uint64) metrics.Counters {
 			t.Errorf("TLB audit checked no entries with live tasks (nth=%d)", nth)
 		}
 	}
-	c, err := m.Counters()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.KernelBugs != 0 {
-		t.Errorf("kernel bug panics under chaos: %d", c.KernelBugs)
+	c := robustness(t, m)
+	if c["sim.kernel_bugs"] != 0 {
+		t.Errorf("kernel bug panics under chaos: %d", c["sim.kernel_bugs"])
 	}
 	return c
 }
@@ -85,12 +104,12 @@ func TestChaosInjectionSweep(t *testing.T) {
 		nth := nth
 		t.Run(fmt.Sprintf("nth=%d", nth), func(t *testing.T) {
 			c1 := runChaos(t, nth)
-			if c1.InjectedFaults == 0 {
+			if c1["phys.injected_faults"] == 0 {
 				t.Fatalf("injector never fired at nth=%d", nth)
 			}
 			c2 := runChaos(t, nth)
-			if c1 != c2 {
-				t.Fatalf("nondeterministic chaos run:\n  first:  %s\n  second: %s", c1, c2)
+			if !maps.Equal(c1, c2) {
+				t.Fatalf("nondeterministic chaos run:\n  first:  %v\n  second: %v", c1, c2)
 			}
 		})
 	}
@@ -141,11 +160,7 @@ func TestOOMKillerTerminatesTask(t *testing.T) {
 	if m.OOMKills() != 1 {
 		t.Fatalf("OOMKills = %d, want 1", m.OOMKills())
 	}
-	c, err := m.Counters()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.OOMEvents == 0 {
+	if robustness(t, m)["kernel.oom_events"] == 0 {
 		t.Fatal("no OOM events counted")
 	}
 	// The killed process's memory was freed; the books still balance.

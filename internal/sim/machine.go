@@ -130,9 +130,15 @@ type Params struct {
 }
 
 // DefaultParams returns Table I's machine for the given kernel mode, with
-// the scheduling quantum scaled to simulation-friendly lengths.
+// the scheduling quantum scaled to simulation-friendly lengths. The MMU
+// runs the babelfish translation policy in BabelFish mode and the
+// baseline policy otherwise.
 func DefaultParams(mode kernel.Mode) Params {
 	kcfg := kernel.DefaultConfig(mode)
+	arch := "baseline"
+	if mode == kernel.ModeBabelFish {
+		arch = "babelfish"
+	}
 	return Params{
 		Cores:     8,
 		MemBytes:  4 << 30, // scaled from 32GB together with the datasets
@@ -140,7 +146,7 @@ func DefaultParams(mode kernel.Mode) Params {
 		CtxSwitch: 2000,
 		CPITenths: 5,
 		MMU: mmu.Config{
-			BabelFish:       mode == kernel.ModeBabelFish,
+			Policy:          xlatpolicy.MustGet(arch).Policy,
 			ASLRHW:          kcfg.ASLR == kernel.ASLRHW,
 			ASLRXformCycles: 2,
 		},
@@ -168,7 +174,6 @@ func ParamsForArch(name string) (Params, error) {
 	}
 	p := DefaultParams(mode)
 	p.MMU.Policy = a.Policy
-	p.MMU.BabelFish = a.OPC()
 	return p, nil
 }
 
@@ -178,12 +183,9 @@ type Task struct {
 	Gen  Generator
 	// Lat records request wall-clock latency (core cycles, including the
 	// time other co-scheduled containers hold the core) — the client-
-	// visible latency of data-serving requests.
-	Lat *metrics.Histogram
-	// LatOwn records the task's own cycles per request window — the
-	// execution time of run-to-completion work (FaaS functions), free of
-	// multiplexing dilution.
-	LatOwn *metrics.Histogram
+	// visible latency of data-serving requests. Its exact samples feed
+	// the p95 tail and the bring-up window's maximum.
+	Lat telemetry.Samples
 
 	ctx         mmu.Ctx
 	Instrs      uint64
@@ -192,6 +194,12 @@ type Task struct {
 	reqStartOwn memdefs.Cycles
 	inReq       bool
 	Done        bool
+
+	// OwnReqs counts the requests recorded since the last ResetStats and
+	// OwnCycles sums the task's own cycles over their windows (see
+	// MeanOwn).
+	OwnReqs   uint64
+	OwnCycles memdefs.Cycles
 
 	// Step carry buffer for BatchGenerator streams (see batchSteps).
 	// boundGen tracks which generator the buffer state was derived from:
@@ -513,10 +521,8 @@ var _ kernel.MachineHooks = (*Machine)(nil)
 // AddTask schedules a process+generator on a core's run queue.
 func (m *Machine) AddTask(coreID int, proc *kernel.Process, gen Generator) *Task {
 	t := &Task{
-		Proc:   proc,
-		Gen:    gen,
-		Lat:    metrics.NewHistogram(),
-		LatOwn: metrics.NewHistogram(),
+		Proc: proc,
+		Gen:  gen,
 	}
 	t.syncGen()
 	t.ctx = mmu.Ctx{
@@ -536,6 +542,17 @@ func (m *Machine) AddTask(coreID int, proc *kernel.Process, gen Generator) *Task
 // Ctx exposes the task's MMU translation context (tests and benches
 // drive Translate directly with it).
 func (t *Task) Ctx() *mmu.Ctx { return &t.ctx }
+
+// MeanOwn returns the task's mean own cycles per request window — the
+// execution time of run-to-completion work (compute ops, FaaS
+// functions), free of multiplexing dilution — and whether any request
+// was recorded since the last ResetStats.
+func (t *Task) MeanOwn() (float64, bool) {
+	if t.OwnReqs == 0 {
+		return 0, false
+	}
+	return float64(t.OwnCycles) / float64(t.OwnReqs), true
+}
 
 // syncGen (re-)derives the batching state from the task's current
 // generator. Generators are pointer-shaped, so a plain identity check
@@ -677,8 +694,9 @@ func (m *Machine) stepOnce(c *Core, t *Task, step *Step, infoPtr *mmu.Info, obse
 		t.inReq = true
 	case ReqEnd:
 		if t.inReq {
-			t.Lat.AddCycles(c.Cycles - t.reqStart)
-			t.LatOwn.AddCycles(t.Cycles - t.reqStartOwn)
+			t.Lat.Add(uint64(c.Cycles - t.reqStart))
+			t.OwnReqs++
+			t.OwnCycles += t.Cycles - t.reqStartOwn
 			t.inReq = false
 		}
 	}
@@ -958,7 +976,7 @@ func (m *Machine) ResetStats() {
 			t.Instrs = 0
 			t.Cycles = 0
 			t.Lat.Reset()
-			t.LatOwn.Reset()
+			t.OwnReqs, t.OwnCycles = 0, 0
 			t.inReq = false
 		}
 	}
@@ -967,34 +985,6 @@ func (m *Machine) ResetStats() {
 	if m.sampler != nil {
 		m.sampler.Reset(0)
 	}
-}
-
-// Counters snapshots the machine's robustness counters: memory-pressure
-// events and how they were absorbed. It is a thin view over the
-// telemetry registry, so the robustness counters print and export
-// through the same path as every performance counter. A non-nil error
-// names the first metric missing from the registry (a refactor bug, not
-// a runtime condition); the returned counters are still valid for every
-// metric that was found.
-func (m *Machine) Counters() (metrics.Counters, error) {
-	var firstErr error
-	v := func(name string) uint64 {
-		f, ok := m.Registry.Value(name)
-		if !ok {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("sim: counter metric not registered: %s", name)
-			}
-			return 0
-		}
-		return uint64(f)
-	}
-	return metrics.Counters{
-		OOMEvents:      v("kernel.oom_events"),
-		ReclaimedPages: v("kernel.reclaimed_pages"),
-		InjectedFaults: v("phys.injected_faults"),
-		OOMKills:       v("sim.oom_kills"),
-		KernelBugs:     v("sim.kernel_bugs"),
-	}, firstErr
 }
 
 // Tasks returns every task on the machine.

@@ -2,11 +2,11 @@ package sim_test
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"babelfish/internal/kernel"
 	"babelfish/internal/memsys"
-	"babelfish/internal/metrics"
 	"babelfish/internal/sim"
 	"babelfish/internal/workloads"
 )
@@ -15,7 +15,7 @@ import (
 // memory-system injector at the given targets in drop mode, and runs the
 // machine. Drop faults must be absorbed: the run completes, every audit
 // stays clean, and the counters are returned for replay comparison.
-func runMemChaos(t *testing.T, targets memsys.Target, nth uint64) (metrics.Counters, uint64) {
+func runMemChaos(t *testing.T, targets memsys.Target, nth uint64) (map[string]uint64, uint64) {
 	t.Helper()
 	p := sim.DefaultParams(kernel.ModeBabelFish)
 	p.Cores = 1
@@ -47,12 +47,9 @@ func runMemChaos(t *testing.T, targets memsys.Target, nth uint64) (metrics.Count
 	if rep := m.AuditTLBs(); !rep.OK() {
 		t.Errorf("TLB audit (%s):\n%s", targets, rep)
 	}
-	c, err := m.Counters()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.KernelBugs != 0 {
-		t.Errorf("kernel bug panics under %s injection: %d", targets, c.KernelBugs)
+	c := robustness(t, m)
+	if c["sim.kernel_bugs"] != 0 {
+		t.Errorf("kernel bug panics under %s injection: %d", targets, c["sim.kernel_bugs"])
 	}
 	return c, injected
 }
@@ -82,8 +79,8 @@ func TestMemInjectionSweep(t *testing.T) {
 				t.Fatalf("injector never fired for %s at nth=%d", tc.targets, tc.nth)
 			}
 			c2, inj2 := runMemChaos(t, tc.targets, tc.nth)
-			if c1 != c2 || inj1 != inj2 {
-				t.Fatalf("nondeterministic mem chaos (injected %d vs %d):\n  first:  %s\n  second: %s",
+			if !maps.Equal(c1, c2) || inj1 != inj2 {
+				t.Fatalf("nondeterministic mem chaos (injected %d vs %d):\n  first:  %v\n  second: %v",
 					inj1, inj2, c1, c2)
 			}
 		})
@@ -146,12 +143,8 @@ func TestTLBPoisonCaught(t *testing.T) {
 	if rep := m.Mem.Audit(); !rep.OK() {
 		t.Fatalf("physmem audit:\n%s", rep)
 	}
-	c, err := m.Counters()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.KernelBugs != 0 {
-		t.Fatalf("kernel bugs under poison: %d", c.KernelBugs)
+	if bugs := robustness(t, m)["sim.kernel_bugs"]; bugs != 0 {
+		t.Fatalf("kernel bugs under poison: %d", bugs)
 	}
 }
 
@@ -196,11 +189,7 @@ func TestOOMKillSMT(t *testing.T) {
 	if uint64(killed) != m.OOMKills() {
 		t.Fatalf("OOMKills()=%d but %d tasks marked killed", m.OOMKills(), killed)
 	}
-	c, err := m.Counters()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.OOMEvents == 0 {
+	if robustness(t, m)["kernel.oom_events"] == 0 {
 		t.Fatal("no OOM events counted")
 	}
 	// The killed process's memory was freed and its translations flushed.

@@ -84,10 +84,7 @@ func runStorm(t *testing.T, p sim.Params) string {
 	if rep := m.AuditTLBs(); !rep.OK() {
 		t.Fatalf("TLB audit:\n%s", rep)
 	}
-	c, err := m.Counters()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := robustness(t, m)
 
 	var b strings.Builder
 	for _, core := range m.Cores {
@@ -95,7 +92,7 @@ func runStorm(t *testing.T, p sim.Params) string {
 	}
 	fmt.Fprintf(&b, "agg: %+v\n", m.Aggregate())
 	fmt.Fprintf(&b, "kernel: %+v\n", m.Kernel.Stats())
-	fmt.Fprintf(&b, "counters: %s\n", c)
+	fmt.Fprintf(&b, "counters: %v\n", c)
 	fmt.Fprintf(&b, "oomKills: %d\n", m.OOMKills())
 	fmt.Fprintf(&b, "lat: mean=%.6f p95=%.6f\n", d.MeanLatency(), d.TailLatency(95))
 	return b.String()

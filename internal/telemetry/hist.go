@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"babelfish/internal/memdefs"
 )
@@ -11,12 +12,15 @@ import (
 // i (1..64) holds values whose bit length is i, i.e. [2^(i-1), 2^i).
 const numBuckets = 65
 
-// Hist is a log2-bucketed latency histogram. Observe is a few adds and a
-// bit-length — cheap enough to sit on the per-access translation path —
-// and quantiles are answered from the bucket counts with linear
-// interpolation inside the containing bucket, which is accurate to the
-// bucket's factor-of-two width (plenty for p50/p90/p99 of latencies that
-// range over several orders of magnitude). Not safe for concurrent use.
+// Hist is a log2-bucketed latency histogram, the default recorder: use
+// it wherever a distribution is summarised rather than reported exactly
+// (per-access translation latency, fault cost, fleet roll-ups). Observe
+// is a few adds and a bit-length — cheap enough to sit on the per-access
+// translation path — its memory is fixed, and quantiles are answered
+// from the bucket counts with linear interpolation inside the containing
+// bucket, which is accurate to the bucket's factor-of-two width (plenty
+// for p50/p90/p99 of latencies that range over several orders of
+// magnitude). Not safe for concurrent use.
 type Hist struct {
 	name, unit, help string
 	buckets          [numBuckets]uint64
@@ -176,4 +180,74 @@ func (h *Hist) Dump() HistDump {
 		d.Buckets = append(d.Buckets, HistBucket{Le: le, Count: n})
 	}
 	return d
+}
+
+// Samples keeps every observation and answers exact nearest-rank
+// percentiles. Use it only where an exact percentile or maximum is read:
+// a task's request latency, whose p95 is Figure 11's tail and whose
+// maximum times the bring-up window. Its memory grows with the sample
+// count, so everything else records into a Hist. The zero value is
+// empty and ready to use. Not safe for concurrent use.
+type Samples struct {
+	v      []uint64
+	sum    uint64
+	sorted bool
+}
+
+// Add records one sample.
+func (s *Samples) Add(v uint64) {
+	s.v = append(s.v, v)
+	s.sum += v
+	s.sorted = false
+}
+
+// Count returns the number of samples.
+func (s *Samples) Count() int { return len(s.v) }
+
+// Mean returns the arithmetic mean (0 when empty).
+func (s *Samples) Mean() float64 {
+	if len(s.v) == 0 {
+		return 0
+	}
+	return float64(s.sum) / float64(len(s.v))
+}
+
+// Percentile returns the p-th percentile (0 < p <= 100) by nearest
+// rank; 0 when empty.
+func (s *Samples) Percentile(p float64) uint64 {
+	if len(s.v) == 0 {
+		return 0
+	}
+	if !s.sorted {
+		slices.Sort(s.v)
+		s.sorted = true
+	}
+	rank := int(math.Ceil(p / 100 * float64(len(s.v))))
+	rank = max(1, min(rank, len(s.v)))
+	return s.v[rank-1]
+}
+
+// Max returns the largest sample (0 when empty).
+func (s *Samples) Max() uint64 { return s.Percentile(100) }
+
+// Each calls fn for every sample. Order is unspecified (Percentile sorts
+// in place), so it suits order-insensitive sinks such as a Hist.
+func (s *Samples) Each(fn func(uint64)) {
+	for _, v := range s.v {
+		fn(v)
+	}
+}
+
+// Merge adds every sample of other.
+func (s *Samples) Merge(other *Samples) {
+	s.v = append(s.v, other.v...)
+	s.sum += other.sum
+	s.sorted = false
+}
+
+// Reset discards all samples, keeping the backing array.
+func (s *Samples) Reset() {
+	s.v = s.v[:0]
+	s.sum = 0
+	s.sorted = false
 }

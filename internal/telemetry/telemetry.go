@@ -1,9 +1,11 @@
 // Package telemetry is the simulator's unified observability layer: a
 // typed metric registry every stat producer (TLB, MMU, PWC, caches, DRAM,
 // kernel, machine) registers into, log-bucketed latency histograms for
-// the distributions the paper cares about, a cycle-driven sampler that
-// turns the registry into a time series, and a versioned machine-readable
-// run report (bfsim -metrics-out).
+// the distributions the paper cares about, an exact sample recorder for
+// the one measurement whose percentiles are reported verbatim (request
+// latency), a cycle-driven sampler that turns the registry into a time
+// series, and a versioned machine-readable run report (bfsim
+// -metrics-out).
 //
 // The registry is pull-based: producers keep maintaining their own cheap
 // struct counters exactly as before, and registration installs a probe

@@ -5,8 +5,8 @@ import (
 
 	"babelfish/internal/kernel"
 	"babelfish/internal/memdefs"
-	"babelfish/internal/metrics"
 	"babelfish/internal/sim"
+	"babelfish/internal/telemetry"
 )
 
 // Class groups the paper's three workload families.
@@ -351,13 +351,12 @@ func (d *Deployment) MeanLatency() float64 {
 // op latency would triple-count co-scheduled containers' quanta.
 func (d *Deployment) MeanExecOwn() float64 {
 	var sum float64
-	var n int
+	var n uint64
 	for _, t := range d.Tasks {
-		if t.LatOwn.Count() == 0 {
-			continue
+		if mean, ok := t.MeanOwn(); ok {
+			sum += mean * float64(t.OwnReqs)
+			n += t.OwnReqs
 		}
-		sum += t.LatOwn.Mean() * float64(t.LatOwn.Count())
-		n += t.LatOwn.Count()
 	}
 	if n == 0 {
 		return 0
@@ -368,14 +367,11 @@ func (d *Deployment) MeanExecOwn() float64 {
 // TailLatency returns the p-th percentile over the union of all
 // containers' request latencies.
 func (d *Deployment) TailLatency(p float64) float64 {
-	merged := metrics.NewHistogram()
+	var merged telemetry.Samples
 	for _, t := range d.Tasks {
-		merged.Merge(t.Lat)
+		merged.Merge(&t.Lat)
 	}
-	if merged.Count() == 0 {
-		return 0
-	}
-	return merged.Percentile(p)
+	return float64(merged.Percentile(p))
 }
 
 // CyclesPerInstr returns the aggregate CPI of the deployment's tasks.

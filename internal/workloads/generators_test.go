@@ -278,8 +278,8 @@ func TestStandaloneFunctionSpecs(t *testing.T) {
 		if err := m.RunToCompletion(); err != nil {
 			t.Fatal(err)
 		}
-		if !task.Done || task.LatOwn.Count() != 1 {
-			t.Fatalf("%s: done=%v lat=%d", spec.Name, task.Done, task.LatOwn.Count())
+		if !task.Done || task.OwnReqs != 1 {
+			t.Fatalf("%s: done=%v lat=%d", spec.Name, task.Done, task.OwnReqs)
 		}
 	}
 }
