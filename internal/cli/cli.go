@@ -13,8 +13,8 @@
 //	-core-shards N        step each machine's cores on up to N goroutines
 //	                      with a deterministic quantum barrier (0 = classic
 //	                      serial). Output is identical at any width >= 1;
-//	                      sharded stepping yields to the classic scheduler
-//	                      while telemetry or span recording is active.
+//	                      the cores fall back to serial quanta while
+//	                      telemetry or span recording is active.
 //	-trace-out FILE       after the run, export the causal spans as Chrome
 //	                      trace-event JSON for Perfetto, or as compact
 //	                      JSONL when FILE ends in .jsonl.

@@ -149,17 +149,19 @@ func TestFullScale(t *testing.T) {
 		t.Skip("set BFBENCH_FULL=1 for the full-scale run")
 	}
 	o := Default()
+	// One Suite: Figures 10 and 11 and §VII-C share their serving cells.
+	s := new(Suite)
 	if r, err := Fig9(o); err != nil {
 		t.Fatal(err)
 	} else {
 		t.Log(r)
 	}
-	if r, err := Fig10(o); err != nil {
+	if r, err := s.Fig10(o); err != nil {
 		t.Fatal(err)
 	} else {
 		t.Log(r)
 	}
-	r11, err := Fig11(o)
+	r11, err := s.Fig11(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +172,13 @@ func TestFullScale(t *testing.T) {
 	} else {
 		t.Log(r)
 	}
-	if r, err := LargerTLB(o); err != nil {
+	if r, err := s.LargerTLB(o); err != nil {
 		t.Fatal(err)
 	} else {
 		t.Log(r)
+	}
+	if asked, sim := s.asked.Load(), s.simulated.Load(); sim >= asked {
+		t.Errorf("suite simulated %d of %d serving runs: no cell was shared", sim, asked)
 	}
 }
 

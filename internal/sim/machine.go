@@ -76,10 +76,11 @@ type BatchGenerator interface {
 const batchSteps = 256
 
 // KernelMutator marks a generator whose step *production* mutates kernel
-// state (unmap/remap churn, like GraphChi's shard rotation). Sharded
-// stepping serializes such generators' refills at the quantum barrier;
+// state (unmap/remap churn, like GraphChi's shard rotation). The parallel
+// executor serializes such generators' refills at the quantum barrier;
 // generators without the marker (or reporting false) are assumed to be
-// pure producers and are refilled inline on their core's goroutine.
+// pure producers and are refilled inline on their core's goroutine. The
+// serial executor refills every generator inline.
 type KernelMutator interface {
 	MutatesKernel() bool
 }
@@ -90,8 +91,8 @@ type KernelMutator interface {
 // of marking it Done. The fleet's open-loop request gates
 // (internal/workloads.RequestGate) use this to drain exactly the
 // admitted requests each epoch. Starved must be deterministic in the
-// generator's own state — the schedulers consult it on every refill that
-// comes back empty, in both classic and sharded stepping.
+// generator's own state — the stepping driver consults it on every
+// refill that comes back empty, under either executor.
 type Starver interface {
 	Starved() bool
 }
@@ -115,11 +116,13 @@ type Params struct {
 	// core's TLBs, PWC and caches.
 	SMT bool
 
-	// CoreShards > 0 selects the sharded stepping mode: cores run their
+	// CoreShards > 0 builds a sharded machine (a private L3 way-slice and
+	// DRAM per core) and selects the parallel executor: cores run their
 	// quanta concurrently on up to CoreShards goroutines between
 	// deterministic barriers, with kernel effects deferred to the barrier
 	// and applied in core-ID order. Output is identical for any shard
-	// count >= 1; 0 keeps the classic serial scheduler (the default).
+	// count >= 1. 0 (the default) keeps one shared L3/DRAM and the serial
+	// executor. Both executors run the same quantum (see shard.go).
 	CoreShards int
 
 	MMU    mmu.Config
@@ -211,8 +214,8 @@ type Task struct {
 	bpos     int
 	blen     int
 	// genMutates records whether the generator declared (via
-	// KernelMutator) that producing steps mutates kernel state; sharded
-	// stepping pushes such refills to the quantum barrier.
+	// KernelMutator) that producing steps mutates kernel state; the
+	// parallel executor pushes such refills to the quantum barrier.
 	genMutates bool
 	// starver is the generator's Starver view, when it has one: an empty
 	// refill from a starved generator parks the task instead of
@@ -222,10 +225,6 @@ type Task struct {
 	// allocation failed even after reclaim, so the process was exited (its
 	// memory freed) instead of crashing the whole run.
 	OOMKilled bool
-
-	// FinishCycles is the core cycle count when the generator finished
-	// (run-to-completion workloads).
-	FinishCycles memdefs.Cycles
 }
 
 // Core is one processor core with its private memory-system state.
@@ -250,7 +249,7 @@ type Machine struct {
 	Params Params
 	Mem    *physmem.Memory
 	// L3 and DRAM are the shared last-level cache and memory backend of
-	// the classic build. A sharded build (Params.CoreShards > 0) gives
+	// a CoreShards == 0 build. A sharded build (CoreShards > 0) gives
 	// every core a private L3 way-slice and DRAM instance instead (cores
 	// must not share mutable memory-system state during a parallel
 	// phase); both fields are then nil and coreL3/coreDRAM hold the
@@ -262,7 +261,7 @@ type Machine struct {
 
 	coreL3   []*cache.Cache
 	coreDRAM []*dram.DRAM
-	shardEng *shardEngine
+	eng      *shardEngine
 
 	// Registry is the machine's telemetry registry: every stat producer
 	// is registered at construction via pull probes (see
@@ -301,9 +300,9 @@ type Machine struct {
 	// concrete fields.
 	devGroups []deviceGroup
 
-	// Memory-system fault injection state (see SetMemInjector). A classic
-	// build has at most one DRAM fault port; a sharded build has one per
-	// core's private DRAM.
+	// Memory-system fault injection state (see SetMemInjector). A
+	// CoreShards == 0 build has at most one DRAM fault port; a sharded
+	// build has one per core's private DRAM.
 	cacheFaultPorts []*memsys.FaultPort
 	dramFaultPorts  []*memsys.FaultPort
 }
@@ -320,10 +319,10 @@ func New(p Params) *Machine {
 	mem := physmem.New(p.MemBytes)
 	k := kernel.New(mem, p.Kernel)
 	m := &Machine{Params: p, Mem: mem, Kernel: k}
+	m.eng = &shardEngine{m: m}
 	sharded := p.CoreShards > 0
 	var sliceCfg cache.Config
 	if sharded {
-		m.shardEng = newShardEngine(m, p.CoreShards)
 		sliceCfg = l3SliceConfig(p.L3, p.Cores)
 	} else {
 		m.DRAM = dram.New(p.DRAM)
@@ -331,21 +330,17 @@ func New(p Params) *Machine {
 	}
 	for i := 0; i < p.Cores; i++ {
 		l3 := m.L3
-		var os mmu.OS = k
 		if sharded {
 			d := dram.New(p.DRAM)
 			l3 = cache.New(sliceCfg, d)
 			m.coreDRAM = append(m.coreDRAM, d)
 			m.coreL3 = append(m.coreL3, l3)
-			os = &shardOS{eng: m.shardEng, core: i}
 		}
 		hier := cache.NewHierarchy(p.Hier, l3)
 		core := &Core{ID: i, Hier: hier, Mem: hier}
-		core.MMU = mmu.New(p.MMU, mem, hier, os)
+		core.MMU = mmu.New(p.MMU, mem, hier, &shardOS{eng: m.eng, core: i})
 		m.Cores = append(m.Cores, core)
-	}
-	if sharded {
-		m.shardEng.attach(m.Cores)
+		m.eng.cores = append(m.eng.cores, &shardCore{c: core})
 	}
 	k.Hooks = m
 	m.buildDeviceGroups()
@@ -380,7 +375,7 @@ func (m *Machine) buildDeviceGroups() {
 	}
 	l3devs := []memsys.Device{m.L3}
 	dramdevs := []memsys.Device{m.DRAM}
-	if m.shardEng != nil {
+	if m.L3 == nil {
 		// Sharded build: per-core L3 slices and DRAM instances sum under
 		// the same telemetry prefixes as the shared devices would.
 		l3devs, dramdevs = nil, nil
@@ -639,47 +634,8 @@ func (c *Core) runnableTasks() bool {
 	return false
 }
 
-// runQuantum executes one scheduling quantum of the current task and
-// rotates to the next. Returns the instructions executed.
-func (m *Machine) runQuantum(c *Core) (uint64, error) {
-	n := len(c.tasks)
-	if n == 0 {
-		return 0, nil
-	}
-	// Pick the next runnable task.
-	for i := 0; i < n; i++ {
-		if c.tasks[c.cur].runnable() {
-			break
-		}
-		c.cur = (c.cur + 1) % n
-	}
-	t := c.tasks[c.cur]
-	if !t.runnable() {
-		return 0, nil
-	}
-	if m.Params.SMT {
-		// Pick a second runnable task as the sibling hardware thread.
-		var t2 *Task
-		for i := 1; i < n; i++ {
-			cand := c.tasks[(c.cur+i)%n]
-			if cand.runnable() {
-				t2 = cand
-				break
-			}
-		}
-		if t2 != nil {
-			instrs, err := m.runQuantumSMT(c, t, t2)
-			c.cur = (c.cur + 1) % n
-			return instrs, err
-		}
-	}
-	instrs, err := m.runQuantumTask(c, t)
-	c.cur = (c.cur + 1) % n
-	return instrs, err
-}
-
-// stepOnce performs the per-step bookkeeping shared by both scheduler
-// loops: request-boundary latency recording, think-time charging (at
+// stepOnce performs the per-step bookkeeping shared by the segment and
+// SMT loops: request-boundary latency recording, think-time charging (at
 // thinkDiv: 10 for a dedicated core's 0.5 CPI, 5 for an SMT thread
 // sharing the issue width), translation, the memory access through the
 // core's port, latency accounting and the sampler tick. It returns the
@@ -727,108 +683,6 @@ func (m *Machine) stepOnce(c *Core, t *Task, step *Step, infoPtr *mmu.Info, obse
 	return nil
 }
 
-// runQuantumSMT runs two tasks as SMT siblings for one quantum: steps
-// alternate between the threads, and every structure of the core (TLBs,
-// PWC, caches) is shared between them, so one thread's fills are
-// immediately visible to the other. Think time is charged at double CPI
-// (each thread contributes half the issue width).
-func (m *Machine) runQuantumSMT(c *Core, t1, t2 *Task) (uint64, error) {
-	c.Cycles += m.Params.CtxSwitch
-	qStart := c.Cycles
-	if m.obsRec != nil {
-		m.obsSpan = m.obsRec.NewID()
-	}
-	end := c.Cycles + m.Params.Quantum
-	tasks := [2]*Task{t1, t2}
-	var step Step
-	var instrs uint64
-	turn := 0
-	observe := m.telemetryOn || m.obsRec != nil
-	var tinfo mmu.Info
-	infoPtr := &tinfo
-	if !observe {
-		infoPtr = nil
-	}
-	// stopped parks a thread whose starved generator ran dry mid-quantum
-	// without finishing it; the sibling keeps the core for the remainder.
-	var stopped [2]bool
-	halted := func(i int) bool { return tasks[i].Done || stopped[i] }
-	for c.Cycles < end {
-		i := turn % 2
-		turn++
-		if halted(i) {
-			i = turn % 2
-			if halted(i) {
-				break
-			}
-		}
-		t := tasks[i]
-		sp := t.nextStep(&step)
-		if sp == nil {
-			if t.starved() {
-				stopped[i] = true
-				continue
-			}
-			t.Done = true
-			t.FinishCycles = c.Cycles
-			continue
-		}
-		instrs += uint64(sp.Think) + 1
-		if err := m.stepOnce(c, t, sp, infoPtr, observe, 5); err != nil {
-			if m.oomKill(c, t, err) {
-				continue
-			}
-			return instrs, fmt.Errorf("core %d pid %d (SMT): %w", c.ID, t.Proc.PID, err)
-		}
-	}
-	c.Instrs += instrs
-	if m.obsRec != nil {
-		m.recordQuantum(c, int(t1.Proc.PID), fmt.Sprintf("smt sibling pid %d", t2.Proc.PID), qStart)
-	}
-	return instrs, nil
-}
-
-// runQuantumTask executes one quantum of a specific task on its core.
-func (m *Machine) runQuantumTask(c *Core, t *Task) (uint64, error) {
-	c.Cycles += m.Params.CtxSwitch
-	qStart := c.Cycles
-	if m.obsRec != nil {
-		m.obsSpan = m.obsRec.NewID()
-	}
-	end := c.Cycles + m.Params.Quantum
-	var step Step
-	var instrs uint64
-	observe := m.telemetryOn || m.obsRec != nil
-	var tinfo mmu.Info
-	infoPtr := &tinfo
-	if !observe {
-		infoPtr = nil
-	}
-	for c.Cycles < end {
-		sp := t.nextStep(&step)
-		if sp == nil {
-			if t.starved() {
-				break // parked, not finished: admitted work ran dry
-			}
-			t.Done = true
-			t.FinishCycles = c.Cycles
-			break
-		}
-		instrs += uint64(sp.Think) + 1
-		if err := m.stepOnce(c, t, sp, infoPtr, observe, 10); err != nil {
-			if m.oomKill(c, t, err) {
-				break
-			}
-			return instrs, fmt.Errorf("core %d pid %d: %w", c.ID, t.Proc.PID, err)
-		}
-	}
-	c.Instrs += instrs
-	if m.obsRec != nil {
-		m.recordQuantum(c, int(t.Proc.PID), "", qStart)
-	}
-	return instrs, nil
-}
-
 // oomKill handles a translation failure caused by memory exhaustion: the
 // faulting task is terminated OOM-killer style — marked done, its process
 // exited so its memory returns to the pool — and the run continues.
@@ -839,7 +693,6 @@ func (m *Machine) oomKill(c *Core, t *Task, err error) bool {
 	}
 	t.Done = true
 	t.OOMKilled = true
-	t.FinishCycles = c.Cycles
 	m.oomKills++
 	if m.obsRec != nil {
 		m.lastOOMSpan = m.obsRec.Record(obs.Span{
@@ -861,10 +714,7 @@ func (m *Machine) OOMKills() uint64 { return m.oomKills }
 // translations are flushed on every core. Idempotent; safe between Run
 // calls (never from inside a running quantum).
 func (m *Machine) KillTask(t *Task) {
-	if !t.Done {
-		t.Done = true
-		t.FinishCycles = t.Cycles
-	}
+	t.Done = true
 	if !t.Proc.Dead() {
 		t.Proc.Exit()
 	}
@@ -885,77 +735,30 @@ func (m *Machine) RunTaskOnly(t *Task) error {
 	if core == nil {
 		return fmt.Errorf("sim: task not scheduled on any core")
 	}
-	for t.runnable() {
-		if _, err := m.runQuantumTask(core, t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// useSharded reports whether runs should go through the sharded stepping
-// engine: the machine was built with CoreShards > 0 and nothing forces
-// the classic serial schedule. SMT quanta interleave two tasks step by
-// step, and observation (telemetry histograms and sampler, obs span
-// recorder) hooks every access into shared structures — both fall back
-// to classic scheduling, which is valid on a sharded build.
-func (m *Machine) useSharded() bool {
-	return m.shardEng != nil && !m.Params.SMT && !m.telemetryOn && m.obsRec == nil
+	m.eng.only = t
+	defer func() { m.eng.only = nil }()
+	return m.eng.run(func(sc *shardCore) bool { return sc.c == core && t.runnable() }, false)
 }
 
 // Run executes until every core has run at least instrBudget instructions
 // since this call (cores whose tasks all finish stop earlier). Cores are
 // interleaved one quantum at a time.
 func (m *Machine) Run(instrBudget uint64) error {
-	if m.useSharded() {
-		return m.shardEng.run(instrBudget, false)
-	}
 	start := make([]uint64, len(m.Cores))
 	for i, c := range m.Cores {
 		start[i] = c.Instrs
 	}
-	for {
-		progress := false
-		for i, c := range m.Cores {
-			if !c.runnableTasks() || c.Instrs-start[i] >= instrBudget {
-				continue
-			}
-			n, err := m.runQuantum(c)
-			if err != nil {
-				return err
-			}
-			if n > 0 {
-				progress = true
-			}
-		}
-		if !progress {
-			return nil
-		}
-	}
+	return m.eng.run(func(sc *shardCore) bool {
+		c := sc.c
+		return c.runnableTasks() && c.Instrs-start[c.ID] < instrBudget
+	}, true)
 }
 
 // RunToCompletion executes until every task on every core has finished
 // (or, for tasks behind starved admission gates, drained everything
 // admitted so far).
 func (m *Machine) RunToCompletion() error {
-	if m.useSharded() {
-		return m.shardEng.run(0, true)
-	}
-	for {
-		progress := false
-		for _, c := range m.Cores {
-			if !c.runnableTasks() {
-				continue
-			}
-			if _, err := m.runQuantum(c); err != nil {
-				return err
-			}
-			progress = true
-		}
-		if !progress {
-			return nil
-		}
-	}
+	return m.eng.run(func(sc *shardCore) bool { return sc.c.runnableTasks() }, false)
 }
 
 // ResetStats zeroes all hardware and kernel counters and per-task

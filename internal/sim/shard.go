@@ -1,9 +1,25 @@
-// Sharded machine stepping: the cores of one Machine run their
-// scheduling quanta concurrently on a bounded goroutine pool
-// (internal/par), with every kernel effect deferred to a deterministic
-// barrier where it is applied in core-ID order.
+// Machine stepping: one driver for every build. Run, RunToCompletion and
+// RunTaskOnly all go through shardEngine.run, and every core's scheduling
+// quantum has the same three parts: open (pick the task, charge the
+// context switch), segment (execute steps until the quantum ends, the
+// task finishes or the core needs the kernel), close (count the
+// instructions, rotate the run queue). Params.CoreShards chooses only the
+// executor:
 //
-// The determinism argument, in full:
+//   - Serial: whole quanta run core after core in core-ID order, each
+//     core's eligibility checked at its turn, with page faults and
+//     generator refills serviced inline by the kernel. A Run pass that
+//     executes nothing ends the run. This is the executor of every
+//     CoreShards == 0 build, and of any build that observes (telemetry,
+//     obs spans), interleaves SMT threads, or times one task alone
+//     (RunTaskOnly).
+//   - Parallel (CoreShards > 0, no SMT, no observation): rounds of one
+//     quantum per eligible core, the segments running concurrently on up
+//     to CoreShards goroutines (internal/par) with every kernel effect
+//     deferred to a deterministic barrier where it is applied in core-ID
+//     order.
+//
+// The parallel executor's determinism argument, in full:
 //
 //   - A round runs one quantum on every core with live tasks. Within a
 //     round, cores alternate between parallel phases and kernel phases.
@@ -27,18 +43,18 @@
 //     stopped, all their memory effects are visible. Pending kernel
 //     requests are then serviced serially in core-ID order, so kernel
 //     mutations (and the shootdowns they broadcast into other cores'
-//     quiescent TLBs and translation-result caches) happen in one
-//     deterministic order.
+//     quiescent TLBs) happen in one deterministic order.
 //   - A deferred fault unwinds the whole translation attempt (partial
 //     cycles rolled back) and the step retries from scratch after the
 //     barrier, with the serviced kernel cycles charged exactly once via
 //     ChargeDeferredFault. The retry runs against the repaired tables,
-//     like the classic inline retry loop, just restarted from the top.
+//     like the serial executor's inline fault handling, just restarted
+//     from the top.
 //
 // Every decision above is either per-core-deterministic or ordered by
 // core ID, so suite output is byte-identical for any CoreShards >= 1.
-// (It intentionally differs from the classic CoreShards == 0 schedule,
-// which runs whole quanta core-after-core and shares one L3/DRAM.)
+// (It intentionally differs from CoreShards == 0, which runs the serial
+// executor against one shared L3/DRAM.)
 package sim
 
 import (
@@ -46,6 +62,7 @@ import (
 	"fmt"
 
 	"babelfish/internal/memdefs"
+	"babelfish/internal/mmu"
 	"babelfish/internal/par"
 )
 
@@ -62,11 +79,10 @@ const (
 	reqRefill
 )
 
-// shardOS is the OS seam installed into a core's MMU on sharded builds.
-// During a parallel phase it records the fault and returns errShardDefer;
-// outside parallel phases (classic scheduling on a sharded build,
-// RunTaskOnly, deployment prefaulting) it passes straight through to the
-// kernel.
+// shardOS is the OS seam installed into every core's MMU. During a
+// parallel phase it records the fault and returns errShardDefer; outside
+// parallel phases (the serial executor, deployment prefaulting) it passes
+// straight through to the kernel.
 type shardOS struct {
 	eng  *shardEngine
 	core int
@@ -83,14 +99,16 @@ func (s *shardOS) HandleFault(pid memdefs.PID, va memdefs.VAddr, write bool, kin
 	return 0, errShardDefer
 }
 
-// shardCore is one core's sharded-stepping state. Each is written only
-// by its own segment goroutine during a parallel phase and only by the
-// coordinator between phases.
+// shardCore is one core's stepping state. During a parallel phase each
+// is written only by its own segment goroutine; otherwise only by the
+// engine.
 type shardCore struct {
 	c *Core
 
-	// Per-quantum state, reset by beginQuantum.
+	// Per-quantum state, reset by open.
 	t      *Task
+	t2     *Task // SMT sibling thread, nil when time-slicing
+	start  memdefs.Cycles
 	end    memdefs.Cycles
 	instrs uint64
 	done   bool
@@ -103,65 +121,82 @@ type shardCore struct {
 	faultWrite bool
 	faultKind  memdefs.AccessKind
 
-	// pending is a step whose translation deferred a fault; it retries
-	// first after the barrier, even past the quantum end (the classic
-	// inline path also finishes the faulting step it started).
+	// pending is a step not yet counted that runs first when the segment
+	// resumes, even past the quantum end: the retry of a step whose
+	// translation deferred a fault (an inline fault also finishes the step
+	// it started), or the first step of a barrier-serviced refill.
 	pending *Step
-	// refillStep/streamEnd carry the result of a barrier-serviced refill
-	// for non-batching mutator generators.
-	refillStep *Step
-	streamEnd  bool
-	scratch    Step
+	scratch Step
+	info    mmu.Info
 }
 
-// shardEngine coordinates one machine's rounds.
+// shardEngine is the machine's stepping driver.
 type shardEngine struct {
-	m      *Machine
-	shards int
+	m *Machine
 	// inParallel is set exactly while a par.Plan of segments is
 	// executing; the shardOS seam reads it to decide defer vs
 	// pass-through. Toggled only between phases (never concurrently with
 	// them), so the read is race-free.
 	inParallel bool
 	cores      []*shardCore
+	// only pins every quantum to one task (RunTaskOnly): no pick, no
+	// run-queue rotation, serial executor.
+	only *Task
 }
 
-func newShardEngine(m *Machine, shards int) *shardEngine {
-	return &shardEngine{m: m, shards: shards}
-}
-
-// attach binds the engine to the machine's built cores.
-func (eng *shardEngine) attach(cores []*Core) {
-	for _, c := range cores {
-		eng.cores = append(eng.cores, &shardCore{c: c})
-	}
-}
-
-// run is the sharded Run/RunToCompletion body: rounds of one quantum per
-// eligible core until the budget is met (or, with toCompletion, until
-// every task is done).
-func (eng *shardEngine) run(instrBudget uint64, toCompletion bool) error {
+// parallel reports whether quanta go to the parallel executor: the build
+// asked for core shards and nothing needs the serial one. SMT quanta
+// interleave two tasks step by step, and observation (telemetry
+// histograms and sampler, obs spans) hooks every access into shared
+// structures.
+func (eng *shardEngine) parallel() bool {
 	m := eng.m
-	start := make([]uint64, len(m.Cores))
-	for i, c := range m.Cores {
-		start[i] = c.Instrs
+	return m.Params.CoreShards > 0 && !m.Params.SMT && !m.telemetryOn && m.obsRec == nil && eng.only == nil
+}
+
+// run steps the machine until no core is eligible. With stopIdle (Run's
+// rule) the serial executor also stops after a pass that executed no
+// instruction.
+func (eng *shardEngine) run(eligible func(*shardCore) bool, stopIdle bool) error {
+	if eng.parallel() {
+		for {
+			var active []*shardCore
+			for _, sc := range eng.cores {
+				if eligible(sc) {
+					active = append(active, sc)
+				}
+			}
+			if len(active) == 0 {
+				return nil
+			}
+			if err := eng.round(active); err != nil {
+				return err
+			}
+		}
 	}
 	for {
-		var active []*shardCore
-		for i, sc := range eng.cores {
-			if !sc.c.runnableTasks() {
+		ran, progress := false, false
+		for _, sc := range eng.cores {
+			if !eligible(sc) {
 				continue
 			}
-			if !toCompletion && sc.c.Instrs-start[i] >= instrBudget {
+			ran = true
+			if !eng.open(sc) {
 				continue
 			}
-			active = append(active, sc)
+			if sc.t2 != nil {
+				sc.smt(eng.m)
+			} else {
+				sc.segment(eng)
+			}
+			eng.close(sc)
+			if sc.err != nil {
+				return sc.err
+			}
+			progress = progress || sc.instrs > 0
 		}
-		if len(active) == 0 {
+		if !ran || stopIdle && !progress {
 			return nil
-		}
-		if err := eng.round(active); err != nil {
-			return err
 		}
 	}
 }
@@ -170,7 +205,7 @@ func (eng *shardEngine) run(instrBudget uint64, toCompletion bool) error {
 // parallel, kernel effects at the barriers.
 func (eng *shardEngine) round(active []*shardCore) error {
 	for _, sc := range active {
-		eng.beginQuantum(sc)
+		eng.open(sc)
 	}
 	for {
 		var plan par.Plan
@@ -180,7 +215,7 @@ func (eng *shardEngine) round(active []*shardCore) error {
 			}
 			sc := sc
 			plan.Add(fmt.Sprintf("core %d", sc.c.ID), func() error {
-				sc.segment(eng.m)
+				sc.segment(eng)
 				return nil
 			})
 		}
@@ -188,7 +223,7 @@ func (eng *shardEngine) round(active []*shardCore) error {
 			break
 		}
 		eng.inParallel = true
-		err := plan.Execute(eng.shards)
+		err := plan.Execute(eng.m.Params.CoreShards)
 		eng.inParallel = false
 		if err != nil {
 			return err
@@ -204,7 +239,7 @@ func (eng *shardEngine) round(active []*shardCore) error {
 		}
 	}
 	for _, sc := range active {
-		eng.endQuantum(sc)
+		eng.close(sc)
 		if sc.err != nil {
 			return sc.err
 		}
@@ -212,72 +247,103 @@ func (eng *shardEngine) round(active []*shardCore) error {
 	return nil
 }
 
-// beginQuantum picks the core's next live task (same rotation as the
-// classic scheduler) and opens its quantum.
-func (eng *shardEngine) beginQuantum(sc *shardCore) {
-	c := sc.c
-	sc.t, sc.err = nil, nil
+// open picks the core's next runnable task in run-queue rotation (and,
+// under SMT, the next runnable one after it as the sibling thread),
+// charges the context switch and opens the quantum. It reports false
+// when nothing on the core is runnable; close then does not rotate.
+func (eng *shardEngine) open(sc *shardCore) bool {
+	m, c := eng.m, sc.c
+	sc.t, sc.t2, sc.err = nil, nil, nil
 	sc.instrs = 0
 	sc.done = true
 	sc.req = reqNone
-	sc.pending, sc.refillStep = nil, nil
-	sc.streamEnd = false
-	n := len(c.tasks)
-	if n == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		if c.tasks[c.cur].runnable() {
-			break
+	sc.pending = nil
+	t, n := eng.only, len(c.tasks)
+	if t == nil && n > 0 {
+		for i := 0; i < n; i++ {
+			if c.tasks[c.cur].runnable() {
+				break
+			}
+			c.cur = (c.cur + 1) % n
 		}
-		c.cur = (c.cur + 1) % n
+		t = c.tasks[c.cur]
 	}
-	t := c.tasks[c.cur]
-	if !t.runnable() {
-		return
+	if t == nil || !t.runnable() {
+		return false
+	}
+	if m.Params.SMT && eng.only == nil {
+		for i := 1; i < n; i++ {
+			if cand := c.tasks[(c.cur+i)%n]; cand.runnable() {
+				sc.t2 = cand
+				break
+			}
+		}
 	}
 	sc.t = t
 	sc.done = false
-	c.Cycles += eng.m.Params.CtxSwitch
-	sc.end = c.Cycles + eng.m.Params.Quantum
+	c.Cycles += m.Params.CtxSwitch
+	sc.start = c.Cycles
+	sc.end = c.Cycles + m.Params.Quantum
+	if m.obsRec != nil {
+		m.obsSpan = m.obsRec.NewID()
+	}
+	return true
 }
 
-// endQuantum closes the core's quantum and rotates its run queue.
-func (eng *shardEngine) endQuantum(sc *shardCore) {
-	c := sc.c
+// close ends the core's quantum: it counts the instructions, records the
+// quantum span, and rotates the run queue.
+func (eng *shardEngine) close(sc *shardCore) {
+	m, c := eng.m, sc.c
+	if sc.t == nil {
+		return
+	}
 	c.Instrs += sc.instrs
-	if n := len(c.tasks); n > 0 {
+	if m.obsRec != nil {
+		detail := ""
+		if sc.t2 != nil {
+			detail = fmt.Sprintf("smt sibling pid %d", sc.t2.Proc.PID)
+		}
+		m.recordQuantum(c, int(sc.t.Proc.PID), detail, sc.start)
+	}
+	if n := len(c.tasks); n > 0 && eng.only == nil {
 		c.cur = (c.cur + 1) % n
 	}
-	sc.t = nil
+	sc.t, sc.t2 = nil, nil
 }
 
 // segment runs the core from its current position until the quantum
-// ends, the task finishes, or a kernel request parks it. It executes on
-// a pool goroutine; everything it touches is core-private or (page-table
-// entries) accessed atomically.
-func (sc *shardCore) segment(m *Machine) {
+// ends, the task finishes, or a kernel request parks it. In a parallel
+// phase it executes on a pool goroutine, and everything it touches is
+// core-private or (page-table entries) accessed atomically.
+func (sc *shardCore) segment(eng *shardEngine) {
+	m := eng.m
 	c, t := sc.c, sc.t
 	sc.req = reqNone
+	observe := m.telemetryOn || m.obsRec != nil
+	var infoPtr *mmu.Info
+	if observe {
+		infoPtr = &sc.info
+	}
 	for sc.pending != nil || c.Cycles < sc.end {
 		sp := sc.pending
 		retry := sp != nil
 		sc.pending = nil
 		if sp == nil {
-			if sp = sc.take(t); sp == nil {
+			if t.bpos < t.blen { // a buffered batch step: the hot path
+				sp = &t.batch[t.bpos]
+				t.bpos++
+			} else if sp = sc.take(eng, t); sp == nil {
 				if sc.req == reqRefill {
 					return // park: barrier runs the mutating refill
 				}
-				if t.starved() {
-					break // parked, not finished: admitted work ran dry
-				}
-				t.Done = true
-				t.FinishCycles = c.Cycles
+				// A starved generator parks the task (admitted work ran
+				// dry); any other empty pull finishes it.
+				t.Done = !t.starved()
 				break
 			}
 			sc.instrs += uint64(sp.Think) + 1
 		}
-		if err := m.stepOnce(c, t, sp, nil, false, 10); err != nil {
+		if err := m.stepOnce(c, t, sp, infoPtr, observe, 10); err != nil {
 			if errors.Is(err, errShardDefer) {
 				if !retry {
 					sc.instrs -= uint64(sp.Think) + 1
@@ -285,9 +351,13 @@ func (sc *shardCore) segment(m *Machine) {
 				sc.pending = sp
 				return // park: barrier services the fault, step retries
 			}
-			sc.err = fmt.Errorf("core %d pid %d (sharded): %w", c.ID, t.Proc.PID, err)
-			sc.done = true
-			return
+			// The OOM killer mutates the kernel, so it runs inline only
+			// outside parallel phases.
+			if !eng.inParallel && m.oomKill(c, t, err) {
+				break
+			}
+			sc.err = fmt.Errorf("core %d pid %d: %w", c.ID, t.Proc.PID, err)
+			break
 		}
 		if retry {
 			sc.instrs += uint64(sp.Think) + 1
@@ -296,42 +366,64 @@ func (sc *shardCore) segment(m *Machine) {
 	sc.done = true
 }
 
-// take pulls the task's next step inside a parallel phase. nil with
-// sc.req == reqRefill means "park for the barrier"; nil otherwise means
-// the stream is complete.
-func (sc *shardCore) take(t *Task) *Step {
-	if sc.streamEnd {
-		return nil
-	}
-	if s := sc.refillStep; s != nil {
-		sc.refillStep = nil
-		return s
-	}
-	t.syncGen()
-	if t.bgen != nil {
-		if t.bpos == t.blen {
-			if t.genMutates {
-				sc.req = reqRefill
-				return nil
-			}
-			t.blen = t.bgen.NextBatch(t.batch)
-			t.bpos = 0
-			if t.blen == 0 {
-				return nil
-			}
-		}
-		s := &t.batch[t.bpos]
-		t.bpos++
-		return s
-	}
-	if t.genMutates {
+// take pulls the task's next step through nextStep once its batch carry
+// buffer is empty (segment takes buffered steps inline), except that a
+// kernel-mutating refill during a parallel phase parks the core: nil with
+// sc.req == reqRefill. Any other nil means the stream is complete (or
+// starved).
+func (sc *shardCore) take(eng *shardEngine, t *Task) *Step {
+	if t.genMutates && eng.inParallel {
 		sc.req = reqRefill
 		return nil
 	}
-	if !t.Gen.Next(&sc.scratch) {
-		return nil
+	return t.nextStep(&sc.scratch)
+}
+
+// smt runs the core's task and its sibling as SMT hardware threads for
+// the quantum: steps alternate between the threads, and every structure
+// of the core (TLBs, PWC, caches) is shared between them, so one
+// thread's fills are immediately visible to the other. Think time is
+// charged at double CPI (each thread contributes half the issue width).
+// It runs only on the serial executor, with the kernel inline.
+func (sc *shardCore) smt(m *Machine) {
+	c := sc.c
+	tasks := [2]*Task{sc.t, sc.t2}
+	observe := m.telemetryOn || m.obsRec != nil
+	var infoPtr *mmu.Info
+	if observe {
+		infoPtr = &sc.info
 	}
-	return &sc.scratch
+	// stopped parks a thread whose starved generator ran dry mid-quantum
+	// without finishing it; the sibling keeps the core for the remainder.
+	var stopped [2]bool
+	halted := func(i int) bool { return tasks[i].Done || stopped[i] }
+	turn := 0
+	for c.Cycles < sc.end {
+		i := turn % 2
+		turn++
+		if halted(i) {
+			i = turn % 2
+			if halted(i) {
+				break
+			}
+		}
+		t := tasks[i]
+		sp := t.nextStep(&sc.scratch)
+		if sp == nil {
+			stopped[i] = t.starved()
+			t.Done = !stopped[i]
+			continue
+		}
+		sc.instrs += uint64(sp.Think) + 1
+		if err := m.stepOnce(c, t, sp, infoPtr, observe, 5); err != nil {
+			if m.oomKill(c, t, err) {
+				continue
+			}
+			sc.err = fmt.Errorf("core %d pid %d (SMT): %w", c.ID, t.Proc.PID, err)
+			break
+		}
+	}
+	sc.done = true
 }
 
 // service applies one parked core's kernel request at the barrier.
@@ -354,25 +446,12 @@ func (eng *shardEngine) service(sc *shardCore) error {
 		sc.t.Cycles += fc
 		sc.c.MMU.ChargeDeferredFault(fc)
 	case reqRefill:
-		t := sc.t
-		if t.bgen != nil {
-			t.blen = t.bgen.NextBatch(t.batch)
-			t.bpos = 0
-			if t.blen == 0 {
-				if t.starved() {
-					// Admission gate ran dry: end the quantum without
-					// finishing the task (mirrors the classic starved break).
-					sc.done = true
-				} else {
-					sc.streamEnd = true
-				}
-			}
-		} else if t.Gen.Next(&sc.scratch) {
-			sc.refillStep = &sc.scratch
-		} else if t.starved() {
+		// The refill's first step runs when the segment resumes. An empty
+		// refill from a starved admission gate parks the task for the rest
+		// of the quantum; from any other generator it finishes the task.
+		if sc.pending = sc.t.nextStep(&sc.scratch); sc.pending == nil {
+			sc.t.Done = !sc.t.starved()
 			sc.done = true
-		} else {
-			sc.streamEnd = true
 		}
 	}
 	sc.req = reqNone

@@ -1,11 +1,15 @@
 package sim_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"babelfish/internal/container"
 	"babelfish/internal/kernel"
+	"babelfish/internal/obs"
 	"babelfish/internal/sim"
+	"babelfish/internal/telemetry"
 	"babelfish/internal/workloads"
 )
 
@@ -25,6 +29,48 @@ func TestShardedWidthIdentity(t *testing.T) {
 	four.CoreShards = 4
 	if got := runStorm(t, four); got != want {
 		t.Errorf("core-shards=4 diverged from 1:\n--- 1 ---\n%s--- 4 ---\n%s", want, got)
+	}
+}
+
+// TestShardedObservedWidthIdentity runs the storm on sharded builds of
+// widths 1 and 4 with telemetry (histograms and sampler) and obs span
+// recording on: the fingerprints, span streams and sampled series must
+// be identical. Observation must describe the same schedule at every
+// width, whichever executor runs the quanta.
+func TestShardedObservedWidthIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("storm identity is slow")
+	}
+	run := func(width int) (string, []obs.Span, *telemetry.Series) {
+		p := stormParams()
+		p.CoreShards = width
+		m := sim.New(p)
+		m.EnableTelemetry(20_000)
+		rec := obs.NewRecorder(9, 0, 1<<16)
+		m.EnableObs(rec, 0)
+		fp := runStormOn(t, m)
+		return fp, rec.Spans(), m.Sampler().Series()
+	}
+	fp1, spans1, series1 := run(1)
+	fp4, spans4, series4 := run(4)
+	if fp4 != fp1 {
+		t.Errorf("observed core-shards=4 diverged from 1:\n--- 1 ---\n%s--- 4 ---\n%s", fp1, fp4)
+	}
+	var faults int
+	for _, s := range spans1 {
+		if s.Kind == obs.KFault {
+			faults++
+		}
+	}
+	if faults == 0 || len(series1.Samples) == 0 {
+		t.Fatalf("vacuous run: %d spans, %d fault spans, %d samples", len(spans1), faults, len(series1.Samples))
+	}
+	if !reflect.DeepEqual(spans1, spans4) {
+		t.Errorf("span streams diverged: %d spans at width 1, %d at width 4", len(spans1), len(spans4))
+	}
+	// Compared as text: a NaN gauge would make DeepEqual fail on equal runs.
+	if fmt.Sprint(*series1) != fmt.Sprint(*series4) {
+		t.Error("sampled series diverged between widths 1 and 4")
 	}
 }
 

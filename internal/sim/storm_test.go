@@ -40,7 +40,14 @@ func stormParams() sim.Params {
 // must be byte-identical.
 func runStorm(t *testing.T, p sim.Params) string {
 	t.Helper()
-	m := sim.New(p)
+	return runStormOn(t, sim.New(p))
+}
+
+// runStormOn runs the storm on an already-built machine (for callers that
+// attach observers first).
+func runStormOn(t *testing.T, m *sim.Machine) string {
+	t.Helper()
+	p := m.Params
 	d, err := workloads.Deploy(m, workloads.GraphChi(), 0.25, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -259,8 +259,8 @@ func (g *graphGen) NextBatch(buf []sim.Step) int {
 }
 
 // MutatesKernel implements sim.KernelMutator: shard rotation unmaps and
-// remaps dataset windows, so sharded stepping must serialize this
-// generator's refills at the quantum barrier. True only when the dataset
+// remaps dataset windows, so the parallel stepping executor must
+// serialize this generator's refills at the quantum barrier. True only when the dataset
 // is actually chunked and file-backed (rotateShard's own precondition).
 func (g *graphGen) MutatesKernel() bool {
 	return g.rotateEvery > 0 && g.env.RDataset.Chunked() && g.env.DatasetFile != nil
