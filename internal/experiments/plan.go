@@ -13,8 +13,8 @@ import (
 // deploy → warm → measure, and stores its row into a result slot that
 // only it writes. Because cells share no mutable state (the only
 // process-wide structures they touch are the seed-keyed workload graph
-// cache, a sync.Map whose values are deterministic functions of their
-// key, the ycsb zeta memo keyed by (n, theta), whose values are the same
+// memo, which builds each graph once and whose values are deterministic
+// functions of their key, the ycsb zeta memo keyed by (n, theta), whose values are the same
 // float sums a fresh computation gives, and the atomic kernel/physmem
 // bug counters), they can execute in any order on any number of workers
 // and still produce results that are byte-identical to a serial run: all

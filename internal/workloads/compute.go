@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"babelfish/internal/graph"
 	"babelfish/internal/kernel"
@@ -41,26 +42,51 @@ func GraphChi() *AppSpec {
 	return spec
 }
 
-// graphCache memoizes generated R-MAT graphs: the containers of one
-// deployment (and both architectures' runs) traverse the same graph.
-var graphCache sync.Map // key graphKey -> *graph.CSR
+// graphs memoizes generated R-MAT graphs: the containers of one
+// deployment, both architectures' runs and every experiment cell of a
+// process traverse the same graph. A graph is a pure function of its key.
+var graphs graphMemo
 
 type graphKey struct {
 	scale, ef int
 	seed      uint64
 }
 
-func sharedGraph(scale, ef int, seed uint64) *graph.CSR {
+// graphMemo builds each graph once. Concurrent first callers of a key
+// wait on its entry's once instead of each building the graph. The zero
+// value is ready to use.
+type graphMemo struct {
+	mu      sync.Mutex
+	entries map[graphKey]*graphEntry
+	builds  atomic.Int64 // for tests: graphs actually built
+}
+
+type graphEntry struct {
+	once sync.Once
+	g    *graph.CSR
+}
+
+func (m *graphMemo) get(scale, ef int, seed uint64) *graph.CSR {
 	key := graphKey{scale, ef, seed}
-	if g, ok := graphCache.Load(key); ok {
-		return g.(*graph.CSR)
+	m.mu.Lock()
+	if m.entries == nil {
+		m.entries = make(map[graphKey]*graphEntry)
 	}
-	g, err := graph.RMAT(scale, ef, seed)
-	if err != nil {
-		panic(err) // parameters are fixed below
+	e := m.entries[key]
+	if e == nil {
+		e = &graphEntry{}
+		m.entries[key] = e
 	}
-	actual, _ := graphCache.LoadOrStore(key, g)
-	return actual.(*graph.CSR)
+	m.mu.Unlock()
+	e.once.Do(func() {
+		m.builds.Add(1)
+		g, err := graph.RMAT(scale, ef, seed)
+		if err != nil {
+			panic(err) // parameters are fixed below
+		}
+		e.g = g
+	})
+	return e.g
 }
 
 // graphEdgeFactor is the R-MAT edges-per-vertex used by the workload.
@@ -103,7 +129,7 @@ func newGraphGen(env Env, seed uint64) *graphGen {
 	scale := graphScaleFor(env.RDataset.Pages)
 	// All containers of the deployment share the same graph: derive the
 	// graph seed from the group, not the container.
-	csr := sharedGraph(scale, graphEdgeFactor, uint64(env.P.CCID)*0x9E37+1)
+	csr := graphs.get(scale, graphEdgeFactor, uint64(env.P.CCID)*0x9E37+1)
 	return &graphGen{
 		env: env, rng: rng,
 		g:           csr,
