@@ -478,11 +478,15 @@ func (m *MMU) fault(ctx *Ctx, va memdefs.VAddr, write bool, kind memdefs.AccessK
 // ChargeDeferredFault accounts kernel fault-handling cycles that were
 // serviced outside a translation. Sharded machine stepping defers faults
 // to the quantum barrier: the in-translation OS call returns zero cycles
-// and a sentinel, the kernel handles the fault at the barrier, and the
-// real cost is charged here before the faulting access retries.
-func (m *MMU) ChargeDeferredFault(fc memdefs.Cycles) {
+// and a sentinel, the kernel handles the fault at the barrier (err is its
+// result), and the real cost is charged here before the faulting access
+// retries. As on the inline path, a failed fault counts toward
+// FaultCycles only: its translation never completes.
+func (m *MMU) ChargeDeferredFault(fc memdefs.Cycles, err error) {
 	m.stats.FaultCycles += fc
-	m.stats.TotalCycles += fc
+	if err == nil {
+		m.stats.TotalCycles += fc
+	}
 }
 
 // walk performs the 4-level hardware walk for sva on ctx's tables. It

@@ -109,20 +109,23 @@ type Params struct {
 	// CPITenths is the base cost of a non-memory instruction in tenths
 	// of a cycle (5 = the 2-issue core's 0.5 cycles/instruction).
 	CPITenths int
-	// SMT interleaves two runnable tasks on each core instruction-by-
-	// instruction instead of time-slicing them — the paper's other
-	// co-scheduling scenario ("either in SMT mode, or due to an
-	// over-subscribed system"). The two hardware threads share the
-	// core's TLBs, PWC and caches.
+	// SMT gives each quantum two hardware threads, the core's next
+	// runnable task and the runnable one after it, whose steps alternate
+	// instead of time-slicing — the paper's other co-scheduling scenario
+	// ("either in SMT mode, or due to an over-subscribed system"). The
+	// threads share the core's TLBs, PWC and caches, each pays twice the
+	// think-time CPI, and a halted thread leaves the core to its sibling.
+	// It changes what a quantum runs, not which executor runs it.
 	SMT bool
 
 	// CoreShards > 0 builds a sharded machine (a private L3 way-slice and
 	// DRAM per core) and selects the parallel executor: cores run their
 	// quanta concurrently on up to CoreShards goroutines between
 	// deterministic barriers, with kernel effects deferred to the barrier
-	// and applied in core-ID order. Output is identical for any shard
-	// count >= 1. 0 (the default) keeps one shared L3/DRAM and the serial
-	// executor. Both executors run the same quantum (see shard.go).
+	// and applied in core-ID order, SMT or not. Output is identical for
+	// any shard count >= 1. 0 (the default) keeps one shared L3/DRAM and
+	// the serial executor, which observed runs and RunTaskOnly also use.
+	// Both executors run the same quantum and step loop (see shard.go).
 	CoreShards int
 
 	MMU    mmu.Config
@@ -634,15 +637,15 @@ func (c *Core) runnableTasks() bool {
 	return false
 }
 
-// stepOnce performs the per-step bookkeeping shared by the segment and
-// SMT loops: request-boundary latency recording, think-time charging (at
-// thinkDiv: 10 for a dedicated core's 0.5 CPI, 5 for an SMT thread
-// sharing the issue width), translation, the memory access through the
-// core's port, latency accounting and the sampler tick. It returns the
-// translation error, if any, for the caller to route through the OOM
-// killer. infoPtr is non-nil exactly when observe is true (the MMU skips
-// the per-access Info bookkeeping copy otherwise).
-func (m *Machine) stepOnce(c *Core, t *Task, step *Step, infoPtr *mmu.Info, observe bool, thinkDiv memdefs.Cycles) error {
+// stepOnce executes one step of a hardware thread: request-boundary
+// latency recording, think-time charging (at thinkDiv: 10 for a dedicated
+// core's 0.5 CPI, 5 for an SMT thread sharing the issue width),
+// translation, the memory access through the core's port, latency
+// accounting and the sampler tick. It returns the translation error, if
+// any, for the caller to route through the OOM killer. A non-nil infoPtr
+// turns observation on (the MMU skips the per-access Info bookkeeping
+// copy otherwise).
+func (m *Machine) stepOnce(c *Core, t *Task, step *Step, infoPtr *mmu.Info, thinkDiv memdefs.Cycles) error {
 	switch step.Req {
 	case ReqStart:
 		t.reqStart = c.Cycles
@@ -669,7 +672,7 @@ func (m *Machine) stepOnce(c *Core, t *Task, step *Step, infoPtr *mmu.Info, obse
 		}
 		return err
 	}
-	if observe {
+	if infoPtr != nil {
 		m.observeTranslation(c, t, step, tc, infoPtr)
 	}
 	pa := ppn.Addr() + memdefs.PAddr(memdefs.PageOffset(step.VA))
@@ -815,7 +818,6 @@ type AggStats struct {
 	L2SharedI  uint64
 	Walks      uint64
 	Faults     uint64
-	FaultCyc   memdefs.Cycles
 }
 
 // Aggregate sums the per-core MMU statistics.
@@ -835,7 +837,6 @@ func (m *Machine) Aggregate() AggStats {
 		a.L2SharedI += s.L2SharedInstr
 		a.Walks += s.Walks
 		a.Faults += s.Faults
-		a.FaultCyc += s.FaultCycles
 	}
 	return a
 }

@@ -1,23 +1,24 @@
 // Machine stepping: one driver for every build. Run, RunToCompletion and
 // RunTaskOnly all go through shardEngine.run, and every core's scheduling
-// quantum has the same three parts: open (pick the task, charge the
-// context switch), segment (execute steps until the quantum ends, the
-// task finishes or the core needs the kernel), close (count the
-// instructions, rotate the run queue). Params.CoreShards chooses only the
-// executor:
+// quantum has the same three parts: open (pick the task, and under
+// Params.SMT its runnable sibling as a second hardware thread; charge
+// the context switch), segment (the only step loop: alternate steps
+// between live threads until the quantum ends, every thread has halted
+// or the core needs the kernel), close (count the instructions, rotate
+// the run queue). Params.CoreShards chooses only the executor:
 //
 //   - Serial: whole quanta run core after core in core-ID order, each
 //     core's eligibility checked at its turn, with page faults and
 //     generator refills serviced inline by the kernel. A Run pass that
 //     executes nothing ends the run. This is the executor of every
 //     CoreShards == 0 build, and of any build that observes (telemetry,
-//     obs spans), interleaves SMT threads, or times one task alone
-//     (RunTaskOnly).
-//   - Parallel (CoreShards > 0, no SMT, no observation): rounds of one
-//     quantum per eligible core, the segments running concurrently on up
-//     to CoreShards goroutines (internal/par) with every kernel effect
+//     obs spans) or times one task alone (RunTaskOnly).
+//   - Parallel (CoreShards > 0, no observation): rounds of one quantum
+//     per eligible core, the segments running concurrently on up to
+//     CoreShards goroutines (internal/par) with every kernel effect
 //     deferred to a deterministic barrier where it is applied in core-ID
-//     order.
+//     order. SMT cores take part like any other: both hardware threads
+//     are state of their own core.
 //
 // The parallel executor's determinism argument, in full:
 //
@@ -32,18 +33,20 @@
 //     sibling's OR has landed yet. Caches and DRAM are private: a
 //     sharded build gives every core its own L3 way-slice and DRAM
 //     instance (see l3SliceConfig).
-//   - A core leaves the parallel phase when its quantum ends, its task
-//     finishes, or it needs the kernel: a page fault (the shardOS seam
-//     records the fault and unwinds the translation with errShardDefer)
-//     or a generator refill that mutates kernel state (KernelMutator).
-//     Where it stops is therefore a pure function of its own state plus
-//     the frozen kernel state — the same at any shard width, including
-//     width 1.
+//   - A core leaves the parallel phase when its quantum ends, its threads
+//     have all halted, or the thread whose step is in flight needs the
+//     kernel: a page fault (the shardOS seam records the fault and
+//     unwinds the translation with errShardDefer) or a generator refill
+//     that mutates kernel state (KernelMutator). Where it stops is
+//     therefore a pure function of its own state plus the frozen kernel
+//     state — the same at any shard width, including width 1.
 //   - The phase barrier is par.Plan.Execute returning: every core has
 //     stopped, all their memory effects are visible. Pending kernel
 //     requests are then serviced serially in core-ID order, so kernel
 //     mutations (and the shootdowns they broadcast into other cores'
-//     quiescent TLBs) happen in one deterministic order.
+//     quiescent TLBs) happen in one deterministic order. A request, its
+//     retried step and an OOM kill at the barrier all belong to the
+//     thread whose step was in flight.
 //   - A deferred fault unwinds the whole translation attempt (partial
 //     cycles rolled back) and the step retries from scratch after the
 //     barrier, with the serviced kernel cycles charged exactly once via
@@ -105,9 +108,16 @@ func (s *shardOS) HandleFault(pid memdefs.PID, va memdefs.VAddr, write bool, kin
 type shardCore struct {
 	c *Core
 
-	// Per-quantum state, reset by open.
-	t      *Task
-	t2     *Task // SMT sibling thread, nil when time-slicing
+	// Per-quantum state, reset by open. th holds the quantum's hardware
+	// threads: the picked task, then its SMT sibling (nil when
+	// time-slicing). halted marks a thread that has left the core for the
+	// rest of the quantum; an empty slot counts as halted. turn alternates
+	// the threads, and cur is the thread whose step is in flight, the one
+	// a pending step or parked request belongs to.
+	th     [2]*Task
+	halted [2]bool
+	turn   int
+	cur    int
 	start  memdefs.Cycles
 	end    memdefs.Cycles
 	instrs uint64
@@ -145,13 +155,12 @@ type shardEngine struct {
 }
 
 // parallel reports whether quanta go to the parallel executor: the build
-// asked for core shards and nothing needs the serial one. SMT quanta
-// interleave two tasks step by step, and observation (telemetry
-// histograms and sampler, obs spans) hooks every access into shared
-// structures.
+// asked for core shards and nothing needs the serial one. Observation
+// (telemetry histograms and sampler, obs spans) hooks every access into
+// shared structures.
 func (eng *shardEngine) parallel() bool {
 	m := eng.m
-	return m.Params.CoreShards > 0 && !m.Params.SMT && !m.telemetryOn && m.obsRec == nil && eng.only == nil
+	return m.Params.CoreShards > 0 && !m.telemetryOn && m.obsRec == nil && eng.only == nil
 }
 
 // run steps the machine until no core is eligible. With stopIdle (Run's
@@ -184,11 +193,7 @@ func (eng *shardEngine) run(eligible func(*shardCore) bool, stopIdle bool) error
 			if !eng.open(sc) {
 				continue
 			}
-			if sc.t2 != nil {
-				sc.smt(eng.m)
-			} else {
-				sc.segment(eng)
-			}
+			sc.segment(eng)
 			eng.close(sc)
 			if sc.err != nil {
 				return sc.err
@@ -253,11 +258,9 @@ func (eng *shardEngine) round(active []*shardCore) error {
 // when nothing on the core is runnable; close then does not rotate.
 func (eng *shardEngine) open(sc *shardCore) bool {
 	m, c := eng.m, sc.c
-	sc.t, sc.t2, sc.err = nil, nil, nil
-	sc.instrs = 0
-	sc.done = true
-	sc.req = reqNone
-	sc.pending = nil
+	sc.th, sc.halted = [2]*Task{}, [2]bool{true, true}
+	sc.turn, sc.cur, sc.instrs, sc.err = 0, 0, 0, nil
+	sc.done, sc.req, sc.pending = true, reqNone, nil
 	t, n := eng.only, len(c.tasks)
 	if t == nil && n > 0 {
 		for i := 0; i < n; i++ {
@@ -271,15 +274,15 @@ func (eng *shardEngine) open(sc *shardCore) bool {
 	if t == nil || !t.runnable() {
 		return false
 	}
+	sc.th[0], sc.halted[0] = t, false
 	if m.Params.SMT && eng.only == nil {
 		for i := 1; i < n; i++ {
 			if cand := c.tasks[(c.cur+i)%n]; cand.runnable() {
-				sc.t2 = cand
+				sc.th[1], sc.halted[1] = cand, false
 				break
 			}
 		}
 	}
-	sc.t = t
 	sc.done = false
 	c.Cycles += m.Params.CtxSwitch
 	sc.start = c.Cycles
@@ -294,56 +297,71 @@ func (eng *shardEngine) open(sc *shardCore) bool {
 // quantum span, and rotates the run queue.
 func (eng *shardEngine) close(sc *shardCore) {
 	m, c := eng.m, sc.c
-	if sc.t == nil {
+	if sc.th[0] == nil {
 		return
 	}
 	c.Instrs += sc.instrs
 	if m.obsRec != nil {
 		detail := ""
-		if sc.t2 != nil {
-			detail = fmt.Sprintf("smt sibling pid %d", sc.t2.Proc.PID)
+		if sib := sc.th[1]; sib != nil {
+			detail = fmt.Sprintf("smt sibling pid %d", sib.Proc.PID)
 		}
-		m.recordQuantum(c, int(sc.t.Proc.PID), detail, sc.start)
+		m.recordQuantum(c, int(sc.th[0].Proc.PID), detail, sc.start)
 	}
 	if n := len(c.tasks); n > 0 && eng.only == nil {
 		c.cur = (c.cur + 1) % n
 	}
-	sc.t, sc.t2 = nil, nil
+	sc.th = [2]*Task{}
 }
 
-// segment runs the core from its current position until the quantum
-// ends, the task finishes, or a kernel request parks it. In a parallel
-// phase it executes on a pool goroutine, and everything it touches is
-// core-private or (page-table entries) accessed atomically.
+// segment runs the core's hardware threads from their current position
+// until the quantum ends, every thread has halted, or a kernel request
+// parks the core. In a parallel phase it executes on a pool goroutine,
+// and everything it touches is core-private or (page-table entries)
+// accessed atomically.
 func (sc *shardCore) segment(eng *shardEngine) {
-	m := eng.m
-	c, t := sc.c, sc.t
-	sc.req = reqNone
-	observe := m.telemetryOn || m.obsRec != nil
-	var infoPtr *mmu.Info
-	if observe {
-		infoPtr = &sc.info
+	m, c := eng.m, sc.c
+	var info *mmu.Info
+	if m.telemetryOn || m.obsRec != nil {
+		info = &sc.info
 	}
+	// Think time costs CPITenths/10 cycles per instruction on a dedicated
+	// core, and twice that on each of two SMT threads sharing the issue
+	// width.
+	smt := sc.th[1] != nil
+	thinkDiv := memdefs.Cycles(10)
+	if smt {
+		thinkDiv = 5
+	}
+	t := sc.th[sc.cur]
 	for sc.pending != nil || c.Cycles < sc.end {
 		sp := sc.pending
 		retry := sp != nil
 		sc.pending = nil
 		if sp == nil {
+			// A lone thread skips the alternation: a pick on every step
+			// slowed the time-sliced hot loop by about 5% (perfbench
+			// serve-steady, 2-CPU x86-64 host).
+			if smt {
+				if t = sc.pick(); t == nil {
+					break
+				}
+			} else if sc.halted[0] {
+				break
+			}
 			if t.bpos < t.blen { // a buffered batch step: the hot path
 				sp = &t.batch[t.bpos]
 				t.bpos++
-			} else if sp = sc.take(eng, t); sp == nil {
-				if sc.req == reqRefill {
-					return // park: barrier runs the mutating refill
-				}
-				// A starved generator parks the task (admitted work ran
-				// dry); any other empty pull finishes it.
-				t.Done = !t.starved()
-				break
+			} else if t.genMutates && eng.inParallel {
+				sc.req = reqRefill
+				return // park: barrier runs the kernel-mutating refill
+			} else if sp = t.nextStep(&sc.scratch); sp == nil {
+				sc.drained()
+				continue
 			}
 			sc.instrs += uint64(sp.Think) + 1
 		}
-		if err := m.stepOnce(c, t, sp, infoPtr, observe, 10); err != nil {
+		if err := m.stepOnce(c, t, sp, info, thinkDiv); err != nil {
 			if errors.Is(err, errShardDefer) {
 				if !retry {
 					sc.instrs -= uint64(sp.Think) + 1
@@ -354,7 +372,8 @@ func (sc *shardCore) segment(eng *shardEngine) {
 			// The OOM killer mutates the kernel, so it runs inline only
 			// outside parallel phases.
 			if !eng.inParallel && m.oomKill(c, t, err) {
-				break
+				sc.halted[sc.cur] = true
+				continue
 			}
 			sc.err = fmt.Errorf("core %d pid %d: %w", c.ID, t.Proc.PID, err)
 			break
@@ -366,94 +385,63 @@ func (sc *shardCore) segment(eng *shardEngine) {
 	sc.done = true
 }
 
-// take pulls the task's next step through nextStep once its batch carry
-// buffer is empty (segment takes buffered steps inline), except that a
-// kernel-mutating refill during a parallel phase parks the core: nil with
-// sc.req == reqRefill. Any other nil means the stream is complete (or
-// starved).
-func (sc *shardCore) take(eng *shardEngine, t *Task) *Step {
-	if t.genMutates && eng.inParallel {
-		sc.req = reqRefill
+// pick chooses the SMT thread for the next step: the threads alternate,
+// and a halted thread leaves the core to its sibling. It returns nil when
+// both have halted.
+func (sc *shardCore) pick() *Task {
+	i := sc.turn & 1
+	sc.turn++
+	if sc.halted[i] {
+		i ^= 1
+	}
+	if sc.halted[i] {
 		return nil
 	}
-	return t.nextStep(&sc.scratch)
+	sc.cur = i
+	return sc.th[i]
 }
 
-// smt runs the core's task and its sibling as SMT hardware threads for
-// the quantum: steps alternate between the threads, and every structure
-// of the core (TLBs, PWC, caches) is shared between them, so one
-// thread's fills are immediately visible to the other. Think time is
-// charged at double CPI (each thread contributes half the issue width).
-// It runs only on the serial executor, with the kernel inline.
-func (sc *shardCore) smt(m *Machine) {
-	c := sc.c
-	tasks := [2]*Task{sc.t, sc.t2}
-	observe := m.telemetryOn || m.obsRec != nil
-	var infoPtr *mmu.Info
-	if observe {
-		infoPtr = &sc.info
-	}
-	// stopped parks a thread whose starved generator ran dry mid-quantum
-	// without finishing it; the sibling keeps the core for the remainder.
-	var stopped [2]bool
-	halted := func(i int) bool { return tasks[i].Done || stopped[i] }
-	turn := 0
-	for c.Cycles < sc.end {
-		i := turn % 2
-		turn++
-		if halted(i) {
-			i = turn % 2
-			if halted(i) {
-				break
-			}
-		}
-		t := tasks[i]
-		sp := t.nextStep(&sc.scratch)
-		if sp == nil {
-			stopped[i] = t.starved()
-			t.Done = !stopped[i]
-			continue
-		}
-		sc.instrs += uint64(sp.Think) + 1
-		if err := m.stepOnce(c, t, sp, infoPtr, observe, 5); err != nil {
-			if m.oomKill(c, t, err) {
-				continue
-			}
-			sc.err = fmt.Errorf("core %d pid %d (SMT): %w", c.ID, t.Proc.PID, err)
-			break
-		}
-	}
-	sc.done = true
+// drained halts the in-flight thread after an empty pull: a starved
+// generator parks its task (admitted work ran dry), any other finishes
+// it.
+func (sc *shardCore) drained() {
+	t := sc.th[sc.cur]
+	t.Done = !t.starved()
+	sc.halted[sc.cur] = true
 }
 
-// service applies one parked core's kernel request at the barrier.
+// service applies one parked core's kernel request, on behalf of the
+// thread whose step was in flight, at the barrier. The core's quantum
+// ends there only if that leaves no live thread.
 func (eng *shardEngine) service(sc *shardCore) error {
-	m := eng.m
+	m, t := eng.m, sc.th[sc.cur]
 	switch sc.req {
 	case reqFault:
 		fc, err := m.Kernel.HandleFault(sc.faultPID, sc.faultVA, sc.faultWrite, sc.faultKind)
+		// The MMU's fault counter takes the kernel's cycles even when the
+		// fault fails, as on the inline path.
+		sc.c.MMU.ChargeDeferredFault(fc, err)
 		if err != nil {
-			if m.oomKill(sc.c, sc.t, err) {
-				sc.pending = nil
-				sc.done = true
-				break
+			if !m.oomKill(sc.c, t, err) {
+				return fmt.Errorf("core %d pid %d (sharded): %w", sc.c.ID, t.Proc.PID, err)
 			}
-			return fmt.Errorf("core %d pid %d (sharded): %w", sc.c.ID, sc.t.Proc.PID, err)
+			sc.pending = nil
+			sc.halted[sc.cur] = true
+			break
 		}
 		// Charge the kernel service where the inline handler would have:
-		// wall clock, the task's own time, and the MMU's fault counters.
+		// wall clock and the task's own time.
 		sc.c.Cycles += fc
-		sc.t.Cycles += fc
-		sc.c.MMU.ChargeDeferredFault(fc)
+		t.Cycles += fc
 	case reqRefill:
 		// The refill's first step runs when the segment resumes. An empty
 		// refill from a starved admission gate parks the task for the rest
 		// of the quantum; from any other generator it finishes the task.
-		if sc.pending = sc.t.nextStep(&sc.scratch); sc.pending == nil {
-			sc.t.Done = !sc.t.starved()
-			sc.done = true
+		if sc.pending = t.nextStep(&sc.scratch); sc.pending == nil {
+			sc.drained()
 		}
 	}
 	sc.req = reqNone
+	sc.done = sc.halted[0] && sc.halted[1]
 	return nil
 }

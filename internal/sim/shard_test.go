@@ -32,6 +32,31 @@ func TestShardedWidthIdentity(t *testing.T) {
 	}
 }
 
+// TestShardedSMTWidthIdentity runs the storm with SMT on at widths 1
+// and 4. SMT cores step in parallel like any other, and the storm's
+// deferred faults, parked refills and barrier OOM kills, each serviced
+// for the thread whose step was in flight, must give the same result at
+// every width.
+func TestShardedSMTWidthIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("storm identity is slow")
+	}
+	run := func(width int) (string, uint64) {
+		p := stormParams()
+		p.SMT = true
+		p.CoreShards = width
+		m := sim.New(p)
+		return runStormOn(t, m), m.OOMKills()
+	}
+	want, kills := run(1)
+	if kills == 0 {
+		t.Fatalf("vacuous SMT storm, no OOM kill:\n%s", want)
+	}
+	if got, _ := run(4); got != want {
+		t.Errorf("SMT core-shards=4 diverged from 1:\n--- 1 ---\n%s--- 4 ---\n%s", want, got)
+	}
+}
+
 // TestShardedObservedWidthIdentity runs the storm on sharded builds of
 // widths 1 and 4 with telemetry (histograms and sampler) and obs span
 // recording on: the fingerprints, span streams and sampled series must

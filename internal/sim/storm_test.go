@@ -92,6 +92,13 @@ func runStormOn(t *testing.T, m *sim.Machine) string {
 		t.Fatalf("TLB audit:\n%s", rep)
 	}
 	c := robustness(t, m)
+	// The MMU charges every kernel fault service, inline or at the
+	// barrier, failed or not, so its counter equals the kernel's.
+	mmuFC, _ := m.Registry.Value("mmu.fault_cycles")
+	kernFC, _ := m.Registry.Value("kernel.fault_cycles")
+	if mmuFC != kernFC || kernFC == 0 {
+		t.Errorf("mmu.fault_cycles = %.0f, kernel.fault_cycles = %.0f; want equal and non-zero", mmuFC, kernFC)
+	}
 
 	var b strings.Builder
 	for _, core := range m.Cores {
