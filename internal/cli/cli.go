@@ -12,9 +12,8 @@
 //	                      declaration order.
 //	-core-shards N        step each machine's cores on up to N goroutines
 //	                      with a deterministic quantum barrier (0 = classic
-//	                      serial). Output is identical at any width >= 1;
-//	                      the cores fall back to serial quanta while
-//	                      telemetry or span recording is active.
+//	                      serial). Output is identical at any width >= 1,
+//	                      with or without telemetry and span recording.
 //	-trace-out FILE       after the run, export the causal spans as Chrome
 //	                      trace-event JSON for Perfetto, or as compact
 //	                      JSONL when FILE ends in .jsonl.

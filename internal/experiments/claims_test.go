@@ -85,3 +85,123 @@ func TestClaimSparseFunctionsGainMore(t *testing.T) {
 		}
 	}
 }
+
+// TestClaimMPKIReducedExceptGraphChi pins Figure 10a on both goldens:
+// BabelFish lowers both data and instruction L2 TLB MPKI in every row but
+// GraphChi's. GraphChi's data MPKI stays flat within ±1% (quick +0.20,
+// full −0.75), because its gain is not TLB-driven, and its instruction
+// MPKI still falls.
+func TestClaimMPKIReducedExceptGraphChi(t *testing.T) {
+	for _, path := range claimGoldens {
+		r := goldenReport(t, path).Fig10
+		if r == nil || len(r.Rows) != 6 {
+			t.Fatalf("%s: Figure 10 section is not six rows: %+v", path, r)
+		}
+		for _, row := range r.Rows {
+			d, i := row.RedMPKIDPct, row.RedMPKIIPct
+			if row.App == "graphchi" {
+				if d < -1 || d > 1 || i <= 0 {
+					t.Errorf("%s: graphchi: D reduction %.2f%% (want within ±1%%), I %.2f%% (want > 0)", path, d, i)
+				}
+				continue
+			}
+			if d <= 0 || i <= 0 {
+				t.Errorf("%s: %s: D reduction %.2f%%, I %.2f%%; want both > 0", path, row.App, d, i)
+			}
+		}
+	}
+}
+
+// TestClaimTableIIICostlierOnEveryAxis pins Table III on both goldens:
+// the baseline L2 TLB row is the surrogate's calibration point, the
+// paper's 0.030 mm² / 327 ps / 10.22 pJ / 4.16 mW exactly, and BabelFish's
+// wider tags cost more on all four columns.
+func TestClaimTableIIICostlierOnEveryAxis(t *testing.T) {
+	for _, path := range claimGoldens {
+		r := goldenReport(t, path).TableIII
+		if r == nil {
+			t.Fatalf("%s: no Table III section", path)
+		}
+		b, bf := r.Base, r.BF
+		if b.AreaMM2 != 0.030 || b.AccessPS != 327 || b.DynEnergy != 10.22 || b.LeakageMW != 4.16 {
+			t.Errorf("%s: baseline row %+v is not the calibration point 0.030/327/10.22/4.16", path, b)
+		}
+		if bf.AreaMM2 <= b.AreaMM2 || bf.AccessPS <= b.AccessPS || bf.DynEnergy <= b.DynEnergy || bf.LeakageMW <= b.LeakageMW {
+			t.Errorf("%s: BabelFish row %+v is not above baseline %+v on every column", path, bf, b)
+		}
+	}
+}
+
+// TestClaimBringupNearPaper pins the bring-up result on both goldens:
+// BabelFish shortens container bring-up by 5–11%, a band around the
+// paper's 8% (quick 7.74, full 7.72); the Docker engine's fixed cost
+// bounds it from above.
+func TestClaimBringupNearPaper(t *testing.T) {
+	for _, path := range claimGoldens {
+		r := goldenReport(t, path).Bringup
+		if r == nil {
+			t.Fatalf("%s: no bring-up section", path)
+		}
+		if r.ReductionPct < 5 || r.ReductionPct > 11 {
+			t.Errorf("%s: bring-up reduction %.2f%%, want within 5–11%% (paper 8%%)", path, r.ReductionPct)
+		}
+	}
+}
+
+// The tests below pin known gaps to the paper (EXPERIMENTS.md, "Known
+// deviations and why"), so that a model change that closes or widens one
+// shows up as a failing test. A model improvement that moves one of them
+// should change the test and EXPERIMENTS.md together.
+
+// TestDeviationServingTailAboveMean pins Figure 11's serving tail ≥ mean
+// where it holds, at full scale, overall (9.09 against 7.92) and for each
+// app (closest: mongodb, 3.43 against 3.42). At quick scale it does not
+// hold (tail 2.25 against mean 5.01). A model improvement that moves
+// either case should change this test and EXPERIMENTS.md together.
+func TestDeviationServingTailAboveMean(t *testing.T) {
+	full := goldenReport(t, claimGoldens[1]).Fig11
+	if full == nil || len(full.ServingMeanRedPct) != 3 {
+		t.Fatalf("full golden: Figure 11 section is not three serving apps: %+v", full)
+	}
+	if full.TailServing < full.MeanServing {
+		t.Errorf("full: serving tail reduction %.2f%% below mean %.2f%%", full.TailServing, full.MeanServing)
+	}
+	for app, mean := range full.ServingMeanRedPct {
+		if tail, ok := full.ServingTailRedPct[app]; !ok || tail < mean {
+			t.Errorf("full: %s: tail reduction %.2f%% (present %v) below mean %.2f%%", app, tail, ok, mean)
+		}
+	}
+	quick := goldenReport(t, claimGoldens[0]).Fig11
+	if quick == nil {
+		t.Fatal("quick golden: no Figure 11 section")
+	}
+	if quick.TailServing >= quick.MeanServing {
+		t.Errorf("quick: serving tail %.2f%% ≥ mean %.2f%%: the known deviation is gone; update this test and EXPERIMENTS.md",
+			quick.TailServing, quick.MeanServing)
+	}
+}
+
+// TestDeviationTableIIServingTLBShare pins Table II's known gap: the
+// share of MongoDB's and HTTPd's gain due to L2 TLB effects stays below
+// 0.5 at both scales (quick 0.16/0.07, full 0.18/0.15) against the
+// paper's ~0.8, because the page-table-only ablation captures walk
+// savings that dominate in this model. A model improvement that lifts
+// either above 0.5 should change this test and EXPERIMENTS.md together.
+func TestDeviationTableIIServingTLBShare(t *testing.T) {
+	for _, path := range claimGoldens {
+		want := map[string]bool{"mongodb": true, "httpd": true}
+		for _, row := range goldenReport(t, path).TableII {
+			if !want[row.Workload] {
+				continue
+			}
+			delete(want, row.Workload)
+			if row.TLBFraction >= 0.5 {
+				t.Errorf("%s: %s: TLB fraction %.2f ≥ 0.5: the known deviation is gone; update this test and EXPERIMENTS.md",
+					path, row.Workload, row.TLBFraction)
+			}
+		}
+		if len(want) != 0 {
+			t.Errorf("%s: Table II rows missing: %v", path, want)
+		}
+	}
+}

@@ -11,6 +11,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"babelfish/internal/cache"
@@ -122,10 +123,11 @@ type Params struct {
 	// DRAM per core) and selects the parallel executor: cores run their
 	// quanta concurrently on up to CoreShards goroutines between
 	// deterministic barriers, with kernel effects deferred to the barrier
-	// and applied in core-ID order, SMT or not. Output is identical for
-	// any shard count >= 1. 0 (the default) keeps one shared L3/DRAM and
-	// the serial executor, which observed runs and RunTaskOnly also use.
-	// Both executors run the same quantum and step loop (see shard.go).
+	// and applied in core-ID order, SMT or not, observed or not. Output
+	// is identical for any shard count >= 1. 0 (the default) keeps one
+	// shared L3/DRAM and the serial executor, which RunTaskOnly also
+	// uses. Both executors run the same quantum and step loop (see
+	// shard.go).
 	CoreShards int
 
 	MMU    mmu.Config
@@ -276,16 +278,17 @@ type Machine struct {
 	telemetryOn         bool
 	sampler             *telemetry.Sampler
 	histXlat, histFault *telemetry.Hist
+	// sampleAt is the core clock at which the sampler's next sample falls
+	// due (the boundary Sampler.Tick advances to); MaxUint64 while
+	// sampling is off, so a segment's check is one compare.
+	sampleAt uint64
 
 	// obsRec, when non-nil, records causal spans — one per scheduling
 	// quantum, plus fault and OOM-kill children — into the machine's
 	// obs recorder (see EnableObs and obs.go in this package). obsNode
-	// labels the spans with the owning fleet node (-1 standalone);
-	// obsSpan is the in-flight quantum's pre-minted span ID, the parent
-	// for spans recorded from inside the quantum.
+	// labels the spans with the owning fleet node (-1 standalone).
 	obsRec      *obs.Recorder
 	obsNode     int
-	obsSpan     obs.SpanID
 	lastOOMSpan obs.SpanID
 
 	// Memoized Aggregate() for the derived xlat.* gauges: one registry
@@ -321,7 +324,7 @@ type deviceGroup struct {
 func New(p Params) *Machine {
 	mem := physmem.New(p.MemBytes)
 	k := kernel.New(mem, p.Kernel)
-	m := &Machine{Params: p, Mem: mem, Kernel: k}
+	m := &Machine{Params: p, Mem: mem, Kernel: k, sampleAt: math.MaxUint64}
 	m.eng = &shardEngine{m: m}
 	sharded := p.CoreShards > 0
 	var sliceCfg cache.Config
@@ -637,15 +640,16 @@ func (c *Core) runnableTasks() bool {
 	return false
 }
 
-// stepOnce executes one step of a hardware thread: request-boundary
-// latency recording, think-time charging (at thinkDiv: 10 for a dedicated
-// core's 0.5 CPI, 5 for an SMT thread sharing the issue width),
-// translation, the memory access through the core's port, latency
-// accounting and the sampler tick. It returns the translation error, if
-// any, for the caller to route through the OOM killer. A non-nil infoPtr
-// turns observation on (the MMU skips the per-access Info bookkeeping
-// copy otherwise).
-func (m *Machine) stepOnce(c *Core, t *Task, step *Step, infoPtr *mmu.Info, thinkDiv memdefs.Cycles) error {
+// stepOnce executes one step of a hardware thread on sc's core:
+// request-boundary latency recording, think-time charging (at thinkDiv:
+// 10 for a dedicated core's 0.5 CPI, 5 for an SMT thread sharing the
+// issue width), translation, the memory access through the core's port
+// and latency accounting. It returns the translation error, if any, for
+// the caller to route through the OOM killer. A non-nil infoPtr turns
+// observation on (the MMU skips the per-access Info bookkeeping copy
+// otherwise).
+func (m *Machine) stepOnce(sc *shardCore, t *Task, step *Step, infoPtr *mmu.Info, thinkDiv memdefs.Cycles) error {
+	c := sc.c
 	switch step.Req {
 	case ReqStart:
 		t.reqStart = c.Cycles
@@ -673,24 +677,22 @@ func (m *Machine) stepOnce(c *Core, t *Task, step *Step, infoPtr *mmu.Info, thin
 		return err
 	}
 	if infoPtr != nil {
-		m.observeTranslation(c, t, step, tc, infoPtr)
+		m.observeTranslation(sc, t, step, tc, infoPtr)
 	}
 	pa := ppn.Addr() + memdefs.PAddr(memdefs.PageOffset(step.VA))
 	dlat, _ := c.Mem.Access(pa, step.Kind, step.Write)
 	c.Cycles += tc + dlat
 	t.Cycles += think + tc + dlat
 	t.Instrs += uint64(step.Think) + 1
-	if m.sampler != nil {
-		m.sampler.Tick(uint64(c.Cycles))
-	}
 	return nil
 }
 
 // oomKill handles a translation failure caused by memory exhaustion: the
-// faulting task is terminated OOM-killer style — marked done, its process
-// exited so its memory returns to the pool — and the run continues.
-// Returns false for non-OOM errors, which still abort the run.
-func (m *Machine) oomKill(c *Core, t *Task, err error) bool {
+// faulting task on sc's core is terminated OOM-killer style — marked
+// done, its process exited so its memory returns to the pool — and the
+// run continues. Returns false for non-OOM errors, which still abort the
+// run.
+func (m *Machine) oomKill(sc *shardCore, t *Task, err error) bool {
 	if !errors.Is(err, physmem.ErrOutOfMemory) {
 		return false
 	}
@@ -698,10 +700,10 @@ func (m *Machine) oomKill(c *Core, t *Task, err error) bool {
 	t.OOMKilled = true
 	m.oomKills++
 	if m.obsRec != nil {
-		m.lastOOMSpan = m.obsRec.Record(obs.Span{
-			Parent: m.obsSpan, Kind: obs.KEvent, Name: "oomkill",
-			Node: m.obsNode, Core: c.ID, Task: -1, PID: int(t.Proc.PID),
-			Start: uint64(c.Cycles),
+		sc.spans = append(sc.spans, obs.Span{
+			Parent: sc.span, Kind: obs.KEvent, Name: "oomkill",
+			Node: m.obsNode, Core: sc.c.ID, Task: -1, PID: int(t.Proc.PID),
+			Start: uint64(sc.c.Cycles),
 		})
 	}
 	t.Proc.Exit()
@@ -790,6 +792,7 @@ func (m *Machine) ResetStats() {
 	m.Registry.ResetHistograms()
 	if m.sampler != nil {
 		m.sampler.Reset(0)
+		m.sampleAt = m.sampler.Every()
 	}
 }
 

@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"babelfish/internal/memdefs"
+	"fmt"
+
 	"babelfish/internal/obs"
 )
 
@@ -29,16 +30,34 @@ func (m *Machine) ObsRecorder() *obs.Recorder { return m.obsRec }
 // the fleet layer parents its re-queue bookkeeping spans to it.
 func (m *Machine) LastOOMSpan() obs.SpanID { return m.lastOOMSpan }
 
-// recordQuantum closes out the in-flight quantum span: the ID was
-// pre-minted at quantum start so fault/OOM children recorded during the
-// quantum could already parent to it.
-func (m *Machine) recordQuantum(c *Core, pid int, detail string, start memdefs.Cycles) {
+// flush hands the core's buffered fault and OOM-kill spans to the
+// recorder, which mints their IDs in buffer order. The engine flushes
+// cores in core-ID order, so the IDs do not depend on how segments were
+// scheduled.
+func (eng *shardEngine) flush(sc *shardCore) {
+	for _, s := range sc.spans {
+		id := eng.m.obsRec.Record(s)
+		if s.Kind == obs.KEvent { // the machine's only event: an OOM kill
+			eng.m.lastOOMSpan = id
+		}
+	}
+	sc.spans = sc.spans[:0]
+}
+
+// recordQuantum closes out the core's quantum span: the ID was pre-minted
+// at quantum start so fault/OOM children buffered during the quantum
+// could already parent to it.
+func (m *Machine) recordQuantum(sc *shardCore) {
+	c := sc.c
+	detail := ""
+	if sib := sc.th[1]; sib != nil {
+		detail = fmt.Sprintf("smt sibling pid %d", sib.Proc.PID)
+	}
 	m.obsRec.Record(obs.Span{
-		ID: m.obsSpan, Parent: m.obsRec.Parent(), Kind: obs.KQuantum,
-		Name: "quantum", Node: m.obsNode, Core: c.ID, Task: -1, PID: pid,
-		Start: uint64(start), Dur: uint64(c.Cycles - start), Detail: detail,
+		ID: sc.span, Parent: m.obsRec.Parent(), Kind: obs.KQuantum,
+		Name: "quantum", Node: m.obsNode, Core: c.ID, Task: -1, PID: int(sc.th[0].Proc.PID),
+		Start: uint64(sc.start), Dur: uint64(c.Cycles - sc.start), Detail: detail,
 	})
-	m.obsSpan = 0
 }
 
 // ObsStream assembles the machine's export stream: its recorded spans,

@@ -4,21 +4,27 @@
 // Params.SMT its runnable sibling as a second hardware thread; charge
 // the context switch), segment (the only step loop: alternate steps
 // between live threads until the quantum ends, every thread has halted
-// or the core needs the kernel), close (count the instructions, rotate
-// the run queue). Params.CoreShards chooses only the executor:
+// or the core needs the kernel or the sampler), close (count the
+// instructions, hand the core's observations to the machine, rotate the
+// run queue). Params.CoreShards alone chooses the executor:
 //
-//   - Serial: whole quanta run core after core in core-ID order, each
-//     core's eligibility checked at its turn, with page faults and
-//     generator refills serviced inline by the kernel. A Run pass that
-//     executes nothing ends the run. This is the executor of every
-//     CoreShards == 0 build, and of any build that observes (telemetry,
-//     obs spans) or times one task alone (RunTaskOnly).
-//   - Parallel (CoreShards > 0, no observation): rounds of one quantum
-//     per eligible core, the segments running concurrently on up to
-//     CoreShards goroutines (internal/par) with every kernel effect
-//     deferred to a deterministic barrier where it is applied in core-ID
-//     order. SMT cores take part like any other: both hardware threads
-//     are state of their own core.
+//   - Serial (CoreShards == 0, and RunTaskOnly on any build): whole
+//     quanta run core after core in core-ID order, each core's
+//     eligibility checked at its turn, with page faults and generator
+//     refills serviced inline by the kernel. A Run pass that executes
+//     nothing ends the run.
+//   - Parallel (CoreShards > 0): rounds of one quantum per eligible core,
+//     the segments running concurrently on up to CoreShards goroutines
+//     (internal/par) with every kernel effect deferred to a deterministic
+//     barrier where it is applied in core-ID order. SMT cores take part
+//     like any other: both hardware threads are state of their own core.
+//
+// Observation takes one path under both executors: each core observes
+// into its own histograms and span buffer, which the engine merges and
+// flushes in core-ID order, and a segment stops at the sampler's next
+// boundary for the engine to take the sample (at once when serial; at a
+// sample barrier that services no kernel request when parallel).
+// Watching a run therefore changes nothing it computes.
 //
 // The parallel executor's determinism argument, in full:
 //
@@ -37,14 +43,18 @@
 //     have all halted, or the thread whose step is in flight needs the
 //     kernel: a page fault (the shardOS seam records the fault and
 //     unwinds the translation with errShardDefer) or a generator refill
-//     that mutates kernel state (KernelMutator). Where it stops is
-//     therefore a pure function of its own state plus the frozen kernel
-//     state — the same at any shard width, including width 1.
+//     that mutates kernel state (KernelMutator). It also stops at the
+//     sampler's next boundary, which only the engine moves between
+//     phases. Where it stops is therefore a pure function of its own
+//     state plus the frozen kernel and sampler state — the same at any
+//     shard width, including width 1.
 //   - The phase barrier is par.Plan.Execute returning: every core has
-//     stopped, all their memory effects are visible. Pending kernel
-//     requests are then serviced serially in core-ID order, so kernel
-//     mutations (and the shootdowns they broadcast into other cores'
-//     quiescent TLBs) happen in one deterministic order. A request, its
+//     stopped, all their memory effects are visible. Cores that stopped
+//     for a sample are sampled in core-ID order and resume alone; once
+//     every core has ended its quantum or parked on the kernel, the
+//     pending kernel requests are serviced serially in core-ID order,
+//     so kernel mutations (and the shootdowns they broadcast into other
+//     cores' quiescent TLBs) happen in one deterministic order. A request, its
 //     retried step and an OOM kill at the barrier all belong to the
 //     thread whose step was in flight.
 //   - A deferred fault unwinds the whole translation attempt (partial
@@ -66,7 +76,9 @@ import (
 
 	"babelfish/internal/memdefs"
 	"babelfish/internal/mmu"
+	"babelfish/internal/obs"
 	"babelfish/internal/par"
+	"babelfish/internal/telemetry"
 )
 
 // errShardDefer unwinds a translation whose fault was recorded for
@@ -80,6 +92,7 @@ const (
 	reqNone shardReqKind = iota
 	reqFault
 	reqRefill
+	reqSample // not the kernel: the sampler's boundary
 )
 
 // shardOS is the OS seam installed into every core's MMU. During a
@@ -138,6 +151,19 @@ type shardCore struct {
 	pending *Step
 	scratch Step
 	info    mmu.Info
+
+	// Observation, per core so that segments never share it. span is the
+	// in-flight quantum's pre-minted span ID, the parent of the fault and
+	// OOM-kill spans buffered in spans until the engine flushes them.
+	// xlat and fault collect the histograms' observations until close
+	// merges them into the registry's. foldN and foldCyc carry the faults
+	// serviced at the barrier into the observation of the step that
+	// retries them.
+	span        obs.SpanID
+	spans       []obs.Span
+	xlat, fault telemetry.Hist
+	foldN       int
+	foldCyc     memdefs.Cycles
 }
 
 // shardEngine is the machine's stepping driver.
@@ -155,12 +181,9 @@ type shardEngine struct {
 }
 
 // parallel reports whether quanta go to the parallel executor: the build
-// asked for core shards and nothing needs the serial one. Observation
-// (telemetry histograms and sampler, obs spans) hooks every access into
-// shared structures.
+// asked for core shards and no single task is being timed alone.
 func (eng *shardEngine) parallel() bool {
-	m := eng.m
-	return m.Params.CoreShards > 0 && !m.telemetryOn && m.obsRec == nil && eng.only == nil
+	return eng.m.Params.CoreShards > 0 && eng.only == nil
 }
 
 // run steps the machine until no core is eligible. With stopIdle (Run's
@@ -193,7 +216,11 @@ func (eng *shardEngine) run(eligible func(*shardCore) bool, stopIdle bool) error
 			if !eng.open(sc) {
 				continue
 			}
-			sc.segment(eng)
+			for !sc.done {
+				if sc.segment(eng); sc.req == reqSample {
+					eng.sample(sc)
+				}
+			}
 			eng.close(sc)
 			if sc.err != nil {
 				return sc.err
@@ -207,7 +234,7 @@ func (eng *shardEngine) run(eligible func(*shardCore) bool, stopIdle bool) error
 }
 
 // round runs one scheduling quantum on every active core, cores in
-// parallel, kernel effects at the barriers.
+// parallel, samples and kernel effects at the barriers.
 func (eng *shardEngine) round(active []*shardCore) error {
 	for _, sc := range active {
 		eng.open(sc)
@@ -215,7 +242,7 @@ func (eng *shardEngine) round(active []*shardCore) error {
 	for {
 		var plan par.Plan
 		for _, sc := range active {
-			if sc.done {
+			if sc.done || sc.req != reqNone {
 				continue
 			}
 			sc := sc
@@ -225,7 +252,23 @@ func (eng *shardEngine) round(active []*shardCore) error {
 			})
 		}
 		if plan.Len() == 0 {
-			break
+			// Kernel barrier: every core has ended its quantum or parked
+			// on a kernel request. Apply the requests in core-ID order
+			// (active is already ID-ordered).
+			parked := false
+			for _, sc := range active {
+				if sc.req != reqNone {
+					parked = true
+					if err := eng.service(sc); err != nil {
+						return err
+					}
+				}
+				eng.flush(sc)
+			}
+			if !parked {
+				break
+			}
+			continue
 		}
 		eng.inParallel = true
 		err := plan.Execute(eng.m.Params.CoreShards)
@@ -233,13 +276,12 @@ func (eng *shardEngine) round(active []*shardCore) error {
 		if err != nil {
 			return err
 		}
-		// Barrier: all segments have stopped; apply kernel effects in
-		// core-ID order (active is already ID-ordered).
+		// Sample barrier: take the samples the cores stopped for, in
+		// core-ID order. Only those cores run in the next phase; kernel
+		// requests wait for the kernel barrier.
 		for _, sc := range active {
-			if !sc.done && sc.req != reqNone {
-				if err := eng.service(sc); err != nil {
-					return err
-				}
+			if sc.req == reqSample {
+				eng.sample(sc)
 			}
 		}
 	}
@@ -261,6 +303,7 @@ func (eng *shardEngine) open(sc *shardCore) bool {
 	sc.th, sc.halted = [2]*Task{}, [2]bool{true, true}
 	sc.turn, sc.cur, sc.instrs, sc.err = 0, 0, 0, nil
 	sc.done, sc.req, sc.pending = true, reqNone, nil
+	sc.foldN, sc.foldCyc = 0, 0
 	t, n := eng.only, len(c.tasks)
 	if t == nil && n > 0 {
 		for i := 0; i < n; i++ {
@@ -288,25 +331,29 @@ func (eng *shardEngine) open(sc *shardCore) bool {
 	sc.start = c.Cycles
 	sc.end = c.Cycles + m.Params.Quantum
 	if m.obsRec != nil {
-		m.obsSpan = m.obsRec.NewID()
+		sc.span = m.obsRec.NewID()
 	}
 	return true
 }
 
-// close ends the core's quantum: it counts the instructions, records the
-// quantum span, and rotates the run queue.
+// close ends the core's quantum: it counts the instructions, merges the
+// core's histograms, records its buffered spans and the quantum span, and
+// rotates the run queue.
 func (eng *shardEngine) close(sc *shardCore) {
 	m, c := eng.m, sc.c
 	if sc.th[0] == nil {
 		return
 	}
 	c.Instrs += sc.instrs
+	if m.telemetryOn { // Hist.Merge is exact
+		m.histXlat.Merge(&sc.xlat)
+		m.histFault.Merge(&sc.fault)
+		sc.xlat.Reset()
+		sc.fault.Reset()
+	}
 	if m.obsRec != nil {
-		detail := ""
-		if sib := sc.th[1]; sib != nil {
-			detail = fmt.Sprintf("smt sibling pid %d", sib.Proc.PID)
-		}
-		m.recordQuantum(c, int(sc.th[0].Proc.PID), detail, sc.start)
+		eng.flush(sc)
+		m.recordQuantum(sc)
 	}
 	if n := len(c.tasks); n > 0 && eng.only == nil {
 		c.cur = (c.cur + 1) % n
@@ -315,10 +362,10 @@ func (eng *shardEngine) close(sc *shardCore) {
 }
 
 // segment runs the core's hardware threads from their current position
-// until the quantum ends, every thread has halted, or a kernel request
-// parks the core. In a parallel phase it executes on a pool goroutine,
-// and everything it touches is core-private or (page-table entries)
-// accessed atomically.
+// until the quantum ends, every thread has halted, a kernel request parks
+// the core, or the core's clock reaches the sampler's next boundary. In a
+// parallel phase it executes on a pool goroutine, and everything it
+// touches is core-private or (page-table entries) accessed atomically.
 func (sc *shardCore) segment(eng *shardEngine) {
 	m, c := eng.m, sc.c
 	var info *mmu.Info
@@ -361,7 +408,7 @@ func (sc *shardCore) segment(eng *shardEngine) {
 			}
 			sc.instrs += uint64(sp.Think) + 1
 		}
-		if err := m.stepOnce(c, t, sp, info, thinkDiv); err != nil {
+		if err := m.stepOnce(sc, t, sp, info, thinkDiv); err != nil {
 			if errors.Is(err, errShardDefer) {
 				if !retry {
 					sc.instrs -= uint64(sp.Think) + 1
@@ -371,7 +418,7 @@ func (sc *shardCore) segment(eng *shardEngine) {
 			}
 			// The OOM killer mutates the kernel, so it runs inline only
 			// outside parallel phases.
-			if !eng.inParallel && m.oomKill(c, t, err) {
+			if !eng.inParallel && m.oomKill(sc, t, err) {
 				sc.halted[sc.cur] = true
 				continue
 			}
@@ -380,6 +427,10 @@ func (sc *shardCore) segment(eng *shardEngine) {
 		}
 		if retry {
 			sc.instrs += uint64(sp.Think) + 1
+		}
+		if uint64(c.Cycles) >= m.sampleAt {
+			sc.req = reqSample
+			return // park: the engine takes the sample
 		}
 	}
 	sc.done = true
@@ -422,17 +473,21 @@ func (eng *shardEngine) service(sc *shardCore) error {
 		// fault fails, as on the inline path.
 		sc.c.MMU.ChargeDeferredFault(fc, err)
 		if err != nil {
-			if !m.oomKill(sc.c, t, err) {
+			if !m.oomKill(sc, t, err) {
 				return fmt.Errorf("core %d pid %d (sharded): %w", sc.c.ID, t.Proc.PID, err)
 			}
 			sc.pending = nil
 			sc.halted[sc.cur] = true
+			sc.foldN, sc.foldCyc = 0, 0
 			break
 		}
 		// Charge the kernel service where the inline handler would have:
-		// wall clock and the task's own time.
+		// wall clock and the task's own time. The retried step observes
+		// it as the inline handler's translation would have.
 		sc.c.Cycles += fc
 		t.Cycles += fc
+		sc.foldN++
+		sc.foldCyc += fc
 	case reqRefill:
 		// The refill's first step runs when the segment resumes. An empty
 		// refill from a starved admission gate parks the task for the rest

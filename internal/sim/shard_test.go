@@ -60,8 +60,8 @@ func TestShardedSMTWidthIdentity(t *testing.T) {
 // TestShardedObservedWidthIdentity runs the storm on sharded builds of
 // widths 1 and 4 with telemetry (histograms and sampler) and obs span
 // recording on: the fingerprints, span streams and sampled series must
-// be identical. Observation must describe the same schedule at every
-// width, whichever executor runs the quanta.
+// be identical. Observation runs inside the parallel segments and must
+// describe the same schedule at every width.
 func TestShardedObservedWidthIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("storm identity is slow")
@@ -96,6 +96,45 @@ func TestShardedObservedWidthIdentity(t *testing.T) {
 	// Compared as text: a NaN gauge would make DeepEqual fail on equal runs.
 	if fmt.Sprint(*series1) != fmt.Sprint(*series4) {
 		t.Error("sampled series diverged between widths 1 and 4")
+	}
+}
+
+// TestShardedObservationDoesNotPerturb runs the storm at width 4 with
+// telemetry (histograms and sampler) and obs span recording on, and
+// checks it against the unobserved storm at width 1: observation runs
+// inside the parallel segments, so watching a sharded run must not
+// change anything it computes. The observed translation latency must
+// also account for every translation cycle, barrier-serviced faults
+// included.
+func TestShardedObservationDoesNotPerturb(t *testing.T) {
+	if testing.Short() {
+		t.Skip("storm identity is slow")
+	}
+	plain := stormParams()
+	plain.CoreShards = 1
+	want := runStorm(t, plain)
+
+	p := stormParams()
+	p.CoreShards = 4
+	m := sim.New(p)
+	m.EnableTelemetry(20_000)
+	rec := obs.NewRecorder(9, 0, 1<<16)
+	m.EnableObs(rec, 0)
+	if got := runStormOn(t, m); got != want {
+		t.Errorf("observed core-shards=4 diverged from unobserved core-shards=1:\n--- unobserved ---\n%s--- observed ---\n%s", want, got)
+	}
+	var faults int
+	for _, s := range rec.Spans() {
+		if s.Kind == obs.KFault {
+			faults++
+		}
+	}
+	if samples := m.Sampler().Len(); faults == 0 || samples == 0 {
+		t.Fatalf("vacuous run: %d fault spans, %d samples", faults, samples)
+	}
+	xlat, _ := m.Registry.Value("mmu.xlat_cycles")
+	if sum := m.XlatHist().Sum(); float64(sum) != xlat {
+		t.Errorf("XlatHist().Sum() = %d, mmu.xlat_cycles = %.0f; want equal", sum, xlat)
 	}
 }
 

@@ -114,6 +114,7 @@ func (m *Machine) EnableTelemetry(sampleEvery uint64) *telemetry.Registry {
 	m.telemetryOn = true
 	if sampleEvery > 0 {
 		m.sampler = telemetry.NewSampler(m.Registry, sampleEvery)
+		m.sampleAt = m.sampler.Every()
 	}
 	return m.Registry
 }
@@ -140,23 +141,43 @@ func (m *Machine) TelemetryReport(label string) telemetry.ArchReport {
 	return a
 }
 
+// sample takes the sample sc's segment stopped for, at the core's clock,
+// and moves the boundary the way Sampler.Tick does. A core whose clock an
+// earlier core's sample already passed takes none.
+func (eng *shardEngine) sample(sc *shardCore) {
+	m, cyc := eng.m, uint64(sc.c.Cycles)
+	if cyc >= m.sampleAt {
+		m.sampler.Tick(cyc)
+		m.sampleAt = cyc - cyc%m.sampler.Every() + m.sampler.Every()
+	}
+	sc.req = reqNone
+}
+
 // observeTranslation is the single instrumentation seam for a completed
 // translation: the telemetry histograms and the obs fault spans both
-// hang off it, so they observe exactly the same events. Callers gate it
-// behind the telemetryOn/obsRec checks to keep the disabled path free.
-func (m *Machine) observeTranslation(c *Core, t *Task, step *Step, tc memdefs.Cycles, info *mmu.Info) {
+// hang off it, so they observe exactly the same events. It writes only
+// sc's own state, so it runs inside parallel segments. Faults serviced at
+// a barrier count as this translation's: their kernel cycles join its
+// latency, fault count and fault cost, and its span starts where the
+// first attempt did. Callers gate it behind the telemetryOn/obsRec checks
+// to keep the disabled path free.
+func (m *Machine) observeTranslation(sc *shardCore, t *Task, step *Step, tc memdefs.Cycles, info *mmu.Info) {
+	faults, fc := info.Faults+sc.foldN, info.FaultCycles+sc.foldCyc
+	start := sc.c.Cycles - sc.foldCyc
+	tc += sc.foldCyc
+	sc.foldN, sc.foldCyc = 0, 0
 	if m.telemetryOn {
-		m.histXlat.ObserveCycles(tc)
-		if info.Faults > 0 {
-			m.histFault.ObserveCycles(info.FaultCycles)
+		sc.xlat.ObserveCycles(tc)
+		if faults > 0 {
+			sc.fault.ObserveCycles(fc)
 		}
 	}
-	if m.obsRec != nil && info.Faults > 0 {
-		m.obsRec.Record(obs.Span{
-			Parent: m.obsSpan, Kind: obs.KFault, Name: "fault",
-			Node: m.obsNode, Core: c.ID, Task: -1, PID: int(t.Proc.PID),
-			Start: uint64(c.Cycles), Dur: uint64(info.FaultCycles),
-			Detail: fmt.Sprintf("va=%#x faults=%d", uint64(step.VA), info.Faults),
+	if m.obsRec != nil && faults > 0 {
+		sc.spans = append(sc.spans, obs.Span{
+			Parent: sc.span, Kind: obs.KFault, Name: "fault",
+			Node: m.obsNode, Core: sc.c.ID, Task: -1, PID: int(t.Proc.PID),
+			Start: uint64(start), Dur: uint64(fc),
+			Detail: fmt.Sprintf("va=%#x faults=%d", uint64(step.VA), faults),
 		})
 	}
 }
