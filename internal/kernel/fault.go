@@ -53,16 +53,24 @@ func (k *Kernel) HandleFault(pid memdefs.PID, va memdefs.VAddr, write bool, kind
 
 // fault4K handles a fault on a 4KB-mapped VMA.
 func (k *Kernel) fault4K(p *Process, vma *VMA, gva, va memdefs.VAddr, write bool) (memdefs.Cycles, error) {
-	e := p.Tables.GetEntry(gva, memdefs.LvlPTE)
-	if e.Present() {
-		if write && !e.Writable() && e.CoW() {
-			return k.cowBreak4K(p, vma, gva, va)
-		}
-		// Spurious fault (stale TLB after a shootdown, or another member
-		// resolved it in a shared table first): nothing to do.
-		return 0, nil
+	if done, c, err := k.faultPresent(p, vma, p.Tables.GetEntry(gva, memdefs.LvlPTE), gva, va, write); done {
+		return c, err
 	}
 	return k.demand4K(p, vma, gva, va, write)
+}
+
+// faultPresent resolves a fault on an entry that is already present: a
+// write to a CoW entry breaks it; anything else is spurious (a stale TLB
+// entry after a shootdown, or another member resolved it in a shared
+// table first). done reports that the entry was present.
+func (k *Kernel) faultPresent(p *Process, vma *VMA, e pgtable.Entry, gva, va memdefs.VAddr, write bool) (done bool, cycles memdefs.Cycles, err error) {
+	if !e.Present() {
+		return false, 0, nil
+	}
+	if write && !e.Writable() && e.CoW() {
+		cycles, err = k.cowBreak4K(p, vma, gva, va)
+	}
+	return true, cycles, err
 }
 
 // shareTables reports whether BabelFish table sharing applies to this
@@ -92,14 +100,12 @@ func (k *Kernel) sharedTableFor(g *Group, gva memdefs.VAddr) (memdefs.PPN, bool)
 
 // pteTableFor returns the PTE table the process should use for gva,
 // linking or creating the group-shared table as needed under BabelFish.
-// linked reports that the fault was resolved (at least partially) by a
-// table link.
-func (k *Kernel) pteTableFor(p *Process, gva memdefs.VAddr) (table memdefs.PPN, isShared, linked bool, cycles memdefs.Cycles, err error) {
+func (k *Kernel) pteTableFor(p *Process, gva memdefs.VAddr) (table memdefs.PPN, isShared bool, cycles memdefs.Cycles, err error) {
 	g := p.Group
 	if !k.shareTables(g, gva) {
 		// Baseline (or reverted region): plain private tables.
 		table, err = p.Tables.EnsureTable(gva, memdefs.LvlPTE)
-		return table, false, false, 0, err
+		return table, false, 0, err
 	}
 	if k.Cfg.ShareLevel == memdefs.LvlPMD {
 		return k.pmdTableFor(p, gva)
@@ -112,92 +118,97 @@ func (k *Kernel) pteTableFor(p *Process, gva memdefs.VAddr) (table memdefs.PPN, 
 		// Link the existing group table: one cheap operation makes every
 		// translation already present in it visible to this process.
 		if err = p.Tables.LinkTable(gva, memdefs.LvlPMD, sharedTbl); err != nil {
-			return 0, false, false, 0, err
+			return 0, false, 0, err
 		}
 		if g.orpcFor(gva) {
 			k.setPMDORPC(p, gva, true)
 		}
 		k.stats.LinkFaults++
-		return sharedTbl, true, true, k.Cfg.Costs.LinkTables, nil
+		return sharedTbl, true, k.Cfg.Costs.LinkTables, nil
 	case table == 0:
 		// First toucher creates and registers the group table.
 		table, err = p.Tables.EnsureTable(gva, memdefs.LvlPTE)
 		if err != nil {
-			return 0, false, false, 0, err
+			return 0, false, 0, err
 		}
 		k.Mem.Ref(table) // the group registry holds its own reference
 		g.sharedPTE[key] = table
 		if g.orpcFor(gva) {
 			k.setPMDORPC(p, gva, true)
 		}
-		return table, true, false, 0, nil
+		return table, true, 0, nil
 	case hasShared && table == sharedTbl:
-		return table, true, false, 0, nil
+		return table, true, 0, nil
 	default:
 		// The process already diverged to a private table here.
-		return table, false, false, 0, nil
+		return table, false, 0, nil
 	}
 }
 
 // demand4K populates a non-present 4KB translation.
 func (k *Kernel) demand4K(p *Process, vma *VMA, gva, va memdefs.VAddr, write bool) (memdefs.Cycles, error) {
-	table, isShared, linked, cycles, err := k.pteTableFor(p, gva)
+	table, isShared, cycles, err := k.pteTableFor(p, gva)
 	if err != nil {
 		return cycles, err
 	}
 	idx := memdefs.LvlPTE.Index(gva)
-	cur := pgtable.Entry(k.Mem.ReadEntry(table, idx))
-	if cur.Present() {
-		// The link (or a sibling) already provides the translation. A
-		// write to a CoW entry still needs the break.
-		if write && !cur.Writable() && cur.CoW() {
-			c2, err := k.cowBreak4K(p, vma, gva, va)
-			return cycles + c2, err
-		}
-		if linked {
-			return cycles, nil
-		}
-		return cycles, nil
+	// The link (or a sibling) may already provide the translation.
+	if done, c, err := k.faultPresent(p, vma, pgtable.Entry(k.Mem.ReadEntry(table, idx)), gva, va, write); done {
+		return cycles + c, err
 	}
 
+	if vma.Kind == VMAAnon && !write {
+		// Read-before-write: map the global zero page copy-on-write.
+		k.Mem.Ref(k.zeroPPN)
+		flags := pgtable.FlagPresent | pgtable.FlagUser | pgtable.FlagAccess | pgtable.FlagCoW
+		if !vma.Perm.CanExec() {
+			flags |= pgtable.FlagNX
+		}
+		if !isShared {
+			flags |= k.ownedFlag()
+		}
+		k.Mem.WriteEntry(table, idx, uint64(pgtable.MakeEntry(k.zeroPPN, flags)))
+		k.stats.MinorFaults++
+		k.countInstall(isShared)
+		return cycles + k.Cfg.Costs.MinorInstall, nil
+	}
+
+	var frame memdefs.PPN
+	if vma.Kind == VMAFile {
+		fileIdx := vma.FileOff + int((gva-vma.Start)/memdefs.PageSize)
+		var major bool
+		frame, major, err = vma.File.Frame(fileIdx)
+		if err != nil {
+			return cycles, err
+		}
+		if major {
+			cycles += k.Cfg.Costs.MajorDisk
+			k.stats.MajorFaults++
+		} else {
+			k.stats.MinorFaults++
+		}
+	}
+
+	// A private write with siblings present is a private page: it takes
+	// the owned path, and the private table copy may already hold the
+	// entry.
+	privWrite := vma.Private && vma.Perm.CanWrite()
 	soleMember := p.Group.MemberCount() == 1
+	if write && privWrite && !soleMember && isShared {
+		c, tbl, err := k.ensureOwnedTable(p, gva)
+		cycles += c
+		if err != nil {
+			return cycles, err
+		}
+		table, isShared = tbl, false
+		if done, c, err := k.faultPresent(p, vma, pgtable.Entry(k.Mem.ReadEntry(table, idx)), gva, va, write); done {
+			return cycles + c, err
+		}
+	}
 
 	if vma.Kind == VMAAnon {
-		if !write {
-			// Read-before-write: map the global zero page copy-on-write.
-			k.Mem.Ref(k.zeroPPN)
-			flags := pgtable.FlagPresent | pgtable.FlagUser | pgtable.FlagAccess | pgtable.FlagCoW
-			if !vma.Perm.CanExec() {
-				flags |= pgtable.FlagNX
-			}
-			if !isShared {
-				flags |= k.ownedFlag()
-			}
-			k.Mem.WriteEntry(table, idx, uint64(pgtable.MakeEntry(k.zeroPPN, flags)))
-			k.stats.MinorFaults++
-			k.countInstall(isShared)
-			return cycles + k.Cfg.Costs.MinorInstall, nil
-		}
-		// Anonymous write: allocate a fresh zeroed frame. With siblings
-		// present this is a private page and takes the owned path.
-		if isShared && !soleMember {
-			c2, tbl2, err := k.ensureOwnedTable(p, gva)
-			cycles += c2
-			if err != nil {
-				return cycles, err
-			}
-			table, isShared = tbl2, false
-			cur = pgtable.Entry(k.Mem.ReadEntry(table, idx))
-			if cur.Present() {
-				if !cur.Writable() && cur.CoW() {
-					c3, err := k.cowBreak4K(p, vma, gva, va)
-					return cycles + c3, err
-				}
-				return cycles, nil
-			}
-		}
-		frame, err := k.allocFrame(physmem.FrameData)
-		if err != nil {
+		// Anonymous write: allocate a fresh zeroed frame.
+		if frame, err = k.allocFrame(physmem.FrameData); err != nil {
 			return cycles, err
 		}
 		flags := pgtable.FlagPresent | pgtable.FlagUser | pgtable.FlagAccess | pgtable.FlagDirty | pgtable.FlagWrite
@@ -213,38 +224,8 @@ func (k *Kernel) demand4K(p *Process, vma *VMA, gva, va memdefs.VAddr, write boo
 		return cycles + k.Cfg.Costs.MinorInstall + k.Cfg.Costs.ZeroFill, nil
 	}
 
-	// File-backed.
-	fileIdx := vma.FileOff + int((gva-vma.Start)/memdefs.PageSize)
-	frame, major, err := vma.File.Frame(fileIdx)
-	if err != nil {
-		return cycles, err
-	}
-	if major {
-		cycles += k.Cfg.Costs.MajorDisk
-		k.stats.MajorFaults++
-	} else {
-		k.stats.MinorFaults++
-	}
-
-	privWrite := vma.Private && vma.Perm.CanWrite()
 	if write && privWrite && !soleMember {
 		// MAP_PRIVATE write with siblings: go straight to a private copy.
-		if isShared {
-			c2, tbl2, err := k.ensureOwnedTable(p, gva)
-			cycles += c2
-			if err != nil {
-				return cycles, err
-			}
-			table, isShared = tbl2, false
-			cur = pgtable.Entry(k.Mem.ReadEntry(table, idx))
-			if cur.Present() {
-				if !cur.Writable() && cur.CoW() {
-					c3, err := k.cowBreak4K(p, vma, gva, va)
-					return cycles + c3, err
-				}
-				return cycles, nil
-			}
-		}
 		copyFrame, err := k.allocFrame(physmem.FrameData)
 		if err != nil {
 			return cycles, err
@@ -327,165 +308,6 @@ func (k *Kernel) countInstall(shared bool) {
 	} else {
 		k.stats.PrivateInstalls++
 	}
-}
-
-// ensureOwnedTable gives the process a private PTE table for gva's 2MB
-// region — the paper's CoW event (Section III-A): assign the next PC bit,
-// set the region's bit in the MaskPage, propagate ORPC into every
-// sharer's pmd_t, copy the 512 pte_t with the O bit set, and rewire this
-// process's pmd_t to the private copy.
-func (k *Kernel) ensureOwnedTable(p *Process, gva memdefs.VAddr) (memdefs.Cycles, memdefs.PPN, error) {
-	if k.Cfg.ShareLevel == memdefs.LvlPMD {
-		return k.ensureOwnedTablePMD(p, gva)
-	}
-	g := p.Group
-	key := regionKey2M(gva)
-	sharedTbl, hasShared := g.sharedPTE[key]
-	cur := p.Tables.TableAt(gva, memdefs.LvlPTE)
-	if cur != 0 && (!hasShared || cur != sharedTbl) {
-		return 0, cur, nil // already private
-	}
-
-	var cycles memdefs.Cycles
-
-	// Section VII-D alternative: no PC bitmask — the first CoW writer
-	// ends sharing for the whole PMD table set.
-	if k.Cfg.NoPCBitmask {
-		c, err := k.revertRegion(g, gva)
-		if err != nil {
-			return c, 0, err
-		}
-		cycles += c
-		tbl := p.Tables.TableAt(gva, memdefs.LvlPTE)
-		if tbl == 0 {
-			tbl, err = p.Tables.EnsureTable(gva, memdefs.LvlPTE)
-			if err != nil {
-				return cycles, 0, err
-			}
-		}
-		return cycles, tbl, nil
-	}
-
-	// Assign the PC bit.
-	mp, err := g.maskPageFor(memdefs.PageVPN(gva), true)
-	if err != nil {
-		return cycles, 0, err
-	}
-	bit, ok := mp.bitOf(p.PID)
-	if !ok {
-		if len(mp.pids) >= memdefs.PCBitmaskBits {
-			c, err := k.revertRegion(g, gva)
-			if err != nil {
-				return c, 0, err
-			}
-			cycles += c
-			tbl := p.Tables.TableAt(gva, memdefs.LvlPTE)
-			if tbl == 0 {
-				tbl, err = p.Tables.EnsureTable(gva, memdefs.LvlPTE)
-				if err != nil {
-					return cycles, 0, err
-				}
-			}
-			return cycles, tbl, nil
-		}
-		mp.pids = append(mp.pids, p.PID)
-		bit, _ = mp.bitOf(p.PID)
-	}
-	pmdIdx := memdefs.LvlPMD.Index(gva)
-	mp.masks[pmdIdx] |= 1 << uint(bit)
-
-	// Propagate ORPC into every member's pmd_t that points at the shared
-	// table (PID order, so any table growth is deterministic).
-	if hasShared {
-		for _, pid := range sortedPIDs(g.members) {
-			if m := g.members[pid]; m.Tables.TableAt(gva, memdefs.LvlPTE) == sharedTbl {
-				k.setPMDORPC(m, gva, true)
-			}
-		}
-	}
-
-	// Build the private copy of the PTE table.
-	newTbl, err := k.allocFrame(physmem.FrameTable)
-	if err != nil {
-		return cycles, 0, err
-	}
-	if hasShared {
-		src := k.Mem.Table(sharedTbl)
-		dst := k.Mem.Table(newTbl)
-		for i := 0; i < memdefs.TableSize; i++ {
-			e := pgtable.Entry(src[i])
-			if e.PPN() == 0 && !e.Present() {
-				continue
-			}
-			ne := e.With(pgtable.FlagOwned)
-			dst[i] = uint64(ne)
-			if e.Present() && e.PPN() != 0 {
-				k.Mem.Ref(e.PPN())
-			}
-		}
-		cycles += k.Cfg.Costs.PTEPageCopy
-		k.stats.PTEPageCopies++
-	}
-
-	// Rewire this process's pmd_t.
-	pmdTable, err := p.Tables.EnsureTable(gva, memdefs.LvlPMD)
-	if err != nil {
-		// Drop the private copy and the data references it took, or an
-		// OOM mid-CoW leaks the whole table.
-		k.releaseSharedTableAtLevel(newTbl, memdefs.LvlPTE)
-		return cycles, 0, err
-	}
-	old := pgtable.Entry(k.Mem.ReadEntry(pmdTable, pmdIdx))
-	k.Mem.WriteEntry(pmdTable, pmdIdx, uint64(pgtable.MakeEntry(newTbl, pgtable.FlagPresent|pgtable.FlagWrite|pgtable.FlagUser|pgtable.FlagORPC)))
-	k.invalidatePWC(memdefs.LvlPMD, entryAddrOf(pmdTable, pmdIdx))
-	if old.PPN() != 0 && old.PPN() == sharedTbl {
-		k.Mem.Unref(sharedTbl) // drop this process's reference on the shared table
-	}
-	return cycles, newTbl, nil
-}
-
-// assignPCBit claims the process's PrivateCopy bit for gva's 2MB region
-// (first CoW event — or an munmap, which equally removes the process
-// from the shared view) and propagates ORPC to the sharers' pmd_t.
-// reverted reports that the MaskPage overflowed and the region was
-// reverted to private translations instead.
-func (k *Kernel) assignPCBit(p *Process, gva memdefs.VAddr) (reverted bool, cycles memdefs.Cycles, err error) {
-	g := p.Group
-	mp, err := g.maskPageFor(memdefs.PageVPN(gva), true)
-	if err != nil {
-		return false, 0, err
-	}
-	bit, ok := mp.bitOf(p.PID)
-	if !ok {
-		if len(mp.pids) >= memdefs.PCBitmaskBits {
-			c, err := k.revertRegion(g, gva)
-			return true, c, err
-		}
-		mp.pids = append(mp.pids, p.PID)
-		bit, _ = mp.bitOf(p.PID)
-	}
-	mp.masks[memdefs.LvlPMD.Index(gva)] |= 1 << uint(bit)
-
-	if k.Cfg.ShareLevel == memdefs.LvlPMD {
-		// ORPC lives in the shared pmd_t, visible to every sharer.
-		if sharedPMD, has := g.sharedPMD[regionKey1G(gva)]; has {
-			idx := memdefs.LvlPMD.Index(gva)
-			e := pgtable.Entry(k.Mem.ReadEntry(sharedPMD, idx))
-			if e.PPN() != 0 && !e.ORPC() {
-				k.Mem.WriteEntry(sharedPMD, idx, uint64(e.With(pgtable.FlagORPC)))
-				k.invalidatePWC(memdefs.LvlPMD, entryAddrOf(sharedPMD, idx))
-			}
-		}
-		return false, 0, nil
-	}
-	if sharedTbl, has := k.sharedTableFor(g, gva); has {
-		for _, pid := range sortedPIDs(g.members) {
-			if m := g.members[pid]; m.Tables.TableAt(gva, memdefs.LvlPTE) == sharedTbl {
-				k.setPMDORPC(m, gva, true)
-			}
-		}
-	}
-	return false, 0, nil
 }
 
 // cowBreak4K resolves a write to a CoW page.
@@ -583,135 +405,6 @@ func (k *Kernel) framePageCached(vma *VMA, gva memdefs.VAddr, frame memdefs.PPN)
 	}
 	idx := vma.FileOff + int((gva-vma.Start)/memdefs.PageSize)
 	return idx >= 0 && idx < vma.File.Pages && vma.File.frames[idx] == frame
-}
-
-// revertRegion handles MaskPage overflow (>32 CoW writers, Appendix):
-// every member using shared translations in the 1GB region receives
-// private O-tagged copies, the shared tables are unregistered, and the
-// region is marked non-shared.
-func (k *Kernel) revertRegion(g *Group, gva memdefs.VAddr) (memdefs.Cycles, error) {
-	key1g := regionKey1G(gva)
-	if g.nonShared[key1g] {
-		return 0, nil
-	}
-	g.nonShared[key1g] = true
-	k.stats.MaskOverflows++
-	var cycles memdefs.Cycles
-
-	if k.Cfg.ShareLevel == memdefs.LvlPMD {
-		return k.revertRegionPMD(g, gva, cycles)
-	}
-
-	// Sorted iteration on both maps: this path allocates private table
-	// copies per (region, member), and allocation order must not depend
-	// on map order or the machine's physical layout diverges run to run.
-	for _, key2m := range sortedKeys(g.sharedPTE) {
-		sharedTbl := g.sharedPTE[key2m]
-		if key2m>>memdefs.EntryBits != key1g {
-			continue
-		}
-		rgva := memdefs.VAddr(key2m) << memdefs.HugePageShift2M
-		for _, pid := range sortedPIDs(g.members) {
-			m := g.members[pid]
-			if m.Tables.TableAt(rgva, memdefs.LvlPTE) != sharedTbl {
-				continue
-			}
-			newTbl, err := k.allocFrame(physmem.FrameTable)
-			if err != nil {
-				return cycles, err
-			}
-			src := k.Mem.Table(sharedTbl)
-			dst := k.Mem.Table(newTbl)
-			for i := 0; i < memdefs.TableSize; i++ {
-				e := pgtable.Entry(src[i])
-				if e.PPN() == 0 && !e.Present() {
-					continue
-				}
-				dst[i] = uint64(e.With(pgtable.FlagOwned))
-				if e.Present() && e.PPN() != 0 {
-					k.Mem.Ref(e.PPN())
-				}
-			}
-			pmdTable, err := m.Tables.EnsureTable(rgva, memdefs.LvlPMD)
-			if err != nil {
-				k.releaseSharedTableAtLevel(newTbl, memdefs.LvlPTE)
-				return cycles, err
-			}
-			pmdIdx := memdefs.LvlPMD.Index(rgva)
-			k.Mem.WriteEntry(pmdTable, pmdIdx, uint64(pgtable.MakeEntry(newTbl, pgtable.FlagPresent|pgtable.FlagWrite|pgtable.FlagUser)))
-			k.invalidatePWC(memdefs.LvlPMD, entryAddrOf(pmdTable, pmdIdx))
-			k.Mem.Unref(sharedTbl)
-			cycles += k.Cfg.Costs.PTEPageCopy
-			k.stats.PTEPageCopies++
-			if k.Hooks != nil {
-				k.Hooks.FlushProcess(m.PCID)
-			}
-		}
-		// Drop the registry reference and release any remaining data refs
-		// held by the shared table.
-		k.releaseSharedTableAtLevel(sharedTbl, memdefs.LvlPTE)
-		delete(g.sharedPTE, key2m)
-	}
-	return cycles, nil
-}
-
-// revertRegionPMD is the >32-writer fallback under PMD-level sharing:
-// every linked member privatizes the PMD table and receives O-tagged
-// private copies of its populated PTE tables.
-func (k *Kernel) revertRegionPMD(g *Group, gva memdefs.VAddr, cycles memdefs.Cycles) (memdefs.Cycles, error) {
-	key1g := regionKey1G(gva)
-	sharedPMD, has := g.sharedPMD[key1g]
-	if !has {
-		return cycles, nil
-	}
-	// PID order: privatization allocates tables per member, and the
-	// allocation sequence must be independent of map iteration order.
-	for _, pid := range sortedPIDs(g.members) {
-		m := g.members[pid]
-		if m.Tables.TableAt(gva, memdefs.LvlPMD) != sharedPMD {
-			continue
-		}
-		pmd, c, err := k.privatizePMD(m, gva)
-		cycles += c
-		if err != nil {
-			return cycles, err
-		}
-		entries := k.Mem.Table(pmd)
-		for i := 0; i < memdefs.TableSize; i++ {
-			e := pgtable.Entry(entries[i])
-			if e.PPN() == 0 || e.Huge() {
-				continue
-			}
-			child := e.PPN()
-			newTbl, err := k.allocFrame(physmem.FrameTable)
-			if err != nil {
-				return cycles, err
-			}
-			src := k.Mem.Table(child)
-			dst := k.Mem.Table(newTbl)
-			for j := 0; j < memdefs.TableSize; j++ {
-				ee := pgtable.Entry(src[j])
-				if ee.PPN() == 0 && !ee.Present() {
-					continue
-				}
-				dst[j] = uint64(ee.With(pgtable.FlagOwned))
-				if ee.Present() && ee.PPN() != 0 {
-					k.Mem.Ref(ee.PPN())
-				}
-			}
-			entries[i] = uint64(pgtable.MakeEntry(newTbl, pgtable.FlagPresent|pgtable.FlagWrite|pgtable.FlagUser))
-			k.invalidatePWC(memdefs.LvlPMD, entryAddrOf(pmd, i))
-			k.releaseSharedTableAtLevel(child, memdefs.LvlPTE)
-			cycles += k.Cfg.Costs.PTEPageCopy
-			k.stats.PTEPageCopies++
-		}
-		if k.Hooks != nil {
-			k.Hooks.FlushProcess(m.PCID)
-		}
-	}
-	k.releaseSharedTableAtLevel(sharedPMD, memdefs.LvlPMD)
-	delete(g.sharedPMD, key1g)
-	return cycles, nil
 }
 
 // faultHuge handles faults on 2MB-mapped VMAs (anonymous THP regions, and

@@ -69,36 +69,59 @@ func (k *Kernel) Fork(parent *Process, name string) (*Process, memdefs.Cycles, e
 	child.vmas = append([]*VMA(nil), parent.vmas...)
 	cycles := k.Cfg.Costs.ForkBase
 
+	var c memdefs.Cycles
 	if k.Cfg.Mode == ModeBabelFish {
-		c, err := k.forkShared(parent, child)
-		if err != nil {
-			// Unwind the half-built child: Exit releases whatever tables
-			// and references it accumulated before the failure.
-			child.Exit()
-			return nil, 0, err
-		}
-		cycles += c
-		return child, cycles, nil
+		c, err = k.forkShared(parent, child)
+	} else {
+		c, err = k.forkCopy(parent, child)
 	}
-
-	c, err := k.forkCopy(parent, child)
 	if err != nil {
+		// Unwind the half-built child: Exit releases whatever tables
+		// and references it accumulated before the failure.
 		child.Exit()
 		return nil, 0, err
 	}
-	cycles += c
-	return child, cycles, nil
+	return child, cycles + c, nil
 }
 
 // forkCopy implements the baseline deep copy.
 func (k *Kernel) forkCopy(parent, child *Process) (memdefs.Cycles, error) {
-	var copied uint64
-	var mutatedParent bool
-	var outerErr error
+	copied, downgraded, err := k.copyLeaves(parent, child, false)
+	if err != nil {
+		return 0, err
+	}
+	k.stats.ForkCopiedPTEs += copied
+	cycles := memdefs.Cycles(copied) * k.Cfg.Costs.ForkPerEntry
+	if downgraded {
+		// One shootdown round revokes the parent's stale write-permitted
+		// TLB entries.
+		cycles += k.flushProcess(parent)
+	}
+	return cycles, nil
+}
 
+// copyLeaves deep-copies the parent's present leaves into the child,
+// downgrading writable MAP_PRIVATE leaves to read-only CoW on both sides.
+// With skipShared set it leaves out the leaves that live in a group-shared
+// table: the child links those instead. It reports how many leaves it
+// copied and whether it downgraded any parent entry.
+func (k *Kernel) copyLeaves(parent, child *Process, skipShared bool) (copied uint64, downgraded bool, err error) {
+	g := parent.Group
 	parent.Tables.VisitLeaves(func(gva memdefs.VAddr, lvl memdefs.Level, table memdefs.PPN, idx int, e pgtable.Entry) {
-		if outerErr != nil || !e.Present() {
+		if err != nil || !e.Present() {
 			return
+		}
+		if skipShared {
+			// Covered by a shared PTE table (directly registered, or a
+			// child of a shared PMD table under PMD-level sharing), or a
+			// huge leaf of a shared PMD table?
+			if lvl == memdefs.LvlPTE {
+				if shared, ok := k.sharedTableFor(g, gva); ok && shared == table {
+					return
+				}
+			} else if shared, ok := g.sharedPMD[regionKey1G(gva)]; ok && shared == table {
+				return
+			}
 		}
 		vma, ok := parent.FindVMA(gva)
 		if !ok {
@@ -106,34 +129,18 @@ func (k *Kernel) forkCopy(parent, child *Process) (memdefs.Cycles, error) {
 		}
 		ne := e
 		if vma.Private && e.Writable() {
-			// Downgrade both parent and child to read-only CoW.
 			ne = e.Without(pgtable.FlagWrite).With(pgtable.FlagCoW)
 			k.Mem.WriteEntry(table, idx, uint64(ne))
-			mutatedParent = true
+			downgraded = true
 		}
 		k.Mem.Ref(e.PPN())
-		if err := child.Tables.SetEntry(gva, lvl, ne); err != nil {
+		if err = child.Tables.SetEntry(gva, lvl, ne); err != nil {
 			k.Mem.Unref(e.PPN())
-			outerErr = err
 			return
 		}
 		copied++
 	})
-	if outerErr != nil {
-		return 0, outerErr
-	}
-	k.stats.ForkCopiedPTEs += copied
-	cycles := memdefs.Cycles(copied) * k.Cfg.Costs.ForkPerEntry
-	if mutatedParent {
-		// One shootdown round revokes the parent's stale write-permitted
-		// TLB entries.
-		if k.Hooks != nil {
-			k.Hooks.FlushProcess(parent.PCID)
-		}
-		k.stats.Shootdowns++
-		cycles += memdefs.Cycles(k.numRemoteCores()+1) * k.Cfg.Costs.ShootdownPer
-	}
-	return cycles, nil
+	return copied, downgraded, err
 }
 
 // forkShared implements BabelFish fork: link every group-shared table
@@ -186,54 +193,14 @@ func (k *Kernel) forkShared(parent, child *Process) (memdefs.Cycles, error) {
 	k.stats.ForkLinkedTables += linked
 	cycles += memdefs.Cycles(linked) * k.Cfg.Costs.LinkTables
 
-	// Deep-copy the parent's private (Owned) leaf entries: walk the
-	// parent's tree and copy any present leaf living in a table that is
-	// not group-shared.
-	var copied uint64
-	var outerErr error
-	parent.Tables.VisitLeaves(func(gva memdefs.VAddr, lvl memdefs.Level, table memdefs.PPN, idx int, e pgtable.Entry) {
-		if outerErr != nil || !e.Present() {
-			return
-		}
-		if lvl == memdefs.LvlPTE {
-			// Covered by a shared PTE table (directly registered, or a
-			// child of a shared PMD table under PMD-level sharing)?
-			if shared, ok := k.sharedTableFor(parent.Group, gva); ok && shared == table {
-				return // lives in a shared table; the link covers it
-			}
-		} else if lvl == memdefs.LvlPMD && e.Huge() {
-			if shared, ok := parent.Group.sharedPMD[regionKey1G(gva)]; ok && shared == table {
-				return
-			}
-		}
-		vma, ok := parent.FindVMA(gva)
-		if !ok {
-			return
-		}
-		ne := e
-		if vma.Private && e.Writable() {
-			ne = e.Without(pgtable.FlagWrite).With(pgtable.FlagCoW)
-			k.Mem.WriteEntry(table, idx, uint64(ne))
-		}
-		k.Mem.Ref(e.PPN())
-		if err := child.Tables.SetEntry(gva, lvl, ne); err != nil {
-			k.Mem.Unref(e.PPN())
-			outerErr = err
-			return
-		}
-		copied++
-	})
-	if outerErr != nil {
-		return 0, outerErr
+	// Deep-copy the parent's private (Owned) leaf entries.
+	copied, _, err := k.copyLeaves(parent, child, true)
+	if err != nil {
+		return 0, err
 	}
 	if copied > 0 {
 		k.stats.ForkCopiedPTEs += copied
-		cycles += memdefs.Cycles(copied) * k.Cfg.Costs.ForkPerEntry
-		if k.Hooks != nil {
-			k.Hooks.FlushProcess(parent.PCID)
-		}
-		k.stats.Shootdowns++
-		cycles += memdefs.Cycles(k.numRemoteCores()+1) * k.Cfg.Costs.ShootdownPer
+		cycles += memdefs.Cycles(copied)*k.Cfg.Costs.ForkPerEntry + k.flushProcess(parent)
 	}
 	return cycles, nil
 }

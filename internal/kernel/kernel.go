@@ -290,6 +290,16 @@ func (k *Kernel) shootdownSharedVA(va memdefs.VAddr, ccid memdefs.CCID) memdefs.
 	return memdefs.Cycles(k.numRemoteCores()) * k.Cfg.Costs.ShootdownPer
 }
 
+// flushProcess revokes all of p's TLB entries on every core: one
+// shootdown round.
+func (k *Kernel) flushProcess(p *Process) memdefs.Cycles {
+	if k.Hooks != nil {
+		k.Hooks.FlushProcess(p.PCID)
+	}
+	k.stats.Shootdowns++
+	return memdefs.Cycles(k.numRemoteCores()+1) * k.Cfg.Costs.ShootdownPer
+}
+
 func (k *Kernel) invalidatePWC(lvl memdefs.Level, entryAddr memdefs.PAddr) {
 	if k.Hooks != nil {
 		k.Hooks.InvalidatePWC(lvl, entryAddr)

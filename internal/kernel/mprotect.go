@@ -33,48 +33,10 @@ func (p *Process) Protect(v *VMA, perm memdefs.Perm) (memdefs.Cycles, error) {
 		return 0, fmt.Errorf("kernel: mprotect on huge VMA %q not supported", v.Name)
 	}
 	k := p.kern
-	var cycles memdefs.Cycles
-
 	// Leave sharing for every affected 2MB region.
-	if k.Cfg.Mode == ModeBabelFish {
-		for gva := v.Start &^ memdefs.VAddr(memdefs.HugePageSize2M-1); gva < v.End; gva += memdefs.HugePageSize2M {
-			if !k.shareTables(p.Group, gva) {
-				continue
-			}
-			shared, has := k.sharedTableFor(p.Group, gva)
-			if !has {
-				continue
-			}
-			if p.Tables.TableAt(gva, memdefs.LvlPTE) == shared {
-				c, _, err := k.ensureOwnedTable(p, gva)
-				cycles += c
-				if err != nil {
-					return cycles, err
-				}
-			} else {
-				// Not linked (or already private): still claim the bit so
-				// shared TLB entries stop matching this process.
-				if _, c, err := k.assignPCBit(p, gva); err != nil {
-					return cycles, err
-				} else {
-					cycles += c
-				}
-			}
-			// Stale shared entries (possibly ORPC-clear) must go.
-			lo, hi := gva, gva+memdefs.HugePageSize2M
-			if lo < v.Start {
-				lo = v.Start
-			}
-			if hi > v.End {
-				hi = v.End
-			}
-			for pg := lo; pg < hi; pg += memdefs.PageSize {
-				if k.Hooks != nil {
-					k.Hooks.ShootdownSharedVA(pg, p.Group.CCID)
-				}
-			}
-			cycles += memdefs.Cycles(k.numRemoteCores()) * k.Cfg.Costs.ShootdownPer
-		}
+	cycles, err := k.leaveSharing(p, v, true)
+	if err != nil {
+		return cycles, err
 	}
 
 	// Rewrite present entries under the (now private) tables.
@@ -124,10 +86,5 @@ func (p *Process) Protect(v *VMA, perm memdefs.Perm) (memdefs.Cycles, error) {
 			break
 		}
 	}
-	if k.Hooks != nil {
-		k.Hooks.FlushProcess(p.PCID)
-	}
-	k.stats.Shootdowns++
-	cycles += memdefs.Cycles(k.numRemoteCores()+1) * k.Cfg.Costs.ShootdownPer
-	return cycles, nil
+	return cycles + k.flushProcess(p), nil
 }

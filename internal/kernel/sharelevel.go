@@ -17,13 +17,13 @@ import (
 // With Config.ShareLevel == LvlPMD, group members link whole PMD tables
 // (1GB of mappings) instead of individual PTE tables. PTE tables
 // allocated under a shared PMD are implicitly shared. A CoW writer
-// privatizes both levels: a private copy of the PMD table plus a private
-// O-tagged copy of the written region's PTE table.
+// privatizes both levels (ensureOwnedTable): a private copy of the PMD
+// table plus a private O-tagged copy of the written region's PTE table.
 
 // pmdTableFor is pteTableFor's counterpart for ShareLevel == LvlPMD: it
 // returns the PTE table the process should use, routing through the
 // group-shared PMD table.
-func (k *Kernel) pmdTableFor(p *Process, gva memdefs.VAddr) (table memdefs.PPN, isShared, linked bool, cycles memdefs.Cycles, err error) {
+func (k *Kernel) pmdTableFor(p *Process, gva memdefs.VAddr) (table memdefs.PPN, isShared bool, cycles memdefs.Cycles, err error) {
 	g := p.Group
 	key := regionKey1G(gva)
 	sharedPMD, has := g.sharedPMD[key]
@@ -32,16 +32,15 @@ func (k *Kernel) pmdTableFor(p *Process, gva memdefs.VAddr) (table memdefs.PPN, 
 	switch {
 	case cur == 0 && has:
 		if err = p.Tables.LinkTable(gva, memdefs.LvlPUD, sharedPMD); err != nil {
-			return 0, false, false, 0, err
+			return 0, false, 0, err
 		}
 		k.stats.LinkFaults++
 		cycles += k.Cfg.Costs.LinkTables
 		cur = sharedPMD
-		linked = true
 	case cur == 0:
 		cur, err = p.Tables.EnsureTable(gva, memdefs.LvlPMD)
 		if err != nil {
-			return 0, false, false, 0, err
+			return 0, false, 0, err
 		}
 		k.Mem.Ref(cur)
 		g.sharedPMD[key] = cur
@@ -55,21 +54,21 @@ func (k *Kernel) pmdTableFor(p *Process, gva memdefs.VAddr) (table memdefs.PPN, 
 		if e.PPN() == 0 {
 			child, err := k.allocFrame(physmem.FrameTable)
 			if err != nil {
-				return 0, false, false, cycles, err
+				return 0, false, cycles, err
 			}
 			k.Mem.WriteEntry(cur, idx, uint64(pgtable.MakeEntry(child,
 				pgtable.FlagPresent|pgtable.FlagWrite|pgtable.FlagUser)))
-			return child, true, linked, cycles, nil
+			return child, true, cycles, nil
 		}
 		if e.Huge() {
-			return 0, false, false, cycles, errHugeUnderSharedPMD
+			return 0, false, cycles, errHugeUnderSharedPMD
 		}
-		return e.PPN(), true, linked, cycles, nil
+		return e.PPN(), true, cycles, nil
 	}
 
 	// Diverged: private PMD; ensure a private PTE table under it.
 	table, err = p.Tables.EnsureTable(gva, memdefs.LvlPTE)
-	return table, false, false, cycles, err
+	return table, false, cycles, err
 }
 
 // errHugeUnderSharedPMD rejects mixing 4KB demand paging into a 2MB
@@ -116,59 +115,6 @@ func (k *Kernel) privatizePMD(p *Process, gva memdefs.VAddr) (memdefs.PPN, memde
 	k.invalidatePWC(memdefs.LvlPUD, entryAddrOf(pudTable, pudIdx))
 	k.Mem.Unref(sharedPMD)
 	return newPMD, k.Cfg.Costs.PTEPageCopy, nil
-}
-
-// ensureOwnedTablePMD is the CoW event under PMD-level sharing: assign
-// the PC bit, set ORPC in the (single, shared or private) pmd_t, then
-// privatize the PMD table and the written region's PTE table.
-func (k *Kernel) ensureOwnedTablePMD(p *Process, gva memdefs.VAddr) (memdefs.Cycles, memdefs.PPN, error) {
-	var cycles memdefs.Cycles
-
-	reverted, c, err := k.assignPCBit(p, gva)
-	cycles += c
-	if err != nil {
-		return cycles, 0, err
-	}
-	if reverted {
-		tbl, err := p.Tables.EnsureTable(gva, memdefs.LvlPTE)
-		return cycles, tbl, err
-	}
-
-	// Privatize the PMD, then the written region's PTE table.
-	pmd, c, err := k.privatizePMD(p, gva)
-	cycles += c
-	if err != nil {
-		return cycles, 0, err
-	}
-	idx := memdefs.LvlPMD.Index(gva)
-	e := pgtable.Entry(k.Mem.ReadEntry(pmd, idx))
-	newTbl, err := k.allocFrame(physmem.FrameTable)
-	if err != nil {
-		return cycles, 0, err
-	}
-	if e.PPN() != 0 && !e.Huge() {
-		src := k.Mem.Table(e.PPN())
-		dst := k.Mem.Table(newTbl)
-		for i := 0; i < memdefs.TableSize; i++ {
-			ee := pgtable.Entry(src[i])
-			if ee.PPN() == 0 && !ee.Present() {
-				continue
-			}
-			dst[i] = uint64(ee.With(pgtable.FlagOwned))
-			if ee.Present() && ee.PPN() != 0 {
-				k.Mem.Ref(ee.PPN())
-			}
-		}
-		cycles += k.Cfg.Costs.PTEPageCopy
-		k.stats.PTEPageCopies++
-	}
-	k.Mem.WriteEntry(pmd, idx, uint64(pgtable.MakeEntry(newTbl,
-		pgtable.FlagPresent|pgtable.FlagWrite|pgtable.FlagUser|pgtable.FlagORPC)))
-	k.invalidatePWC(memdefs.LvlPMD, entryAddrOf(pmd, idx))
-	if e.PPN() != 0 && !e.Huge() {
-		k.Mem.Unref(e.PPN())
-	}
-	return cycles, newTbl, nil
 }
 
 // releaseSharedTableAtLevel releases a registry reference on a shared

@@ -37,52 +37,22 @@ func (p *Process) Unmap(v *VMA) (memdefs.Cycles, error) {
 		}
 	}
 
-	if !v.Huge && k.Cfg.Mode == ModeBabelFish {
-		// Claim the process's PrivateCopy bit for every shared 2MB region
-		// the VMA covers: shared TLB entries (which other members keep
-		// using) must stop matching for this process the moment its
-		// mapping is gone — the O-PC machinery does exactly that.
-		for gva := v.Start &^ memdefs.VAddr(memdefs.HugePageSize2M-1); gva < v.End; gva += memdefs.HugePageSize2M {
-			if !k.shareTables(p.Group, gva) {
-				continue
-			}
-			if _, has := k.sharedTableFor(p.Group, gva); !has {
-				continue
-			}
-			if _, c, err := k.assignPCBit(p, gva); err != nil {
-				return cycles, err
-			} else {
-				cycles += c
-			}
-			// Shared entries cached before this bit existed carry a stale
-			// PC bitmask (the paper's CoW-invalidation argument): drop
-			// them; sharers refill with ORPC set.
-			lo := gva
-			if lo < v.Start {
-				lo = v.Start
-			}
-			hi := gva + memdefs.HugePageSize2M
-			if hi > v.End {
-				hi = v.End
-			}
-			for pg := lo; pg < hi; pg += memdefs.PageSize {
-				if k.Hooks != nil {
-					k.Hooks.ShootdownSharedVA(pg, p.Group.CCID)
-				}
-			}
-			cycles += memdefs.Cycles(k.numRemoteCores()) * k.Cfg.Costs.ShootdownPer
+	if !v.Huge {
+		// Shared TLB entries (which other members keep using) must stop
+		// matching this process the moment its mapping is gone.
+		c, err := k.leaveSharing(p, v, false)
+		cycles += c
+		if err != nil {
+			return cycles, err
 		}
-	}
-
-	if !v.Huge && k.Cfg.Mode == ModeBabelFish && k.Cfg.ShareLevel == memdefs.LvlPMD {
 		// Under PMD-level sharing a VMA may cover only part of the 1GB
 		// region a shared PMD table maps; privatize the PMD first so
 		// unlinking this VMA's PTE tables cannot disturb other members.
-		for gva := v.Start; gva < v.End; gva += memdefs.HugePageSize2M {
-			if _, c, err := k.privatizePMD(p, gva); err != nil {
+		for gva := v.Start; gva < v.End && k.Cfg.Mode == ModeBabelFish && k.Cfg.ShareLevel == memdefs.LvlPMD; gva += memdefs.HugePageSize2M {
+			_, c, err := k.privatizePMD(p, gva)
+			cycles += c
+			if err != nil {
 				return cycles, err
-			} else {
-				cycles += c
 			}
 		}
 	}
@@ -140,12 +110,7 @@ func (p *Process) Unmap(v *VMA) (memdefs.Cycles, error) {
 	}
 
 	p.vmas = append(p.vmas[:idx], p.vmas[idx+1:]...)
-	if k.Hooks != nil {
-		k.Hooks.FlushProcess(p.PCID)
-	}
-	k.stats.Shootdowns++
-	cycles += memdefs.Cycles(k.numRemoteCores()+1) * k.Cfg.Costs.ShootdownPer
-	return cycles, nil
+	return cycles + k.flushProcess(p), nil
 }
 
 // UnmapRegionName finds the process's VMA by name and unmaps it.
