@@ -55,6 +55,8 @@ type auditQueueItem struct {
 //     frames, and the kernel zero page);
 //   - group-shared tables must be referenced exactly once by the registry
 //     plus once per member actually linking them;
+//   - a NoPCBitmask kernel holds no MaskPage: every exit from sharing
+//     reverts its region instead;
 //   - every allocated frame must be reachable from some accounting root —
 //     anything else is a leak.
 //
@@ -105,6 +107,9 @@ func (k *Kernel) Audit() AuditReport {
 		}
 		for _, key := range sortedKeys(g.maskPages) {
 			expected[g.maskPages[key].Frame]++
+		}
+		if k.Cfg.NoPCBitmask && len(g.maskPages) > 0 {
+			r.violate("group %d holds %d MaskPages under NoPCBitmask", g.CCID, len(g.maskPages))
 		}
 	}
 	// The kernel's own reference on the shared zero page.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"babelfish/internal/memdefs"
 	"babelfish/internal/physmem"
 )
 
@@ -84,6 +85,26 @@ func TestAuditDetectsExtraRef(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no refcount violation reported:\n%s", rep)
+	}
+}
+
+// TestAuditDetectsMaskPageUnderNoPCBitmask: a NoPCBitmask kernel reverts
+// instead of claiming PC bits, so any MaskPage is a violation.
+func TestAuditDetectsMaskPageUnderNoPCBitmask(t *testing.T) {
+	cfg := DefaultConfig(ModeBabelFish)
+	cfg.NoPCBitmask = true
+	k := New(physmem.New(64<<20), cfg)
+	g := k.NewGroup("app", 1)
+	r := g.MustRegion("buf", SegHeap, 4)
+	if rep := k.Audit(); !rep.OK() {
+		t.Fatalf("clean kernel failed the audit:\n%s", rep)
+	}
+	if _, err := g.maskPageFor(memdefs.PageVPN(r.Start), true); err != nil {
+		t.Fatal(err)
+	}
+	rep := k.Audit()
+	if rep.OK() || !strings.Contains(rep.Violations[0], "MaskPages under NoPCBitmask") {
+		t.Fatalf("audit missed a MaskPage under NoPCBitmask:\n%s", rep)
 	}
 }
 

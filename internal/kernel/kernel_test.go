@@ -867,3 +867,55 @@ func TestNoPCBitmaskOracleParity(t *testing.T) {
 		t.Fatal("clean pages diverged after revert")
 	}
 }
+
+// TestNoPCBitmaskEveryExitReverts: under NoPCBitmask, munmap and mprotect
+// leave sharing the way a CoW write does — the region reverts to private
+// tables — at both sharing levels, and no MaskPage is ever allocated.
+func TestNoPCBitmaskEveryExitReverts(t *testing.T) {
+	for _, level := range []memdefs.Level{memdefs.LvlPTE, memdefs.LvlPMD} {
+		for _, exit := range []string{"unmap", "protect"} {
+			cfg := DefaultConfig(ModeBabelFish)
+			cfg.THP = false
+			cfg.NoPCBitmask = true
+			cfg.ShareLevel = level
+			k := New(physmem.New(256<<20), cfg)
+			g := k.NewGroup("app", 14)
+			p1 := mustProc(t, k, g, "c1")
+			f := k.MustCreateFile("lib", 16)
+			r := g.MustRegion("lib", SegLibs, 16)
+			p1.MustMapFile(r, f, 0, rx, true, "lib")
+			// p2 forks before the region has a shared table, so it does
+			// not link it: its mprotect only has to claim a PC bit.
+			p2, _, err := k.Fork(p1, "c2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustFault(t, k, p1, r.Start, false)
+			if exit == "unmap" {
+				mustFault(t, k, p2, r.Start, false)
+				_, err = p2.UnmapRegionName("lib")
+			} else {
+				v, _ := p2.FindVMA(r.Start)
+				_, err = p2.Protect(v, ro)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(g.maskPages) != 0 {
+				t.Errorf("[%v %s] %d MaskPages allocated", level, exit, len(g.maskPages))
+			}
+			if !g.nonShared[regionKey1G(r.Start)] {
+				t.Errorf("[%v %s] region not reverted", level, exit)
+			}
+			if _, ok := k.sharedTableFor(g, r.Start); ok {
+				t.Errorf("[%v %s] shared table still registered", level, exit)
+			}
+			if e := leaf(t, p1, r.Start); !e.Present() || e.PPN() != f.frames[0] || !e.Owned() {
+				t.Errorf("[%v %s] sibling entry %#x, want an owned map of page-cache frame %d", level, exit, uint64(e), f.frames[0])
+			}
+			if rep := k.Audit(); !rep.OK() {
+				t.Errorf("[%v %s] %s", level, exit, rep)
+			}
+		}
+	}
+}

@@ -31,15 +31,7 @@ func (k *Kernel) ensureOwnedTable(p *Process, gva memdefs.VAddr) (memdefs.Cycles
 	if cur := p.Tables.TableAt(gva, memdefs.LvlPTE); cur != 0 && (!hasShared || cur != shared) {
 		return 0, cur, nil // already private
 	}
-	var reverted bool
-	var cycles memdefs.Cycles
-	var err error
-	if k.Cfg.NoPCBitmask && k.Cfg.ShareLevel == memdefs.LvlPTE {
-		reverted = true
-		cycles, err = k.revertRegion(p.Group, gva)
-	} else {
-		reverted, cycles, err = k.assignPCBit(p, gva)
-	}
+	reverted, cycles, err := k.assignPCBit(p, gva)
 	if err != nil {
 		return cycles, 0, err
 	}
@@ -86,10 +78,16 @@ func (k *Kernel) ensureOwnedTable(p *Process, gva memdefs.VAddr) (memdefs.Cycles
 
 // assignPCBit claims the process's PrivateCopy bit for gva's 2MB region
 // and propagates ORPC to the sharers' pmd_t. reverted reports that the
-// MaskPage overflowed and the region was reverted to private translations
-// instead.
+// region was reverted to private translations instead: always under
+// Config.NoPCBitmask (Section VII-D: the first writer ends sharing for the
+// whole PMD table set, and no MaskPage exists), and when the MaskPage is
+// full.
 func (k *Kernel) assignPCBit(p *Process, gva memdefs.VAddr) (reverted bool, cycles memdefs.Cycles, err error) {
 	g := p.Group
+	if k.Cfg.NoPCBitmask {
+		c, err := k.revertRegion(g, gva)
+		return true, c, err
+	}
 	mp, err := g.maskPageFor(memdefs.PageVPN(gva), true)
 	if err != nil {
 		return false, 0, err
@@ -135,15 +133,25 @@ func (k *Kernel) assignPCBit(p *Process, gva memdefs.VAddr) (reverted bool, cycl
 // the entries); otherwise the process only claims its PC bit (munmap
 // drops the link next). Shared TLB entries cached before the bit existed
 // carry a stale PC bitmask — the paper's CoW-invalidation argument — so
-// they are dropped, and sharers refill them with ORPC set.
+// they are dropped first, and sharers refill them with ORPC set. Leaving
+// one region can revert the whole 1GB region around it, after which its
+// other regions no longer look shared: hence the two passes.
 func (k *Kernel) leaveSharing(p *Process, v *VMA, privatize bool) (memdefs.Cycles, error) {
 	var cycles memdefs.Cycles
-	for gva := v.Start &^ memdefs.VAddr(memdefs.HugePageSize2M-1); gva < v.End; gva += memdefs.HugePageSize2M {
-		if !k.shareTables(p.Group, gva) {
+	start := v.Start &^ memdefs.VAddr(memdefs.HugePageSize2M-1)
+	for gva := start; gva < v.End; gva += memdefs.HugePageSize2M {
+		if _, has := k.sharedTableFor(p.Group, gva); !has || !k.shareTables(p.Group, gva) {
 			continue
 		}
+		lo, hi := max(gva, v.Start), min(gva+memdefs.HugePageSize2M, v.End)
+		for pg := lo; pg < hi && k.Hooks != nil; pg += memdefs.PageSize {
+			k.Hooks.ShootdownSharedVA(pg, p.Group.CCID)
+		}
+		cycles += memdefs.Cycles(k.numRemoteCores()) * k.Cfg.Costs.ShootdownPer
+	}
+	for gva := start; gva < v.End; gva += memdefs.HugePageSize2M {
 		shared, has := k.sharedTableFor(p.Group, gva)
-		if !has {
+		if !has || !k.shareTables(p.Group, gva) {
 			continue
 		}
 		var c memdefs.Cycles
@@ -157,11 +165,6 @@ func (k *Kernel) leaveSharing(p *Process, v *VMA, privatize bool) (memdefs.Cycle
 		if err != nil {
 			return cycles, err
 		}
-		lo, hi := max(gva, v.Start), min(gva+memdefs.HugePageSize2M, v.End)
-		for pg := lo; pg < hi && k.Hooks != nil; pg += memdefs.PageSize {
-			k.Hooks.ShootdownSharedVA(pg, p.Group.CCID)
-		}
-		cycles += memdefs.Cycles(k.numRemoteCores()) * k.Cfg.Costs.ShootdownPer
 	}
 	return cycles, nil
 }
@@ -186,9 +189,10 @@ func (k *Kernel) copyOwned(dst, src memdefs.PPN) memdefs.Cycles {
 }
 
 // revertRegion ends sharing for gva's whole 1GB region (MaskPage overflow
-// — more than 32 CoW writers, Appendix): every member using shared
-// translations in the region receives private O-tagged copies, the shared
-// tables are unregistered, and the region is marked non-shared.
+// — more than 32 CoW writers, Appendix — or any exit under NoPCBitmask):
+// every member using shared translations in the region receives private
+// O-tagged copies, the shared tables are unregistered, and the region is
+// marked non-shared.
 func (k *Kernel) revertRegion(g *Group, gva memdefs.VAddr) (memdefs.Cycles, error) {
 	key1g := regionKey1G(gva)
 	if g.nonShared[key1g] {

@@ -41,8 +41,8 @@ func TestTranslationOracle(t *testing.T) {
 		{name: "Baseline", mode: kernel.ModeBaseline, level: memdefs.LvlPTE, digest: 0xb9ad6ea750baf153},
 		{name: "BabelFish-PTEshare", mode: kernel.ModeBabelFish, level: memdefs.LvlPTE, digest: 0xe4ea9cec12f39574},
 		{name: "BabelFish-PMDshare", mode: kernel.ModeBabelFish, level: memdefs.LvlPMD, digest: 0x8fc92f46d77e5524},
-		{name: "BabelFish-NoPCBitmask", mode: kernel.ModeBabelFish, level: memdefs.LvlPTE, noPC: true, digest: 0x5d3ad61f1236f584},
-		{name: "BabelFish-PMDshare-NoPCBitmask", mode: kernel.ModeBabelFish, level: memdefs.LvlPMD, noPC: true, digest: 0x8fc92f46d77e5524},
+		{name: "BabelFish-NoPCBitmask", mode: kernel.ModeBabelFish, level: memdefs.LvlPTE, noPC: true, digest: 0x61dc674b47117899},
+		{name: "BabelFish-PMDshare-NoPCBitmask", mode: kernel.ModeBabelFish, level: memdefs.LvlPMD, noPC: true, digest: 0x11d96e07dbded1eb},
 		{name: "BabelFish-ASLRSW", mode: kernel.ModeBabelFish, level: memdefs.LvlPTE, aslrSW: true, digest: 0x81369f5aabbda6d2},
 	} {
 		mode := c.mode
