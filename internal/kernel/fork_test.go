@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"babelfish/internal/memdefs"
+	"babelfish/internal/pgtable"
+	"babelfish/internal/physmem"
 )
 
 // TestForkFromDivergedParent forks from a parent that already owns a
@@ -181,5 +183,70 @@ func mapChunksForTest(p *Process, r Region, f *File) {
 		}
 		sub := Region{Name: r.Name, Seg: r.Seg, Start: start, Pages: n}
 		p.MustMapFile(sub, f, c*r.ChunkPages, memdefs.PermRead|memdefs.PermWrite|memdefs.PermUser, true, "chunk")
+	}
+}
+
+// TestCoWBreakHuge: a THP block written before a fork is CoW on both
+// sides. The child's write copies it to a fresh 2MB block, dropping the
+// old block back to one reference; the parent's write then upgrades its
+// entry in place. Teardown leaves only the zero page.
+func TestCoWBreakHuge(t *testing.T) {
+	for _, mode := range []Mode{ModeBaseline, ModeBabelFish} {
+		cfg := DefaultConfig(mode)
+		cfg.THPMinPages = 512
+		k := New(physmem.New(64<<20), cfg)
+		base := k.Mem.Allocated() // the zero page
+		g := k.NewGroup("app", 5)
+		parent := mustProc(t, k, g, "parent")
+		r := g.MustRegion("thp", SegHeap, 512)
+		if v := parent.MustMapAnon(r, rw, "thp"); !v.Huge {
+			t.Fatalf("[%v] region not mapped huge", mode)
+		}
+		gva := r.Start + 5*memdefs.PageSize
+		huge := func(p *Process) pgtable.Entry { return p.Tables.GetEntry(r.Start, memdefs.LvlPMD) }
+		mustFault(t, k, parent, gva, true)
+		old := huge(parent).PPN()
+
+		child, _, err := k.Fork(parent, "child")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []pgtable.Entry{huge(parent), huge(child)} {
+			if !e.Huge() || e.Writable() || !e.CoW() || e.PPN() != old {
+				t.Fatalf("[%v] entry after fork %#x, want read-only CoW on block %d", mode, uint64(e), old)
+			}
+		}
+		if got := k.Mem.Refs(old); got != 2 {
+			t.Fatalf("[%v] block refs after fork %d, want 2", mode, got)
+		}
+		cows := k.Stats().CoWFaults
+
+		mustFault(t, k, child, gva, true)
+		ce := huge(child)
+		if !ce.Huge() || !ce.Writable() || ce.CoW() || ce.PPN() == old || ce.PPN()%memdefs.TableSize != 0 {
+			t.Fatalf("[%v] child entry after write %#x, want a writable copy in a fresh 2MB block", mode, uint64(ce))
+		}
+		if got := k.Mem.Refs(old); got != 1 {
+			t.Fatalf("[%v] old block refs after the child's copy %d, want 1", mode, got)
+		}
+
+		mustFault(t, k, parent, gva, true)
+		if pe := huge(parent); !pe.Writable() || pe.CoW() || pe.PPN() != old {
+			t.Fatalf("[%v] parent entry after write %#x, want block %d upgraded in place", mode, uint64(pe), old)
+		}
+		if got := k.Stats().CoWFaults - cows; got != 2 {
+			t.Fatalf("[%v] %d CoW faults, want 2", mode, got)
+		}
+		if rep := k.Audit(); !rep.OK() {
+			t.Fatalf("[%v] %s", mode, rep)
+		}
+		if rep := k.Mem.Audit(); !rep.OK() {
+			t.Fatalf("[%v] %s", mode, rep)
+		}
+		child.Exit()
+		parent.Exit()
+		if got := k.Mem.Allocated(); got != base {
+			t.Fatalf("[%v] %d frames allocated after teardown, want %d (the zero page)", mode, got, base)
+		}
 	}
 }

@@ -37,20 +37,7 @@ func (m *Machine) AuditTLBs() kernel.AuditReport {
 			where := fmt.Sprintf("core%d/policy", c.ID)
 			ccid := pc.CCIDTagged()
 			pc.ForEachValid(func(sz memdefs.PageSizeClass, e *tlb.Entry) {
-				m.Kernel.AuditTLBEntry(&r, kernel.TLBEntryView{
-					Where:      where,
-					Size:       sz,
-					VPN:        e.VPN,
-					PPN:        e.PPN,
-					Perm:       e.Perm,
-					CoW:        e.CoW,
-					PCID:       e.PCID,
-					CCID:       e.CCID,
-					Owned:      e.Owned,
-					GroupVA:    true,
-					CCIDTagged: ccid,
-					Global:     e.Global,
-				})
+				m.Kernel.AuditTLBEntry(&r, tlbEntryView(where, sz, e, true, ccid))
 			})
 		}
 	}
@@ -59,19 +46,24 @@ func (m *Machine) AuditTLBs() kernel.AuditReport {
 
 func (m *Machine) auditGroup(r *kernel.AuditReport, where string, g *tlb.Group, groupVA, ccidTagged bool) {
 	g.ForEachValid(func(sz memdefs.PageSizeClass, e *tlb.Entry) {
-		m.Kernel.AuditTLBEntry(r, kernel.TLBEntryView{
-			Where:      where,
-			Size:       sz,
-			VPN:        e.VPN,
-			PPN:        e.PPN,
-			Perm:       e.Perm,
-			CoW:        e.CoW,
-			PCID:       e.PCID,
-			CCID:       e.CCID,
-			Owned:      e.Owned,
-			GroupVA:    groupVA,
-			CCIDTagged: ccidTagged,
-			Global:     e.Global,
-		})
+		m.Kernel.AuditTLBEntry(r, tlbEntryView(where, sz, e, groupVA, ccidTagged))
 	})
+}
+
+// tlbEntryView is the kernel auditor's view of one valid TLB entry.
+func tlbEntryView(where string, sz memdefs.PageSizeClass, e *tlb.Entry, groupVA, ccidTagged bool) kernel.TLBEntryView {
+	return kernel.TLBEntryView{
+		Where:      where,
+		Size:       sz,
+		VPN:        e.VPN,
+		PPN:        e.PPN,
+		Perm:       e.Perm,
+		CoW:        e.CoW,
+		PCID:       e.PCID,
+		CCID:       e.CCID,
+		Owned:      e.Owned,
+		GroupVA:    groupVA,
+		CCIDTagged: ccidTagged,
+		Global:     e.Global,
+	}
 }
