@@ -160,12 +160,9 @@ func (k *Kernel) demand4K(p *Process, vma *VMA, gva, va memdefs.VAddr, write boo
 	if vma.Kind == VMAAnon && !write {
 		// Read-before-write: map the global zero page copy-on-write.
 		k.Mem.Ref(k.zeroPPN)
-		flags := pgtable.FlagPresent | pgtable.FlagUser | pgtable.FlagAccess | pgtable.FlagCoW
+		flags := pgtable.FlagPresent | pgtable.FlagUser | pgtable.FlagAccess | pgtable.FlagCoW | k.ownedFlagIf(!isShared)
 		if !vma.Perm.CanExec() {
 			flags |= pgtable.FlagNX
-		}
-		if !isShared {
-			flags |= k.ownedFlag()
 		}
 		k.Mem.WriteEntry(table, idx, uint64(pgtable.MakeEntry(k.zeroPPN, flags)))
 		k.stats.MinorFaults++
@@ -206,36 +203,23 @@ func (k *Kernel) demand4K(p *Process, vma *VMA, gva, va memdefs.VAddr, write boo
 		}
 	}
 
-	if vma.Kind == VMAAnon {
-		// Anonymous write: allocate a fresh zeroed frame.
+	if vma.Kind == VMAAnon || (write && privWrite && !soleMember) {
+		// A fresh private frame: zero-filled for an anonymous write, a
+		// copy of the page-cache page for a MAP_PRIVATE write with
+		// siblings.
 		if frame, err = k.allocFrame(physmem.FrameData); err != nil {
-			return cycles, err
-		}
-		flags := pgtable.FlagPresent | pgtable.FlagUser | pgtable.FlagAccess | pgtable.FlagDirty | pgtable.FlagWrite
-		if !vma.Perm.CanExec() {
-			flags |= pgtable.FlagNX
-		}
-		if !isShared {
-			flags |= k.ownedFlag()
-		}
-		k.Mem.WriteEntry(table, idx, uint64(pgtable.MakeEntry(frame, flags)))
-		k.stats.ZeroFillFaults++
-		k.countInstall(isShared)
-		return cycles + k.Cfg.Costs.MinorInstall + k.Cfg.Costs.ZeroFill, nil
-	}
-
-	if write && privWrite && !soleMember {
-		// MAP_PRIVATE write with siblings: go straight to a private copy.
-		copyFrame, err := k.allocFrame(physmem.FrameData)
-		if err != nil {
 			return cycles, err
 		}
 		flags := pgtable.FlagPresent | pgtable.FlagUser | pgtable.FlagAccess | pgtable.FlagDirty | pgtable.FlagWrite | k.ownedFlagIf(!isShared)
 		if !vma.Perm.CanExec() {
 			flags |= pgtable.FlagNX
 		}
-		k.Mem.WriteEntry(table, idx, uint64(pgtable.MakeEntry(copyFrame, flags)))
+		k.Mem.WriteEntry(table, idx, uint64(pgtable.MakeEntry(frame, flags)))
 		k.countInstall(isShared)
+		if vma.Kind == VMAAnon {
+			k.stats.ZeroFillFaults++
+			return cycles + k.Cfg.Costs.MinorInstall + k.Cfg.Costs.ZeroFill, nil
+		}
 		return cycles + k.Cfg.Costs.MinorInstall + k.Cfg.Costs.CoWCopyPage, nil
 	}
 
@@ -273,9 +257,7 @@ func (k *Kernel) demand4K(p *Process, vma *VMA, gva, va memdefs.VAddr, write boo
 			flags |= pgtable.FlagDirty
 		}
 	}
-	if !isShared {
-		flags |= k.ownedFlag()
-	}
+	flags |= k.ownedFlagIf(!isShared)
 	// The entry holds one reference on its frame. Freshly-allocated copy
 	// frames (sole-member private write) already carry their reference;
 	// page-cache frames need one added.

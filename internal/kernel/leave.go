@@ -13,12 +13,12 @@ import (
 // Config.NoPCBitmask — reverts the whole 1GB region to private O-tagged
 // tables. Its callers:
 //
-//   - a CoW write (demand4K, cowBreak4K) and mprotect of a linked region
-//     go through ensureOwnedTable, which then takes a private O-tagged
-//     copy of the shared PTE table;
-//   - munmap, and mprotect of a region the process does not link, go
-//     through leaveSharing, which only claims the bit and drops the stale
-//     shared TLB entries.
+//   - a CoW write (demand4K, cowBreak4K) goes through ensureOwnedTable,
+//     which then takes a private O-tagged copy of the shared PTE table;
+//   - munmap and mprotect go through leaveSharing, which drops the stale
+//     shared TLB entries and then leaves each region: through
+//     ensureOwnedTable where mprotect must rewrite a linked table, and
+//     through assignPCBit alone otherwise.
 
 // ensureOwnedTable gives the process a private PTE table for gva's 2MB
 // region — the paper's CoW event: leave sharing through assignPCBit, copy

@@ -48,11 +48,13 @@ func (p *Process) Unmap(v *VMA) (memdefs.Cycles, error) {
 		// Under PMD-level sharing a VMA may cover only part of the 1GB
 		// region a shared PMD table maps; privatize the PMD first so
 		// unlinking this VMA's PTE tables cannot disturb other members.
-		for gva := v.Start; gva < v.End && k.Cfg.Mode == ModeBabelFish && k.Cfg.ShareLevel == memdefs.LvlPMD; gva += memdefs.HugePageSize2M {
-			_, c, err := k.privatizePMD(p, gva)
-			cycles += c
-			if err != nil {
-				return cycles, err
+		if k.Cfg.Mode == ModeBabelFish && k.Cfg.ShareLevel == memdefs.LvlPMD {
+			for gva := v.Start; gva < v.End; gva += memdefs.HugePageSize2M {
+				_, c, err := k.privatizePMD(p, gva)
+				cycles += c
+				if err != nil {
+					return cycles, err
+				}
 			}
 		}
 	}
