@@ -194,13 +194,14 @@ func (k *Kernel) forkShared(parent, child *Process) (memdefs.Cycles, error) {
 	cycles += memdefs.Cycles(linked) * k.Cfg.Costs.LinkTables
 
 	// Deep-copy the parent's private (Owned) leaf entries.
-	copied, _, err := k.copyLeaves(parent, child, true)
+	copied, downgraded, err := k.copyLeaves(parent, child, true)
 	if err != nil {
 		return 0, err
 	}
-	if copied > 0 {
-		k.stats.ForkCopiedPTEs += copied
-		cycles += memdefs.Cycles(copied)*k.Cfg.Costs.ForkPerEntry + k.flushProcess(parent)
+	k.stats.ForkCopiedPTEs += copied
+	cycles += memdefs.Cycles(copied) * k.Cfg.Costs.ForkPerEntry
+	if downgraded {
+		cycles += k.flushProcess(parent)
 	}
 	return cycles, nil
 }

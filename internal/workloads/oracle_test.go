@@ -39,11 +39,11 @@ func TestTranslationOracle(t *testing.T) {
 	}
 	for _, c := range []cfg{
 		{name: "Baseline", mode: kernel.ModeBaseline, level: memdefs.LvlPTE, digest: 0xb9ad6ea750baf153},
-		{name: "BabelFish-PTEshare", mode: kernel.ModeBabelFish, level: memdefs.LvlPTE, digest: 0xe4ea9cec12f39574},
-		{name: "BabelFish-PMDshare", mode: kernel.ModeBabelFish, level: memdefs.LvlPMD, digest: 0x8fc92f46d77e5524},
-		{name: "BabelFish-NoPCBitmask", mode: kernel.ModeBabelFish, level: memdefs.LvlPTE, noPC: true, digest: 0x61dc674b47117899},
-		{name: "BabelFish-PMDshare-NoPCBitmask", mode: kernel.ModeBabelFish, level: memdefs.LvlPMD, noPC: true, digest: 0x11d96e07dbded1eb},
-		{name: "BabelFish-ASLRSW", mode: kernel.ModeBabelFish, level: memdefs.LvlPTE, aslrSW: true, digest: 0x81369f5aabbda6d2},
+		{name: "BabelFish-PTEshare", mode: kernel.ModeBabelFish, level: memdefs.LvlPTE, digest: 0x711c9bb0db32654b},
+		{name: "BabelFish-PMDshare", mode: kernel.ModeBabelFish, level: memdefs.LvlPMD, digest: 0xa0dfa2f11934e417},
+		{name: "BabelFish-NoPCBitmask", mode: kernel.ModeBabelFish, level: memdefs.LvlPTE, noPC: true, digest: 0xfc8793c2f77a1b16},
+		{name: "BabelFish-PMDshare-NoPCBitmask", mode: kernel.ModeBabelFish, level: memdefs.LvlPMD, noPC: true, digest: 0xa8b82692a2d01dc0},
+		{name: "BabelFish-ASLRSW", mode: kernel.ModeBabelFish, level: memdefs.LvlPTE, aslrSW: true, digest: 0xf2a307e041ea501d},
 	} {
 		mode := c.mode
 		t.Run(c.name, func(t *testing.T) {
