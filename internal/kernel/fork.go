@@ -48,18 +48,16 @@ func (k *Kernel) procOffsets(g *Group, pid memdefs.PID) [NumSegs]memdefs.VAddr {
 	return g.groupOff
 }
 
-// Fork spawns a child process from parent, reproducing Linux lazy-CoW
-// semantics. It returns the child and the kernel cycles consumed.
-//
-// Baseline: the child receives a private copy of every populated level of
-// the parent's page tables; writable private pages become CoW in both
-// processes, and the parent's TLB entries are flushed to revoke write
-// permission (one shootdown round).
-//
-// BabelFish: the child links the group's shared sub-tables into its PMD
-// entries — no per-entry copying, no write-permission change (entries in
-// shared tables are CoW from birth), and therefore no shootdown. Private
-// (Owned) tables of the parent are deep-copied like the baseline.
+// Fork spawns a child process from parent with Linux's lazy-CoW
+// semantics and returns the child and the kernel cycles consumed. Both
+// kernels run the same fork: the child first links the group's
+// registered shared tables (forkLinks, Figure 6), whose entries are CoW
+// from birth (sweepSharedCoW), and then a walk of the parent's page
+// tables (forkTable) copies every present leaf outside them, writable
+// MAP_PRIVATE leaves becoming read-only CoW on both sides. The baseline
+// registers no shared tables, so its walk copies every leaf. One
+// shootdown round revokes the parent's stale write permissions, only
+// when the fork downgraded one of its writable entries.
 func (k *Kernel) Fork(parent *Process, name string) (*Process, memdefs.Cycles, error) {
 	child, err := k.CreateProcess(parent.Group, name)
 	if err != nil {
@@ -67,13 +65,11 @@ func (k *Kernel) Fork(parent *Process, name string) (*Process, memdefs.Cycles, e
 	}
 	k.stats.Forks++
 	child.vmas = append([]*VMA(nil), parent.vmas...)
-	cycles := k.Cfg.Costs.ForkBase
-
-	var c memdefs.Cycles
-	if k.Cfg.Mode == ModeBabelFish {
-		c, err = k.forkShared(parent, child)
-	} else {
-		c, err = k.forkCopy(parent, child)
+	cycles := k.Cfg.Costs.ForkBase + k.sweepSharedCoW(parent)
+	f := forkWalk{parent: parent, child: child}
+	err = k.forkLinks(&f)
+	if err == nil {
+		err = k.forkTable(&f, parent.Tables.Root, memdefs.LvlPGD, 0)
 	}
 	if err != nil {
 		// Unwind the half-built child: Exit releases whatever tables
@@ -81,129 +77,130 @@ func (k *Kernel) Fork(parent *Process, name string) (*Process, memdefs.Cycles, e
 		child.Exit()
 		return nil, 0, err
 	}
-	return child, cycles + c, nil
-}
-
-// forkCopy implements the baseline deep copy.
-func (k *Kernel) forkCopy(parent, child *Process) (memdefs.Cycles, error) {
-	copied, downgraded, err := k.copyLeaves(parent, child, false)
-	if err != nil {
-		return 0, err
-	}
-	k.stats.ForkCopiedPTEs += copied
-	cycles := memdefs.Cycles(copied) * k.Cfg.Costs.ForkPerEntry
-	if downgraded {
-		// One shootdown round revokes the parent's stale write-permitted
-		// TLB entries.
+	k.stats.ForkCopiedPTEs += f.copied
+	k.stats.ForkLinkedTables += f.linked
+	cycles += memdefs.Cycles(f.copied)*k.Cfg.Costs.ForkPerEntry + memdefs.Cycles(f.linked)*k.Cfg.Costs.LinkTables
+	if f.downgraded {
 		cycles += k.flushProcess(parent)
 	}
-	return cycles, nil
+	return child, cycles, nil
 }
 
-// copyLeaves deep-copies the parent's present leaves into the child,
-// downgrading writable MAP_PRIVATE leaves to read-only CoW on both sides.
-// With skipShared set it leaves out the leaves that live in a group-shared
-// table: the child links those instead. It reports how many leaves it
-// copied and whether it downgraded any parent entry.
-func (k *Kernel) copyLeaves(parent, child *Process, skipShared bool) (copied uint64, downgraded bool, err error) {
-	g := parent.Group
-	parent.Tables.VisitLeaves(func(gva memdefs.VAddr, lvl memdefs.Level, table memdefs.PPN, idx int, e pgtable.Entry) {
-		if err != nil || !e.Present() {
-			return
-		}
-		if skipShared {
-			// Covered by a shared PTE table (directly registered, or a
-			// child of a shared PMD table under PMD-level sharing), or a
-			// huge leaf of a shared PMD table?
-			if lvl == memdefs.LvlPTE {
-				if shared, ok := k.sharedTableFor(g, gva); ok && shared == table {
-					return
-				}
-			} else if shared, ok := g.sharedPMD[regionKey1G(gva)]; ok && shared == table {
-				return
+// forkWalk is one fork's progress: the leaves it copied, the shared
+// tables it linked, and whether it downgraded a parent entry.
+type forkWalk struct {
+	parent, child  *Process
+	copied, linked uint64
+	downgraded     bool
+}
+
+// forkLinks links into the child each shared table the group registers
+// over the child's VMAs: PTE tables, then PMD tables, each in key order.
+// LinkTable grows the child's upper tables, so this order decides frame
+// allocation and must not depend on map layout.
+func (k *Kernel) forkLinks(f *forkWalk) error {
+	g := f.parent.Group
+	for _, reg := range []struct {
+		tables map[uint64]memdefs.PPN
+		shift  int
+		lvl    memdefs.Level
+	}{
+		{g.sharedPTE, memdefs.HugePageShift2M, memdefs.LvlPMD},
+		{g.sharedPMD, memdefs.HugePageShift1G, memdefs.LvlPUD},
+	} {
+		for _, key := range sortedKeys(reg.tables) {
+			gva := memdefs.VAddr(key) << reg.shift
+			if _, ok := f.child.FindVMA(gva); !ok {
+				continue
+			}
+			if err := k.forkLink(f, gva, reg.lvl, reg.tables[key]); err != nil {
+				return err
 			}
 		}
-		vma, ok := parent.FindVMA(gva)
-		if !ok {
-			return // stale mapping outside any VMA; skip
-		}
-		ne := e
-		if vma.Private && e.Writable() {
-			ne = e.Without(pgtable.FlagWrite).With(pgtable.FlagCoW)
-			k.Mem.WriteEntry(table, idx, uint64(ne))
-			downgraded = true
-		}
-		k.Mem.Ref(e.PPN())
-		if err = child.Tables.SetEntry(gva, lvl, ne); err != nil {
-			k.Mem.Unref(e.PPN())
-			return
-		}
-		copied++
-	})
-	return copied, downgraded, err
+	}
+	return nil
 }
 
-// forkShared implements BabelFish fork: link every group-shared table
-// covering the parent's VMAs into the child, and deep-copy the parent's
-// private (Owned) tables.
-func (k *Kernel) forkShared(parent, child *Process) (memdefs.Cycles, error) {
-	var cycles memdefs.Cycles
-	var linked uint64
+// forkLink points the child's entry at level lvl for va at the group's
+// shared table tbl.
+func (k *Kernel) forkLink(f *forkWalk, va memdefs.VAddr, lvl memdefs.Level, tbl memdefs.PPN) error {
+	if err := f.child.Tables.LinkTable(va, lvl, tbl); err != nil {
+		return fmt.Errorf("fork link: %w", err)
+	}
+	if lvl == memdefs.LvlPMD && f.parent.Group.orpcFor(va) {
+		k.setPMDORPC(f.child, va, true)
+	}
+	f.linked++
+	return nil
+}
 
-	// Sweep: downgrade writable MAP_PRIVATE entries in shared tables to
-	// read-only CoW before the child can use them. This only finds work
-	// the first time a populated template is forked; later forks see the
-	// entries already CoW.
-	cycles += k.sweepSharedCoW(parent)
-
-	// Link shared PTE tables, in sorted key order: LinkTable grows the
-	// child's upper tables on demand, so iteration order decides frame
-	// allocation order and must not depend on map layout.
-	for _, key := range sortedKeys(parent.Group.sharedPTE) {
-		tablePPN := parent.Group.sharedPTE[key]
-		gva := memdefs.VAddr(key) << memdefs.HugePageShift2M
-		if _, ok := child.FindVMA(gva); !ok {
+// forkTable visits the parent's table whose entries are at level lvl and
+// map the range starting at base. A shared table the parent links is not
+// visited: the child links it too, if forkLinks has not already.
+func (k *Kernel) forkTable(f *forkWalk, table memdefs.PPN, lvl memdefs.Level, base memdefs.VAddr) error {
+	entries := k.Mem.Table(table)
+	for i := range entries {
+		e := pgtable.Entry(entries[i])
+		va := base + memdefs.VAddr(i)<<lvl.IndexShift()
+		if lvl == memdefs.LvlPTE || (e.Present() && e.Huge()) {
+			if e.Present() {
+				if err := k.forkLeaf(f, table, i, va, lvl, e); err != nil {
+					return err
+				}
+			}
 			continue
 		}
-		// Skip regions where the parent diverged; the child still links
-		// the shared table (it shares the clean pages, not the parent's
-		// private copies).
-		if err := child.Tables.LinkTable(gva, memdefs.LvlPMD, tablePPN); err != nil {
-			return 0, fmt.Errorf("fork link: %w", err)
-		}
-		orpc := parent.Group.orpcFor(gva)
-		if orpc {
-			k.setPMDORPC(child, gva, true)
-		}
-		linked++
-	}
-	// Link shared PMD tables (huge-page merging), sorted like the PTE
-	// links above.
-	for _, key := range sortedKeys(parent.Group.sharedPMD) {
-		tablePPN := parent.Group.sharedPMD[key]
-		gva := memdefs.VAddr(key) << memdefs.HugePageShift1G
-		if _, ok := child.FindVMA(gva); !ok {
+		if e.PPN() == 0 {
 			continue
 		}
-		if err := child.Tables.LinkTable(gva, memdefs.LvlPUD, tablePPN); err != nil {
-			return 0, fmt.Errorf("fork link pmd: %w", err)
+		if shared, ok := k.sharedBelow(f.parent.Group, va, lvl); ok && shared == e.PPN() {
+			if f.child.Tables.TableAt(va, lvl+1) == 0 {
+				if err := k.forkLink(f, va, lvl, shared); err != nil {
+					return err
+				}
+			}
+			continue
 		}
-		linked++
+		if err := k.forkTable(f, e.PPN(), lvl+1, va); err != nil {
+			return err
+		}
 	}
-	k.stats.ForkLinkedTables += linked
-	cycles += memdefs.Cycles(linked) * k.Cfg.Costs.LinkTables
+	return nil
+}
 
-	// Deep-copy the parent's private (Owned) leaf entries.
-	copied, downgraded, err := k.copyLeaves(parent, child, true)
-	if err != nil {
-		return 0, err
+// sharedBelow returns the group's shared table that an entry at level lvl
+// for va points at when the process shares it: a PMD table under a pud_t,
+// a PTE table under a pmd_t.
+func (k *Kernel) sharedBelow(g *Group, va memdefs.VAddr, lvl memdefs.Level) (memdefs.PPN, bool) {
+	switch lvl {
+	case memdefs.LvlPUD:
+		tbl, ok := g.sharedPMD[regionKey1G(va)]
+		return tbl, ok
+	case memdefs.LvlPMD:
+		return k.sharedTableFor(g, va)
 	}
-	k.stats.ForkCopiedPTEs += copied
-	cycles += memdefs.Cycles(copied) * k.Cfg.Costs.ForkPerEntry
-	if downgraded {
-		cycles += k.flushProcess(parent)
+	return 0, false
+}
+
+// forkLeaf copies one present leaf of the parent into the child,
+// downgrading a writable MAP_PRIVATE leaf to read-only CoW on both sides.
+func (k *Kernel) forkLeaf(f *forkWalk, table memdefs.PPN, idx int, va memdefs.VAddr, lvl memdefs.Level, e pgtable.Entry) error {
+	vma, ok := f.parent.FindVMA(va)
+	if !ok {
+		return nil // stale mapping outside any VMA; skip
 	}
-	return cycles, nil
+	if vma.Private && e.Writable() {
+		e = e.Without(pgtable.FlagWrite).With(pgtable.FlagCoW)
+		k.Mem.WriteEntry(table, idx, uint64(e))
+		f.downgraded = true
+	}
+	k.Mem.Ref(e.PPN())
+	if err := f.child.Tables.SetEntry(va, lvl, e); err != nil {
+		k.Mem.Unref(e.PPN())
+		return err
+	}
+	f.copied++
+	return nil
 }
 
 // sweepSharedCoW converts writable MAP_PRIVATE entries in the group's
