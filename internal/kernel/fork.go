@@ -50,14 +50,17 @@ func (k *Kernel) procOffsets(g *Group, pid memdefs.PID) [NumSegs]memdefs.VAddr {
 
 // Fork spawns a child process from parent with Linux's lazy-CoW
 // semantics and returns the child and the kernel cycles consumed. Both
-// kernels run the same fork: the child first links the group's
-// registered shared tables (forkLinks, Figure 6), whose entries are CoW
-// from birth (sweepSharedCoW), and then a walk of the parent's page
-// tables (forkTable) copies every present leaf outside them, writable
-// MAP_PRIVATE leaves becoming read-only CoW on both sides. The baseline
-// registers no shared tables, so its walk copies every leaf. One
-// shootdown round revokes the parent's stale write permissions, only
-// when the fork downgraded one of its writable entries.
+// kernels run the same fork. The child first links the group's
+// registered shared tables wherever the parent links them or holds no
+// table yet (forkLinks, Figure 6); their entries are CoW from birth
+// (sweepSharedCoW). Then a walk of the parent's page tables (forkTable)
+// copies every present leaf the parent owns, writable MAP_PRIVATE leaves
+// becoming read-only CoW on both sides. Where the parent left sharing for
+// a region, the child leaves too, through assignPCBit, and its copies
+// fill a private table of its own (Section III-A: private copies stay
+// private). The baseline registers no shared tables, so its walk copies
+// every leaf. One shootdown round revokes the parent's stale write
+// permissions, only when the fork downgraded one of its writable entries.
 func (k *Kernel) Fork(parent *Process, name string) (*Process, memdefs.Cycles, error) {
 	child, err := k.CreateProcess(parent.Group, name)
 	if err != nil {
@@ -79,7 +82,7 @@ func (k *Kernel) Fork(parent *Process, name string) (*Process, memdefs.Cycles, e
 	}
 	k.stats.ForkCopiedPTEs += f.copied
 	k.stats.ForkLinkedTables += f.linked
-	cycles += memdefs.Cycles(f.copied)*k.Cfg.Costs.ForkPerEntry + memdefs.Cycles(f.linked)*k.Cfg.Costs.LinkTables
+	cycles += f.cycles + memdefs.Cycles(f.copied)*k.Cfg.Costs.ForkPerEntry + memdefs.Cycles(f.linked)*k.Cfg.Costs.LinkTables
 	if f.downgraded {
 		cycles += k.flushProcess(parent)
 	}
@@ -87,15 +90,18 @@ func (k *Kernel) Fork(parent *Process, name string) (*Process, memdefs.Cycles, e
 }
 
 // forkWalk is one fork's progress: the leaves it copied, the shared
-// tables it linked, and whether it downgraded a parent entry.
+// tables it linked, whether it downgraded a parent entry, and the cycles
+// the child spent leaving sharing.
 type forkWalk struct {
 	parent, child  *Process
 	copied, linked uint64
 	downgraded     bool
+	cycles         memdefs.Cycles
 }
 
 // forkLinks links into the child each shared table the group registers
-// over the child's VMAs: PTE tables, then PMD tables, each in key order.
+// over the child's VMAs, unless the parent holds a private table there:
+// PTE tables, then PMD tables, each in key order.
 // LinkTable grows the child's upper tables, so this order decides frame
 // allocation and must not depend on map layout.
 func (k *Kernel) forkLinks(f *forkWalk) error {
@@ -110,10 +116,14 @@ func (k *Kernel) forkLinks(f *forkWalk) error {
 	} {
 		for _, key := range sortedKeys(reg.tables) {
 			gva := memdefs.VAddr(key) << reg.shift
+			tbl := reg.tables[key]
 			if _, ok := f.child.FindVMA(gva); !ok {
 				continue
 			}
-			if err := k.forkLink(f, gva, reg.lvl, reg.tables[key]); err != nil {
+			if cur := f.parent.Tables.TableAt(gva, reg.lvl+1); cur != 0 && cur != tbl {
+				continue
+			}
+			if err := k.forkLink(f, gva, reg.lvl, tbl); err != nil {
 				return err
 			}
 		}
@@ -153,13 +163,23 @@ func (k *Kernel) forkTable(f *forkWalk, table memdefs.PPN, lvl memdefs.Level, ba
 		if e.PPN() == 0 {
 			continue
 		}
-		if shared, ok := k.sharedBelow(f.parent.Group, va, lvl); ok && shared == e.PPN() {
+		shared, ok := k.sharedBelow(f.parent.Group, va, lvl)
+		if ok && shared == e.PPN() {
 			if f.child.Tables.TableAt(va, lvl+1) == 0 {
 				if err := k.forkLink(f, va, lvl, shared); err != nil {
 					return err
 				}
 			}
 			continue
+		}
+		if ok && lvl == memdefs.LvlPMD {
+			// The parent left sharing for this 2MB region, and so does
+			// the child, whose new PC bit no cached shared entry holds.
+			_, c, err := k.assignPCBit(f.child, va)
+			f.cycles += c + k.dropSharedTLB(f.parent.Group, va, va+memdefs.HugePageSize2M)
+			if err != nil {
+				return err
+			}
 		}
 		if err := k.forkTable(f, e.PPN(), lvl+1, va); err != nil {
 			return err

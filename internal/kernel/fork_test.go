@@ -9,47 +9,71 @@ import (
 )
 
 // TestForkFromDivergedParent forks from a parent that already owns a
-// private PTE table (post-CoW): the child must deep-copy the parent's
-// private entries and still link the group's shared tables.
+// private PTE table (post-CoW): the child leaves sharing for that region
+// as the parent did, claiming its own PC bit, and receives the parent's
+// entries in a private table of its own. The group's shared table, and
+// with it every sibling's view, stays as it was.
 func TestForkFromDivergedParent(t *testing.T) {
-	k := newKernel(t, ModeBabelFish)
-	g := k.NewGroup("app", 3)
-	p1 := mustProc(t, k, g, "c1")
-	f := k.MustCreateFile("bin", 16)
-	r := g.MustRegion("data", SegData, 16)
-	p1.MustMapFile(r, f, 0, rw, true, "data")
-	p2, _, err := k.Fork(p1, "c2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Populate and diverge: p2 writes page 0, keeping pages 1.. shared.
-	gva0, gva1 := r.Start, r.Start+memdefs.PageSize
-	mustFault(t, k, p1, gva0, false)
-	mustFault(t, k, p1, gva1, false)
-	mustFault(t, k, p2, gva0, true) // p2 owns the region now
+	for _, level := range []memdefs.Level{memdefs.LvlPTE, memdefs.LvlPMD} {
+		cfg := DefaultConfig(ModeBabelFish)
+		cfg.THP = false
+		cfg.ShareLevel = level
+		k := New(physmem.New(256<<20), cfg)
+		g := k.NewGroup("app", 3)
+		p1 := mustProc(t, k, g, "c1")
+		f := k.MustCreateFile("bin", 16)
+		r := g.MustRegion("data", SegData, 16)
+		p1.MustMapFile(r, f, 0, rw, true, "data")
+		p2, _, err := k.Fork(p1, "c2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Populate and diverge: p2 writes page 0, keeping pages 1.. shared.
+		gva0, gva1 := r.Start, r.Start+memdefs.PageSize
+		mustFault(t, k, p1, gva0, false)
+		mustFault(t, k, p1, gva1, false)
+		mustFault(t, k, p2, gva0, true) // p2 owns the region now
+		p1Frame := leaf(t, p1, gva0).PPN()
 
-	// Fork a grandchild from the DIVERGED p2.
-	p3, _, err := k.Fork(p2, "c3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// p3 sees p2's written page content (same frame, CoW both sides).
-	e2, e3 := leaf(t, p2, gva0), leaf(t, p3, gva0)
-	if !e3.Present() || e3.PPN() != e2.PPN() {
-		t.Fatalf("grandchild does not share parent's private page: %#x vs %#x", uint64(e3), uint64(e2))
-	}
-	if e2.Writable() || e3.Writable() {
-		t.Fatal("private page not CoW-protected after fork")
-	}
-	// Grandchild writes: gets its own frame, p2's stays.
-	mustFault(t, k, p3, gva0, true)
-	if leaf(t, p3, gva0).PPN() == leaf(t, p2, gva0).PPN() {
-		t.Fatal("grandchild CoW did not copy")
-	}
-	// Clean shared page still shared by everyone through the group table.
-	mustFault(t, k, p3, gva1, false)
-	if leaf(t, p3, gva1).PPN() != leaf(t, p1, gva1).PPN() {
-		t.Fatal("grandchild lost the clean shared page")
+		// Fork a grandchild from the DIVERGED p2.
+		p3, _, err := k.Fork(p2, "c3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := k.Audit(); !rep.OK() {
+			t.Fatalf("[share %v] after the fork: %s", level, rep)
+		}
+		if got := leaf(t, p1, gva0).PPN(); got != p1Frame {
+			t.Fatalf("[share %v] sibling p1 now maps frame %d at gva0, want its own frame %d", level, got, p1Frame)
+		}
+		mp, _ := g.maskPageFor(memdefs.PageVPN(gva0), false)
+		if mp == nil {
+			t.Fatalf("[share %v] no MaskPage for the diverged region", level)
+		}
+		if bit, ok := mp.bitOf(p3.PID); !ok || mp.MaskAt(memdefs.LvlPMD.Index(gva0))&(1<<uint(bit)) == 0 {
+			t.Fatalf("[share %v] grandchild holds no PC bit for the region it received private copies of (bit %d, assigned %v)", level, bit, ok)
+		}
+		// p3 sees p2's written page content (same frame, CoW both sides).
+		e2, e3 := leaf(t, p2, gva0), leaf(t, p3, gva0)
+		if !e3.Present() || e3.PPN() != e2.PPN() {
+			t.Fatalf("[share %v] grandchild does not share parent's private page: %#x vs %#x", level, uint64(e3), uint64(e2))
+		}
+		if e2.Writable() || e3.Writable() {
+			t.Fatalf("[share %v] private page not CoW-protected after fork", level)
+		}
+		// Grandchild writes: gets its own frame, p2's stays.
+		mustFault(t, k, p3, gva0, true)
+		if leaf(t, p3, gva0).PPN() == leaf(t, p2, gva0).PPN() {
+			t.Fatalf("[share %v] grandchild CoW did not copy", level)
+		}
+		// The clean page still maps the frame every sibling maps.
+		mustFault(t, k, p3, gva1, false)
+		if leaf(t, p3, gva1).PPN() != leaf(t, p1, gva1).PPN() {
+			t.Fatalf("[share %v] grandchild lost the clean shared page", level)
+		}
+		if rep := k.Audit(); !rep.OK() {
+			t.Fatalf("[share %v] after the grandchild's writes: %s", level, rep)
+		}
 	}
 }
 

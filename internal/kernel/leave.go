@@ -143,11 +143,7 @@ func (k *Kernel) leaveSharing(p *Process, v *VMA, privatize bool) (memdefs.Cycle
 		if _, has := k.sharedTableFor(p.Group, gva); !has || !k.shareTables(p.Group, gva) {
 			continue
 		}
-		lo, hi := max(gva, v.Start), min(gva+memdefs.HugePageSize2M, v.End)
-		for pg := lo; pg < hi && k.Hooks != nil; pg += memdefs.PageSize {
-			k.Hooks.ShootdownSharedVA(pg, p.Group.CCID)
-		}
-		cycles += memdefs.Cycles(k.numRemoteCores()) * k.Cfg.Costs.ShootdownPer
+		cycles += k.dropSharedTLB(p.Group, max(gva, v.Start), min(gva+memdefs.HugePageSize2M, v.End))
 	}
 	for gva := start; gva < v.End; gva += memdefs.HugePageSize2M {
 		shared, has := k.sharedTableFor(p.Group, gva)
@@ -167,6 +163,16 @@ func (k *Kernel) leaveSharing(p *Process, v *VMA, privatize bool) (memdefs.Cycle
 		}
 	}
 	return cycles, nil
+}
+
+// dropSharedTLB shoots down the group's shared TLB entries for the pages
+// in [lo, hi): entries cached before a process claimed its PC bit carry a
+// stale PC bitmask that would still let it match them.
+func (k *Kernel) dropSharedTLB(g *Group, lo, hi memdefs.VAddr) memdefs.Cycles {
+	for pg := lo; pg < hi && k.Hooks != nil; pg += memdefs.PageSize {
+		k.Hooks.ShootdownSharedVA(pg, g.CCID)
+	}
+	return memdefs.Cycles(k.numRemoteCores()) * k.Cfg.Costs.ShootdownPer
 }
 
 // copyOwned fills the fresh table dst with O-tagged copies of src's
