@@ -18,10 +18,13 @@ import (
 // whatever the TLBs, PWC and shared tables cache, Translate must always
 // produce the same physical frame as a direct software walk of the
 // process's page tables. It runs a randomized interleaving of reads,
-// CoW-triggering writes, forks, munmaps, mprotects and exits across a
-// container group, on both architectures and every sharing variant, and
-// cross-checks every translation. The kernel, allocator and TLB audits run after every fork,
-// unmap and protect.
+// CoW-triggering writes, forks (of the template and of running
+// containers, which may have left sharing), munmaps, mprotects and exits
+// across a container group, on both architectures and every sharing
+// variant, and cross-checks every translation. The kernel, allocator and
+// TLB audits run after every fork, unmap and protect. Every fork must
+// also be invisible to the processes that already exist: each of their
+// leaves keeps its frame, and its flags may only lose Write or gain CoW.
 //
 // Each config also pins a digest of its whole trajectory: every fault's
 // returned cycles, the final kernel counters, the free frame count and
@@ -38,12 +41,12 @@ func TestTranslationOracle(t *testing.T) {
 		digest uint64
 	}
 	for _, c := range []cfg{
-		{name: "Baseline", mode: kernel.ModeBaseline, level: memdefs.LvlPTE, digest: 0xb9ad6ea750baf153},
-		{name: "BabelFish-PTEshare", mode: kernel.ModeBabelFish, level: memdefs.LvlPTE, digest: 0x711c9bb0db32654b},
-		{name: "BabelFish-PMDshare", mode: kernel.ModeBabelFish, level: memdefs.LvlPMD, digest: 0xa0dfa2f11934e417},
-		{name: "BabelFish-NoPCBitmask", mode: kernel.ModeBabelFish, level: memdefs.LvlPTE, noPC: true, digest: 0xfc8793c2f77a1b16},
-		{name: "BabelFish-PMDshare-NoPCBitmask", mode: kernel.ModeBabelFish, level: memdefs.LvlPMD, noPC: true, digest: 0xa8b82692a2d01dc0},
-		{name: "BabelFish-ASLRSW", mode: kernel.ModeBabelFish, level: memdefs.LvlPTE, aslrSW: true, digest: 0xf2a307e041ea501d},
+		{name: "Baseline", mode: kernel.ModeBaseline, level: memdefs.LvlPTE, digest: 0x9570aa8748881681},
+		{name: "BabelFish-PTEshare", mode: kernel.ModeBabelFish, level: memdefs.LvlPTE, digest: 0xd8ed9e17f3dc6259},
+		{name: "BabelFish-PMDshare", mode: kernel.ModeBabelFish, level: memdefs.LvlPMD, digest: 0x303688ef69a88b0a},
+		{name: "BabelFish-NoPCBitmask", mode: kernel.ModeBabelFish, level: memdefs.LvlPTE, noPC: true, digest: 0x4beaec8aff7f611a},
+		{name: "BabelFish-PMDshare-NoPCBitmask", mode: kernel.ModeBabelFish, level: memdefs.LvlPMD, noPC: true, digest: 0x870bd763a37b14ea},
+		{name: "BabelFish-ASLRSW", mode: kernel.ModeBabelFish, level: memdefs.LvlPTE, aslrSW: true, digest: 0x08cb70b378fcffd8},
 	} {
 		mode := c.mode
 		t.Run(c.name, func(t *testing.T) {
@@ -106,14 +109,43 @@ func TestTranslationOracle(t *testing.T) {
 					PCMask:   pr.PCMaskFunc(),
 				}
 			}
+			type leafKey struct {
+				pid memdefs.PID
+				gva memdefs.VAddr
+				lvl memdefs.Level
+			}
+			leaves := func() map[leafKey]pgtable.Entry {
+				m := map[leafKey]pgtable.Entry{}
+				for _, pr := range k.Processes() {
+					pr.Tables.VisitLeaves(func(gva memdefs.VAddr, lvl memdefs.Level, _ memdefs.PPN, _ int, e pgtable.Entry) {
+						m[leafKey{pr.PID, gva, lvl}] = e
+					})
+				}
+				return m
+			}
 			fork := func(step int, parent *kernel.Process, name string) {
 				t.Helper()
+				before := leaves()
 				c, _, err := k.Fork(parent, name)
 				if err != nil {
 					t.Fatal(err)
 				}
 				addProc(c)
 				audit(step, "fork of "+parent.Name)
+				after := leaves()
+				const wc = pgtable.FlagWrite | pgtable.FlagCoW
+				for key, old := range before {
+					e, ok := after[key]
+					if !ok || e.PPN() != old.PPN() || e&^wc != old&^wc || (e.Writable() && !old.Writable()) || (old.CoW() && !e.CoW()) {
+						t.Fatalf("step %d: fork of %s changed pid %d's leaf at gva %#x (level %v) from %#x to %#x (present %v)",
+							step, parent.Name, key.pid, key.gva, key.lvl, uint64(old), uint64(e), ok)
+					}
+				}
+				for key := range after {
+					if _, ok := before[key]; !ok && key.pid != c.PID {
+						t.Fatalf("step %d: fork of %s added a leaf to pid %d at gva %#x (level %v)", step, parent.Name, key.pid, key.gva, key.lvl)
+					}
+				}
 			}
 			remap := func(step int, pr *kernel.Process, r kernel.Region) {
 				t.Helper()
@@ -155,9 +187,13 @@ func TestTranslationOracle(t *testing.T) {
 			rng := NewRNG(777)
 			regions := []kernel.Region{rFile, rData, rHeap, rTHP}
 			for step := 0; step < 8000; step++ {
-				// Occasionally fork another container mid-stream.
+				// Occasionally fork another container mid-stream, from the
+				// template or from a running container.
 				if step%1500 == 1499 && len(procs) < 8 {
 					fork(step, tmpl, "late")
+				}
+				if step%1300 == 1299 {
+					fork(step, procs[rng.Intn(len(procs))], "forked")
 				}
 				// Occasionally retire a container (its TLB entries must
 				// never leak into other processes' translations) and
