@@ -150,6 +150,8 @@ func TestZeroPageNeverFreed(t *testing.T) {
 	}
 }
 
+// TestSetPMDORPCIdempotent: setORPC marks a pmd_t only once the region's
+// PC bitmask is non-zero, and marking it again changes nothing.
 func TestSetPMDORPCIdempotent(t *testing.T) {
 	k := newKernel(t, ModeBabelFish)
 	g := k.NewGroup("app", 45)
@@ -158,18 +160,23 @@ func TestSetPMDORPCIdempotent(t *testing.T) {
 	r := g.MustRegion("x", SegMmap, 8)
 	p.MustMapFile(r, f, 0, ro, true, "x")
 	mustFault(t, k, p, r.Start, false)
-	k.setPMDORPC(p, r.Start, true)
 	tbl := p.Tables.TableAt(r.Start, memdefs.LvlPMD)
-	e1 := pgtable.Entry(k.Mem.ReadEntry(tbl, memdefs.LvlPMD.Index(r.Start)))
-	k.setPMDORPC(p, r.Start, true) // no-op
-	e2 := pgtable.Entry(k.Mem.ReadEntry(tbl, memdefs.LvlPMD.Index(r.Start)))
-	if e1 != e2 || !e2.ORPC() {
-		t.Fatal("ORPC setting not idempotent")
+	idx := memdefs.LvlPMD.Index(r.Start)
+	pmd := func() pgtable.Entry { return pgtable.Entry(k.Mem.ReadEntry(tbl, idx)) }
+	k.setORPC(p, r.Start)
+	if pmd().ORPC() {
+		t.Fatal("ORPC set while the region's PC bitmask is empty")
 	}
-	k.setPMDORPC(p, r.Start, false)
-	e3 := pgtable.Entry(k.Mem.ReadEntry(tbl, memdefs.LvlPMD.Index(r.Start)))
-	if e3.ORPC() {
-		t.Fatal("ORPC not cleared")
+	mp, err := g.maskPageFor(memdefs.PageVPN(r.Start), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp.masks[idx] = 1
+	k.setORPC(p, r.Start)
+	e1 := pmd()
+	k.setORPC(p, r.Start) // no-op
+	if e2 := pmd(); e1 != e2 || !e2.ORPC() {
+		t.Fatal("ORPC setting not idempotent")
 	}
 }
 

@@ -120,9 +120,7 @@ func (k *Kernel) pteTableFor(p *Process, gva memdefs.VAddr) (table memdefs.PPN, 
 		if err = p.Tables.LinkTable(gva, memdefs.LvlPMD, sharedTbl); err != nil {
 			return 0, false, 0, err
 		}
-		if g.orpcFor(gva) {
-			k.setPMDORPC(p, gva, true)
-		}
+		k.setORPC(p, gva)
 		k.stats.LinkFaults++
 		return sharedTbl, true, k.Cfg.Costs.LinkTables, nil
 	case table == 0:
@@ -133,9 +131,7 @@ func (k *Kernel) pteTableFor(p *Process, gva memdefs.VAddr) (table memdefs.PPN, 
 		}
 		k.Mem.Ref(table) // the group registry holds its own reference
 		g.sharedPTE[key] = table
-		if g.orpcFor(gva) {
-			k.setPMDORPC(p, gva, true)
-		}
+		k.setORPC(p, gva)
 		return table, true, 0, nil
 	case hasShared && table == sharedTbl:
 		return table, true, 0, nil
@@ -428,24 +424,10 @@ func (k *Kernel) faultHuge(p *Process, vma *VMA, gva, va memdefs.VAddr, write bo
 			flags |= pgtable.FlagNX
 		}
 		if k.shareTables(p.Group, hgva) {
-			key := regionKey1G(hgva)
-			sharedPMD, has := p.Group.sharedPMD[key]
-			cur := p.Tables.TableAt(hgva, memdefs.LvlPMD)
-			switch {
-			case cur == 0 && has:
-				if err := p.Tables.LinkTable(hgva, memdefs.LvlPUD, sharedPMD); err != nil {
-					return cycles, err
-				}
-				k.stats.LinkFaults++
-				cycles += k.Cfg.Costs.LinkTables
-				cur = sharedPMD
-			case cur == 0:
-				cur, err = p.Tables.EnsureTable(hgva, memdefs.LvlPMD)
-				if err != nil {
-					return cycles, err
-				}
-				k.Mem.Ref(cur)
-				p.Group.sharedPMD[key] = cur
+			cur, c, err := k.pmdFor(p, hgva)
+			cycles += c
+			if err != nil {
+				return cycles, err
 			}
 			idx := memdefs.LvlPMD.Index(hgva)
 			if pgtable.Entry(k.Mem.ReadEntry(cur, idx)).Present() {

@@ -70,7 +70,11 @@ func (k *Kernel) Fork(parent *Process, name string) (*Process, memdefs.Cycles, e
 	child.vmas = append([]*VMA(nil), parent.vmas...)
 	cycles := k.Cfg.Costs.ForkBase + k.sweepSharedCoW(parent)
 	f := forkWalk{parent: parent, child: child}
-	err = k.forkLinks(&f)
+	g := parent.Group
+	err = k.forkLinks(&f, g.sharedPTE, memdefs.HugePageShift2M, memdefs.LvlPMD)
+	if err == nil {
+		err = k.forkLinks(&f, g.sharedPMD, memdefs.HugePageShift1G, memdefs.LvlPUD)
+	}
 	if err == nil {
 		err = k.forkTable(&f, parent.Tables.Root, memdefs.LvlPGD, 0)
 	}
@@ -99,33 +103,20 @@ type forkWalk struct {
 	cycles         memdefs.Cycles
 }
 
-// forkLinks links into the child each shared table the group registers
-// over the child's VMAs, unless the parent holds a private table there:
-// PTE tables, then PMD tables, each in key order.
-// LinkTable grows the child's upper tables, so this order decides frame
-// allocation and must not depend on map layout.
-func (k *Kernel) forkLinks(f *forkWalk) error {
-	g := f.parent.Group
-	for _, reg := range []struct {
-		tables map[uint64]memdefs.PPN
-		shift  int
-		lvl    memdefs.Level
-	}{
-		{g.sharedPTE, memdefs.HugePageShift2M, memdefs.LvlPMD},
-		{g.sharedPMD, memdefs.HugePageShift1G, memdefs.LvlPUD},
-	} {
-		for _, key := range sortedKeys(reg.tables) {
-			gva := memdefs.VAddr(key) << reg.shift
-			tbl := reg.tables[key]
-			if _, ok := f.child.FindVMA(gva); !ok {
-				continue
-			}
-			if cur := f.parent.Tables.TableAt(gva, reg.lvl+1); cur != 0 && cur != tbl {
-				continue
-			}
-			if err := k.forkLink(f, gva, reg.lvl, tbl); err != nil {
-				return err
-			}
+// forkLinks links into the child each table of one shared-table registry
+// (keyed by gva >> shift, linked from an entry at level lvl) that covers
+// one of the child's VMAs, unless the parent holds a private table there.
+// Key order: LinkTable grows the child's upper tables, so this order
+// decides frame allocation and must not depend on map layout.
+func (k *Kernel) forkLinks(f *forkWalk, tables map[uint64]memdefs.PPN, shift int, lvl memdefs.Level) error {
+	for _, key := range sortedKeys(tables) {
+		gva, tbl := memdefs.VAddr(key)<<shift, tables[key]
+		_, inVMA := f.child.FindVMA(gva)
+		if cur := f.parent.Tables.TableAt(gva, lvl+1); !inVMA || (cur != 0 && cur != tbl) {
+			continue
+		}
+		if err := k.forkLink(f, gva, lvl, tbl); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -137,8 +128,8 @@ func (k *Kernel) forkLink(f *forkWalk, va memdefs.VAddr, lvl memdefs.Level, tbl 
 	if err := f.child.Tables.LinkTable(va, lvl, tbl); err != nil {
 		return fmt.Errorf("fork link: %w", err)
 	}
-	if lvl == memdefs.LvlPMD && f.parent.Group.orpcFor(va) {
-		k.setPMDORPC(f.child, va, true)
+	if lvl == memdefs.LvlPMD {
+		k.setORPC(f.child, va)
 	}
 	f.linked++
 	return nil
@@ -275,36 +266,19 @@ func (k *Kernel) sweepSharedCoW(parent *Process) memdefs.Cycles {
 		memdefs.Cycles(k.numRemoteCores()+1)*k.Cfg.Costs.ShootdownPer
 }
 
-// orpcFor reports whether any process holds a private copy in the 2MB
-// region (the region's PC bitmask is non-zero).
-func (g *Group) orpcFor(gva memdefs.VAddr) bool {
-	mp, _ := g.maskPageFor(memdefs.PageVPN(gva), false) // lookup-only: cannot fail
-	if mp == nil {
-		return false
-	}
-	return mp.MaskAt(memdefs.LvlPMD.Index(gva)) != 0
-}
-
-// setPMDORPC sets or clears the ORPC bit in a process's pmd_t for gva's
-// region (Figure 5a) and drops stale PWC copies of that entry.
-func (k *Kernel) setPMDORPC(p *Process, gva memdefs.VAddr, on bool) {
-	pmdTable := p.Tables.TableAt(gva, memdefs.LvlPMD)
-	if pmdTable == 0 {
-		return
-	}
+// setORPC sets the ORPC bit in p's pmd_t for gva's 2MB region (Figure
+// 5a) when some process of the group holds a private copy there (the
+// region's PC bitmask is non-zero), and drops stale PWC copies of that
+// entry.
+func (k *Kernel) setORPC(p *Process, gva memdefs.VAddr) {
 	idx := memdefs.LvlPMD.Index(gva)
-	e := pgtable.Entry(k.Mem.ReadEntry(pmdTable, idx))
-	if e.PPN() == 0 {
+	mp, _ := p.Group.maskPageFor(memdefs.PageVPN(gva), false) // lookup-only: cannot fail
+	pmdTable := p.Tables.TableAt(gva, memdefs.LvlPMD)
+	if mp == nil || mp.MaskAt(idx) == 0 || pmdTable == 0 {
 		return
 	}
-	ne := e
-	if on {
-		ne = e.With(pgtable.FlagORPC)
-	} else {
-		ne = e.Without(pgtable.FlagORPC)
-	}
-	if ne != e {
-		k.Mem.WriteEntry(pmdTable, idx, uint64(ne))
+	if e := pgtable.Entry(k.Mem.ReadEntry(pmdTable, idx)); e.PPN() != 0 && !e.ORPC() {
+		k.Mem.WriteEntry(pmdTable, idx, uint64(e.With(pgtable.FlagORPC)))
 		k.invalidatePWC(memdefs.LvlPMD, entryAddrOf(pmdTable, idx))
 	}
 }

@@ -120,7 +120,7 @@ func (k *Kernel) assignPCBit(p *Process, gva memdefs.VAddr) (reverted bool, cycl
 	if sharedTbl, has := k.sharedTableFor(g, gva); has {
 		for _, pid := range sortedPIDs(g.members) {
 			if m := g.members[pid]; m.Tables.TableAt(gva, memdefs.LvlPTE) == sharedTbl {
-				k.setPMDORPC(m, gva, true)
+				k.setORPC(m, gva)
 			}
 		}
 	}

@@ -24,30 +24,11 @@ import (
 // returns the PTE table the process should use, routing through the
 // group-shared PMD table.
 func (k *Kernel) pmdTableFor(p *Process, gva memdefs.VAddr) (table memdefs.PPN, isShared bool, cycles memdefs.Cycles, err error) {
-	g := p.Group
-	key := regionKey1G(gva)
-	sharedPMD, has := g.sharedPMD[key]
-	cur := p.Tables.TableAt(gva, memdefs.LvlPMD)
-
-	switch {
-	case cur == 0 && has:
-		if err = p.Tables.LinkTable(gva, memdefs.LvlPUD, sharedPMD); err != nil {
-			return 0, false, 0, err
-		}
-		k.stats.LinkFaults++
-		cycles += k.Cfg.Costs.LinkTables
-		cur = sharedPMD
-	case cur == 0:
-		cur, err = p.Tables.EnsureTable(gva, memdefs.LvlPMD)
-		if err != nil {
-			return 0, false, 0, err
-		}
-		k.Mem.Ref(cur)
-		g.sharedPMD[key] = cur
-		sharedPMD, has = cur, true
+	cur, cycles, err := k.pmdFor(p, gva)
+	if err != nil {
+		return 0, false, 0, err
 	}
-
-	if has && cur == sharedPMD {
+	if shared, has := p.Group.sharedPMD[regionKey1G(gva)]; has && cur == shared {
 		// Shared path: the PTE table lives inside the shared PMD.
 		idx := memdefs.LvlPMD.Index(gva)
 		e := pgtable.Entry(k.Mem.ReadEntry(cur, idx))
@@ -69,6 +50,30 @@ func (k *Kernel) pmdTableFor(p *Process, gva memdefs.VAddr) (table memdefs.PPN, 
 	// Diverged: private PMD; ensure a private PTE table under it.
 	table, err = p.Tables.EnsureTable(gva, memdefs.LvlPTE)
 	return table, false, cycles, err
+}
+
+// pmdFor returns the PMD table the process uses for gva's 1GB region.
+// A process that has none links the group's shared PMD table, or creates
+// and registers it as the region's first toucher.
+func (k *Kernel) pmdFor(p *Process, gva memdefs.VAddr) (memdefs.PPN, memdefs.Cycles, error) {
+	if cur := p.Tables.TableAt(gva, memdefs.LvlPMD); cur != 0 {
+		return cur, 0, nil
+	}
+	key := regionKey1G(gva)
+	if shared, has := p.Group.sharedPMD[key]; has {
+		if err := p.Tables.LinkTable(gva, memdefs.LvlPUD, shared); err != nil {
+			return 0, 0, err
+		}
+		k.stats.LinkFaults++
+		return shared, k.Cfg.Costs.LinkTables, nil
+	}
+	cur, err := p.Tables.EnsureTable(gva, memdefs.LvlPMD)
+	if err != nil {
+		return 0, 0, err
+	}
+	k.Mem.Ref(cur)
+	p.Group.sharedPMD[key] = cur
+	return cur, 0, nil
 }
 
 // errHugeUnderSharedPMD rejects mixing 4KB demand paging into a 2MB
