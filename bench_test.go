@@ -446,35 +446,40 @@ func BenchmarkFaultMinor(b *testing.B) {
 	}
 }
 
-// BenchmarkFork measures BabelFish fork (table linking) on a populated
-// template.
+// BenchmarkFork measures fork of one populated template on both kernels:
+// the baseline copies every present leaf, BabelFish links the template's
+// shared tables.
 func BenchmarkFork(b *testing.B) {
-	k := kernel.New(physmem.New(2<<30), kernel.DefaultConfig(kernel.ModeBabelFish))
-	g := k.NewGroup("app", 1)
-	tmpl, err := k.CreateProcess(g, "tmpl")
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := k.MustCreateFile("data", 4096)
-	r := g.MustRegion("data", kernel.SegMmap, 4096)
-	tmpl.MustMapFile(r, f, 0, memdefs.PermRead|memdefs.PermUser, true, "data")
-	if err := f.Prefault(); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 4096; i += 64 {
-		if _, err := k.HandleFault(tmpl.PID, tmpl.ProcVA(r.PageVA(i)), false, memdefs.AccessData); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, _, err := k.Fork(tmpl, "c")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		c.Exit()
-		b.StartTimer()
+	for _, mode := range []kernel.Mode{kernel.ModeBaseline, kernel.ModeBabelFish} {
+		b.Run(mode.String(), func(b *testing.B) {
+			k := kernel.New(physmem.New(2<<30), kernel.DefaultConfig(mode))
+			g := k.NewGroup("app", 1)
+			tmpl, err := k.CreateProcess(g, "tmpl")
+			if err != nil {
+				b.Fatal(err)
+			}
+			f := k.MustCreateFile("data", 4096)
+			r := g.MustRegion("data", kernel.SegMmap, 4096)
+			tmpl.MustMapFile(r, f, 0, memdefs.PermRead|memdefs.PermUser, true, "data")
+			if err := f.Prefault(); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 4096; i += 64 {
+				if _, err := k.HandleFault(tmpl.PID, tmpl.ProcVA(r.PageVA(i)), false, memdefs.AccessData); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c, _, err := k.Fork(tmpl, "c")
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				c.Exit()
+				b.StartTimer()
+			}
+		})
 	}
 }
 
