@@ -142,6 +142,9 @@ func (k *Kernel) forkTable(f *forkWalk, table memdefs.PPN, lvl memdefs.Level, ba
 	entries := k.Mem.Table(table)
 	for i := range entries {
 		e := pgtable.Entry(entries[i])
+		if e.Zero() {
+			continue
+		}
 		va := base + memdefs.VAddr(i)<<lvl.IndexShift()
 		if lvl == memdefs.LvlPTE || (e.Present() && e.Huge()) {
 			if e.Present() {
