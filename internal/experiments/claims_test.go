@@ -148,6 +148,68 @@ func TestClaimBringupNearPaper(t *testing.T) {
 	}
 }
 
+// TestClaimFig7TimelineExact pins Figure 7 on both goldens, cycle for
+// cycle. Conventionally A (core 0), B (core 1) and C (core 0) each walk
+// and fault. Under BabelFish only A faults, B's walk finds A's entry in
+// the shared PTE table without a fault, and C hits the L2 TLB entry A
+// brought in.
+func TestClaimFig7TimelineExact(t *testing.T) {
+	conventional := [3]Fig7Step{
+		{Container: "A", Core: 0, Level: "walk", Faults: 1, WalkMem: 5, Cycles: 1864},
+		{Container: "B", Core: 1, Level: "walk", Faults: 1, WalkMem: 5, Cycles: 1804},
+		{Container: "C", Core: 0, Level: "walk", Faults: 1, WalkMem: 5, Cycles: 1804},
+	}
+	babelFish := [3]Fig7Step{
+		{Container: "A", Core: 0, Level: "walk", Faults: 1, WalkMem: 5, Cycles: 1868},
+		{Container: "B", Core: 1, Level: "walk", Faults: 0, WalkMem: 4, Cycles: 416},
+		{Container: "C", Core: 0, Level: "L2", Faults: 0, WalkMem: 0, Cycles: 13},
+	}
+	for _, path := range claimGoldens {
+		r := goldenReport(t, path).Fig7
+		if r == nil {
+			t.Fatalf("%s: no Figure 7 section", path)
+		}
+		for i := range conventional {
+			if r.Conventional[i] != conventional[i] {
+				t.Errorf("%s: conventional step %d is %+v, want %+v", path, i, r.Conventional[i], conventional[i])
+			}
+			if r.BabelFish[i] != babelFish[i] {
+				t.Errorf("%s: BabelFish step %d is %+v, want %+v", path, i, r.BabelFish[i], babelFish[i])
+			}
+		}
+	}
+}
+
+// TestClaimFig9Shareability pins Figure 9 on both goldens: the average
+// share of shareable pte_ts over the containerised apps lies within a band
+// of five points around the paper's 53% (quick 56.7, full 52.5), GraphChi
+// shares the least of every row (quick 14.3, full 7.5), and the functions
+// share more than the container average (quick 90.5, full 87.8).
+func TestClaimFig9Shareability(t *testing.T) {
+	const paperContainerPct, band = 53.0, 5.0
+	for _, path := range claimGoldens {
+		r := goldenReport(t, path).Fig9
+		if r == nil || len(r.Rows) != 6 {
+			t.Fatalf("%s: Figure 9 section is not six rows: %+v", path, r)
+		}
+		if avg := r.ContainerShareablePct; avg < paperContainerPct-band || avg > paperContainerPct+band {
+			t.Errorf("%s: container shareable average %.1f%%, want within %.0f±%.0f%%", path, avg, paperContainerPct, band)
+		}
+		lowest := r.Rows[0]
+		for _, row := range r.Rows[1:] {
+			if row.ShareablePct < lowest.ShareablePct {
+				lowest = row
+			}
+		}
+		if lowest.App != "graphchi" {
+			t.Errorf("%s: %s shares least (%.1f%%), want graphchi", path, lowest.App, lowest.ShareablePct)
+		}
+		if r.FunctionShareablePct <= r.ContainerShareablePct {
+			t.Errorf("%s: functions share %.1f%%, not above the container average %.1f%%", path, r.FunctionShareablePct, r.ContainerShareablePct)
+		}
+	}
+}
+
 // The tests below pin known gaps to the paper (EXPERIMENTS.md, "Known
 // deviations and why"), so that a model change that closes or widens one
 // shows up as a failing test. A model improvement that moves one of them
