@@ -18,7 +18,10 @@ import (
 //   - munmap and mprotect go through leaveSharing, which drops the stale
 //     shared TLB entries and then leaves each region: through
 //     ensureOwnedTable where mprotect must rewrite a linked table, and
-//     through assignPCBit alone otherwise.
+//     through assignPCBit alone otherwise;
+//   - fork (forkTable) calls assignPCBit for the child wherever the
+//     parent holds a private table in place of the group's shared one,
+//     then drops the region's stale shared TLB entries.
 
 // ensureOwnedTable gives the process a private PTE table for gva's 2MB
 // region — the paper's CoW event: leave sharing through assignPCBit, copy
