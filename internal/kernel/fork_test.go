@@ -274,3 +274,49 @@ func TestCoWBreakHuge(t *testing.T) {
 		}
 	}
 }
+
+// TestPMDPrivateCopyKeepsSharedPTE: under PMD-level sharing, a process's
+// private PMD table copy still links the group's shared PTE tables for
+// the regions it has not written. A private write into such a region must
+// take a private PTE table first, not install its fresh frame into the
+// table every sibling maps.
+func TestPMDPrivateCopyKeepsSharedPTE(t *testing.T) {
+	cfg := DefaultConfig(ModeBabelFish)
+	cfg.THP = false
+	cfg.ShareLevel = memdefs.LvlPMD
+	k := New(physmem.New(256<<20), cfg)
+	g := k.NewGroup("app", 4)
+	p1 := mustProc(t, k, g, "c1")
+	f := k.MustCreateFile("bin", 16)
+	rd := g.MustRegion("data", SegData, 16)
+	p1.MustMapFile(rd, f, 0, rw, true, "data")
+	rh := g.MustRegion("heap", SegData, 16)
+	p1.MustMapAnon(rh, rw, "heap")
+	if regionKey1G(rd.Start) != regionKey1G(rh.Start) || regionKey2M(rd.Start) == regionKey2M(rh.Start) {
+		t.Fatalf("regions %#x and %#x must share a 1GB region and not a 2MB one", rd.Start, rh.Start)
+	}
+	p2, _, err := k.Fork(p1, "c2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustFault(t, k, p1, rd.Start, false)
+	mustFault(t, k, p1, rh.Start, false)
+	// p2's CoW write privatizes its PMD table; the heap's PTE table stays
+	// the group's.
+	mustFault(t, k, p2, rd.Start, true)
+	before := leaf(t, p1, rh.Start+memdefs.PageSize)
+	mustFault(t, k, p2, rh.Start+memdefs.PageSize, true)
+	if rep := k.Audit(); !rep.OK() {
+		t.Fatalf("after p2's heap write: %s", rep)
+	}
+	if got := leaf(t, p1, rh.Start+memdefs.PageSize); got != before {
+		t.Fatalf("sibling p1's leaf changed from %#x to %#x on p2's private write", uint64(before), uint64(got))
+	}
+	if e := leaf(t, p2, rh.Start+memdefs.PageSize); !e.Present() || !e.Writable() || !e.Owned() {
+		t.Fatalf("writer's heap leaf %#x, want present, writable and owned", uint64(e))
+	}
+	mustFault(t, k, p2, rh.Start, false)
+	if leaf(t, p1, rh.Start).PPN() != leaf(t, p2, rh.Start).PPN() {
+		t.Fatal("unwritten heap page diverged")
+	}
+}

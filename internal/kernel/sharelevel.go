@@ -47,9 +47,15 @@ func (k *Kernel) pmdTableFor(p *Process, gva memdefs.VAddr) (table memdefs.PPN, 
 		return e.PPN(), true, cycles, nil
 	}
 
-	// Diverged: private PMD; ensure a private PTE table under it.
-	table, err = p.Tables.EnsureTable(gva, memdefs.LvlPTE)
-	return table, false, cycles, err
+	// Diverged: a private PMD table. Its copy still links the group's
+	// PTE table for every 2MB region the process has not written, and such
+	// a table is shared: a private write must take it through
+	// ensureOwnedTable.
+	if table, err = p.Tables.EnsureTable(gva, memdefs.LvlPTE); err != nil {
+		return 0, false, cycles, err
+	}
+	shared, has := k.sharedTableFor(p.Group, gva)
+	return table, has && table == shared, cycles, nil
 }
 
 // pmdFor returns the PMD table the process uses for gva's 1GB region.
