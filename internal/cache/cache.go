@@ -16,6 +16,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 
@@ -58,14 +59,16 @@ type Stats struct {
 	Writebacks uint64
 }
 
-// Tag words pack a line's state into one uint64 so a set probe touches a
-// single contiguous run of words (one host cache line for 8 ways): the
-// block tag in the low bits, valid and dirty flags on top. Physical
-// block numbers fit well below bit 56 (PAddr is a byte address of at
-// most 4GB-scale simulated memory), so the flag bits never collide.
+// Tag words pack a line's state into one uint32 so a set probe touches a
+// single contiguous run of words (one 64-byte host cache line for 16
+// ways): the line's block number above the set index in the low
+// tagBits bits, valid and dirty flags on top. The set index is implied by
+// the word's position, so a level tells apart the lines of Reach() bytes
+// of physical memory; the machine checks its memory fits.
 const (
-	lineValid = 1 << 63
-	lineDirty = 1 << 62
+	tagBits   = 30
+	lineValid = 1 << 31
+	lineDirty = 1 << 30
 )
 
 // Cache is one set-associative cache level backed by a lower level.
@@ -83,10 +86,11 @@ const (
 type Cache struct {
 	cfg     Config
 	below   Backend
-	tags    []uint64
+	tags    []uint32
 	ways    int
 	numSets int
 	lineOff uint
+	setOff  uint // lineOff + log2(numSets): the shift from an address to its tag
 	stats   Stats
 }
 
@@ -107,14 +111,32 @@ func New(cfg Config, below Backend) *Cache {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: sets %d not a power of two", cfg.Name, numSets))
 	}
+	lineOff := uint(bits.TrailingZeros(uint(cfg.LineSize)))
 	return &Cache{
 		cfg:     cfg,
 		below:   below,
-		tags:    make([]uint64, numSets*cfg.Ways),
+		tags:    make([]uint32, numSets*cfg.Ways),
 		ways:    cfg.Ways,
 		numSets: numSets,
-		lineOff: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		lineOff: lineOff,
+		setOff:  lineOff + uint(bits.TrailingZeros(uint(numSets))),
 	}
+}
+
+// Reach returns how many bytes of physical memory, from address 0, the
+// level's tag words tell apart. A higher address aliases a lower line.
+func (c *Cache) Reach() uint64 {
+	if c.setOff+tagBits >= 64 {
+		return math.MaxUint64
+	}
+	return 1 << (c.setOff + tagBits)
+}
+
+// locate returns the flat index of pa's set and the tag word of a valid
+// line holding pa.
+func (c *Cache) locate(pa memdefs.PAddr) (base int, want uint32) {
+	base = (int(uint64(pa)>>c.lineOff) & (c.numSets - 1)) * c.ways
+	return base, uint32(uint64(pa)>>c.setOff) | lineValid
 }
 
 // Name returns the configured name.
@@ -155,9 +177,7 @@ func (c *Cache) Below() Backend { return c.below }
 // the level below for observers; the cache itself is kind-agnostic.
 func (c *Cache) Access(pa memdefs.PAddr, kind memdefs.AccessKind, write bool) (memdefs.Cycles, Where) {
 	c.stats.Accesses++
-	blk := uint64(pa) >> c.lineOff
-	base := (int(blk) & (c.numSets - 1)) * c.ways
-	want := blk | lineValid
+	base, want := c.locate(pa)
 	tags := c.tags[base : base+c.ways]
 	// MRU fast path: a repeated line is already at way 0.
 	if tags[0]&^lineDirty == want {
@@ -196,9 +216,7 @@ func (c *Cache) Access(pa memdefs.PAddr, kind memdefs.AccessKind, write bool) (m
 // Contains reports whether pa's line is resident (no state change); used
 // by tests and diagnostics.
 func (c *Cache) Contains(pa memdefs.PAddr) bool {
-	blk := uint64(pa) >> c.lineOff
-	base := (int(blk) & (c.numSets - 1)) * c.ways
-	want := blk | lineValid
+	base, want := c.locate(pa)
 	for _, w := range c.tags[base : base+c.ways] {
 		if w&^lineDirty == want {
 			return true

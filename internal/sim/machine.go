@@ -348,10 +348,27 @@ func New(p Params) *Machine {
 		m.Cores = append(m.Cores, core)
 		m.eng.cores = append(m.eng.cores, &shardCore{c: core})
 	}
+	m.checkCacheReach()
 	k.Hooks = m
 	m.buildDeviceGroups()
 	m.registerMetrics()
 	return m
+}
+
+// checkCacheReach panics when a cache level's tag words cannot tell
+// apart every line of the machine's physical memory (see cache.Reach);
+// like an invalid cache geometry, that is a configuration error.
+func (m *Machine) checkCacheReach() {
+	bytes := uint64(m.Mem.NumFrames()) * memdefs.PageSize
+	levels := append([]*cache.Cache{m.L3}, m.coreL3...)
+	for _, c := range m.Cores {
+		levels = append(levels, c.Hier.L1I, c.Hier.L1D, c.Hier.L2)
+	}
+	for _, c := range levels {
+		if c != nil && c.Reach() < bytes {
+			panic(fmt.Sprintf("sim: cache %s tells apart %d bytes of physical memory, machine has %d", c.Name(), c.Reach(), bytes))
+		}
+	}
 }
 
 // l3SliceConfig carves one core's way-slice out of the shared L3
