@@ -39,29 +39,30 @@ func (m Mode) String() string {
 	return "PCID"
 }
 
-// Entry is one TLB entry (Figure 3 of the paper).
+// Entry is one TLB entry (Figure 3 of the paper). A structure's packed
+// tag word, not the entry, records whether a way is valid. The fields run
+// from widest to narrowest so an entry packs into 48 bytes.
 type Entry struct {
-	Valid bool
-	VPN   memdefs.VPN
-	PPN   memdefs.PPN
-	Perm  memdefs.Perm
-	CoW   bool // software CoW page: writes must fault
-	PCID  memdefs.PCID
-	CCID  memdefs.CCID
-
-	// O-PC field (Figure 4).
-	Owned      bool   // O bit: private entry, PCID must match
-	ORPC       bool   // OR of the PC bitmask
-	PCMask     uint32 // PrivateCopy bitmask (loaded only when needed)
-	MaskLoaded bool
+	VPN memdefs.VPN
+	PPN memdefs.PPN
 
 	// BroughtBy records which process filled the entry, for the paper's
 	// "shared hits" accounting (Figure 10b).
 	BroughtBy memdefs.PID
 
-	Global bool // kernel-style global mapping (ignores PCID), unused by default
-
 	lru uint64
+
+	// O-PC field (Figure 4).
+	PCMask     uint32 // PrivateCopy bitmask (loaded only when needed)
+	PCID       memdefs.PCID
+	CCID       memdefs.CCID
+	Perm       memdefs.Perm
+	CoW        bool // software CoW page: writes must fault
+	Owned      bool // O bit: private entry, PCID must match
+	ORPC       bool // OR of the PC bitmask
+	MaskLoaded bool
+
+	Global bool // kernel-style global mapping (ignores PCID), unused by default
 }
 
 // Result classifies a lookup outcome.
@@ -147,6 +148,11 @@ const tagValid = 1 << 63
 // tag-word array holding VPN|valid per way: the way scan — the hottest
 // loop in the simulator — touches one contiguous word per way and only
 // dereferences the full Entry for VPN-matching ways.
+//
+// Both arrays are allocated by the first Insert. Until then every way is
+// invalid: a probe counts its access, tick and miss without a scan, and
+// invalidations find nothing. A machine pays host memory only for the
+// size classes its workload fills (MongoDB never fills a 2MB or 1GB one).
 type TLB struct {
 	cfg     Config
 	tagw    []uint64
@@ -177,10 +183,7 @@ func New(cfg Config) *TLB {
 	if cfg.AccessTimeMask == 0 {
 		cfg.AccessTimeMask = cfg.AccessTime
 	}
-	t := &TLB{cfg: cfg, numSets: numSets, ways: ways}
-	t.tagw = make([]uint64, numSets*ways)
-	t.entries = make([]Entry, numSets*ways)
-	return t
+	return &TLB{cfg: cfg, numSets: numSets, ways: ways}
 }
 
 // Config returns the TLB's configuration.
@@ -227,6 +230,10 @@ func (t *TLB) lookupEntry(q *Lookup) (Result, *Entry, memdefs.Cycles) {
 	t.stats.Accesses++
 	t.tick++
 	lat := t.cfg.AccessTime
+	if t.tagw == nil {
+		t.stats.Misses++
+		return Miss, nil, lat
+	}
 	vpn := q.VPN
 	base := t.base(vpn)
 	tags := t.tagw[base : base+t.ways]
@@ -315,7 +322,10 @@ func (t *TLB) finishHit(e *Entry, q *Lookup, lat memdefs.Cycles) (Result, *Entry
 func (t *TLB) Insert(e Entry) {
 	t.stats.Fills++
 	t.tick++
-	e.Valid = true
+	if t.tagw == nil {
+		t.tagw = make([]uint64, t.numSets*t.ways)
+		t.entries = make([]Entry, t.numSets*t.ways)
+	}
 	e.lru = t.tick
 	if e.Owned || !e.ORPC {
 		e.PCMask = 0
@@ -348,13 +358,15 @@ func (t *TLB) Insert(e Entry) {
 // InvalidateVPN removes every entry for vpn regardless of tags (a full
 // shootdown). Returns the number removed.
 func (t *TLB) InvalidateVPN(vpn memdefs.VPN) int {
+	if t.tagw == nil {
+		return 0
+	}
 	n := 0
 	base := t.base(vpn)
 	want := uint64(vpn) | tagValid
 	for i := base; i < base+t.ways; i++ {
 		if t.tagw[i] == want {
 			t.tagw[i] = 0
-			t.entries[i].Valid = false
 			n++
 		}
 	}
@@ -366,6 +378,9 @@ func (t *TLB) InvalidateVPN(vpn memdefs.VPN) int {
 // given CCID group — the paper's CoW invalidation, which leaves up to 511
 // sibling translations and all private (O==1) entries untouched.
 func (t *TLB) InvalidateSharedVPN(vpn memdefs.VPN, ccid memdefs.CCID) int {
+	if t.tagw == nil {
+		return 0
+	}
 	n := 0
 	base := t.base(vpn)
 	want := uint64(vpn) | tagValid
@@ -373,7 +388,6 @@ func (t *TLB) InvalidateSharedVPN(vpn memdefs.VPN, ccid memdefs.CCID) int {
 		e := &t.entries[i]
 		if t.tagw[i] == want && !e.Owned && (t.cfg.Mode == TagPCID || e.CCID == ccid) {
 			t.tagw[i] = 0
-			e.Valid = false
 			n++
 		}
 	}
@@ -390,7 +404,6 @@ func (t *TLB) FlushPCID(pcid memdefs.PCID) int {
 	for i, w := range t.tagw {
 		if w&tagValid != 0 && t.entries[i].PCID == pcid {
 			t.tagw[i] = 0
-			t.entries[i].Valid = false
 			n++
 		}
 	}
@@ -399,12 +412,7 @@ func (t *TLB) FlushPCID(pcid memdefs.PCID) int {
 }
 
 // FlushAll invalidates the whole TLB.
-func (t *TLB) FlushAll() {
-	clear(t.tagw)
-	for i := range t.entries {
-		t.entries[i].Valid = false
-	}
-}
+func (t *TLB) FlushAll() { clear(t.tagw) }
 
 // ForEachValid calls fn for every valid entry (diagnostics/audits). The
 // pointer is valid only for the duration of the call.

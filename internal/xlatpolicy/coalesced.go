@@ -284,7 +284,6 @@ func (c *CoalescedCore) ForEachValid(fn func(memdefs.PageSizeClass, *tlb.Entry))
 		}
 		for j := 0; j < int(r.len); j++ {
 			e := tlb.Entry{
-				Valid:     true,
 				VPN:       r.baseVPN + memdefs.VPN(j),
 				PPN:       r.basePPN + memdefs.PPN(j),
 				Perm:      r.perm,

@@ -119,7 +119,7 @@ func victimaProbe(vpn memdefs.VPN, pcid memdefs.PCID) MissProbe {
 
 func TestVictimaParkAndProbe(t *testing.T) {
 	v := NewVictimaCore(VictimaConfig{Mode: tlb.TagPCID})
-	e := tlb.Entry{Valid: true, VPN: 0x400, PPN: 77, Perm: memdefs.PermRead, PCID: 9}
+	e := tlb.Entry{VPN: 0x400, PPN: 77, Perm: memdefs.PermRead, PCID: 9}
 	va := e.VPN.Addr()
 
 	// A probe before any fill misses and charges the probe latency.
@@ -146,7 +146,7 @@ func TestVictimaParkAndProbe(t *testing.T) {
 	}
 
 	// Huge-page fills are not parked (512x reach already).
-	huge := tlb.Entry{Valid: true, VPN: 0x200000 >> 12, PPN: 512, Perm: memdefs.PermRead, PCID: 9}
+	huge := tlb.Entry{VPN: 0x200000 >> 12, PPN: 512, Perm: memdefs.PermRead, PCID: 9}
 	v.OnWalkFill(WalkFill{VA: huge.VPN.Addr(), SVA: huge.VPN.Addr(), Size: memdefs.Page2M, Entry: huge})
 	if occ := v.(interface{ Occupancy() int }).Occupancy(); occ != 1 {
 		t.Fatalf("occupancy = %d after a huge fill, want 1 (4K only)", occ)
@@ -157,7 +157,7 @@ func TestVictimaInvalidationSeams(t *testing.T) {
 	v := NewVictimaCore(VictimaConfig{Mode: tlb.TagPCID})
 	occ := func() int { return v.(interface{ Occupancy() int }).Occupancy() }
 	fill := func(vpn memdefs.VPN, pcid memdefs.PCID) {
-		e := tlb.Entry{Valid: true, VPN: vpn, PPN: memdefs.PPN(vpn) + 1000, Perm: memdefs.PermRead, PCID: pcid}
+		e := tlb.Entry{VPN: vpn, PPN: memdefs.PPN(vpn) + 1000, Perm: memdefs.PermRead, PCID: pcid}
 		v.OnWalkFill(WalkFill{VA: vpn.Addr(), SVA: vpn.Addr(), Size: memdefs.Page4K, Entry: e})
 	}
 
@@ -218,7 +218,6 @@ func (f *coalFixture) mapRange(idx0 int, basePPN memdefs.PPN, n int, flags pgtab
 func (f *coalFixture) fill(baseVPN memdefs.VPN, idx int, basePPN memdefs.PPN, flags pgtable.Entry) {
 	pe := pgtable.Entry(f.mem.ReadEntry(f.table, idx))
 	e := tlb.Entry{
-		Valid: true,
 		VPN:   baseVPN + memdefs.VPN(idx),
 		PPN:   basePPN + memdefs.PPN(idx),
 		Perm:  pe.Perm(),
