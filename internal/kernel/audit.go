@@ -214,7 +214,7 @@ func (k *Kernel) Audit() AuditReport {
 			return
 		}
 		r.FramesChecked++
-		if f.Refs != want {
+		if int(f.Refs) != want {
 			r.violate("frame %d (%v): refcount %d, kernel accounts for %d", ppn, f.Kind, f.Refs, want)
 		}
 	})

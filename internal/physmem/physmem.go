@@ -9,6 +9,7 @@ package physmem
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -33,7 +34,7 @@ func bugf(format string, args ...interface{}) {
 }
 
 // FrameKind labels what a physical frame is used for.
-type FrameKind int
+type FrameKind uint8
 
 const (
 	FrameFree   FrameKind = iota
@@ -56,17 +57,19 @@ func (k FrameKind) String() string {
 	return fmt.Sprintf("FrameKind(%d)", int(k))
 }
 
-// Frame is the metadata of one physical frame.
+// Frame is the metadata of one physical frame. It packs into 16 bytes, so
+// a machine's frame metadata costs 4 bytes per simulated KB of memory it
+// uses.
 type Frame struct {
-	Kind FrameKind
-	// Refs counts users of the frame: processes mapping a data page
-	// (for CoW accounting) or parents pointing at a table page.
-	Refs int
-	// BlockPages is 512 on the base frame of a 2MB block (huge page),
-	// and 0 or 1 for ordinary frames.
-	BlockPages int
 	// Table holds the 512 entries when Kind == FrameTable.
 	Table *[memdefs.TableSize]uint64
+	// Refs counts users of the frame: processes mapping a data page
+	// (for CoW accounting) or parents pointing at a table page.
+	Refs int32
+	// BlockPages is 512 on the base frame of a 2MB block (huge page),
+	// and 0 or 1 for ordinary frames.
+	BlockPages uint16
+	Kind       FrameKind
 }
 
 // Injector decides whether an allocation attempt should artificially
@@ -344,8 +347,11 @@ func (m *Memory) Ref(ppn memdefs.PPN) int {
 	if f.Kind == FrameFree {
 		bugf("physmem: Ref of free frame %d", ppn)
 	}
+	if f.Refs == math.MaxInt32 {
+		bugf("physmem: refcount of frame %d overflows", ppn)
+	}
 	f.Refs++
-	return f.Refs
+	return int(f.Refs)
 }
 
 // Refs returns the current reference count of a frame.
@@ -353,7 +359,7 @@ func (m *Memory) Refs(ppn memdefs.PPN) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.checkRange(ppn)
-	return m.peek(ppn).Refs
+	return int(m.peek(ppn).Refs)
 }
 
 // ForEachAllocated calls fn for every non-free frame with a copy of its
@@ -398,7 +404,7 @@ func (m *Memory) Unref(ppn memdefs.PPN) int {
 		m.allocated--
 		return 0
 	}
-	return f.Refs
+	return int(f.Refs)
 }
 
 // Table returns the entry array of a table frame.

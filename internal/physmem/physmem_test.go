@@ -373,14 +373,14 @@ func (m *refMemory) AllocBlock(kind FrameKind) (memdefs.PPN, error) {
 
 func (m *refMemory) Ref(ppn memdefs.PPN) int {
 	m.frames[ppn].Refs++
-	return m.frames[ppn].Refs
+	return int(m.frames[ppn].Refs)
 }
 
 func (m *refMemory) Unref(ppn memdefs.PPN) int {
 	f := &m.frames[ppn]
 	f.Refs--
 	if f.Refs > 0 {
-		return f.Refs
+		return int(f.Refs)
 	}
 	if f.BlockPages == memdefs.TableSize {
 		*f = Frame{}
