@@ -124,7 +124,8 @@ func New(cfg Config, below Backend) *Cache {
 }
 
 // Reach returns how many bytes of physical memory, from address 0, the
-// level's tag words tell apart. A higher address aliases a lower line.
+// level's tag words tell apart. A higher address can be mistaken for
+// another line.
 func (c *Cache) Reach() uint64 {
 	if c.setOff+tagBits >= 64 {
 		return math.MaxUint64

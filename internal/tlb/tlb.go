@@ -186,6 +186,12 @@ func New(cfg Config) *TLB {
 	return &TLB{cfg: cfg, numSets: numSets, ways: ways}
 }
 
+// alloc creates the structure's arrays, every way invalid.
+func (t *TLB) alloc() {
+	t.tagw = make([]uint64, t.numSets*t.ways)
+	t.entries = make([]Entry, t.numSets*t.ways)
+}
+
 // Config returns the TLB's configuration.
 func (t *TLB) Config() Config { return t.cfg }
 
@@ -323,8 +329,7 @@ func (t *TLB) Insert(e Entry) {
 	t.stats.Fills++
 	t.tick++
 	if t.tagw == nil {
-		t.tagw = make([]uint64, t.numSets*t.ways)
-		t.entries = make([]Entry, t.numSets*t.ways)
+		t.alloc()
 	}
 	e.lru = t.tick
 	if e.Owned || !e.ORPC {
