@@ -3,6 +3,7 @@ package cache
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"babelfish/internal/memdefs"
 )
@@ -322,5 +323,25 @@ func TestLRUEquivalence(t *testing.T) {
 				t.Fatalf("stream exercised no writebacks or hits: %+v", st)
 			}
 		})
+	}
+}
+
+// TestTagWords: a tag word is 4 bytes, so a 16-way set fills one 64-byte
+// host line, and a level tells apart 2^30 lines per set.
+func TestTagWords(t *testing.T) {
+	c := New(DefaultL3Config(), &fakeMem{})
+	if got := unsafe.Sizeof(c.tags[0]); got != 4 {
+		t.Fatalf("tag word is %d bytes, want 4", got)
+	}
+	// 8192 sets of 64-byte lines.
+	if got, want := c.Reach(), uint64(8192*64)<<30; got != want {
+		t.Fatalf("L3 reach %#x, want %#x", got, want)
+	}
+	// The highest line of set 0 below the reach is told apart from line 0.
+	top := memdefs.PAddr(c.Reach() - 8192*64)
+	c.Access(0, memdefs.AccessData, false)
+	c.Access(top, memdefs.AccessData, true)
+	if !c.Contains(0) || !c.Contains(top) || c.Stats().Misses != 2 {
+		t.Fatalf("line 0 and line %#x not both resident after two misses", top)
 	}
 }
