@@ -10,13 +10,15 @@ test:
 
 # The race list CI runs: the memory-pressure packages, the device layer,
 # the parallel engines (machines share no mutable state — neither across
-# experiment cells nor across fleet nodes), the fleet, the policies and
-# the generators whose memo is shared across workers.
+# experiment cells nor across fleet nodes), the fleet, the policies, the
+# generators whose memo is shared across workers, and the TLB and cache
+# models, whose per-core structures sharded segments mutate concurrently
+# (a TLB structure allocates its arrays inside Insert, on its first fill).
 RACE_PKGS = ./internal/physmem/... ./internal/kernel/... ./internal/sim/... \
 	./internal/telemetry/... ./internal/experiments/... ./internal/memsys/... \
 	./internal/par/... ./internal/fleet/... ./internal/xlatpolicy/... \
 	./internal/loadgen/... ./internal/ycsb/... ./internal/kvstore/... \
-	./internal/workloads/...
+	./internal/workloads/... ./internal/tlb/... ./internal/cache/...
 
 race:
 	$(GO) test -race $(RACE_PKGS)
