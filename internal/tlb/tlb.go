@@ -40,8 +40,8 @@ func (m Mode) String() string {
 }
 
 // Entry is one TLB entry (Figure 3 of the paper). A structure's packed
-// tag word, not the entry, records whether a way is valid. The fields run
-// from widest to narrowest so an entry packs into 48 bytes.
+// tag word, not the entry, records whether a way is valid. The fields are
+// ordered so an entry packs into 48 bytes.
 type Entry struct {
 	VPN memdefs.VPN
 	PPN memdefs.PPN
@@ -52,17 +52,17 @@ type Entry struct {
 
 	lru uint64
 
+	PCID   memdefs.PCID
+	CCID   memdefs.CCID
+	Perm   memdefs.Perm
+	CoW    bool // software CoW page: writes must fault
+	Global bool // kernel-style global mapping (ignores PCID), unused by default
+
 	// O-PC field (Figure 4).
 	PCMask     uint32 // PrivateCopy bitmask (loaded only when needed)
-	PCID       memdefs.PCID
-	CCID       memdefs.CCID
-	Perm       memdefs.Perm
-	CoW        bool // software CoW page: writes must fault
-	Owned      bool // O bit: private entry, PCID must match
-	ORPC       bool // OR of the PC bitmask
+	Owned      bool   // O bit: private entry, PCID must match
+	ORPC       bool   // OR of the PC bitmask
 	MaskLoaded bool
-
-	Global bool // kernel-style global mapping (ignores PCID), unused by default
 }
 
 // Result classifies a lookup outcome.
