@@ -360,14 +360,14 @@ func BenchmarkTranslateWalk(b *testing.B) {
 		b.Fatal(err)
 	}
 	proc := d.Containers[0]
-	gen := workloads.NewBringUp(d, proc, 2)
+	gen := workloads.NewBringUp(d.Env(proc), 2)
 	task := m.AddTask(0, proc, gen)
 	b.ResetTimer()
 	var step sim.Step
 	for i := 0; i < b.N; i++ {
 		if !gen.Next(&step) {
 			b.StopTimer()
-			gen = workloads.NewBringUp(d, proc, uint64(i))
+			gen = workloads.NewBringUp(d.Env(proc), uint64(i))
 			b.StartTimer()
 			continue
 		}

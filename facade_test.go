@@ -106,7 +106,7 @@ func TestFacadeEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.TotalBringUp() <= e.Costs.Total() {
+	if c.TotalBringUp() <= c.EngineCycles {
 		t.Fatal("bring-up does not include page touching")
 	}
 	e.Stop(d, c)

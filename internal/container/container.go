@@ -16,31 +16,14 @@ import (
 	"babelfish/internal/workloads"
 )
 
-// EngineCosts are the fixed, architecture-independent engine overheads in
-// cycles (2 GHz). They dominate bring-up, which is why the paper's
-// bring-up gain (8%) is smaller than its fault-count reduction.
-type EngineCosts struct {
-	DaemonWork     memdefs.Cycles // image resolution, API, graph driver
-	NamespaceSetup memdefs.Cycles
-	CgroupSetup    memdefs.Cycles
-	NetworkSetup   memdefs.Cycles
-}
-
-// DefaultEngineCosts calibrates `docker start` to the ~100ms-class times
-// of Docker 17.06, scaled to the simulator's shortened runs.
-func DefaultEngineCosts() EngineCosts {
-	return EngineCosts{
-		DaemonWork:     28_000_000,
-		NamespaceSetup: 3_000_000,
-		CgroupSetup:    2_000_000,
-		NetworkSetup:   7_000_000,
-	}
-}
-
-// Total sums the fixed overheads.
-func (e EngineCosts) Total() memdefs.Cycles {
-	return e.DaemonWork + e.NamespaceSetup + e.CgroupSetup + e.NetworkSetup
-}
+// EngineCost is `docker start`'s fixed, architecture-independent engine
+// overhead in cycles (2 GHz), calibrated to the ~100ms-class times of
+// Docker 17.06 scaled to the simulator's shortened runs: daemon work
+// (image resolution, API, graph driver) 28M, namespace setup 3M, cgroup
+// setup 2M and network setup 7M. It dominates bring-up, which is why
+// the paper's bring-up gain (8%) is smaller than its fault-count
+// reduction.
+const EngineCost memdefs.Cycles = 40_000_000
 
 // State tracks the container lifecycle.
 type State int
@@ -82,13 +65,12 @@ func (c *Container) TotalBringUp() memdefs.Cycles {
 
 // Engine starts containers on a machine.
 type Engine struct {
-	M     *sim.Machine
-	Costs EngineCosts
+	M *sim.Machine
 }
 
-// NewEngine creates an engine with default costs.
+// NewEngine creates an engine on the machine.
 func NewEngine(m *sim.Machine) *Engine {
-	return &Engine{M: m, Costs: DefaultEngineCosts()}
+	return &Engine{M: m}
 }
 
 // Start performs `docker start` for a new container of the deployment:
@@ -105,14 +87,14 @@ func (e *Engine) Start(d *workloads.Deployment, coreID int, seed uint64) (*Conta
 		Name:         proc.Name,
 		Task:         task,
 		State:        Created,
-		EngineCycles: e.Costs.Total(),
+		EngineCycles: EngineCost,
 		ForkCycles:   forkCycles,
 	}
 
 	// Run the bring-up sequence in isolation, timing it via the
 	// generator's request mark.
 	workGen := task.Gen
-	task.Gen = workloads.NewBringUp(d, proc, seed)
+	task.Gen = workloads.NewBringUp(d.Env(proc), seed)
 	if err := e.M.RunTaskOnly(task); err != nil {
 		return nil, err
 	}
@@ -126,16 +108,11 @@ func (e *Engine) Start(d *workloads.Deployment, coreID int, seed uint64) (*Conta
 }
 
 // Stop exits the container's process and releases its address space.
-func (e *Engine) Stop(d *workloads.Deployment, c *Container) {
+// The deployment is not consulted: the task already holds the process.
+func (e *Engine) Stop(_ *workloads.Deployment, c *Container) {
 	if c.State == Exited {
 		return
 	}
-	c.Task.Done = true
 	c.State = Exited
-	for _, p := range d.Containers {
-		if p.PID == c.Task.Proc.PID {
-			p.Exit()
-			break
-		}
-	}
+	e.M.KillTask(c.Task)
 }

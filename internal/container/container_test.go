@@ -31,8 +31,8 @@ func TestStartLifecycle(t *testing.T) {
 	if c.State != Running {
 		t.Fatalf("state = %v", c.State)
 	}
-	if c.EngineCycles != e.Costs.Total() {
-		t.Fatalf("engine cycles %d != %d", c.EngineCycles, e.Costs.Total())
+	if c.EngineCycles != EngineCost {
+		t.Fatalf("engine cycles %d != %d", c.EngineCycles, EngineCost)
 	}
 	if c.ForkCycles == 0 || c.BringUpCycles == 0 {
 		t.Fatalf("bring-up decomposition empty: fork=%d touch=%d", c.ForkCycles, c.BringUpCycles)
@@ -91,16 +91,6 @@ func TestBabelFishBringUpFaster(t *testing.T) {
 func TestStateString(t *testing.T) {
 	if Created.String() != "created" || Running.String() != "running" || Exited.String() != "exited" {
 		t.Fatal("state strings wrong")
-	}
-}
-
-func TestEngineCostsTotal(t *testing.T) {
-	c := DefaultEngineCosts()
-	if c.Total() != c.DaemonWork+c.NamespaceSetup+c.CgroupSetup+c.NetworkSetup {
-		t.Fatal("Total() inconsistent")
-	}
-	if c.Total() == 0 {
-		t.Fatal("zero default engine costs")
 	}
 }
 

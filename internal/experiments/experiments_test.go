@@ -5,6 +5,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"babelfish/internal/container"
+	"babelfish/internal/memdefs"
 )
 
 // TestQuickSuite runs every experiment at reduced scale and checks the
@@ -97,6 +100,18 @@ func TestQuickSuite(t *testing.T) {
 		}
 		if r.BFCycles.Touch >= r.BaseCycles.Touch {
 			t.Error("BabelFish page-touch phase not faster")
+		}
+		// The engine share is docker start's one fixed cost, and the
+		// total is exactly the sum of its three phases.
+		for arch, c := range map[string]struct {
+			Engine, Fork, Touch, Total memdefs.Cycles
+		}{"baseline": r.BaseCycles, "babelfish": r.BFCycles} {
+			if c.Engine != container.EngineCost {
+				t.Errorf("%s engine %d, want container.EngineCost %d", arch, c.Engine, container.EngineCost)
+			}
+			if c.Total != c.Engine+c.Fork+c.Touch {
+				t.Errorf("%s total %d != engine %d + fork %d + touch %d", arch, c.Total, c.Engine, c.Fork, c.Touch)
+			}
 		}
 	})
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"babelfish/internal/cacti"
+	"babelfish/internal/container"
 	"babelfish/internal/memdefs"
 	"babelfish/internal/metrics"
 	"babelfish/internal/sim"
@@ -154,7 +155,6 @@ func Bringup(o Options) (*BringupResult, error) {
 				return err
 			}
 			// Now `docker start` a new parse container and time it.
-			engine := kernelEngineCosts()
 			task, forkCycles, err := fg.SpawnBringUp("parse", 0, o.Seed+99)
 			if err != nil {
 				return err
@@ -163,10 +163,10 @@ func Bringup(o Options) (*BringupResult, error) {
 				return err
 			}
 			touch := memdefs.Cycles(task.Lat.Max())
-			slot.Engine = engine
+			slot.Engine = container.EngineCost
 			slot.Fork = forkCycles
 			slot.Touch = touch
-			slot.Total = engine + forkCycles + touch
+			slot.Total = container.EngineCost + forkCycles + touch
 			return nil
 		})
 	}
@@ -175,12 +175,6 @@ func Bringup(o Options) (*BringupResult, error) {
 	}
 	res.ReductionPct = metrics.ReductionPct(float64(res.BaseCycles.Total), float64(res.BFCycles.Total))
 	return res, nil
-}
-
-func kernelEngineCosts() memdefs.Cycles {
-	// Mirrors container.DefaultEngineCosts().Total(); kept here to avoid
-	// an import cycle would-be (container imports workloads).
-	return 28_000_000 + 3_000_000 + 2_000_000 + 7_000_000
 }
 
 // String renders the bring-up decomposition.

@@ -28,7 +28,7 @@ func BenchmarkTranslate(b *testing.B) {
 		b.Fatal(err)
 	}
 	proc := d.Containers[0]
-	gen := workloads.NewBringUp(d, proc, 2)
+	gen := workloads.NewBringUp(d.Env(proc), 2)
 	task := m.AddTask(0, proc, gen)
 	// Record a step window, then replay it: after the first pass every
 	// access hits warm TLBs, so the benchmark isolates lookup cost.

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"babelfish/internal/kernel"
 	"babelfish/internal/memdefs"
 	"babelfish/internal/sim"
 )
@@ -32,6 +31,20 @@ type FuncBehavior struct {
 	InputPages int
 }
 
+// faasFunctions is the serverless function table, in registration order:
+// DeployFaaS maps and prefaults the functions in this order, so it
+// decides every function's frames.
+var faasFunctions = []FuncBehavior{
+	// Parse tokenizes an input string (light per-line work, frequent
+	// output).
+	{Name: "parse", ThinkPerLine: 380, OutWriteEvery: 8},
+	// Hash runs djb2 over the input (heavier compute, no output).
+	{Name: "hash", ThinkPerLine: 500},
+	// Marshal converts the input string to integers (medium work, output
+	// per record).
+	{Name: "marshal", ThinkPerLine: 420, OutWriteEvery: 4},
+}
+
 // faasFootprint is shared by the three functions: a big runtime image
 // (the Docker Hub GCC image of the paper) plus small private state.
 func faasFootprint() Footprint {
@@ -60,57 +73,11 @@ func sparseVariant(b FuncBehavior, datasetPages int, sparse bool) FuncBehavior {
 	return b
 }
 
-// FunctionSpec builds an AppSpec for one function variant. sparse selects
-// the sparse input access pattern.
-func FunctionSpec(b FuncBehavior, sparse bool) *AppSpec {
-	name := b.Name + "-dense"
-	if sparse {
-		name = b.Name + "-sparse"
-	}
-	spec := &AppSpec{
-		Name:          name,
-		Class:         Function,
-		FP:            faasFootprint(),
-		DatasetShared: false,
-		DatasetPerm:   permRO,
-	}
-	spec.NewGen = func(d *Deployment, p *kernel.Process, idx int, seed uint64) sim.Generator {
-		bb := sparseVariant(b, d.RDataset.Pages, sparse)
-		bu := NewBringUpEnv(d.Env(p), seed)
-		bu.noMarks = true
-		return NewChain(bu, newFuncGen(d.Env(p), bb, bb.LinesPerPage, seed))
-	}
-	return spec
-}
-
-// Parse tokenizes an input string (light per-line work, frequent output).
-func Parse(sparse bool) *AppSpec {
-	return FunctionSpec(FuncBehavior{
-		Name: "parse", ThinkPerLine: 380, OutWriteEvery: 8,
-	}, sparse)
-}
-
-// Hash runs djb2 over the input (heavier compute, rare output).
-func Hash(sparse bool) *AppSpec {
-	return FunctionSpec(FuncBehavior{
-		Name: "hash", ThinkPerLine: 500, OutWriteEvery: 0,
-	}, sparse)
-}
-
-// Marshal converts the input string to integers (medium work, output per
-// record).
-func Marshal(sparse bool) *AppSpec {
-	return FunctionSpec(FuncBehavior{
-		Name: "marshal", ThinkPerLine: 420, OutWriteEvery: 4,
-	}, sparse)
-}
-
 type funcGen struct {
-	env   Env
-	rng   *RNG
-	b     FuncBehavior
-	lines int
-	code  *codeWalker
+	env  Env
+	rng  *RNG
+	b    FuncBehavior
+	code *codeWalker
 
 	page    int
 	line    int
@@ -120,13 +87,12 @@ type funcGen struct {
 	q       stepQueue
 }
 
-func newFuncGen(env Env, b FuncBehavior, lines int, seed uint64) *funcGen {
+func newFuncGen(env Env, b FuncBehavior, seed uint64) *funcGen {
 	return &funcGen{
-		env:   env,
-		rng:   NewRNG(seed ^ uint64(lines)*0x9176),
-		b:     b,
-		lines: lines,
-		code:  newCodeWalker(env.P, NewRNG(seed^0xF5F5), 0.15, 0.12, env.RBin, env.RLibs, env.RInfra),
+		env:  env,
+		rng:  NewRNG(seed ^ uint64(b.LinesPerPage)*0x9176),
+		b:    b,
+		code: newCodeWalker(env.P, NewRNG(seed^0xF5F5), 0.15, 0.12, env.RBin, env.RLibs, env.RInfra),
 	}
 }
 
@@ -142,8 +108,8 @@ func (g *funcGen) buildChunk() {
 	}
 	// Touch a run of lines on the current input page, interleaved with
 	// instruction fetches.
-	for i := 0; i < 8 && g.line < g.lines; i++ {
-		gva := lineAddr(d.RDataset, g.page, g.line*(linesPerPage/g.lines))
+	for i := 0; i < 8 && g.line < g.b.LinesPerPage; i++ {
+		gva := lineAddr(d.RDataset, g.page, g.line*(linesPerPage/g.b.LinesPerPage))
 		dataStep(&s, p, gva, false, g.b.ThinkPerLine)
 		g.q.push(s)
 		g.touched++
@@ -161,7 +127,7 @@ func (g *funcGen) buildChunk() {
 	}
 	g.code.next(&s)
 	g.q.push(s)
-	if g.line >= g.lines {
+	if g.line >= g.b.LinesPerPage {
 		g.line = 0
 		g.page++
 	}
@@ -213,13 +179,9 @@ type BringUp struct {
 	started                                     bool
 }
 
-// NewBringUp builds the bring-up generator for a container.
-func NewBringUp(d *Deployment, p *kernel.Process, seed uint64) *BringUp {
-	return NewBringUpEnv(d.Env(p), seed)
-}
-
-// NewBringUpEnv builds the bring-up generator from an environment.
-func NewBringUpEnv(env Env, seed uint64) *BringUp {
+// NewBringUp builds the bring-up generator for the container env
+// describes.
+func NewBringUp(env Env, seed uint64) *BringUp {
 	return &BringUp{env: env, rng: NewRNG(seed ^ 0xBEEF)}
 }
 

@@ -28,16 +28,15 @@ type FaaSGroup struct {
 
 	Template *kernel.Process
 
-	fns   map[string]*faasFn
-	scale float64
-	seq   int
+	fns []*faasFn // in faasFunctions order
+	fp  Footprint // scaled
+	seq int
 
 	Tasks []*sim.Task
 }
 
 type faasFn struct {
 	behavior FuncBehavior
-	lines    int
 	bin      *kernel.File
 	rBin     kernel.Region
 	rBinData kernel.Region
@@ -54,7 +53,7 @@ func DeployFaaS(m *sim.Machine, sparse bool, scale float64, seed uint64) (*FaaSG
 	fp := faasFootprint().scaled(scale)
 	k := m.Kernel
 	g := k.NewGroup("faas", seed)
-	fg := &FaaSGroup{M: m, Group: g, fns: make(map[string]*faasFn), scale: scale}
+	fg := &FaaSGroup{M: m, Group: g, fp: fp}
 
 	var err error
 	if fg.Infra, err = k.CreateFile("faas/infra", fp.InfraPages); err != nil {
@@ -76,14 +75,8 @@ func DeployFaaS(m *sim.Machine, sparse bool, scale float64, seed uint64) (*FaaSG
 		return nil, err
 	}
 
-	behaviors := []FuncBehavior{
-		{Name: "parse", ThinkPerLine: 380, OutWriteEvery: 8},
-		{Name: "hash", ThinkPerLine: 500, OutWriteEvery: 0},
-		{Name: "marshal", ThinkPerLine: 420, OutWriteEvery: 4},
-	}
-	for _, b := range behaviors {
-		b = sparseVariant(b, fp.DatasetPages, sparse)
-		fn := &faasFn{behavior: b, lines: b.LinesPerPage}
+	for _, b := range faasFunctions {
+		fn := &faasFn{behavior: sparseVariant(b, fp.DatasetPages, sparse)}
 		if fn.bin, err = k.CreateFile("faas/"+b.Name+"/bin", fp.BinPages+fp.BinDataPages); err != nil {
 			return nil, err
 		}
@@ -99,7 +92,7 @@ func DeployFaaS(m *sim.Machine, sparse bool, scale float64, seed uint64) (*FaaSG
 		if fn.rScratch, err = g.Region(b.Name+"/scratch", kernel.SegStack, fp.ScratchPages); err != nil {
 			return nil, err
 		}
-		fg.fns[b.Name] = fn
+		fg.fns = append(fg.fns, fn)
 	}
 
 	tmpl, err := k.CreateProcess(g, "faas-template")
@@ -111,13 +104,9 @@ func DeployFaaS(m *sim.Machine, sparse bool, scale float64, seed uint64) (*FaaSG
 		return nil, err
 	}
 
-	// Iterate functions in their registered order, not map order: the
-	// prefault sequence decides which physical frames each file gets, and
-	// frame layout must be identical run to run for the experiments'
-	// determinism contract.
 	files := []*kernel.File{fg.Infra, fg.Libs, fg.Input}
-	for _, name := range fg.FunctionNames() {
-		files = append(files, fg.fns[name].bin)
+	for _, fn := range fg.fns {
+		files = append(files, fn.bin)
 	}
 	for _, f := range files {
 		if err := f.Prefault(); err != nil {
@@ -127,11 +116,16 @@ func DeployFaaS(m *sim.Machine, sparse bool, scale float64, seed uint64) (*FaaSG
 	return fg, nil
 }
 
-// FunctionNames returns the registered function names in a stable order.
-func (fg *FaaSGroup) FunctionNames() []string { return []string{"parse", "hash", "marshal"} }
+// FunctionNames returns the function names in registration order.
+func (fg *FaaSGroup) FunctionNames() []string {
+	names := make([]string, len(fg.fns))
+	for i, fn := range fg.fns {
+		names[i] = fn.behavior.Name
+	}
+	return names
+}
 
 func (fg *FaaSGroup) mapAll(p *kernel.Process) error {
-	fp := faasFootprint().scaled(fg.scale)
 	if _, err := p.MapFile(fg.RInfra, fg.Infra, 0, permRX, true, "infra"); err != nil {
 		return err
 	}
@@ -141,14 +135,12 @@ func (fg *FaaSGroup) mapAll(p *kernel.Process) error {
 	if _, err := p.MapFile(fg.RInput, fg.Input, 0, permRO, true, "input"); err != nil {
 		return err
 	}
-	// Stable function order for the same reason as the prefault loop in
-	// DeployFaaS: mapping order decides fault and frame-allocation order.
-	for _, name := range fg.FunctionNames() {
-		fn := fg.fns[name]
+	for _, fn := range fg.fns {
+		name := fn.behavior.Name
 		if _, err := p.MapFile(fn.rBin, fn.bin, 0, permRX, true, name+"/bin"); err != nil {
 			return err
 		}
-		if _, err := p.MapFile(fn.rBinData, fn.bin, fp.BinPages, permRW, true, name+"/bindata"); err != nil {
+		if _, err := p.MapFile(fn.rBinData, fn.bin, fg.fp.BinPages, permRW, true, name+"/bindata"); err != nil {
 			return err
 		}
 		if _, err := p.MapAnon(fn.rPrivate, permRW, name+"/private"); err != nil {
@@ -161,62 +153,69 @@ func (fg *FaaSGroup) mapAll(p *kernel.Process) error {
 	return nil
 }
 
+func (fg *FaaSGroup) lookup(name string) (*faasFn, error) {
+	for _, fn := range fg.fns {
+		if fn.behavior.Name == name {
+			return fn, nil
+		}
+	}
+	return nil, fmt.Errorf("workloads: unknown function %q", name)
+}
+
 // Env builds the generator environment of one function container.
 func (fg *FaaSGroup) Env(name string, p *kernel.Process) (Env, error) {
-	fn, ok := fg.fns[name]
-	if !ok {
-		return Env{}, fmt.Errorf("workloads: unknown function %q", name)
+	fn, err := fg.lookup(name)
+	if err != nil {
+		return Env{}, err
 	}
+	return fg.env(fn, p), nil
+}
+
+func (fg *FaaSGroup) env(fn *faasFn, p *kernel.Process) Env {
 	return Env{
 		P:    p,
 		RBin: fn.rBin, RLibs: fg.RLibs, RInfra: fg.RInfra, RBinData: fn.rBinData,
 		RDataset: fg.RInput, RPrivate: fn.rPrivate, RScratch: fn.rScratch,
 		DatasetFile: fg.Input, DatasetPerm: permRO, DatasetPrivate: true,
-	}, nil
+	}
 }
 
 // Spawn forks a function container from the runtime template and
-// schedules it. Returns the task and the fork cycles.
+// schedules it: its untimed bring-up, then the function's own work.
+// Returns the task and the fork cycles.
 func (fg *FaaSGroup) Spawn(name string, coreID int, seed uint64) (*sim.Task, memdefs.Cycles, error) {
-	fn, ok := fg.fns[name]
-	if !ok {
-		return nil, 0, fmt.Errorf("workloads: unknown function %q", name)
-	}
-	fg.seq++
-	c, forkCycles, err := fg.M.Kernel.Fork(fg.Template, fmt.Sprintf("%s-%d", name, fg.seq))
-	if err != nil {
-		return nil, 0, err
-	}
-	env, err := fg.Env(name, c)
-	if err != nil {
-		return nil, 0, err
-	}
-	bu := NewBringUpEnv(env, seed)
-	bu.noMarks = true
-	gen := NewChain(bu, newFuncGen(env, fn.behavior, fn.lines, seed))
-	task := fg.M.AddTask(coreID, c, gen)
-	fg.Tasks = append(fg.Tasks, task)
-	return task, forkCycles, nil
+	return fg.spawn(name, coreID, seed, false)
 }
 
 // SpawnBringUp forks a function container whose generator is the
-// `docker start` bring-up sequence; used by the bring-up experiment.
+// `docker start` bring-up sequence alone, timed by its request marks;
+// used by the bring-up experiment.
 func (fg *FaaSGroup) SpawnBringUp(name string, coreID int, seed uint64) (*sim.Task, memdefs.Cycles, error) {
-	fn, ok := fg.fns[name]
-	if !ok {
-		return nil, 0, fmt.Errorf("workloads: unknown function %q", name)
+	return fg.spawn(name, coreID, seed, true)
+}
+
+func (fg *FaaSGroup) spawn(name string, coreID int, seed uint64, bringUpOnly bool) (*sim.Task, memdefs.Cycles, error) {
+	fn, err := fg.lookup(name)
+	if err != nil {
+		return nil, 0, err
 	}
-	_ = fn
 	fg.seq++
-	c, forkCycles, err := fg.M.Kernel.Fork(fg.Template, fmt.Sprintf("%s-bringup-%d", name, fg.seq))
+	tag := name
+	if bringUpOnly {
+		tag += "-bringup"
+	}
+	c, forkCycles, err := fg.M.Kernel.Fork(fg.Template, fmt.Sprintf("%s-%d", tag, fg.seq))
 	if err != nil {
 		return nil, 0, err
 	}
-	env, err := fg.Env(name, c)
-	if err != nil {
-		return nil, 0, err
+	env := fg.env(fn, c)
+	bu := NewBringUp(env, seed)
+	var gen sim.Generator = bu
+	if !bringUpOnly {
+		bu.noMarks = true
+		gen = NewChain(bu, newFuncGen(env, fn.behavior, seed))
 	}
-	task := fg.M.AddTask(coreID, c, NewBringUpEnv(env, seed))
+	task := fg.M.AddTask(coreID, c, gen)
 	fg.Tasks = append(fg.Tasks, task)
 	return task, forkCycles, nil
 }

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"testing"
 
 	"babelfish/internal/faasfn"
@@ -206,11 +207,7 @@ func TestDeploymentPrefaultCoversEverything(t *testing.T) {
 func TestFunctionWorkFactorsMatchRealFunctions(t *testing.T) {
 	wf := faasfn.MeasureWorkFactors(8)
 	think := map[string]int{}
-	for _, b := range []FuncBehavior{
-		{Name: "parse", ThinkPerLine: 380},
-		{Name: "hash", ThinkPerLine: 500},
-		{Name: "marshal", ThinkPerLine: 420},
-	} {
+	for _, b := range faasFunctions {
 		think[b.Name] = b.ThinkPerLine
 	}
 	if !(think["hash"] > think["marshal"] && think["marshal"] > think["parse"]) {
@@ -268,18 +265,18 @@ func TestFaaSGroupErrors(t *testing.T) {
 	}
 }
 
-// TestStandaloneFunctionSpecs: the Deploy-path function specs (used by
-// examples and benches) still work.
-func TestStandaloneFunctionSpecs(t *testing.T) {
-	for _, mk := range []func(bool) *AppSpec{Parse, Hash, Marshal} {
-		spec := mk(false)
-		m, d := deployOne(t, spec, 55)
-		task := d.Tasks[0]
-		if err := m.RunToCompletion(); err != nil {
-			t.Fatal(err)
-		}
-		if !task.Done || task.OwnReqs != 1 {
-			t.Fatalf("%s: done=%v lat=%d", spec.Name, task.Done, task.OwnReqs)
-		}
+// TestFaaSFunctionOrder pins the registration order: DeployFaaS maps and
+// prefaults the function binaries in it, so it decides every function's
+// frames.
+func TestFaaSFunctionOrder(t *testing.T) {
+	p := sim.DefaultParams(kernel.ModeBaseline)
+	p.Cores = 1
+	p.MemBytes = 512 << 20
+	fg, err := DeployFaaS(sim.New(p), false, 0.2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(fg.FunctionNames()), "[parse hash marshal]"; got != want {
+		t.Fatalf("FunctionNames() = %s, want %s", got, want)
 	}
 }

@@ -81,6 +81,9 @@ func TestEndToEndMongoBabelFishWins(t *testing.T) {
 	}
 }
 
+// TestEndToEndFunctionsRunToCompletion runs the three sparse functions of
+// one FaaS group on one core under both kernels: each finishes with
+// exactly one latency sample.
 func TestEndToEndFunctionsRunToCompletion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration run")
@@ -91,18 +94,20 @@ func TestEndToEndFunctionsRunToCompletion(t *testing.T) {
 		p.MemBytes = 1 << 30
 		p.Quantum = 200_000
 		m := sim.New(p)
-		specs := []*AppSpec{Parse(true), Hash(true), Marshal(true)}
+		fg, err := DeployFaaS(m, true, 0.25, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var tasks []*sim.Task
-		for i, s := range specs {
-			d, err := Deploy(m, s, 0.25, uint64(i+1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			task, _, err := d.Spawn(0, uint64(50+i))
+		for i, name := range fg.FunctionNames() {
+			task, _, err := fg.Spawn(name, 0, uint64(50+i))
 			if err != nil {
 				t.Fatal(err)
 			}
 			tasks = append(tasks, task)
+		}
+		if len(tasks) != 3 {
+			t.Fatalf("[%v] %d functions in the group, want 3", mode, len(tasks))
 		}
 		if err := m.RunToCompletion(); err != nil {
 			t.Fatal(err)
