@@ -54,6 +54,8 @@ const (
 	// state; the container leaves the scheduler's responsibility without
 	// being requeued.
 	EvComplete
+
+	numEventKinds
 )
 
 var eventNames = [...]string{

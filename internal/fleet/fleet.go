@@ -211,20 +211,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// counters is the fleet's event tally, exposed through the registry.
+// counters holds the fleet's tallies that are not events: the events
+// themselves are tallied per kind in Cluster.tally.
 type counters struct {
-	crashes, restarts   uint64
-	partitions, heals   uint64
-	suspects, condemned uint64
-	rejoins             uint64
-	heartbeatMisses     uint64
-	queued, placements  uint64
-	placeFails          uint64
-	sheds, fences       uint64
-	oomEscalations      uint64
-	degradations        uint64
-	lost                uint64
-	completions         uint64
+	heartbeatMisses uint64
 
 	// Open-loop request accounting (Config.Load != nil).
 	reqOffered  uint64
@@ -239,6 +229,7 @@ type Cluster struct {
 	nodes      []*node
 	containers []*Container
 	events     []Event
+	tally      [numEventKinds]uint64 // events per kind
 	epoch      int
 	ctr        counters
 
@@ -346,6 +337,7 @@ func (c *Cluster) eventCaused(kind EventKind, nodeID, containerID int, detail st
 	c.events = append(c.events, Event{
 		Epoch: c.epoch, Kind: kind, Node: nodeID, Container: containerID, Detail: detail,
 	})
+	c.tally[kind]++
 	if !c.obsOn {
 		return 0
 	}
@@ -546,14 +538,12 @@ func (c *Cluster) requeueCaused(ct *Container, detail string, cause obs.SpanID) 
 	ct.Requeues++
 	if ct.Requeues > c.cfg.RequeueBudget {
 		ct.Lost = true
-		c.ctr.lost++
 		c.eventCaused(EvLost, -1, ct.ID,
 			fmt.Sprintf("requeue budget %d exhausted", c.cfg.RequeueBudget), cause)
 		return
 	}
 	ct.NextTry = c.epoch
 	ct.QueuedAt = c.epoch
-	c.ctr.queued++
 	c.eventCaused(EvQueued, -1, ct.ID, detail, cause)
 }
 
@@ -561,7 +551,6 @@ func (c *Cluster) requeueCaused(ct *Container, detail string, cause obs.SpanID) 
 // current degradation window).
 func (c *Cluster) degrade(n *node, detail string) {
 	if c.epoch >= n.degradedUntil {
-		c.ctr.degradations++
 		c.event(EvDegraded, n.id, -1, detail)
 	}
 	n.degradedUntil = c.epoch + c.cfg.DegradeEpochs
@@ -584,7 +573,6 @@ func (c *Cluster) absorbOOMKills() {
 			ct := p.ct
 			if p.task.OOMKilled && ct.Node == n.id && ct.task == p.task {
 				n.dropPlacement(ct)
-				c.ctr.oomEscalations++
 				// Cross-layer causal link: the machine recorder's OOM-kill
 				// span (if spans are on) parents the fleet escalation.
 				cause := c.eventCaused(EvOOMKill, n.id, ct.ID, "node OOM killer", n.m.LastOOMSpan())
@@ -606,7 +594,6 @@ func (c *Cluster) injectFaults() {
 			continue
 		}
 		if crashed {
-			c.ctr.crashes++
 			c.event(EvCrash, n.id, -1, "")
 			n.state = NodeDown
 			n.downSince = c.epoch
@@ -629,7 +616,6 @@ func (c *Cluster) injectFaults() {
 			continue
 		}
 		if parted && !n.partitioned(c.epoch) {
-			c.ctr.partitions++
 			c.event(EvPartition, n.id, -1, fmt.Sprintf("%d epochs", c.cfg.PartitionEpochs))
 			n.partitionedUntil = c.epoch + c.cfg.PartitionEpochs
 		}
@@ -645,7 +631,6 @@ func (c *Cluster) heartbeats() {
 	for _, n := range c.nodes {
 		if n.state == NodeUp && n.partitionedUntil != 0 && c.epoch >= n.partitionedUntil {
 			n.partitionedUntil = 0
-			c.ctr.heals++
 			c.event(EvHeal, n.id, -1, "")
 		}
 		delivered := n.state == NodeUp && !n.partitioned(c.epoch)
@@ -656,7 +641,6 @@ func (c *Cluster) heartbeats() {
 		n.lastSeen = c.epoch
 		if n.hlth == Condemned {
 			c.fence(n)
-			c.ctr.rejoins++
 			c.event(EvRejoin, n.id, -1, "")
 		}
 		n.hlth = Healthy
@@ -674,7 +658,6 @@ func (c *Cluster) heartbeats() {
 				ct.task = nil
 				ct.gate = nil
 				ct.Completed = true
-				c.ctr.completions++
 				c.event(EvComplete, n.id, ct.ID, "ran to completion")
 				continue
 			}
@@ -693,7 +676,6 @@ func (c *Cluster) fence(n *node) {
 	for _, p := range n.placed {
 		if !p.task.Done {
 			n.m.KillTask(p.task)
-			c.ctr.fences++
 			c.event(EvFence, n.id, p.ct.ID, "stale after condemnation")
 		}
 	}
@@ -709,12 +691,10 @@ func (c *Cluster) detectFailures() {
 		}
 		if n.hlth == Healthy {
 			n.hlth = Suspect
-			c.ctr.suspects++
 			c.event(EvSuspect, n.id, -1, fmt.Sprintf("%d heartbeat missed", missed))
 		}
 		if n.hlth == Suspect && missed > c.cfg.SuspicionEpochs {
 			n.hlth = Condemned
-			c.ctr.condemned++
 			cause := c.event(EvCondemn, n.id, -1, fmt.Sprintf("%d heartbeats missed", missed))
 			for _, ct := range c.containers {
 				if ct.Node == n.id {
@@ -733,7 +713,6 @@ func (c *Cluster) recoverNodes() {
 		if n.state == NodeDown && c.epoch >= n.restartAt {
 			n.state = NodeUp
 			n.buildMachine(c)
-			c.ctr.restarts++
 			c.histDowntime.Observe(uint64(c.epoch - n.downSince))
 			c.event(EvRestart, n.id, -1, fmt.Sprintf("down %d epochs", c.epoch-n.downSince))
 		}
@@ -755,7 +734,6 @@ func (c *Cluster) shedOverloaded() {
 		victim := run[len(run)-1]
 		n.m.KillTask(victim.task)
 		n.dropPlacement(victim)
-		c.ctr.sheds++
 		cause := c.event(EvShed, n.id, victim.ID, "overload")
 		c.requeueCaused(victim, "shed", cause)
 	}
@@ -810,7 +788,6 @@ func (c *Cluster) placePending() {
 		ct.Attempts++
 		if ct.Attempts > c.cfg.RetryBudget {
 			ct.Lost = true
-			c.ctr.lost++
 			c.event(EvLost, -1, ct.ID, fmt.Sprintf("retry budget %d exhausted", c.cfg.RetryBudget))
 			continue
 		}
@@ -821,7 +798,6 @@ func (c *Cluster) placePending() {
 			}
 		}
 		ct.NextTry = c.epoch + backoff
-		c.ctr.placeFails++
 		c.event(EvPlaceFail, -1, ct.ID, fmt.Sprintf("attempt %d, retry in %d", ct.Attempts, backoff))
 	}
 }
@@ -900,7 +876,6 @@ func (c *Cluster) placeOn(n *node, ct *Container) bool {
 	ct.task = task
 	ct.Placements++
 	ct.Attempts = 0
-	c.ctr.placements++
 	c.histReplace.Observe(uint64(c.epoch - ct.QueuedAt))
 	c.event(EvPlaced, n.id, ct.ID, fmt.Sprintf("delay %d epochs", c.epoch-ct.QueuedAt))
 	return true

@@ -54,12 +54,12 @@ func TestSteadyState(t *testing.T) {
 	if got := c.runningCount(); got != 8 {
 		t.Fatalf("running containers = %d, want 8", got)
 	}
-	if c.ctr.placements != 8 {
-		t.Errorf("placements = %d, want 8 (no re-placement without faults)", c.ctr.placements)
+	if c.tally[EvPlaced] != 8 {
+		t.Errorf("placements = %d, want 8 (no re-placement without faults)", c.tally[EvPlaced])
 	}
-	if c.ctr.crashes != 0 || c.ctr.queued != 0 || c.ctr.lost != 0 {
+	if c.tally[EvCrash] != 0 || c.tally[EvQueued] != 0 || c.tally[EvLost] != 0 {
 		t.Errorf("fault-free run took recovery actions: crashes=%d queued=%d lost=%d",
-			c.ctr.crashes, c.ctr.queued, c.ctr.lost)
+			c.tally[EvCrash], c.tally[EvQueued], c.tally[EvLost])
 	}
 	if c.Density() <= 0 {
 		t.Errorf("mean density = %v, want > 0", c.Density())
@@ -118,14 +118,14 @@ func TestChaosSweep(t *testing.T) {
 		t.Skip("chaos sweep is slow")
 	}
 	c := mustRun(t, chaosConfig())
-	if c.ctr.crashes == 0 || c.ctr.partitions == 0 {
-		t.Fatalf("fault model idle: crashes=%d partitions=%d", c.ctr.crashes, c.ctr.partitions)
+	if c.tally[EvCrash] == 0 || c.tally[EvPartition] == 0 {
+		t.Fatalf("fault model idle: crashes=%d partitions=%d", c.tally[EvCrash], c.tally[EvPartition])
 	}
-	if c.ctr.condemned == 0 || c.ctr.restarts == 0 {
-		t.Errorf("recovery machinery idle: condemned=%d restarts=%d", c.ctr.condemned, c.ctr.restarts)
+	if c.tally[EvCondemn] == 0 || c.tally[EvRestart] == 0 {
+		t.Errorf("recovery machinery idle: condemned=%d restarts=%d", c.tally[EvCondemn], c.tally[EvRestart])
 	}
-	if c.ctr.lost != 0 {
-		t.Errorf("lost containers = %d, want 0", c.ctr.lost)
+	if c.tally[EvLost] != 0 {
+		t.Errorf("lost containers = %d, want 0", c.tally[EvLost])
 	}
 	if got := c.runningCount(); got != 16 {
 		t.Errorf("running containers after recovery = %d, want 16", got)
@@ -174,13 +174,13 @@ func TestPartitionFencing(t *testing.T) {
 	cfg.Partition = memsys.InjectConfig{Nth: 4, MaxFaults: 1}
 	cfg.PartitionEpochs = 6 // outlives SuspicionEpochs=2
 	c := mustRun(t, cfg)
-	if c.ctr.partitions == 0 || c.ctr.condemned == 0 {
-		t.Fatalf("partition path idle: partitions=%d condemned=%d", c.ctr.partitions, c.ctr.condemned)
+	if c.tally[EvPartition] == 0 || c.tally[EvCondemn] == 0 {
+		t.Fatalf("partition path idle: partitions=%d condemned=%d", c.tally[EvPartition], c.tally[EvCondemn])
 	}
-	if c.ctr.rejoins == 0 {
+	if c.tally[EvRejoin] == 0 {
 		t.Errorf("no condemned node rejoined after heal")
 	}
-	if c.ctr.fences == 0 {
+	if c.tally[EvFence] == 0 {
 		t.Errorf("no stale container was fenced at rejoin")
 	}
 	if rep := c.Audit(); !rep.OK() {
@@ -201,17 +201,17 @@ func TestOverloadDegrades(t *testing.T) {
 	cfg.MaxPerNode = 12
 	cfg.Epochs = 10
 	c := mustRun(t, cfg)
-	if c.ctr.placements == 0 {
+	if c.tally[EvPlaced] == 0 {
 		t.Fatal("nothing placed on the undersized node")
 	}
-	if int(c.ctr.placements) >= 12 && c.ctr.sheds == 0 {
-		t.Fatalf("overload never refused or shed: placements=%d", c.ctr.placements)
+	if int(c.tally[EvPlaced]) >= 12 && c.tally[EvShed] == 0 {
+		t.Fatalf("overload never refused or shed: placements=%d", c.tally[EvPlaced])
 	}
-	if c.ctr.placeFails == 0 {
+	if c.tally[EvPlaceFail] == 0 {
 		t.Errorf("no admission refusals on an oversubscribed node")
 	}
-	if c.ctr.lost != 0 {
-		t.Errorf("lost containers = %d, want 0 (refused containers stay queued)", c.ctr.lost)
+	if c.tally[EvLost] != 0 {
+		t.Errorf("lost containers = %d, want 0 (refused containers stay queued)", c.tally[EvLost])
 	}
 	if rep := c.Audit(); !rep.OK() {
 		t.Errorf("audit:\n%s", rep)
@@ -231,14 +231,14 @@ func TestShedRecovers(t *testing.T) {
 	cfg.MinFreeFrac = 0.08
 	cfg.ShedFrac = 0.07
 	c := mustRun(t, cfg)
-	if c.ctr.degradations == 0 {
+	if c.tally[EvDegraded] == 0 {
 		t.Errorf("node under memory pressure never degraded")
 	}
-	if c.ctr.sheds == 0 {
+	if c.tally[EvShed] == 0 {
 		t.Errorf("no container was shed under pressure")
 	}
-	if c.ctr.lost != 0 {
-		t.Errorf("lost containers = %d, want 0", c.ctr.lost)
+	if c.tally[EvLost] != 0 {
+		t.Errorf("lost containers = %d, want 0", c.tally[EvLost])
 	}
 	if got := c.runningCount(); got == 0 {
 		t.Errorf("shedding drained the node completely")

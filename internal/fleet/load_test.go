@@ -95,8 +95,8 @@ func TestCrashRetainsLatencySamples(t *testing.T) {
 	cfg.Crash = memsys.InjectConfig{Nth: 9, MaxFaults: 1}
 	cfg.RestartEpochs = 100 // stays down past the end of the run
 	c := mustRun(t, cfg)
-	if c.ctr.crashes != 1 {
-		t.Fatalf("crashes = %d, want 1", c.ctr.crashes)
+	if c.tally[EvCrash] != 1 {
+		t.Fatalf("crashes = %d, want 1", c.tally[EvCrash])
 	}
 	if c.upCount() != 0 {
 		t.Fatalf("node restarted within the run; the regression needs it to stay down")
@@ -167,14 +167,14 @@ func TestCompletionTerminal(t *testing.T) {
 	cfg.Spec = finiteSpec(40)
 	cfg.Scale = 1
 	c := mustRun(t, cfg)
-	if c.ctr.completions != 2 {
-		t.Fatalf("completions = %d, want 2", c.ctr.completions)
+	if c.tally[EvComplete] != 2 {
+		t.Fatalf("completions = %d, want 2", c.tally[EvComplete])
 	}
-	if c.ctr.placements != 2 {
-		t.Errorf("placements = %d, want 2 (completed containers must not be re-placed)", c.ctr.placements)
+	if c.tally[EvPlaced] != 2 {
+		t.Errorf("placements = %d, want 2 (completed containers must not be re-placed)", c.tally[EvPlaced])
 	}
-	if c.ctr.queued != 0 || c.ctr.lost != 0 {
-		t.Errorf("completed containers re-entered the queue: queued=%d lost=%d", c.ctr.queued, c.ctr.lost)
+	if c.tally[EvQueued] != 0 || c.tally[EvLost] != 0 {
+		t.Errorf("completed containers re-entered the queue: queued=%d lost=%d", c.tally[EvQueued], c.tally[EvLost])
 	}
 	if got := c.runningCount(); got != 0 {
 		t.Errorf("running = %d, want 0 after completion", got)
@@ -220,8 +220,8 @@ func TestRequeuePingPongExhaustsBudget(t *testing.T) {
 	if !ct.Lost {
 		t.Fatal("budget-exhausting requeue did not mark the container lost")
 	}
-	if c.ctr.lost != 1 {
-		t.Errorf("lost counter = %d, want 1", c.ctr.lost)
+	if c.tally[EvLost] != 1 {
+		t.Errorf("lost counter = %d, want 1", c.tally[EvLost])
 	}
 	if log := eventLog(c); !strings.Contains(log, "requeue budget 4 exhausted") {
 		t.Errorf("event log missing the budget-exhausted lost event:\n%s", log)
@@ -246,6 +246,38 @@ func BenchmarkFleetLoadEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := c.Step(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestEventCountersMatchLog: each per-kind fleet.* counter reads the
+// number of events of that kind in the audit log, after a chaos run and
+// after an open-loop flash run with seeded crashes and partitions.
+func TestEventCountersMatchLog(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos and flash runs are slow")
+	}
+	flash := testConfig(4, 8)
+	flash.Epochs = 24
+	flash.QueueCap = 8
+	flash.Load = loadgen.Split(loadgen.Flash{Base: 8, Peak: 256, Start: 8, Len: 3}, 8, flash.Seed)
+	flash.Crash = memsys.InjectConfig{Seed: 3, Prob: 0.02}
+	flash.Partition = memsys.InjectConfig{Seed: 4, Prob: 0.02}
+	for name, cfg := range map[string]Config{"chaos": chaosConfig(), "flash": flash} {
+		c := mustRun(t, cfg)
+		var want [numEventKinds]uint64
+		for _, e := range c.Events() {
+			want[e.Kind]++
+		}
+		if want[EvCrash] == 0 || want[EvPlaced] == 0 {
+			t.Fatalf("%s: run logged %d crashes and %d placements, want both", name, want[EvCrash], want[EvPlaced])
+		}
+		for k := range numEventKinds {
+			metric := "fleet." + eventMetrics[k].name
+			got, ok := c.Registry().Value(metric)
+			if !ok || uint64(got) != want[k] {
+				t.Errorf("%s: %s = %v (registered %v), want %d %s events", name, metric, got, ok, want[k], k)
+			}
 		}
 	}
 }

@@ -191,7 +191,7 @@ func TestFleetObsCausalChainAndFlight(t *testing.T) {
 	cfg.Obs.Enabled = true
 	cfg.Obs.FlightDir = dir
 	c := mustRun(t, cfg)
-	if c.ctr.lost == 0 {
+	if c.tally[EvLost] == 0 {
 		t.Fatal("scenario failed to lose a container; causal-chain test is vacuous")
 	}
 	if rep := c.Audit(); rep.OK() {

@@ -20,13 +20,14 @@ func (c *Cluster) Report() string {
 		c.cfg.Nodes, arch, c.cfg.Params.Cores, c.cfg.Params.MemBytes>>20,
 		c.cfg.Containers, c.cfg.Spec.Name, c.cfg.Scale,
 		c.cfg.Epochs, c.cfg.EpochInstr, c.cfg.Seed)
+	n := &c.tally
 	fmt.Fprintf(&b, "faults:    crashes %d, restarts %d, partitions %d, heals %d\n",
-		c.ctr.crashes, c.ctr.restarts, c.ctr.partitions, c.ctr.heals)
+		n[EvCrash], n[EvRestart], n[EvPartition], n[EvHeal])
 	fmt.Fprintf(&b, "detector:  suspects %d, condemned %d, rejoins %d, heartbeat misses %d\n",
-		c.ctr.suspects, c.ctr.condemned, c.ctr.rejoins, c.ctr.heartbeatMisses)
+		n[EvSuspect], n[EvCondemn], n[EvRejoin], c.ctr.heartbeatMisses)
 	fmt.Fprintf(&b, "scheduler: queued %d, placements %d, completed %d, refusals %d, sheds %d, fences %d, oom escalations %d, degradations %d, lost %d\n",
-		c.ctr.queued, c.ctr.placements, c.ctr.completions, c.ctr.placeFails, c.ctr.sheds,
-		c.ctr.fences, c.ctr.oomEscalations, c.ctr.degradations, c.ctr.lost)
+		n[EvQueued], n[EvPlaced], n[EvComplete], n[EvPlaceFail], n[EvShed],
+		n[EvFence], n[EvOOMKill], n[EvDegraded], n[EvLost])
 	if c.cfg.Load != nil {
 		fmt.Fprintf(&b, "load:      shape %s, offered %d, admitted %d, served %d, dropped %d, backlog %d\n",
 			c.cfg.Load.Name(), c.ctr.reqOffered, c.ctr.reqAdmitted,
@@ -41,7 +42,7 @@ func (c *Cluster) Report() string {
 	}
 	fmt.Fprintf(&b, "final:     %d/%d nodes up, %d running, %d pending, %d lost; mean density %.3f containers/node; %d events\n",
 		c.upCount(), c.cfg.Nodes, c.runningCount(), c.pendingCount(),
-		int(c.ctr.lost), c.Density(), len(c.events))
+		int(n[EvLost]), c.Density(), len(c.events))
 	return b.String()
 }
 

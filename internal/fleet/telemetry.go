@@ -2,34 +2,45 @@ package fleet
 
 import "babelfish/internal/telemetry"
 
-// registerMetrics builds the fleet registry: one counter per event
-// tally, gauges over the live control-plane state, and the four
-// log2 histograms the report quotes p50/p99 from. Pull-based like the
-// machine registry — probes read the cluster's own counters on demand,
-// so the control loop pays nothing for telemetry's existence.
+// eventMetrics names the fleet.* counter that reads each event kind's
+// tally, with its help text.
+var eventMetrics = [numEventKinds]struct{ name, help string }{
+	EvCrash:     {"crashes", "node crash faults injected"},
+	EvRestart:   {"restarts", "crashed nodes brought back up"},
+	EvPartition: {"partitions", "network partitions injected"},
+	EvHeal:      {"heals", "partitions healed"},
+	EvSuspect:   {"suspects", "nodes suspected after a missed heartbeat"},
+	EvCondemn:   {"condemned", "nodes condemned by the suspicion timeout"},
+	EvRejoin:    {"rejoins", "condemned nodes readmitted after fencing"},
+	EvQueued:    {"queued", "containers sent to the re-placement queue"},
+	EvPlaced:    {"placements", "successful container placements"},
+	EvPlaceFail: {"place_fails", "placement attempts refused by every node"},
+	EvShed:      {"sheds", "containers shed from overloaded nodes"},
+	EvFence:     {"fences", "stale containers killed at node rejoin"},
+	EvOOMKill:   {"oom_escalations", "node OOM kills absorbed as escalations"},
+	EvDegraded:  {"degradations", "admission-control degradation windows opened"},
+	EvLost:      {"lost", "containers lost to retry- or requeue-budget exhaustion"},
+	EvComplete:  {"completions", "containers whose workload ran to completion"},
+}
+
+// registerMetrics builds the fleet registry: one counter per event kind
+// plus the heartbeat-miss and request counters, gauges over the live
+// control-plane state, and the log2 histograms the report quotes p50/p99
+// from. Pull-based like the machine registry — probes read the cluster's
+// own tallies on demand, so the control loop pays nothing for
+// telemetry's existence.
 func (c *Cluster) registerMetrics() {
 	r := telemetry.NewRegistry()
 	c.reg = r
-	ctr := func(name, help string, p *uint64) {
-		r.Counter("fleet."+name, "events", help, func() uint64 { return *p })
+	for k := range numEventKinds {
+		r.Counter("fleet."+eventMetrics[k].name, "events", eventMetrics[k].help,
+			func() uint64 { return c.tally[k] })
+		if k == EvRejoin {
+			// Not an event: a missed heartbeat only feeds the detector.
+			r.Counter("fleet.heartbeat_misses", "events", "heartbeats that failed to arrive",
+				func() uint64 { return c.ctr.heartbeatMisses })
+		}
 	}
-	ctr("crashes", "node crash faults injected", &c.ctr.crashes)
-	ctr("restarts", "crashed nodes brought back up", &c.ctr.restarts)
-	ctr("partitions", "network partitions injected", &c.ctr.partitions)
-	ctr("heals", "partitions healed", &c.ctr.heals)
-	ctr("suspects", "nodes suspected after a missed heartbeat", &c.ctr.suspects)
-	ctr("condemned", "nodes condemned by the suspicion timeout", &c.ctr.condemned)
-	ctr("rejoins", "condemned nodes readmitted after fencing", &c.ctr.rejoins)
-	ctr("heartbeat_misses", "heartbeats that failed to arrive", &c.ctr.heartbeatMisses)
-	ctr("queued", "containers sent to the re-placement queue", &c.ctr.queued)
-	ctr("placements", "successful container placements", &c.ctr.placements)
-	ctr("place_fails", "placement attempts refused by every node", &c.ctr.placeFails)
-	ctr("sheds", "containers shed from overloaded nodes", &c.ctr.sheds)
-	ctr("fences", "stale containers killed at node rejoin", &c.ctr.fences)
-	ctr("oom_escalations", "node OOM kills absorbed as escalations", &c.ctr.oomEscalations)
-	ctr("degradations", "admission-control degradation windows opened", &c.ctr.degradations)
-	ctr("lost", "containers lost to retry- or requeue-budget exhaustion", &c.ctr.lost)
-	ctr("completions", "containers whose workload ran to completion", &c.ctr.completions)
 
 	req := func(name, help string, p *uint64) {
 		r.Counter("fleet."+name, "requests", help, func() uint64 { return *p })
