@@ -291,13 +291,6 @@ type Machine struct {
 	obsNode     int
 	lastOOMSpan obs.SpanID
 
-	// Memoized Aggregate() for the derived xlat.* gauges: one registry
-	// snapshot reads four of them, each of which would otherwise re-walk
-	// every core's MMU stats (see aggregateCached).
-	agg      AggStats
-	aggKey   [2]uint64
-	aggValid bool
-
 	oomKills uint64
 
 	// devGroups is the memsys device layer: every memory-system component
@@ -788,7 +781,6 @@ func (m *Machine) RunToCompletion() error {
 // reset through the memsys device layer; injector sequence state is
 // deliberately untouched (the fault pattern spans the whole run).
 func (m *Machine) ResetStats() {
-	m.aggValid = false
 	for _, g := range m.devGroups {
 		for _, d := range g.devs {
 			d.ResetStats()
@@ -859,27 +851,6 @@ func (m *Machine) Aggregate() AggStats {
 		a.Faults += s.Faults
 	}
 	return a
-}
-
-// aggregateCached returns Aggregate(), recomputing only when the
-// machine's counters have moved since the previous call. The cache key is
-// (instructions, translations) summed across cores — both monotone within
-// a measurement interval — so the four xlat.* gauges of one registry
-// snapshot share a single roll-up instead of walking every core's MMU
-// stats four times.
-func (m *Machine) aggregateCached() AggStats {
-	var instrs, xlats uint64
-	for _, c := range m.Cores {
-		instrs += c.Instrs
-		xlats += c.MMU.Stats().Translations
-	}
-	if m.aggValid && m.aggKey == [2]uint64{instrs, xlats} {
-		return m.agg
-	}
-	m.agg = m.Aggregate()
-	m.aggKey = [2]uint64{instrs, xlats}
-	m.aggValid = true
-	return m.agg
 }
 
 // MPKIData returns machine-wide L2 TLB data MPKI.

@@ -98,10 +98,10 @@ func (m *Machine) registerMetrics() {
 	reg.Gauge("phys.frames_peak", "frame", "peak allocated 4KB frames", func() float64 { return float64(m.Mem.PeakAllocated()) })
 
 	// Derived translation gauges (the paper's headline axes).
-	reg.Gauge("xlat.mpki_data", "mpki", "L2 TLB data misses per kilo-instruction", func() float64 { return m.aggregateCached().MPKIData() })
-	reg.Gauge("xlat.mpki_instr", "mpki", "L2 TLB instruction misses per kilo-instruction", func() float64 { return m.aggregateCached().MPKIInstr() })
-	reg.Gauge("xlat.shared_hit_frac_data", "frac", "fraction of L2 data hits on shared entries", func() float64 { return m.aggregateCached().SharedHitFracD() })
-	reg.Gauge("xlat.shared_hit_frac_instr", "frac", "fraction of L2 instruction hits on shared entries", func() float64 { return m.aggregateCached().SharedHitFracI() })
+	reg.Gauge("xlat.mpki_data", "mpki", "L2 TLB data misses per kilo-instruction", func() float64 { return m.Aggregate().MPKIData() })
+	reg.Gauge("xlat.mpki_instr", "mpki", "L2 TLB instruction misses per kilo-instruction", func() float64 { return m.Aggregate().MPKIInstr() })
+	reg.Gauge("xlat.shared_hit_frac_data", "frac", "fraction of L2 data hits on shared entries", func() float64 { return m.Aggregate().SharedHitFracD() })
+	reg.Gauge("xlat.shared_hit_frac_instr", "frac", "fraction of L2 instruction hits on shared entries", func() float64 { return m.Aggregate().SharedHitFracI() })
 
 	m.histXlat = reg.Histogram(HistXlatLatency, "cyc", "translation latency per memory access")
 	m.histFault = reg.Histogram(HistFaultCost, "cyc", "kernel fault cycles per faulting access")
