@@ -18,11 +18,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 
 	"babelfish/internal/memdefs"
 	"babelfish/internal/memsys"
-	"babelfish/internal/telemetry"
 )
 
 // Where identifies the level that ultimately served an access.
@@ -157,11 +155,6 @@ func (c *Cache) DeviceStats() memsys.Stats {
 		{Name: "misses", Unit: "miss", Help: "cache misses", Value: c.stats.Misses},
 		{Name: "writebacks", Unit: "wb", Help: "dirty lines written back", Value: c.stats.Writebacks},
 	}
-}
-
-// Register installs this level's stats under "cache.<name>".
-func (c *Cache) Register(reg *telemetry.Registry) {
-	memsys.RegisterDevice(reg, "cache."+strings.ToLower(c.cfg.Name), c)
 }
 
 // SetBelow swaps the backing port (nil restores nothing — callers pass the

@@ -7,7 +7,6 @@ package dram
 import (
 	"babelfish/internal/memdefs"
 	"babelfish/internal/memsys"
-	"babelfish/internal/telemetry"
 )
 
 // Config describes the memory organization and timing.
@@ -83,9 +82,6 @@ func (d *DRAM) DeviceStats() memsys.Stats {
 		{Name: "row_misses", Unit: "miss", Help: "row-buffer misses", Value: d.stats.RowMisses},
 	}
 }
-
-// Register installs the DRAM stats under "dram".
-func (d *DRAM) Register(reg *telemetry.Registry) { memsys.RegisterDevice(reg, d.Name(), d) }
 
 // Access implements memsys.Port. Bank is selected by low address bits
 // above the row offset (so consecutive rows interleave across banks);

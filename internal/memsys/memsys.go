@@ -87,31 +87,21 @@ func (s Stats) Get(name string) uint64 {
 
 // Device is one memory-system component as seen by the machine.
 type Device interface {
-	// Name identifies the device ("tlb.l2", "cache.l1d", "dram", ...);
-	// it doubles as the default telemetry prefix for Register.
+	// Name identifies the device ("tlb.l2", "cache.l1d", "dram", ...).
 	Name() string
 	// DeviceStats snapshots the device's counters as named stats. The
 	// shape (length, order, names) is fixed per device type.
 	DeviceStats() Stats
 	// ResetStats zeroes the counters (the warm-up/measurement boundary).
 	ResetStats()
-	// Register installs the device's stats as pull probes under its
-	// Name. Per-core device instances of one machine share metric names,
-	// so a machine registers those through RegisterSummed instead.
-	Register(reg *telemetry.Registry)
-}
-
-// RegisterDevice installs one device's stats as pull-probe counters named
-// prefix+"."+stat.Name. Probes snapshot the device on demand, so the
-// device's hot paths pay nothing until a registry read.
-func RegisterDevice(reg *telemetry.Registry, prefix string, d Device) {
-	RegisterSummed(reg, prefix, d)
 }
 
 // RegisterSummed registers the stats of a group of same-shaped devices
 // (e.g. one TLB group per core) under a single prefix, each metric
-// reading the sum across all instances. The stat names, units and help
-// strings come from the first device's snapshot.
+// reading the sum across all instances and named prefix+"."+stat.Name.
+// The stat names, units and help strings come from the first device's
+// snapshot. Probes snapshot the devices on demand, so their hot paths
+// pay nothing until a registry read.
 func RegisterSummed(reg *telemetry.Registry, prefix string, devs ...Device) {
 	if len(devs) == 0 {
 		return

@@ -19,8 +19,7 @@ func (d *fakeDev) DeviceStats() Stats {
 		{Name: "misses", Unit: "miss", Help: "misses", Value: d.misses},
 	}
 }
-func (d *fakeDev) ResetStats()                      { d.hits, d.misses = 0, 0 }
-func (d *fakeDev) Register(reg *telemetry.Registry) { RegisterDevice(reg, d.Name(), d) }
+func (d *fakeDev) ResetStats() { d.hits, d.misses = 0, 0 }
 
 var _ Device = (*fakeDev)(nil)
 
@@ -35,10 +34,12 @@ func TestStatsGet(t *testing.T) {
 	}
 }
 
+// TestRegisterDevice: a group of one device registers its stats under
+// prefix+"."+stat.Name.
 func TestRegisterDevice(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	d := &fakeDev{hits: 5}
-	d.Register(reg)
+	RegisterSummed(reg, d.Name(), d)
 	v, ok := reg.Value("fake.hits")
 	if !ok || uint64(v) != 5 {
 		t.Fatalf("fake.hits = %v (ok=%v), want 5", v, ok)

@@ -21,7 +21,6 @@ import (
 	"babelfish/internal/pgtable"
 	"babelfish/internal/physmem"
 	"babelfish/internal/pwc"
-	"babelfish/internal/telemetry"
 	"babelfish/internal/tlb"
 	"babelfish/internal/xlatpolicy"
 )
@@ -250,9 +249,6 @@ func (m *MMU) DeviceStats() memsys.Stats {
 		{Name: "inj_pwc_drops", Unit: "fault", Help: "injected PWC hit drops", Value: s.InjPWCDrops},
 	}
 }
-
-// Register installs the MMU stats under "mmu".
-func (m *MMU) Register(reg *telemetry.Registry) { memsys.RegisterDevice(reg, m.Name(), m) }
 
 var _ memsys.Device = (*MMU)(nil)
 

@@ -12,7 +12,6 @@ package pwc
 import (
 	"babelfish/internal/memdefs"
 	"babelfish/internal/memsys"
-	"babelfish/internal/telemetry"
 )
 
 // Config sizes one PWC.
@@ -89,9 +88,6 @@ func (p *PWC) DeviceStats() memsys.Stats {
 		{Name: "misses", Unit: "miss", Help: "page-walk cache misses", Value: p.stats.Misses},
 	}
 }
-
-// Register installs the PWC stats under "pwc".
-func (p *PWC) Register(reg *telemetry.Registry) { memsys.RegisterDevice(reg, p.Name(), p) }
 
 var _ memsys.Device = (*PWC)(nil)
 

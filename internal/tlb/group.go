@@ -3,7 +3,6 @@ package tlb
 import (
 	"babelfish/internal/memdefs"
 	"babelfish/internal/memsys"
-	"babelfish/internal/telemetry"
 )
 
 // Group bundles the per-page-size TLB structures of one level (the paper's
@@ -191,9 +190,6 @@ func (g *Group) DeviceStats() memsys.Stats {
 		{Name: "mask_loads", Unit: "load", Help: "PC-bitmask fetches from memory", Value: s.MaskLoads},
 	}
 }
-
-// Register installs the group's stats under its configured name.
-func (g *Group) Register(reg *telemetry.Registry) { memsys.RegisterDevice(reg, g.name, g) }
 
 var _ memsys.Device = (*Group)(nil)
 

@@ -7,7 +7,6 @@ import (
 	"babelfish/internal/memsys"
 	"babelfish/internal/pgtable"
 	"babelfish/internal/physmem"
-	"babelfish/internal/telemetry"
 	"babelfish/internal/tlb"
 )
 
@@ -337,10 +336,6 @@ func (c *CoalescedCore) DeviceStats() memsys.Stats {
 func (c *CoalescedCore) ResetStats() {
 	c.probes, c.hits, c.fills = 0, 0, 0
 	c.pages, c.invals, c.evicts = 0, 0, 0
-}
-
-func (c *CoalescedCore) Register(reg *telemetry.Registry) {
-	memsys.RegisterDevice(reg, c.Name(), c)
 }
 
 var _ Core = (*CoalescedCore)(nil)

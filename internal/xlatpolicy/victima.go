@@ -3,7 +3,6 @@ package xlatpolicy
 import (
 	"babelfish/internal/memdefs"
 	"babelfish/internal/memsys"
-	"babelfish/internal/telemetry"
 	"babelfish/internal/tlb"
 )
 
@@ -144,10 +143,6 @@ func (v *victimaCore) DeviceStats() memsys.Stats {
 func (v *victimaCore) ResetStats() {
 	v.probes, v.hits, v.fills = 0, 0, 0
 	v.store.ResetStats()
-}
-
-func (v *victimaCore) Register(reg *telemetry.Registry) {
-	memsys.RegisterDevice(reg, v.Name(), v)
 }
 
 var _ Core = (*victimaCore)(nil)
