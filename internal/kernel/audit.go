@@ -57,6 +57,7 @@ type auditQueueItem struct {
 //     plus once per member actually linking them;
 //   - a NoPCBitmask kernel holds no MaskPage: every exit from sharing
 //     reverts its region instead;
+//   - no group-shared PTE table holds an O-tagged (private) leaf;
 //   - every allocated frame must be reachable from some accounting root —
 //     anything else is a leak.
 //
@@ -197,6 +198,30 @@ func (k *Kernel) Audit() AuditReport {
 		}
 	}
 
+	// Ownership: an O-tagged leaf maps a page private to one process, so
+	// none may sit in a table the group shares — a registered shared PTE
+	// table, or a PTE table below a registered shared PMD table — where
+	// every member linking the table would map it.
+	for _, g := range groups {
+		for _, key := range sortedKeys(g.sharedPTE) {
+			tbl := g.sharedPTE[key]
+			r.auditOwnedLeaves(k, tbl, fmt.Sprintf("group %d shared PTE table %d", g.CCID, tbl))
+		}
+		for _, key := range sortedKeys(g.sharedPMD) {
+			pmd := g.sharedPMD[key]
+			if k.Mem.Kind(pmd) != physmem.FrameTable {
+				continue // reported by the walk
+			}
+			for _, raw := range k.Mem.Table(pmd) {
+				e := pgtable.Entry(raw)
+				if e.PPN() == 0 || (e.Present() && e.Huge()) {
+					continue
+				}
+				r.auditOwnedLeaves(k, e.PPN(), fmt.Sprintf("group %d PTE table %d (under shared PMD table %d)", g.CCID, e.PPN(), pmd))
+			}
+		}
+	}
+
 	// Compare expectations against the allocator, and catch leaks:
 	// allocated frames the kernel cannot account for.
 	k.Mem.ForEachAllocated(func(ppn memdefs.PPN, f physmem.Frame) {
@@ -219,6 +244,19 @@ func (k *Kernel) Audit() AuditReport {
 		}
 	})
 	return r
+}
+
+// auditOwnedLeaves reports every present O-tagged leaf of a group-shared
+// PTE table; where names the table.
+func (r *AuditReport) auditOwnedLeaves(k *Kernel, tbl memdefs.PPN, where string) {
+	if k.Mem.Kind(tbl) != physmem.FrameTable {
+		return // reported by the walk
+	}
+	for i, raw := range k.Mem.Table(tbl) {
+		if e := pgtable.Entry(raw); e.Present() && e.Owned() {
+			r.violate("%s entry %d: O-tagged private leaf (frame %d)", where, i, e.PPN())
+		}
+	}
 }
 
 // sortedKeys returns a map's uint64 keys in ascending order, so audit

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"babelfish/internal/memdefs"
+	"babelfish/internal/pgtable"
 	"babelfish/internal/physmem"
 )
 
@@ -144,6 +145,45 @@ func TestAuditDetectsBrokenSharedLink(t *testing.T) {
 	rep := k.Audit()
 	if rep.OK() {
 		t.Fatal("audit missed a corrupted shared-table link count")
+	}
+}
+
+// TestAuditDetectsOwnedLeafInSharedTable plants an O-tagged leaf in a
+// table the group shares, at PTE and at PMD sharing level: every member
+// linking the table would map that private page.
+func TestAuditDetectsOwnedLeafInSharedTable(t *testing.T) {
+	for _, lvl := range []memdefs.Level{memdefs.LvlPTE, memdefs.LvlPMD} {
+		cfg := DefaultConfig(ModeBabelFish)
+		cfg.THP = false
+		cfg.ShareLevel = lvl
+		k := New(physmem.New(64<<20), cfg)
+		g := k.NewGroup("app", 2)
+		p := mustProc(t, k, g, "c1")
+		f := k.MustCreateFile("bin", 4)
+		r := g.MustRegion("data", SegData, 4)
+		p.MustMapFile(r, f, 0, rw, true, "data")
+		mustFault(t, k, p, r.Start, false)
+		if rep := k.Audit(); !rep.OK() {
+			t.Fatalf("level %v: clean kernel failed the audit:\n%s", lvl, rep)
+		}
+		tbl := p.Tables.TableAt(r.Start, memdefs.LvlPTE)
+		shared := g.sharedPTE[regionKey2M(r.Start)] == tbl
+		if lvl == memdefs.LvlPMD {
+			shared = g.sharedPMD[regionKey1G(r.Start)] == p.Tables.TableAt(r.Start, memdefs.LvlPMD)
+		}
+		if !shared {
+			t.Fatalf("level %v: the region's table is not the group's", lvl)
+		}
+		idx := memdefs.PageVPN(r.Start) % memdefs.TableSize
+		e := pgtable.Entry(k.Mem.Table(tbl)[idx])
+		if !e.Present() || e.Owned() {
+			t.Fatalf("level %v: leaf %#x, want present and not owned", lvl, uint64(e))
+		}
+		k.Mem.Table(tbl)[idx] = uint64(e.With(pgtable.FlagOwned))
+		rep := k.Audit()
+		if len(rep.Violations) != 1 || !strings.Contains(rep.Violations[0], "O-tagged private leaf") {
+			t.Fatalf("level %v: audit missed the O-tagged leaf in a shared table:\n%s", lvl, rep)
+		}
 	}
 }
 
