@@ -70,7 +70,7 @@ func (s *Suite) Fig10(o Options) (*Fig10Result, error) {
 	for i, spec := range specs {
 		res.Rows = append(res.Rows, fig10Row(spec.Name, spec.Class.String(), pairs[i].base, pairs[i].bf))
 	}
-	res.Rows = append(res.Rows, fig10Row("functions", "function", pairs[fi].base, pairs[fi].bf))
+	res.Rows = append(res.Rows, fig10Row("functions", workloads.Function.String(), pairs[fi].base, pairs[fi].bf))
 	return res, nil
 }
 
