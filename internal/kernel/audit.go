@@ -199,26 +199,14 @@ func (k *Kernel) Audit() AuditReport {
 	}
 
 	// Ownership: an O-tagged leaf maps a page private to one process, so
-	// none may sit in a table the group shares — a registered shared PTE
-	// table, or a PTE table below a registered shared PMD table — where
-	// every member linking the table would map it.
+	// none may sit in a table the group shares, where every member linking
+	// the table would map it.
 	for _, g := range groups {
 		for _, key := range sortedKeys(g.sharedPTE) {
-			tbl := g.sharedPTE[key]
-			r.auditOwnedLeaves(k, tbl, fmt.Sprintf("group %d shared PTE table %d", g.CCID, tbl))
+			r.auditOwnedLeaves(k, g, g.sharedPTE[key], memdefs.LvlPTE)
 		}
 		for _, key := range sortedKeys(g.sharedPMD) {
-			pmd := g.sharedPMD[key]
-			if k.Mem.Kind(pmd) != physmem.FrameTable {
-				continue // reported by the walk
-			}
-			for _, raw := range k.Mem.Table(pmd) {
-				e := pgtable.Entry(raw)
-				if e.PPN() == 0 || (e.Present() && e.Huge()) {
-					continue
-				}
-				r.auditOwnedLeaves(k, e.PPN(), fmt.Sprintf("group %d PTE table %d (under shared PMD table %d)", g.CCID, e.PPN(), pmd))
-			}
+			r.auditOwnedLeaves(k, g, g.sharedPMD[key], memdefs.LvlPMD)
 		}
 	}
 
@@ -247,14 +235,19 @@ func (k *Kernel) Audit() AuditReport {
 }
 
 // auditOwnedLeaves reports every present O-tagged leaf of a group-shared
-// PTE table; where names the table.
-func (r *AuditReport) auditOwnedLeaves(k *Kernel, tbl memdefs.PPN, where string) {
+// PTE table: tbl itself at level PTE, or each PTE table tbl links at
+// level PMD.
+func (r *AuditReport) auditOwnedLeaves(k *Kernel, g *Group, tbl memdefs.PPN, lvl memdefs.Level) {
 	if k.Mem.Kind(tbl) != physmem.FrameTable {
 		return // reported by the walk
 	}
 	for i, raw := range k.Mem.Table(tbl) {
-		if e := pgtable.Entry(raw); e.Present() && e.Owned() {
-			r.violate("%s entry %d: O-tagged private leaf (frame %d)", where, i, e.PPN())
+		e := pgtable.Entry(raw)
+		switch {
+		case lvl == memdefs.LvlPMD && e.PPN() != 0 && !(e.Present() && e.Huge()):
+			r.auditOwnedLeaves(k, g, e.PPN(), memdefs.LvlPTE)
+		case lvl == memdefs.LvlPTE && e.Present() && e.Owned():
+			r.violate("group %d shared PTE table %d entry %d: O-tagged private leaf (frame %d)", g.CCID, tbl, i, e.PPN())
 		}
 	}
 }
