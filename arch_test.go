@@ -1,14 +1,16 @@
 package babelfish
 
 import (
+	"fmt"
 	"testing"
 
 	"babelfish/internal/kernel"
+	"babelfish/internal/workloads"
 	"babelfish/internal/xlatpolicy"
 )
 
-// TestArchEnumResolvesRegistry: every enum value must map onto a
-// registered policy, and the string forms must stay stable (they label
+// TestArchEnumResolvesRegistry: every enum value must map onto an
+// architecture in the xlatpolicy table, and the string forms must stay stable (they label
 // telemetry and CLI output).
 func TestArchEnumResolvesRegistry(t *testing.T) {
 	enums := []Arch{
@@ -17,7 +19,7 @@ func TestArchEnumResolvesRegistry(t *testing.T) {
 	}
 	for _, a := range enums {
 		if _, ok := xlatpolicy.Get(a.policyName()); !ok {
-			t.Errorf("%v: policy name %q not registered", a, a.policyName())
+			t.Errorf("%v: policy name %q not in the table", a, a.policyName())
 		}
 	}
 	if ArchBabelFishSW.String() != "babelfish-sw" {
@@ -65,6 +67,25 @@ func TestNewMachinePolicyEnums(t *testing.T) {
 		m := NewMachine(Options{Arch: a, Cores: 1, Mem: 256 << 20})
 		if m.Cores[0].MMU.PolicyCore() == nil {
 			t.Errorf("%v: no policy core", a)
+		}
+	}
+}
+
+// TestAppEnumIndexesApps: the App enum indexes workloads.Apps, so each
+// value prints its spec's -app name; values off the list print App(n).
+func TestAppEnumIndexesApps(t *testing.T) {
+	apps := workloads.Apps()
+	for i, spec := range apps {
+		if got := App(i).String(); got != spec.Name {
+			t.Errorf("App(%d).String() = %q, want %q", i, got, spec.Name)
+		}
+	}
+	if FIO != App(len(apps)-1) {
+		t.Errorf("FIO = %d, want the last of %d apps", FIO, len(apps))
+	}
+	for _, a := range []App{App(len(apps)), -1} {
+		if got, want := a.String(), fmt.Sprintf("App(%d)", int(a)); got != want {
+			t.Errorf("out-of-range App prints %q, want %q", got, want)
 		}
 	}
 }

@@ -40,7 +40,7 @@ import (
 	"babelfish/internal/xlatpolicy"
 )
 
-// Arch selects the simulated architecture. The full registered set —
+// Arch selects the simulated architecture. The full architecture table —
 // including the Victima and coalesced-TLB comparison points — is also
 // reachable by name through NewMachineArch and ArchNames.
 type Arch int
@@ -70,7 +70,7 @@ const (
 	ArchBabelFishCoalesced
 )
 
-// policyName maps the enum onto the xlatpolicy registry key.
+// policyName maps the enum onto its xlatpolicy architecture name.
 func (a Arch) policyName() string {
 	switch a {
 	case ArchBaseline:
@@ -89,7 +89,7 @@ func (a Arch) policyName() string {
 	panic(fmt.Sprintf("babelfish: unknown Arch(%d)", int(a)))
 }
 
-// String returns the architecture's registry name; the software-ASLR
+// String returns the architecture's xlatpolicy name; the software-ASLR
 // variant is distinguished as "babelfish-sw".
 func (a Arch) String() string {
 	if a == ArchBabelFishSW {
@@ -98,7 +98,7 @@ func (a Arch) String() string {
 	return a.policyName()
 }
 
-// ArchNames returns the registered architecture names in registration
+// ArchNames returns the architecture names in xlatpolicy table
 // order — the accepted NewMachineArch (and CLI -arch) values.
 func ArchNames() []string { return xlatpolicy.Names() }
 
@@ -128,13 +128,13 @@ type Machine struct {
 func NewMachine(o Options) *Machine {
 	m, err := NewMachineArch(o.Arch.policyName(), o)
 	if err != nil {
-		// Enum values always resolve; an error here is a registry bug.
+		// Enum values always resolve; an error here is a table bug.
 		panic(err)
 	}
 	return m
 }
 
-// NewMachineArch builds a machine for a named registered architecture
+// NewMachineArch builds a machine for a named architecture
 // (see ArchNames); the name takes precedence over o.Arch, except that
 // ArchBabelFishSW still selects the software-ASLR kernel configuration.
 // Unknown names return an error.
@@ -176,37 +176,17 @@ const (
 	FIO
 )
 
+// String returns the application's -app name.
 func (a App) String() string {
-	switch a {
-	case MongoDB:
-		return "mongodb"
-	case ArangoDB:
-		return "arangodb"
-	case HTTPd:
-		return "httpd"
-	case GraphChi:
-		return "graphchi"
-	case FIO:
-		return "fio"
+	if apps := workloads.Apps(); a >= 0 && int(a) < len(apps) {
+		return apps[a].Name
 	}
 	return fmt.Sprintf("App(%d)", int(a))
 }
 
-func (a App) spec() *workloads.AppSpec {
-	switch a {
-	case MongoDB:
-		return workloads.MongoDB()
-	case ArangoDB:
-		return workloads.ArangoDB()
-	case HTTPd:
-		return workloads.HTTPd()
-	case GraphChi:
-		return workloads.GraphChi()
-	case FIO:
-		return workloads.FIO()
-	}
-	panic("babelfish: unknown app")
-}
+// spec returns the application's workload spec; the enum follows
+// workloads.Apps's paper order.
+func (a App) spec() *workloads.AppSpec { return workloads.Apps()[a] }
 
 // Deployment re-exports the workload deployment handle.
 type Deployment = workloads.Deployment

@@ -14,10 +14,10 @@ import (
 	"strings"
 	"testing"
 
-	"babelfish/internal/cache"
 	"babelfish/internal/experiments"
 	"babelfish/internal/kernel"
 	"babelfish/internal/memdefs"
+	"babelfish/internal/memsys"
 	"babelfish/internal/physmem"
 	"babelfish/internal/sim"
 	"babelfish/internal/tlb"
@@ -537,7 +537,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 		lines := 4 * m.Params.L3.SizeBytes / 64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, where := h.Data(memdefs.PAddr(i%lines)*64, false); where != cache.WhereMem {
+			if _, where := h.Data(memdefs.PAddr(i%lines)*64, false); where != memsys.WhereMem {
 				b.Fatalf("access %d served at %v, want Mem", i, where)
 			}
 		}

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	bfbench [-exp all|tableI|fig7|fig9|fig10a|fig10b|fig11|tableII|tableIII|largertlb|bringup|resources|sweeps|archcompare|loadramp]
+//	bfbench [-exp all|tableI|fig7|fig9|fig10|fig10a|fig10b|fig11|tableII|tableIII|largertlb|bringup|resources|sweeps|archcompare|loadramp]
 //	        [-arch NAME,NAME,...] [-cores N] [-scale F] [-warm N] [-measure N] [-seed N] [-quick]
 //	        [-format text|json|markdown]
 //	        [shared flags: -jobs -core-shards -trace-out -flight-depth]
@@ -40,11 +40,90 @@ import (
 	"babelfish/internal/xlatpolicy"
 )
 
-// validExp reports whether runExp knows the -exp value (any case).
+// experiment is one row of the -exp table: the ids that select it (any
+// case) and the runner that builds what it prints, one Println per value.
+// Rows run in table order under "all"; an optIn row runs only when one
+// of its ids is named.
+type experiment struct {
+	ids   []string
+	optIn bool
+	run   func(env) ([]any, error)
+}
+
+// env is what a runner reads: the options, the -arch list and the Suite
+// the figures share, so a serving run that several of them read
+// (Figures 10 and 11, §VII-C, resources) is simulated once per
+// invocation.
+type env struct {
+	o     experiments.Options
+	archs []string
+	s     *experiments.Suite
+}
+
+// one adapts a single-result runner to the table's shape.
+func one(r any, err error) ([]any, error) { return []any{r}, err }
+
+// exps is the -exp table. The head-to-head sweep and the open-loop fleet
+// ramp are opt-in: they are not part of "all" (or the json/markdown
+// suite), whose output is pinned by the identity CI job, and the ramp
+// runs whole clusters per cell.
+var exps = []experiment{
+	{ids: []string{"tableI"}, run: func(e env) ([]any, error) { return []any{experiments.TableI(e.o)}, nil }},
+	{ids: []string{"fig7"}, run: func(e env) ([]any, error) { return one(experiments.Fig7(e.o)) }},
+	{ids: []string{"fig9"}, run: func(e env) ([]any, error) { return one(experiments.Fig9(e.o)) }},
+	{ids: []string{"fig10", "fig10a", "fig10b"}, run: func(e env) ([]any, error) { return one(e.s.Fig10(e.o)) }},
+	{ids: []string{"fig11", "tableII"}, run: func(e env) ([]any, error) {
+		r, err := e.s.Fig11(e.o)
+		return []any{r, experiments.TableII(r)}, err
+	}},
+	{ids: []string{"tableIII"}, run: func(env) ([]any, error) { return []any{experiments.TableIII()}, nil }},
+	{ids: []string{"largertlb"}, run: func(e env) ([]any, error) { return one(e.s.LargerTLB(e.o)) }},
+	{ids: []string{"bringup"}, run: func(e env) ([]any, error) { return one(experiments.Bringup(e.o)) }},
+	{ids: []string{"resources"}, run: func(e env) ([]any, error) { return one(e.s.Resources(e.o)) }},
+	{ids: []string{"sweeps"}, run: func(e env) ([]any, error) {
+		coloc, err := experiments.SweepColocation(e.o, nil)
+		if err != nil {
+			return nil, err
+		}
+		group, err := experiments.SweepGroupSize(e.o, nil)
+		if err != nil {
+			return nil, err
+		}
+		variants, err := experiments.Variants(e.o)
+		if err != nil {
+			return nil, err
+		}
+		smt, err := experiments.SweepSMT(e.o)
+		if err != nil {
+			return nil, err
+		}
+		churn, err := experiments.Churn(e.o, 4)
+		return []any{coloc, group, variants, smt, churn}, err
+	}},
+	{ids: []string{"archcompare"}, optIn: true, run: func(e env) ([]any, error) { return one(experiments.ArchCompare(e.o, e.archs)) }},
+	{ids: []string{"loadramp"}, optIn: true, run: func(e env) ([]any, error) { return one(experiments.LoadRamp(e.o, e.archs)) }},
+}
+
+// selects reports whether the -exp value exp runs e.
+func (e experiment) selects(exp string) bool {
+	if strings.EqualFold(exp, "all") && !e.optIn {
+		return true
+	}
+	return slices.ContainsFunc(e.ids, func(id string) bool { return strings.EqualFold(id, exp) })
+}
+
+// validExp reports whether the -exp value selects an experiment.
 func validExp(exp string) bool {
-	return slices.Contains([]string{"all", "tablei", "fig7", "fig9", "fig10", "fig10a", "fig10b", "fig11",
-		"tableii", "tableiii", "largertlb", "bringup", "resources", "sweeps", "archcompare", "loadramp"},
-		strings.ToLower(exp))
+	return slices.ContainsFunc(exps, func(e experiment) bool { return e.selects(exp) })
+}
+
+// expIDs lists every accepted -exp value for the usage text.
+func expIDs() string {
+	ids := []string{"all"}
+	for _, e := range exps {
+		ids = append(ids, e.ids...)
+	}
+	return strings.Join(ids, ", ")
 }
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -52,7 +131,7 @@ func main() { os.Exit(run(os.Args[1:])) }
 func run(args []string) int {
 	c := cli.New("bfbench", false)
 	var (
-		exp     = c.String("exp", "all", "experiment id (all, tableI, fig9, fig10a, fig10b, fig11, tableII, tableIII, largertlb, bringup, resources, sweeps, fig7, archcompare, loadramp)")
+		exp     = c.String("exp", "all", "experiment id ("+expIDs()+")")
 		archs   = c.String("arch", "", "architectures for -exp archcompare or loadramp, comma-separated from "+xlatpolicy.UsageList()+" (empty = all registered / the baseline-babelfish pair)")
 		cores   = c.Int("cores", 0, "number of cores (0 = default 8)")
 		scale   = c.Float64("scale", 0, "dataset scale factor (0 = default 1.0)")
@@ -149,119 +228,21 @@ func run(args []string) int {
 	return 0
 }
 
-func runExp(exp string, o experiments.Options, archList []string) error {
-	want := func(name string) bool { return exp == "all" || exp == name }
-
-	// The head-to-head sweep is opt-in only: it is not part of "all" (or
-	// the json/markdown suite), whose output is pinned by the identity CI
-	// job.
-	if exp == "archcompare" {
-		r, err := experiments.ArchCompare(o, archList)
+// runExp runs, in table order, every experiment exp selects, printing
+// each one's results only once it has succeeded.
+func runExp(exp string, o experiments.Options, archs []string) error {
+	en := env{o: o, archs: archs, s: new(experiments.Suite)}
+	for _, e := range exps {
+		if !e.selects(exp) {
+			continue
+		}
+		out, err := e.run(en)
 		if err != nil {
 			return err
 		}
-		fmt.Println(r)
-		return nil
-	}
-
-	// The open-loop fleet ramp is likewise opt-in only: it runs whole
-	// clusters per cell and would both slow "all" and perturb the pinned
-	// identity output.
-	if exp == "loadramp" {
-		r, err := experiments.LoadRamp(o, archList)
-		if err != nil {
-			return err
+		for _, r := range out {
+			fmt.Println(r)
 		}
-		fmt.Println(r)
-		return nil
-	}
-
-	// The figures below share one Suite, so a serving run that several
-	// of them read (Figures 10 and 11, §VII-C, resources) is simulated
-	// once per invocation.
-	suite := new(experiments.Suite)
-	if want("tablei") {
-		fmt.Println(experiments.TableI(o))
-	}
-	if want("fig7") {
-		r, err := experiments.Fig7(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if want("fig9") {
-		r, err := experiments.Fig9(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if want("fig10") || exp == "fig10a" || exp == "fig10b" {
-		r, err := suite.Fig10(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if want("fig11") || want("tableii") {
-		r, err := suite.Fig11(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-		fmt.Println(experiments.TableII(r))
-	}
-	if want("tableiii") {
-		fmt.Println(experiments.TableIII())
-	}
-	if want("largertlb") {
-		r, err := suite.LargerTLB(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if want("bringup") {
-		r, err := experiments.Bringup(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if want("resources") {
-		r, err := suite.Resources(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r)
-	}
-	if want("sweeps") {
-		r1, err := experiments.SweepColocation(o, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r1)
-		r2, err := experiments.SweepGroupSize(o, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r2)
-		r3, err := experiments.Variants(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r3)
-		r4, err := experiments.SweepSMT(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r4)
-		r5, err := experiments.Churn(o, 4)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r5)
 	}
 	return nil
 }

@@ -86,7 +86,7 @@ func run(args []string) int {
 		nodes      = c.Int("nodes", 8, "cluster size")
 		cores      = c.Int("cores", 2, "cores per node")
 		memMB      = c.Uint64("mem-mb", 256, "physical memory per node, MB")
-		app        = c.String("app", "mongodb", "workload: mongodb, arangodb, httpd, graphchi, fio")
+		app        = c.String("app", "mongodb", "workload: "+cli.AppList(false))
 		arch       = c.String("arch", "both", "architecture: "+xlatpolicy.UsageList("both"))
 		scale      = c.Float64("scale", 0.25, "dataset scale factor")
 		containers = c.Int("containers", 24, "containers the fleet must keep running")
@@ -136,7 +136,7 @@ func run(args []string) int {
 		return status
 	}
 
-	mkSpec, err := cli.App(*app)
+	spec, err := cli.App(*app)
 	if err != nil {
 		return c.UsageErr("%v", err)
 	}
@@ -273,7 +273,7 @@ func run(args []string) int {
 		p.Cores = *cores
 		p.MemBytes = *memMB << 20
 		p.CoreShards = c.CoreShards
-		cfg := fleet.DefaultConfig(p, mkSpec())
+		cfg := fleet.DefaultConfig(p, spec)
 		cfg.Nodes = *nodes
 		cfg.Scale = *scale
 		cfg.Seed = *seed

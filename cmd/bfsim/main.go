@@ -86,7 +86,7 @@ type archResult struct {
 func run(args []string) int {
 	c := cli.New("bfsim", true)
 	var (
-		app         = c.String("app", "mongodb", "workload: mongodb, arangodb, httpd, graphchi, fio")
+		app         = c.String("app", "mongodb", "workload: "+cli.AppList(false))
 		arch        = c.String("arch", "both", "architecture: "+xlatpolicy.UsageList("both"))
 		cores       = c.Int("cores", 2, "number of cores")
 		containers  = c.Int("containers", 2, "containers per core")
@@ -244,7 +244,7 @@ func run(args []string) int {
 				}
 			}()
 		}
-		d, err := workloads.Deploy(m.Machine, spec(), *scale, *seed)
+		d, err := workloads.Deploy(m.Machine, spec, *scale, *seed)
 		if err != nil {
 			return err
 		}

@@ -33,7 +33,7 @@ func main() { os.Exit(run(os.Args[1:])) }
 func run(args []string) int {
 	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
 	var (
-		app    = fs.String("app", "mongodb", "workload: mongodb, arangodb, httpd, graphchi, fio, faas")
+		app    = fs.String("app", "mongodb", "workload: "+cli.AppList(false, "faas"))
 		steps  = fs.Int("steps", 200_000, "steps to sample (fewer when a finite stream ends first)")
 		scale  = fs.Float64("scale", 0.5, "dataset scale")
 		seed   = fs.Uint64("seed", 42, "seed")
@@ -50,11 +50,11 @@ func run(args []string) int {
 		fs.Usage()
 		return 2
 	}
-	var spec func() *workloads.AppSpec
+	var spec *workloads.AppSpec
 	if *app != "faas" {
 		var err error
 		if spec, err = cli.App(*app); err != nil {
-			return usageErr("unknown app %q (want mongodb, arangodb, httpd, graphchi, fio or faas)", *app)
+			return usageErr("unknown app %q (want %s)", *app, cli.AppList(true, "faas"))
 		}
 	}
 	if err := cli.Positive("scale", *scale); err != nil {
@@ -79,7 +79,7 @@ func run(args []string) int {
 			return fail(err)
 		}
 	} else {
-		d, err := workloads.Deploy(m, spec(), *scale, *seed)
+		d, err := workloads.Deploy(m, spec, *scale, *seed)
 		if err != nil {
 			return fail(err)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"babelfish/internal/dram"
 	"babelfish/internal/memdefs"
+	"babelfish/internal/memsys"
 )
 
 // TestAccessZeroAlloc holds Cache.Access to zero heap allocations on a
@@ -16,14 +17,14 @@ func TestAccessZeroAlloc(t *testing.T) {
 	l3 := New(DefaultL3Config(), dram.New(dram.DefaultConfig()))
 	h := NewHierarchy(DefaultHierarchyConfig(), l3)
 	served := true
-	access := func(pa memdefs.PAddr, want Where) {
+	access := func(pa memdefs.PAddr, want memsys.Where) {
 		if _, where := h.Data(pa, false); where != want {
 			served = false
 		}
 	}
 
-	access(0x1000, WhereMem)
-	if allocs := testing.AllocsPerRun(100, func() { access(0x1000, WhereL1) }); allocs != 0 {
+	access(0x1000, memsys.WhereMem)
+	if allocs := testing.AllocsPerRun(100, func() { access(0x1000, memsys.WhereL1) }); allocs != 0 {
 		t.Errorf("hit: %.1f allocs per access, want 0", allocs)
 	}
 	if !served {
@@ -34,7 +35,7 @@ func TestAccessZeroAlloc(t *testing.T) {
 	pa := memdefs.PAddr(1 << 20)
 	if allocs := testing.AllocsPerRun(100, func() {
 		pa += 64
-		access(pa, WhereMem)
+		access(pa, memsys.WhereMem)
 	}); allocs != 0 {
 		t.Errorf("miss: %.1f allocs per access, want 0", allocs)
 	}

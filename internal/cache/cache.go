@@ -8,10 +8,10 @@
 // Only tags are modelled (no data contents); the simulator's timing and
 // sharing behaviour do not depend on data values.
 //
-// Each level is a memsys.Device and a memsys.Port: the Where type and the
-// Backend interface now live in internal/memsys (aliased here for
-// compatibility), and Access carries the access kind so injection
-// wrappers and telemetry can distinguish fetches, data and walks.
+// Each level is a memsys.Device and a memsys.Port: Access reports the
+// memsys.Where level that served it and carries the access kind, so
+// injection wrappers and telemetry can distinguish fetches, data and
+// walks.
 package cache
 
 import (
@@ -23,22 +23,6 @@ import (
 	"babelfish/internal/memsys"
 )
 
-// Where identifies the level that ultimately served an access.
-// It is an alias of memsys.Where.
-type Where = memsys.Where
-
-const (
-	WhereSelf = memsys.WhereSelf
-	WhereL1   = memsys.WhereL1
-	WhereL2   = memsys.WhereL2
-	WhereL3   = memsys.WhereL3
-	WhereMem  = memsys.WhereMem
-)
-
-// Backend is anything that can serve a physical memory access and report
-// the latency and the level that served it. It is an alias of memsys.Port.
-type Backend = memsys.Port
-
 // Config describes one cache level.
 type Config struct {
 	Name       string
@@ -46,7 +30,7 @@ type Config struct {
 	Ways       int
 	LineSize   int
 	AccessTime memdefs.Cycles
-	Level      Where // which Where this cache reports on hit
+	Level      memsys.Where // the level this cache reports on hit
 }
 
 // Stats counts per-level events.
@@ -83,7 +67,7 @@ const (
 // single compare at way 0.
 type Cache struct {
 	cfg     Config
-	below   Backend
+	below   memsys.Port
 	tags    []uint32
 	ways    int
 	numSets int
@@ -94,7 +78,7 @@ type Cache struct {
 
 // New builds a cache level. Panics on a non-power-of-two line size or
 // set count since configurations are fixed at build time.
-func New(cfg Config, below Backend) *Cache {
+func New(cfg Config, below memsys.Port) *Cache {
 	if cfg.LineSize <= 0 || cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
 		panic("cache: invalid config " + cfg.Name)
 	}
@@ -160,16 +144,16 @@ func (c *Cache) DeviceStats() memsys.Stats {
 // SetBelow swaps the backing port (nil restores nothing — callers pass the
 // original backend). The machine uses this to interpose a fault-injection
 // port between the L3 and DRAM.
-func (c *Cache) SetBelow(below Backend) { c.below = below }
+func (c *Cache) SetBelow(below memsys.Port) { c.below = below }
 
 // Below returns the current backing port.
-func (c *Cache) Below() Backend { return c.below }
+func (c *Cache) Below() memsys.Port { return c.below }
 
 // Access performs a read or write. On a miss the line is fetched from the
 // level below (write-allocate); a dirty victim counts as a writeback but
 // adds no latency (posted writes). The access kind is passed through to
 // the level below for observers; the cache itself is kind-agnostic.
-func (c *Cache) Access(pa memdefs.PAddr, kind memdefs.AccessKind, write bool) (memdefs.Cycles, Where) {
+func (c *Cache) Access(pa memdefs.PAddr, kind memdefs.AccessKind, write bool) (memdefs.Cycles, memsys.Where) {
 	c.stats.Accesses++
 	base, want := c.locate(pa)
 	tags := c.tags[base : base+c.ways]
@@ -238,15 +222,15 @@ type HierarchyConfig struct {
 // DefaultHierarchyConfig returns Table I's cache parameters.
 func DefaultHierarchyConfig() HierarchyConfig {
 	return HierarchyConfig{
-		L1I: Config{Name: "L1I", SizeBytes: 32 << 10, Ways: 8, LineSize: 64, AccessTime: 2, Level: WhereL1},
-		L1D: Config{Name: "L1D", SizeBytes: 32 << 10, Ways: 8, LineSize: 64, AccessTime: 2, Level: WhereL1},
-		L2:  Config{Name: "L2", SizeBytes: 256 << 10, Ways: 8, LineSize: 64, AccessTime: 8, Level: WhereL2},
+		L1I: Config{Name: "L1I", SizeBytes: 32 << 10, Ways: 8, LineSize: 64, AccessTime: 2, Level: memsys.WhereL1},
+		L1D: Config{Name: "L1D", SizeBytes: 32 << 10, Ways: 8, LineSize: 64, AccessTime: 2, Level: memsys.WhereL1},
+		L2:  Config{Name: "L2", SizeBytes: 256 << 10, Ways: 8, LineSize: 64, AccessTime: 8, Level: memsys.WhereL2},
 	}
 }
 
 // DefaultL3Config returns Table I's shared L3 parameters.
 func DefaultL3Config() Config {
-	return Config{Name: "L3", SizeBytes: 8 << 20, Ways: 16, LineSize: 64, AccessTime: 32, Level: WhereL3}
+	return Config{Name: "L3", SizeBytes: 8 << 20, Ways: 16, LineSize: 64, AccessTime: 32, Level: memsys.WhereL3}
 }
 
 // NewHierarchy builds a core's private levels on top of the shared L3.
@@ -265,7 +249,7 @@ func NewHierarchy(cfg HierarchyConfig, l3 *Cache) *Hierarchy {
 // everything else through L1D. This makes the whole hierarchy a
 // memsys.Port, so injection wrappers can interpose on a core's entire
 // memory traffic.
-func (h *Hierarchy) Access(pa memdefs.PAddr, kind memdefs.AccessKind, write bool) (memdefs.Cycles, Where) {
+func (h *Hierarchy) Access(pa memdefs.PAddr, kind memdefs.AccessKind, write bool) (memdefs.Cycles, memsys.Where) {
 	switch kind {
 	case memdefs.AccessInstr:
 		return h.L1I.Access(pa, kind, false)
@@ -277,18 +261,18 @@ func (h *Hierarchy) Access(pa memdefs.PAddr, kind memdefs.AccessKind, write bool
 }
 
 // Data performs a data access through L1D.
-func (h *Hierarchy) Data(pa memdefs.PAddr, write bool) (memdefs.Cycles, Where) {
+func (h *Hierarchy) Data(pa memdefs.PAddr, write bool) (memdefs.Cycles, memsys.Where) {
 	return h.L1D.Access(pa, memdefs.AccessData, write)
 }
 
 // Instr performs an instruction fetch through L1I.
-func (h *Hierarchy) Instr(pa memdefs.PAddr) (memdefs.Cycles, Where) {
+func (h *Hierarchy) Instr(pa memdefs.PAddr) (memdefs.Cycles, memsys.Where) {
 	return h.L1I.Access(pa, memdefs.AccessInstr, false)
 }
 
 // Walker performs a page-walker access; walkers bypass the L1 and go to
 // the unified L2.
-func (h *Hierarchy) Walker(pa memdefs.PAddr, write bool) (memdefs.Cycles, Where) {
+func (h *Hierarchy) Walker(pa memdefs.PAddr, write bool) (memdefs.Cycles, memsys.Where) {
 	return h.L2.Access(pa, memdefs.AccessWalk, write)
 }
 

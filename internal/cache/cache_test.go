@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"babelfish/internal/memdefs"
+	"babelfish/internal/memsys"
 )
 
 // fakeMem is a constant-latency backend for unit tests.
@@ -14,15 +15,15 @@ type fakeMem struct {
 	accesses int
 }
 
-func (f *fakeMem) Access(pa memdefs.PAddr, kind memdefs.AccessKind, write bool) (memdefs.Cycles, Where) {
+func (f *fakeMem) Access(pa memdefs.PAddr, kind memdefs.AccessKind, write bool) (memdefs.Cycles, memsys.Where) {
 	f.accesses++
-	return f.lat, WhereMem
+	return f.lat, memsys.WhereMem
 }
 
-func small(t *testing.T, below Backend) *Cache {
+func small(t *testing.T, below memsys.Port) *Cache {
 	t.Helper()
 	return New(Config{
-		Name: "t", SizeBytes: 4096, Ways: 2, LineSize: 64, AccessTime: 2, Level: WhereL1,
+		Name: "t", SizeBytes: 4096, Ways: 2, LineSize: 64, AccessTime: 2, Level: memsys.WhereL1,
 	}, below)
 }
 
@@ -30,19 +31,19 @@ func TestHitAfterMiss(t *testing.T) {
 	mem := &fakeMem{lat: 100}
 	c := small(t, mem)
 	lat, where := c.Access(0x1000, memdefs.AccessData, false)
-	if where != WhereMem || lat != 102 {
+	if where != memsys.WhereMem || lat != 102 {
 		t.Fatalf("first access: lat=%d where=%v", lat, where)
 	}
 	lat, where = c.Access(0x1000, memdefs.AccessData, false)
-	if where != WhereL1 || lat != 2 {
+	if where != memsys.WhereL1 || lat != 2 {
 		t.Fatalf("second access: lat=%d where=%v", lat, where)
 	}
 	// Same line, different byte: still a hit.
-	if _, where = c.Access(0x103F, memdefs.AccessData, false); where != WhereL1 {
+	if _, where = c.Access(0x103F, memdefs.AccessData, false); where != memsys.WhereL1 {
 		t.Fatal("same-line access missed")
 	}
 	// Next line: miss.
-	if _, where = c.Access(0x1040, memdefs.AccessData, false); where != WhereMem {
+	if _, where = c.Access(0x1040, memdefs.AccessData, false); where != memsys.WhereMem {
 		t.Fatal("next-line access hit")
 	}
 	st := c.Stats()
@@ -93,7 +94,7 @@ func TestHierarchyLevels(t *testing.T) {
 
 	// First data access goes to memory through every level.
 	lat, where := h.Data(0x12345, false)
-	if where != WhereMem {
+	if where != memsys.WhereMem {
 		t.Fatalf("first access served at %v", where)
 	}
 	wantLat := memdefs.Cycles(2 + 8 + 32 + 120)
@@ -101,22 +102,22 @@ func TestHierarchyLevels(t *testing.T) {
 		t.Fatalf("lat = %d, want %d", lat, wantLat)
 	}
 	// Second: L1 hit.
-	if _, where = h.Data(0x12345, false); where != WhereL1 {
+	if _, where = h.Data(0x12345, false); where != memsys.WhereL1 {
 		t.Fatalf("second access served at %v", where)
 	}
 	// Instruction path is independent: same line misses L1I but hits L2.
-	if _, where = h.Instr(0x12345); where != WhereL2 {
+	if _, where = h.Instr(0x12345); where != memsys.WhereL2 {
 		t.Fatalf("instr access served at %v", where)
 	}
 	// Walker requests bypass L1: new line should be L2-filled.
-	if _, where = h.Walker(0x99000, false); where != WhereMem {
+	if _, where = h.Walker(0x99000, false); where != memsys.WhereMem {
 		t.Fatalf("walker first access served at %v", where)
 	}
-	if _, where = h.Walker(0x99000, false); where != WhereL2 {
+	if _, where = h.Walker(0x99000, false); where != memsys.WhereL2 {
 		t.Fatalf("walker second access served at %v", where)
 	}
 	// And L1 does not hold walker lines.
-	if _, where = h.Data(0x99000, false); where != WhereL2 {
+	if _, where = h.Data(0x99000, false); where != memsys.WhereL2 {
 		t.Fatalf("data after walker served at %v", where)
 	}
 }
@@ -130,7 +131,7 @@ func TestCrossCoreL3Sharing(t *testing.T) {
 	// Another core: misses private levels, hits shared L3 — the paper's
 	// Figure 7 "container B hits in the shared L3" effect.
 	_, where := h1.Data(0x5000, false)
-	if where != WhereL3 {
+	if where != memsys.WhereL3 {
 		t.Fatalf("cross-core access served at %v, want L3", where)
 	}
 	if mem.accesses != 1 {
@@ -160,8 +161,8 @@ func TestGeometryValidation(t *testing.T) {
 }
 
 func TestWhereStrings(t *testing.T) {
-	for w, want := range map[Where]string{
-		WhereL1: "L1", WhereL2: "L2", WhereL3: "L3", WhereMem: "Mem",
+	for w, want := range map[memsys.Where]string{
+		memsys.WhereL1: "L1", memsys.WhereL2: "L2", memsys.WhereL3: "L3", memsys.WhereMem: "Mem",
 	} {
 		if w.String() != want {
 			t.Errorf("%d.String() = %q", w, w.String())
@@ -188,7 +189,7 @@ func TestResetStatsHierarchy(t *testing.T) {
 // old cache also swapped hits to way 0, which no observable depends on).
 type refCache struct {
 	cfg     Config
-	below   Backend
+	below   memsys.Port
 	tags    []uint64
 	lru     []uint64
 	ways    int
@@ -198,7 +199,7 @@ type refCache struct {
 	stats   Stats
 }
 
-func newRef(c *Cache, below Backend) *refCache {
+func newRef(c *Cache, below memsys.Port) *refCache {
 	return &refCache{
 		cfg: c.cfg, below: below, ways: c.ways, numSets: c.numSets, lineOff: c.lineOff,
 		tags: make([]uint64, len(c.tags)),
@@ -206,7 +207,7 @@ func newRef(c *Cache, below Backend) *refCache {
 	}
 }
 
-func (c *refCache) Access(pa memdefs.PAddr, kind memdefs.AccessKind, write bool) (memdefs.Cycles, Where) {
+func (c *refCache) Access(pa memdefs.PAddr, kind memdefs.AccessKind, write bool) (memdefs.Cycles, memsys.Where) {
 	c.stats.Accesses++
 	c.tick++
 	blk := uint64(pa) >> c.lineOff
@@ -283,7 +284,7 @@ func TestLRUEquivalence(t *testing.T) {
 			const line = 64
 			c := New(Config{
 				Name: g.name, SizeBytes: g.ways * g.sets * line, Ways: g.ways,
-				LineSize: line, AccessTime: 2, Level: WhereL1,
+				LineSize: line, AccessTime: 2, Level: memsys.WhereL1,
 			}, &fakeMem{lat: 100})
 			if c.numSets != g.sets {
 				t.Fatalf("numSets = %d, want %d", c.numSets, g.sets)

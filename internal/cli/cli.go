@@ -1,6 +1,6 @@
 // Package cli is the command-line surface bfsim, bffleet and bfbench
 // share: the flags all of them declare, the checks on those flags, the
-// -arch and -app tables, the exit-status convention and the -series-out
+// -arch and -app lookups, the exit-status convention and the -series-out
 // and -trace-out output helpers.
 //
 // Shared flags:
@@ -37,6 +37,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strings"
 
 	"babelfish/internal/obs"
 	"babelfish/internal/telemetry"
@@ -139,7 +140,7 @@ func (c *Command) Fail(err error) int {
 
 // Arch resolves an -arch value to the architectures to run: "both" is
 // the paper's baseline/babelfish pair; any other name must be in the
-// xlatpolicy registry.
+// xlatpolicy architecture table.
 func Arch(name string) ([]string, error) {
 	if name == "both" {
 		return []string{"baseline", "babelfish"}, nil
@@ -150,19 +151,29 @@ func Arch(name string) ([]string, error) {
 	return []string{name}, nil
 }
 
-// apps maps each -app name to its workload spec.
-var apps = map[string]func() *workloads.AppSpec{
-	"mongodb": workloads.MongoDB, "arangodb": workloads.ArangoDB,
-	"httpd": workloads.HTTPd, "graphchi": workloads.GraphChi, "fio": workloads.FIO,
+// App resolves an -app value to its workload spec.
+func App(name string) (*workloads.AppSpec, error) {
+	for _, spec := range workloads.Apps() {
+		if spec.Name == name {
+			return spec, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown app %q (want %s)", name, AppList(true))
 }
 
-// App resolves an -app value to the constructor of its workload spec.
-func App(name string) (func() *workloads.AppSpec, error) {
-	spec, ok := apps[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown app %q (want mongodb, arangodb, httpd, graphchi or fio)", name)
+// AppList renders the -app values in paper order followed by extra, as
+// "a, b, c" for help text or, with or set, "a, b or c" for error text.
+func AppList(or bool, extra ...string) string {
+	var names []string
+	for _, spec := range workloads.Apps() {
+		names = append(names, spec.Name)
 	}
-	return spec, nil
+	names = append(names, extra...)
+	if !or {
+		return strings.Join(names, ", ")
+	}
+	last := len(names) - 1
+	return strings.Join(names[:last], ", ") + " or " + names[last]
 }
 
 // StreamSeries creates the -series-out file and streams s into it while

@@ -93,9 +93,9 @@ func TestParseStatus(t *testing.T) {
 	}
 }
 
-// TestArch: every registered architecture is accepted as itself, "both"
-// expands to the paper's pair, and an unknown name is rejected with the
-// registry list, so a newly registered policy shows up at once.
+// TestArch: every architecture in the xlatpolicy table is accepted as
+// itself, "both" expands to the paper's pair, and an unknown name is
+// rejected with the table's list, so a new table row shows up at once.
 func TestArch(t *testing.T) {
 	for _, name := range xlatpolicy.Names() {
 		got, err := Arch(name)
@@ -113,7 +113,7 @@ func TestArch(t *testing.T) {
 	}
 	for _, name := range xlatpolicy.Names() {
 		if !strings.Contains(err.Error(), name) {
-			t.Errorf("Arch(nosuch) error misses registered %q: %v", name, err)
+			t.Errorf("Arch(nosuch) error misses %q: %v", name, err)
 		}
 	}
 	if !strings.HasSuffix(err.Error(), "|both)") {
@@ -122,11 +122,12 @@ func TestArch(t *testing.T) {
 }
 
 // TestApp: the five paper workloads resolve to their specs; anything
-// else is rejected.
+// else is rejected with the list in paper order, which the -app help
+// text renders the same way.
 func TestApp(t *testing.T) {
 	for _, name := range []string{"mongodb", "arangodb", "httpd", "graphchi", "fio"} {
 		spec, err := App(name)
-		if err != nil || spec().Name != name {
+		if err != nil || spec.Name != name {
 			t.Errorf("App(%q): %v", name, err)
 		}
 	}
@@ -134,6 +135,13 @@ func TestApp(t *testing.T) {
 		if _, err := App(name); err == nil {
 			t.Errorf("App(%q) accepted", name)
 		}
+	}
+	_, err := App("nosuch")
+	if want := `unknown app "nosuch" (want mongodb, arangodb, httpd, graphchi or fio)`; err == nil || err.Error() != want {
+		t.Errorf("App(nosuch) error = %v, want %s", err, want)
+	}
+	if got, want := AppList(false, "faas"), "mongodb, arangodb, httpd, graphchi, fio, faas"; got != want {
+		t.Errorf("AppList(false, faas) = %q, want %q", got, want)
 	}
 }
 

@@ -6,12 +6,13 @@ import (
 
 	"babelfish/internal/metrics"
 	"babelfish/internal/sim"
+	"babelfish/internal/workloads"
 	"babelfish/internal/xlatpolicy"
 )
 
 // ArchCompareCell is one (application × architecture) measurement of the
 // head-to-head sweep: the paper's co-location setup run under one
-// registered translation policy.
+// translation architecture.
 type ArchCompareCell struct {
 	App       string
 	Arch      string
@@ -36,8 +37,8 @@ type ArchCompareResult struct {
 
 // ArchCompare runs the head-to-head sweep on the plan engine: one cell
 // per (workload × architecture), each with its own machine, in the
-// paper's two-containers-per-core co-location. archs are registry names
-// (see internal/xlatpolicy); an empty list sweeps every registered
+// paper's two-containers-per-core co-location. archs are architecture
+// names (see internal/xlatpolicy); an empty list sweeps every
 // architecture. Cells are independent, so results are byte-identical at
 // any Options.Jobs width.
 func ArchCompare(o Options, archs []string) (*ArchCompareResult, error) {
@@ -52,7 +53,7 @@ func ArchCompare(o Options, archs []string) (*ArchCompareResult, error) {
 		}
 		params[j] = p
 	}
-	specs := append(ServingApps(), ComputeApps()...)
+	specs := workloads.Apps()
 	res := &ArchCompareResult{Archs: archs}
 	res.Cells = make([][]ArchCompareCell, len(specs))
 	var pl plan

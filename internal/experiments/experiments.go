@@ -120,15 +120,15 @@ func (o Options) Params(a Arch) sim.Params {
 		// Conventional TLBs over shared tables: the baseline translation
 		// policy on a BabelFish kernel, the Table II attribution ablation.
 		p = sim.DefaultParams(kernel.ModeBabelFish)
-		p.MMU.Policy = xlatpolicy.MustGet("baseline").Policy
+		p.MMU.Policy = xlatpolicy.MustGet("baseline")
 		p.MMU.ASLRHW = false
 		p.Kernel.ASLR = kernel.ASLRSW // one layout per group; no transform
 	}
 	return o.apply(p)
 }
 
-// ParamsForArch builds sim parameters for a named registered architecture
-// (the xlatpolicy registry set), applying the options' machine scaling.
+// ParamsForArch builds sim parameters for a named architecture (see
+// internal/xlatpolicy), applying the options' machine scaling.
 func (o Options) ParamsForArch(name string) (sim.Params, error) {
 	p, err := sim.ParamsForArch(name)
 	if err != nil {
@@ -152,14 +152,10 @@ func (o Options) apply(p sim.Params) sim.Params {
 }
 
 // ServingApps returns the data-serving specs in paper order.
-func ServingApps() []*workloads.AppSpec {
-	return []*workloads.AppSpec{workloads.MongoDB(), workloads.ArangoDB(), workloads.HTTPd()}
-}
+func ServingApps() []*workloads.AppSpec { return workloads.Apps()[:3] }
 
 // ComputeApps returns the compute specs in paper order.
-func ComputeApps() []*workloads.AppSpec {
-	return []*workloads.AppSpec{workloads.GraphChi(), workloads.FIO()}
-}
+func ComputeApps() []*workloads.AppSpec { return workloads.Apps()[3:] }
 
 // servingCell is what the figures read from one serving run: the
 // measured-phase aggregate, the request-latency and execution-time means,

@@ -34,7 +34,7 @@ func Fig10(o Options) (*Fig10Result, error) { return new(Suite).Fig10(o) }
 
 // Fig10 is the package-level Fig10 with its serving runs shared through s.
 func (s *Suite) Fig10(o Options) (*Fig10Result, error) {
-	specs := append(ServingApps(), ComputeApps()...)
+	specs := workloads.Apps()
 	// One cell per (app × arch); the last pair is the dense function
 	// variant (the MPKI behaviour is dominated by the shared runtime; the
 	// paper reports smaller function reductions).

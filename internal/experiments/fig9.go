@@ -46,7 +46,7 @@ type Fig9Result struct {
 // all on a baseline kernel (the paper measured natively with Pagemap),
 // with an Accessed-bit epoch standing in for the active-LRU census.
 func Fig9(o Options) (*Fig9Result, error) {
-	apps := append(ServingApps(), ComputeApps()...)
+	apps := workloads.Apps()
 	rows := make([]Fig9Row, len(apps)+1)
 	var pl plan
 	for i, spec := range apps {

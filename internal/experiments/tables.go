@@ -83,7 +83,7 @@ func LargerTLB(o Options) (*LargerTLBResult, error) { return new(Suite).LargerTL
 // through s.
 func (s *Suite) LargerTLB(o Options) (*LargerTLBResult, error) {
 	res := &LargerTLBResult{}
-	specs := append(ServingApps(), ComputeApps()...)
+	specs := workloads.Apps()
 	vals := make([][3]float64, len(specs))
 	var pl plan
 	for si, spec := range specs {

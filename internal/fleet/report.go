@@ -12,12 +12,8 @@ import (
 // the same Config produce byte-identical reports at any Jobs width.
 func (c *Cluster) Report() string {
 	var b strings.Builder
-	arch := "baseline"
-	if pol := c.cfg.Params.MMU.Policy; pol != nil {
-		arch = pol.Name()
-	}
 	fmt.Fprintf(&b, "fleet: %d nodes (%s, %d cores, %d MB), %d containers (%s, scale %g), %d epochs x %d instr, seed %d\n",
-		c.cfg.Nodes, arch, c.cfg.Params.Cores, c.cfg.Params.MemBytes>>20,
+		c.cfg.Nodes, c.cfg.Params.MMU.Policy.Name, c.cfg.Params.Cores, c.cfg.Params.MemBytes>>20,
 		c.cfg.Containers, c.cfg.Spec.Name, c.cfg.Scale,
 		c.cfg.Epochs, c.cfg.EpochInstr, c.cfg.Seed)
 	n := &c.tally

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"babelfish/internal/memdefs"
+	"babelfish/internal/pgtable"
 	"babelfish/internal/physmem"
 )
 
@@ -79,11 +80,11 @@ func (g *Group) teardown() {
 	// later allocations receive, so map iteration here would make
 	// whole-machine runs nondeterministic.
 	for _, key := range sortedKeys(g.sharedPTE) {
-		g.kern.releaseSharedTableAtLevel(g.sharedPTE[key], memdefs.LvlPTE)
+		pgtable.ReleaseTable(g.kern.Mem, g.sharedPTE[key], memdefs.LvlPTE, g.kern.unrefLeaf)
 		delete(g.sharedPTE, key)
 	}
 	for _, key := range sortedKeys(g.sharedPMD) {
-		g.kern.releaseSharedTableAtLevel(g.sharedPMD[key], memdefs.LvlPMD)
+		pgtable.ReleaseTable(g.kern.Mem, g.sharedPMD[key], memdefs.LvlPMD, g.kern.unrefLeaf)
 		delete(g.sharedPMD, key)
 	}
 	for _, key := range sortedKeys(g.maskPages) {

@@ -66,7 +66,7 @@ func (k *Kernel) ensureOwnedTable(p *Process, gva memdefs.VAddr) (memdefs.Cycles
 		if pmd, err = p.Tables.EnsureTable(gva, memdefs.LvlPMD); err != nil {
 			// Drop the private copy and the data references it took, or an
 			// OOM mid-CoW leaks the whole table.
-			k.releaseSharedTableAtLevel(newTbl, memdefs.LvlPTE)
+			pgtable.ReleaseTable(k.Mem, newTbl, memdefs.LvlPTE, k.unrefLeaf)
 			return cycles, 0, err
 		}
 	}
@@ -235,7 +235,7 @@ func (k *Kernel) revertRegion(g *Group, gva memdefs.VAddr) (memdefs.Cycles, erro
 			cycles += k.copyOwned(newTbl, sharedTbl)
 			pmdTable, err := m.Tables.EnsureTable(rgva, memdefs.LvlPMD)
 			if err != nil {
-				k.releaseSharedTableAtLevel(newTbl, memdefs.LvlPTE)
+				pgtable.ReleaseTable(k.Mem, newTbl, memdefs.LvlPTE, k.unrefLeaf)
 				return cycles, err
 			}
 			pmdIdx := memdefs.LvlPMD.Index(rgva)
@@ -248,7 +248,7 @@ func (k *Kernel) revertRegion(g *Group, gva memdefs.VAddr) (memdefs.Cycles, erro
 		}
 		// Drop the registry reference and release any remaining data refs
 		// held by the shared table.
-		k.releaseSharedTableAtLevel(sharedTbl, memdefs.LvlPTE)
+		pgtable.ReleaseTable(k.Mem, sharedTbl, memdefs.LvlPTE, k.unrefLeaf)
 		delete(g.sharedPTE, key2m)
 	}
 	return cycles, nil
@@ -289,13 +289,13 @@ func (k *Kernel) revertRegionPMD(g *Group, gva memdefs.VAddr) (memdefs.Cycles, e
 			cycles += k.copyOwned(newTbl, e.PPN())
 			entries[i] = uint64(pgtable.MakeEntry(newTbl, pgtable.FlagPresent|pgtable.FlagWrite|pgtable.FlagUser))
 			k.invalidatePWC(memdefs.LvlPMD, entryAddrOf(pmd, i))
-			k.releaseSharedTableAtLevel(e.PPN(), memdefs.LvlPTE)
+			pgtable.ReleaseTable(k.Mem, e.PPN(), memdefs.LvlPTE, k.unrefLeaf)
 		}
 		if k.Hooks != nil {
 			k.Hooks.FlushProcess(m.PCID)
 		}
 	}
-	k.releaseSharedTableAtLevel(sharedPMD, memdefs.LvlPMD)
+	pgtable.ReleaseTable(k.Mem, sharedPMD, memdefs.LvlPMD, k.unrefLeaf)
 	delete(g.sharedPMD, key1g)
 	return cycles, nil
 }

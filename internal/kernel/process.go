@@ -348,11 +348,7 @@ func (p *Process) Exit() {
 	if p.kern.Hooks != nil {
 		p.kern.Hooks.FlushProcess(p.PCID)
 	}
-	p.Tables.Release(func(e pgtable.Entry) {
-		if e.Present() && e.PPN() != 0 {
-			p.kern.Mem.Unref(e.PPN())
-		}
-	})
+	p.Tables.Release(p.kern.unrefLeaf)
 	p.Group.removeMember(p.PID)
 	delete(p.kern.procs, p.PID)
 }

@@ -117,7 +117,7 @@ func (k *Kernel) privatizePMD(p *Process, gva memdefs.VAddr) (memdefs.PPN, memde
 	if err != nil {
 		// The failed copy holds references on every child table; a bare
 		// Unref would leak them all.
-		k.releaseSharedTableAtLevel(newPMD, memdefs.LvlPMD)
+		pgtable.ReleaseTable(k.Mem, newPMD, memdefs.LvlPMD, k.unrefLeaf)
 		return 0, 0, err
 	}
 	pudIdx := memdefs.LvlPUD.Index(gva)
@@ -128,27 +128,10 @@ func (k *Kernel) privatizePMD(p *Process, gva memdefs.VAddr) (memdefs.PPN, memde
 	return newPMD, k.Cfg.Costs.PTEPageCopy, nil
 }
 
-// releaseSharedTableAtLevel releases a registry reference on a shared
-// table whose entries are at the given level, recursing into child
-// tables when it is the last reference.
-func (k *Kernel) releaseSharedTableAtLevel(tbl memdefs.PPN, lvl memdefs.Level) {
-	if k.Mem.Refs(tbl) > 1 {
-		k.Mem.Unref(tbl)
-		return
+// unrefLeaf drops the data-frame reference of a leaf entry handed back
+// by a page-table release (see pgtable.ReleaseTable).
+func (k *Kernel) unrefLeaf(e pgtable.Entry) {
+	if e.Present() && e.PPN() != 0 {
+		k.Mem.Unref(e.PPN())
 	}
-	entries := k.Mem.Table(tbl)
-	for i := 0; i < memdefs.TableSize; i++ {
-		e := pgtable.Entry(entries[i])
-		if e.PPN() == 0 {
-			continue
-		}
-		if lvl == memdefs.LvlPTE || (e.Present() && e.Huge()) {
-			if e.Present() {
-				k.Mem.Unref(e.PPN())
-			}
-			continue
-		}
-		k.releaseSharedTableAtLevel(e.PPN(), lvl+1)
-	}
-	k.Mem.Unref(tbl)
 }

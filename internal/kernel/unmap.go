@@ -31,12 +31,6 @@ func (p *Process) Unmap(v *VMA) (memdefs.Cycles, error) {
 	k := p.kern
 	var cycles memdefs.Cycles
 
-	release := func(e pgtable.Entry) {
-		if e.Present() && e.PPN() != 0 {
-			k.Mem.Unref(e.PPN())
-		}
-	}
-
 	if !v.Huge {
 		// Shared TLB entries (which other members keep using) must stop
 		// matching this process the moment its mapping is gone.
@@ -70,13 +64,13 @@ func (p *Process) Unmap(v *VMA) (memdefs.Cycles, error) {
 			if shared, ok := p.Group.sharedPMD[regionKey1G(gva)]; ok && shared == pmdTbl {
 				// Drop the link; later iterations in the same 1GB region
 				// see no table and skip.
-				if _, err := p.Tables.UnlinkTable(gva, memdefs.LvlPUD, release); err != nil {
+				if _, err := p.Tables.UnlinkTable(gva, memdefs.LvlPUD, k.unrefLeaf); err != nil {
 					return cycles, err
 				}
 				cycles += k.Cfg.Costs.LinkTables
 				// Last member gone: only the registry holds the table.
 				if k.Mem.Refs(shared) == 1 {
-					k.releaseSharedTableAtLevel(shared, memdefs.LvlPMD)
+					pgtable.ReleaseTable(k.Mem, shared, memdefs.LvlPMD, k.unrefLeaf)
 					delete(p.Group.sharedPMD, regionKey1G(gva))
 				}
 				continue
@@ -84,7 +78,7 @@ func (p *Process) Unmap(v *VMA) (memdefs.Cycles, error) {
 			i := memdefs.LvlPMD.Index(gva)
 			e := pgtable.Entry(k.Mem.ReadEntry(pmdTbl, i))
 			if e.Present() && e.Huge() {
-				release(e)
+				k.unrefLeaf(e)
 				k.Mem.WriteEntry(pmdTbl, i, 0)
 				cycles += k.Cfg.Costs.MinorInstall / 4
 			}
@@ -97,7 +91,7 @@ func (p *Process) Unmap(v *VMA) (memdefs.Cycles, error) {
 			if tbl == 0 {
 				continue
 			}
-			if _, err := p.Tables.UnlinkTable(gva, memdefs.LvlPMD, release); err != nil {
+			if _, err := p.Tables.UnlinkTable(gva, memdefs.LvlPMD, k.unrefLeaf); err != nil {
 				return cycles, err
 			}
 			cycles += k.Cfg.Costs.LinkTables
@@ -105,7 +99,7 @@ func (p *Process) Unmap(v *VMA) (memdefs.Cycles, error) {
 			// anymore, retire it from the registry so later containers
 			// re-fault the region instead of seeing stale mappings.
 			if shared, ok := p.Group.sharedPTE[regionKey2M(gva)]; ok && shared == tbl && k.Mem.Refs(tbl) == 1 {
-				k.releaseSharedTableAtLevel(tbl, memdefs.LvlPTE)
+				pgtable.ReleaseTable(k.Mem, tbl, memdefs.LvlPTE, k.unrefLeaf)
 				delete(p.Group.sharedPTE, regionKey2M(gva))
 			}
 		}

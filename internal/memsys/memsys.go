@@ -13,10 +13,9 @@
 //     device class (see inject.go), closing the ROADMAP item that the
 //     frame-allocator injector stopped short of.
 //
-// Port generalizes the old cache.Backend: a physical access now carries
-// its access kind (data, instruction fetch, page-walker reference) along
-// with the address, and still reports latency plus the level that served
-// it. The cache hierarchy, individual cache levels, DRAM and any
+// Port is where a physical access goes: it carries its access kind
+// (data, instruction fetch, page-walker reference) along with the
+// address, and reports latency plus the level that served it. The cache hierarchy, individual cache levels, DRAM and any
 // injection wrapper are all Ports, so hierarchy-restructuring experiments
 // (cache-backed TLBs, coalesced variants) plug in without another
 // cross-cutting rewrite.
@@ -30,7 +29,7 @@ import (
 )
 
 // Where identifies the memory-system level that ultimately served an
-// access (previously cache.Where; the cache package aliases it).
+// access.
 type Where int
 
 const (

@@ -22,7 +22,7 @@ import (
 func TestTranslateZeroAlloc(t *testing.T) {
 	for _, name := range xlatpolicy.Names() {
 		t.Run(name, func(t *testing.T) {
-			r := newRig(t, Config{Policy: xlatpolicy.MustGet(name).Policy, ASLRHW: true})
+			r := newRig(t, Config{Policy: xlatpolicy.MustGet(name), ASLRHW: true})
 			r.ctx.SharedVA = func(va memdefs.VAddr) memdefs.VAddr { return va }
 			// Eight contiguous frames behind one aligned 8-PTE window, so
 			// the coalescing policies build a run on the first walk.

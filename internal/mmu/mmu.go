@@ -58,8 +58,8 @@ type Config struct {
 	// Policy is the translation architecture (see internal/xlatpolicy):
 	// it decides the TLB tag modes, whether walk fills populate the O-PC
 	// field, and any extra per-core lookup structures probed between the
-	// L2 TLB miss and the page walk. nil resolves to baseline.
-	Policy xlatpolicy.Policy
+	// L2 TLB miss and the page walk. The zero Arch is the baseline.
+	Policy xlatpolicy.Arch
 	// ASLRHW models the hardware ASLR configuration: the L1 TLBs stay
 	// per-process and every L1 miss pays the address transform.
 	ASLRHW bool
@@ -121,12 +121,10 @@ type MMU struct {
 	tlbInj *memsys.Injector
 	pwcInj *memsys.Injector
 
-	// pol is the resolved translation policy; polCore its per-core
-	// extension state (nil when the policy adds no extra structures).
-	// opc/xform/l1Private are the policy decisions precomputed off the
-	// hot path: O-PC walk fills, the ASLR-HW transform charge, and
-	// private (strip-O-PC) L1 fills.
-	pol       xlatpolicy.Policy
+	// polCore is the policy's per-core extension state (nil when the
+	// policy adds no extra structures). opc/xform/l1Private are the
+	// policy decisions precomputed off the hot path: O-PC walk fills, the
+	// ASLR-HW transform charge, and private (strip-O-PC) L1 fills.
 	polCore   xlatpolicy.Core
 	opc       bool
 	xform     bool
@@ -141,9 +139,6 @@ type MMU struct {
 // port is the memory port the page walker uses (a core's cache hierarchy
 // in the real machine).
 func New(cfg Config, mem *physmem.Memory, port memsys.Port, os OS) *MMU {
-	if cfg.Policy == nil {
-		cfg.Policy = xlatpolicy.MustGet("baseline").Policy
-	}
 	pol := cfg.Policy
 	l1Mode, l2Mode := pol.TagModes(cfg.ASLRHW)
 	if cfg.ASLRXformCycles == 0 {
@@ -158,7 +153,6 @@ func New(cfg Config, mem *physmem.Memory, port memsys.Port, os OS) *MMU {
 		Mem:       mem,
 		port:      port,
 		OS:        os,
-		pol:       pol,
 		opc:       pol.OPC(),
 		xform:     pol.OPC() && cfg.ASLRHW,
 		l1Private: pol.OPC() && cfg.ASLRHW,
@@ -166,9 +160,6 @@ func New(cfg Config, mem *physmem.Memory, port memsys.Port, os OS) *MMU {
 	m.polCore = pol.NewCore(xlatpolicy.CoreConfig{Mem: mem})
 	return m
 }
-
-// Policy returns the resolved translation policy.
-func (m *MMU) Policy() xlatpolicy.Policy { return m.pol }
 
 // PolicyCore returns the policy's per-core extension structure (nil for
 // policies without one — baseline, babelfish).

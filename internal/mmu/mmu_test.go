@@ -9,12 +9,13 @@ import (
 	"babelfish/internal/memdefs"
 	"babelfish/internal/pgtable"
 	"babelfish/internal/physmem"
+	"babelfish/internal/tlb"
 	"babelfish/internal/xlatpolicy"
 )
 
 // babelfishPolicy is the BabelFish translation architecture: CCID-shared
 // L2 TLB entries with O-PC fills.
-var babelfishPolicy = xlatpolicy.MustGet("babelfish").Policy
+var babelfishPolicy = xlatpolicy.MustGet("babelfish")
 
 // testOS is a scriptable fault handler.
 type testOS struct {
@@ -399,5 +400,36 @@ func TestWalkStatsAttribution(t *testing.T) {
 	}
 	if r.mmu.Stats().WalkReqPWC != 3 {
 		t.Fatalf("warm walk PWC hits = %d, want 3", r.mmu.Stats().WalkReqPWC)
+	}
+}
+
+// TestZeroConfigIsBaseline: the zero Config's Arch behaves as the
+// baseline — PCID-tagged L1 and L2 groups and no policy core — while the
+// BabelFish arch under ASLR-HW tags its L2 by CCID.
+func TestZeroConfigIsBaseline(t *testing.T) {
+	modes := func(g *tlb.Group) (m []tlb.Mode) {
+		for _, s := range g.BydSize {
+			if s != nil {
+				m = append(m, s.Config().Mode)
+			}
+		}
+		return m
+	}
+	r := newRig(t, Config{})
+	for _, g := range []*tlb.Group{r.mmu.L1D, r.mmu.L1I, r.mmu.L2} {
+		for _, m := range modes(g) {
+			if m != tlb.TagPCID {
+				t.Errorf("zero Config: %s has a %v structure, want all %v", g.Name(), m, tlb.TagPCID)
+			}
+		}
+	}
+	if r.mmu.PolicyCore() != nil {
+		t.Error("zero Config built a policy core")
+	}
+	bf := newRig(t, Config{Policy: babelfishPolicy, ASLRHW: true})
+	for _, m := range modes(bf.mmu.L2) {
+		if m != tlb.TagCCID {
+			t.Errorf("babelfish L2 has a %v structure, want %v", m, tlb.TagCCID)
+		}
 	}
 }

@@ -251,7 +251,7 @@ func (t *Tables) LinkTable(va memdefs.VAddr, lvl memdefs.Level, tablePPN memdefs
 
 // UnlinkTable clears this process's entry pointing at a shared table and
 // drops the table's reference. If the reference count reaches zero the
-// subtree is reclaimed (its data-page references released via release).
+// subtree is reclaimed (its data-page references released via releaseData).
 // Returns the remaining reference count of the table.
 func (t *Tables) UnlinkTable(va memdefs.VAddr, lvl memdefs.Level, releaseData func(Entry)) (int, error) {
 	parent := t.Root
@@ -267,17 +267,18 @@ func (t *Tables) UnlinkTable(va memdefs.VAddr, lvl memdefs.Level, releaseData fu
 		return 0, fmt.Errorf("pgtable: entry at %v for %#x empty", lvl, va)
 	}
 	t.Mem.WriteEntry(parent, idx, 0)
-	return t.releaseTable(e.PPN(), lvl+1, releaseData), nil
+	return ReleaseTable(t.Mem, e.PPN(), lvl+1, releaseData), nil
 }
 
-// releaseTable drops one reference on a table at level lvl; if it reaches
-// zero, recursively releases children (and hands leaf entries to
-// releaseData so the kernel can unref data frames).
-func (t *Tables) releaseTable(table memdefs.PPN, lvl memdefs.Level, releaseData func(Entry)) int {
-	if t.Mem.Refs(table) > 1 {
-		return t.Mem.Unref(table)
+// ReleaseTable drops one reference on a table whose entries are at level
+// lvl; if it was the last, it first releases the children recursively,
+// handing each leaf entry to releaseData (if non-nil) so the kernel can
+// unref data frames. Returns the table's remaining reference count.
+func ReleaseTable(mem *physmem.Memory, table memdefs.PPN, lvl memdefs.Level, releaseData func(Entry)) int {
+	if mem.Refs(table) > 1 {
+		return mem.Unref(table)
 	}
-	entries := t.Mem.Table(table)
+	entries := mem.Table(table)
 	for i := 0; i < memdefs.TableSize; i++ {
 		e := Entry(entries[i])
 		if e.PPN() == 0 {
@@ -289,15 +290,15 @@ func (t *Tables) releaseTable(table memdefs.PPN, lvl memdefs.Level, releaseData 
 			}
 			continue
 		}
-		t.releaseTable(e.PPN(), lvl+1, releaseData)
+		ReleaseTable(mem, e.PPN(), lvl+1, releaseData)
 	}
-	return t.Mem.Unref(table)
+	return mem.Unref(table)
 }
 
 // Release tears down the whole tree (process exit). Shared sub-tables
 // survive if other processes still reference them.
 func (t *Tables) Release(releaseData func(Entry)) {
-	t.releaseTable(t.Root, memdefs.LvlPGD, releaseData)
+	ReleaseTable(t.Mem, t.Root, memdefs.LvlPGD, releaseData)
 	t.Root = 0
 }
 

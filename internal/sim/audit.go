@@ -25,7 +25,7 @@ func (m *Machine) AuditTLBs() kernel.AuditReport {
 		// The policy tags each level: under BabelFish with ASLR-HW the L1
 		// TLBs stay conventional (PCID-tagged); with ASLR-SW the whole
 		// hierarchy is CCID-tagged.
-		l1, l2 := c.MMU.Policy().TagModes(c.MMU.Config().ASLRHW)
+		l1, l2 := c.MMU.Config().Policy.TagModes(c.MMU.Config().ASLRHW)
 		m.auditGroup(&r, fmt.Sprintf("core%d/L1D", c.ID), c.MMU.L1D, false, l1 == tlb.TagCCID)
 		m.auditGroup(&r, fmt.Sprintf("core%d/L1I", c.ID), c.MMU.L1I, false, l1 == tlb.TagCCID)
 		m.auditGroup(&r, fmt.Sprintf("core%d/L2", c.ID), c.MMU.L2, true, l2 == tlb.TagCCID)

@@ -154,7 +154,7 @@ func DefaultParams(mode kernel.Mode) Params {
 		CtxSwitch: 2000,
 		CPITenths: 5,
 		MMU: mmu.Config{
-			Policy:          xlatpolicy.MustGet(arch).Policy,
+			Policy:          xlatpolicy.MustGet(arch),
 			ASLRHW:          kcfg.ASLR == kernel.ASLRHW,
 			ASLRXformCycles: 2,
 		},
@@ -165,8 +165,8 @@ func DefaultParams(mode kernel.Mode) Params {
 	}
 }
 
-// ParamsForArch returns Table I's machine for a named registered
-// translation architecture (see internal/xlatpolicy): the kernel runs in
+// ParamsForArch returns Table I's machine for a named translation
+// architecture (see internal/xlatpolicy): the kernel runs in
 // BabelFish page-table-sharing mode exactly when the policy asks for it,
 // and every core's MMU resolves the policy's tag modes and extra lookup
 // structures. Unknown names return an error listing the accepted set.
@@ -174,14 +174,14 @@ func ParamsForArch(name string) (Params, error) {
 	a, ok := xlatpolicy.Get(name)
 	if !ok {
 		return Params{}, fmt.Errorf("sim: unknown architecture %q (have %s)",
-			name, strings.Join(xlatpolicy.SortedNames(), ", "))
+			name, strings.Join(xlatpolicy.Names(), ", "))
 	}
 	mode := kernel.ModeBaseline
 	if a.SharedKernel() {
 		mode = kernel.ModeBabelFish
 	}
 	p := DefaultParams(mode)
-	p.MMU.Policy = a.Policy
+	p.MMU.Policy = a
 	return p, nil
 }
 

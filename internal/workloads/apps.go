@@ -68,6 +68,13 @@ func (f Footprint) scaled(scale float64) Footprint {
 	return f
 }
 
+// Apps returns a fresh spec of each of the paper's applications in paper
+// order: the data-serving MongoDB, ArangoDB and HTTPd, then the compute
+// GraphChi and FIO. Each spec's Name is its -app value.
+func Apps() []*AppSpec {
+	return []*AppSpec{MongoDB(), ArangoDB(), HTTPd(), GraphChi(), FIO()}
+}
+
 // AppSpec describes one application: footprint, dataset mapping flavour,
 // and the per-container generator constructor.
 type AppSpec struct {

@@ -1,5 +1,5 @@
 // Package xlatpolicy is the translation-policy seam: it decouples the
-// simulated machine from the concrete translation architecture. A Policy
+// simulated machine from the concrete translation architecture. An Arch
 // describes how TLB entries are tagged and matched (conventional PCID
 // tagging vs BabelFish's CCID + O-PC rules), whether page-walk fills
 // populate the O-PC field, and — through an optional per-core Core —
@@ -7,10 +7,9 @@
 // hardware page walk (Victima's cache-resident PTEs, coalesced
 // VPN→PPN run entries).
 //
-// Architectures are registered by name in a process-wide registry; the
-// CLIs' -arch flags, sim.Params construction and telemetry arch labels
-// all resolve through it, so adding a policy is one Register call away
-// from every tool.
+// The architectures form one fixed, ordered table (archs); the CLIs'
+// -arch flags, sim.Params construction and telemetry arch labels all
+// resolve names through it, so adding an architecture is one table row.
 //
 // Invalidation contract: a Core's structures cache leaf translations in
 // the same (group) address space as the L2 TLB, so the MMU mirrors every
@@ -24,42 +23,13 @@ package xlatpolicy
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 
 	"babelfish/internal/memdefs"
 	"babelfish/internal/memsys"
 	"babelfish/internal/physmem"
 	"babelfish/internal/tlb"
 )
-
-// Policy is one translation architecture's behaviour at the seams the
-// MMU consults. Implementations must be stateless and reusable across
-// machines; per-core mutable state lives in the Core built by NewCore.
-type Policy interface {
-	// Name is the registry key, the CLIs' -arch value and the telemetry
-	// arch label.
-	Name() string
-
-	// TagModes returns the entry tagging/match rules for the L1 and L2
-	// TLB groups under the given ASLR configuration (TagPCID =
-	// conventional VPN+PCID match, TagCCID = BabelFish's VPN+CCID match
-	// plus the Figure-8 O-PC checks).
-	TagModes(aslrHW bool) (l1, l2 tlb.Mode)
-
-	// OPC reports whether page-walk fills populate the O-PC field
-	// (Owned/ORPC/PCMask) and the ASLR-HW transform is charged — the
-	// BabelFish insert behaviour.
-	OPC() bool
-
-	// SharedKernel reports whether the kernel runs in BabelFish
-	// page-table-sharing mode (shared PTE tables, CCID groups, MaskPages)
-	// for this architecture.
-	SharedKernel() bool
-
-	// NewCore builds the policy's per-core extension state, or nil when
-	// the policy adds no extra lookup targets (baseline, babelfish).
-	NewCore(c CoreConfig) Core
-}
 
 // CoreConfig carries what a per-core policy structure may need.
 type CoreConfig struct {
@@ -153,43 +123,100 @@ type Core interface {
 	ForEachValid(fn func(memdefs.PageSizeClass, *tlb.Entry))
 }
 
-// Arch is one registered architecture: a named policy the whole toolchain
-// resolves by string.
+// Arch is one translation architecture: how TLB entries are tagged and
+// matched, whether walk fills populate the O-PC field, whether the kernel
+// shares page tables, and the optional per-core structures probed between
+// the L2 TLB miss and the page walk. The zero Arch behaves as the
+// baseline (PCID tags, no O-PC, no policy core).
 type Arch struct {
 	// Name is the -arch value and telemetry label ("baseline",
 	// "babelfish", "victima", ...).
 	Name string
 	// Desc is the one-line help text shown in CLI usage strings.
-	Desc string
-	Policy
+	Desc    string
+	opc     bool // BabelFish TLB behaviour (CCID L2 tags, O-PC fills)
+	shared  bool // BabelFish kernel (shared PTE tables, CCID groups)
+	newCore func(CoreConfig) Core
 }
 
-var (
-	registry []Arch
-	byName   = map[string]int{}
-)
+// archs is the fixed architecture table. Its order drives CLI usage
+// strings and the arch-compare sweep's column order.
+var archs = []Arch{
+	{Name: "baseline", Desc: "conventional server: per-process TLB entries and private page tables"},
+	{Name: "babelfish", Desc: "BabelFish: CCID-shared L2 TLB (O-PC) over shared page tables",
+		opc: true, shared: true},
+	{Name: "victima", Desc: "baseline + TLB-miss PTEs parked in repurposed L2 cache lines",
+		newCore: victimaFactory(false)},
+	{Name: "coalesced", Desc: "baseline + coalesced TLB entries over contiguous VPN-to-PPN runs",
+		newCore: coalescedFactory(false)},
+	{Name: "babelfish+victima", Desc: "BabelFish sharing plus CCID-tagged parked PTEs in L2 cache lines",
+		opc: true, shared: true, newCore: victimaFactory(true)},
+	{Name: "babelfish+coalesced", Desc: "BabelFish sharing plus coalesced runs of shared clean pages",
+		opc: true, shared: true, newCore: coalescedFactory(true)},
+}
 
-// Register adds an architecture to the registry. Names must be unique;
-// registration order is preserved (it drives CLI usage strings and the
-// arch-compare sweep's column order).
-func Register(a Arch) {
-	if a.Name == "" || a.Policy == nil {
-		panic("xlatpolicy: Register needs a name and a policy")
+// TagModes returns the entry tagging/match rules for the L1 and L2 TLB
+// groups under the given ASLR configuration (TagPCID = conventional
+// VPN+PCID match, TagCCID = BabelFish's VPN+CCID match plus the Figure-8
+// O-PC checks).
+func (a Arch) TagModes(aslrHW bool) (l1, l2 tlb.Mode) {
+	if !a.opc {
+		return tlb.TagPCID, tlb.TagPCID
 	}
-	if _, dup := byName[a.Name]; dup {
-		panic(fmt.Sprintf("xlatpolicy: duplicate architecture %q", a.Name))
+	if aslrHW {
+		// ASLR-HW: the L1 TLBs stay conventional per-process structures;
+		// sharing begins at the L2 (the paper's evaluated default).
+		return tlb.TagPCID, tlb.TagCCID
 	}
-	byName[a.Name] = len(registry)
-	registry = append(registry, a)
+	return tlb.TagCCID, tlb.TagCCID
+}
+
+// OPC reports whether page-walk fills populate the O-PC field
+// (Owned/ORPC/PCMask) and the ASLR-HW transform is charged — the
+// BabelFish insert behaviour.
+func (a Arch) OPC() bool { return a.opc }
+
+// SharedKernel reports whether the kernel runs in BabelFish
+// page-table-sharing mode (shared PTE tables, CCID groups, MaskPages)
+// for this architecture.
+func (a Arch) SharedKernel() bool { return a.shared }
+
+// NewCore builds the architecture's per-core extension state, or nil
+// when it adds no extra lookup targets (baseline, babelfish).
+func (a Arch) NewCore(c CoreConfig) Core {
+	if a.newCore == nil {
+		return nil
+	}
+	return a.newCore(c)
+}
+
+func storeMode(babelfish bool) tlb.Mode {
+	if babelfish {
+		return tlb.TagCCID
+	}
+	return tlb.TagPCID
+}
+
+func victimaFactory(babelfish bool) func(CoreConfig) Core {
+	return func(CoreConfig) Core {
+		return NewVictimaCore(VictimaConfig{Mode: storeMode(babelfish)})
+	}
+}
+
+func coalescedFactory(babelfish bool) func(CoreConfig) Core {
+	return func(c CoreConfig) Core {
+		return NewCoalescedCore(CoalescedConfig{Mode: storeMode(babelfish)}, c.Mem)
+	}
 }
 
 // Get resolves an architecture by name.
 func Get(name string) (Arch, bool) {
-	i, ok := byName[name]
-	if !ok {
-		return Arch{}, false
+	for _, a := range archs {
+		if a.Name == name {
+			return a, true
+		}
 	}
-	return registry[i], true
+	return Arch{}, false
 }
 
 // MustGet resolves an architecture by name, panicking on unknown names
@@ -202,10 +229,10 @@ func MustGet(name string) Arch {
 	return a
 }
 
-// Names returns the registered architecture names in registration order.
+// Names returns the architecture names in table order.
 func Names() []string {
-	out := make([]string, len(registry))
-	for i, a := range registry {
+	out := make([]string, len(archs))
+	for i, a := range archs {
 		out[i] = a.Name
 	}
 	return out
@@ -215,26 +242,5 @@ func Names() []string {
 // e.g. "baseline|babelfish|victima|coalesced". extra values (like "both")
 // are appended by the caller's convention.
 func UsageList(extra ...string) string {
-	s := ""
-	for i, a := range registry {
-		if i > 0 {
-			s += "|"
-		}
-		s += a.Name
-	}
-	for _, e := range extra {
-		if s != "" {
-			s += "|"
-		}
-		s += e
-	}
-	return s
-}
-
-// SortedNames returns the registered names sorted alphabetically (for
-// deterministic error messages listing the accepted set).
-func SortedNames() []string {
-	n := Names()
-	sort.Strings(n)
-	return n
+	return strings.Join(append(Names(), extra...), "|")
 }

@@ -1,7 +1,6 @@
 package xlatpolicy
 
 import (
-	"sort"
 	"strings"
 	"testing"
 
@@ -11,7 +10,7 @@ import (
 	"babelfish/internal/tlb"
 )
 
-// TestRegistryBuiltins pins the registration set and order: the order
+// TestRegistryBuiltins pins the architecture table's set and order: the order
 // drives CLI usage strings and the arch-compare sweep's columns, so a
 // reshuffle is an interface change.
 func TestRegistryBuiltins(t *testing.T) {
@@ -33,8 +32,8 @@ func TestRegistryBuiltins(t *testing.T) {
 		if !ok {
 			t.Fatalf("Get(%q) not found", name)
 		}
-		if a.Name != name || a.Policy.Name() != name {
-			t.Errorf("Get(%q): Arch.Name=%q Policy.Name()=%q", name, a.Name, a.Policy.Name())
+		if a.Name != name {
+			t.Errorf("Get(%q): Arch.Name=%q", name, a.Name)
 		}
 		if a.Desc == "" {
 			t.Errorf("Get(%q): empty Desc (CLI usage text)", name)
@@ -52,10 +51,6 @@ func TestRegistryUsageList(t *testing.T) {
 	}
 	if !strings.HasPrefix(u, "baseline|babelfish|victima|coalesced") {
 		t.Errorf("UsageList = %q, want registration-order prefix", u)
-	}
-	n := SortedNames()
-	if !sort.StringsAreSorted(n) {
-		t.Errorf("SortedNames() = %v not sorted", n)
 	}
 }
 
