@@ -10,8 +10,10 @@
 //
 // The shared flags are documented in package internal/cli. -jobs runs
 // experiment cells in parallel; -trace-out exports one span per executed
-// cell (architecture × app × config), showing how each experiment
-// decomposed into its plan.
+// cell (architecture × app × config), showing how the invocation
+// decomposed into its plan. The paper figures an invocation prints are
+// one plan, so a serving run that several of them read is one span, and
+// a failing cell of that plan prints nothing.
 //
 // -exp archcompare runs the architecture head-to-head sweep: every
 // workload measured under each requested translation policy (-arch, a
@@ -41,26 +43,42 @@ import (
 )
 
 // experiment is one row of the -exp table: the ids that select it (any
-// case) and the runner that builds what it prints, one Println per value.
-// Rows run in table order under "all"; an optIn row runs only when one
-// of its ids is named.
+// case) and how it prints. declare puts the experiment's cells on the
+// env's Suite and returns what prints them, one Println per value, once
+// the Suite has run. Rows print in table order under "all"; an optIn row
+// runs only when one of its ids is named.
 type experiment struct {
-	ids   []string
-	optIn bool
-	run   func(env) ([]any, error)
+	ids     []string
+	optIn   bool
+	declare func(env) func() ([]any, error)
 }
 
-// env is what a runner reads: the options, the -arch list and the Suite
-// the figures share, so a serving run that several of them read
-// (Figures 10 and 11, §VII-C, resources) is simulated once per
-// invocation.
+// env is what a row reads: the options, the -arch list and the Suite
+// that holds the one plan of the paper figures an invocation prints.
+// Each serving run that several figures read (Figures 10 and 11, §VII-C,
+// resources) is one cell of that plan, and Suite.Run starts the serving
+// runs before the figure-only cells, which keeps the quick suite's peak
+// RSS at about 32 MB (43–46 MB in figure order).
 type env struct {
 	o     experiments.Options
 	archs []string
 	s     *experiments.Suite
 }
 
-// one adapts a single-result runner to the table's shape.
+// fig is a row that prints one paper figure, declared on the Suite.
+func fig[R any](declare func(*experiments.Suite, experiments.Options) func() R) func(env) func() ([]any, error) {
+	return func(e env) func() ([]any, error) {
+		get := declare(e.s, e.o)
+		return func() ([]any, error) { return []any{get()}, nil }
+	}
+}
+
+// own is a row that runs a plan of its own once the Suite has run.
+func own(run func(env) ([]any, error)) func(env) func() ([]any, error) {
+	return func(e env) func() ([]any, error) { return func() ([]any, error) { return run(e) } }
+}
+
+// one adapts a single-result runner to own's shape.
 func one(r any, err error) ([]any, error) { return []any{r}, err }
 
 // exps is the -exp table. The head-to-head sweep and the open-loop fleet
@@ -68,19 +86,22 @@ func one(r any, err error) ([]any, error) { return []any{r}, err }
 // suite), whose output is pinned by the identity CI job, and the ramp
 // runs whole clusters per cell.
 var exps = []experiment{
-	{ids: []string{"tableI"}, run: func(e env) ([]any, error) { return []any{experiments.TableI(e.o)}, nil }},
-	{ids: []string{"fig7"}, run: func(e env) ([]any, error) { return one(experiments.Fig7(e.o)) }},
-	{ids: []string{"fig9"}, run: func(e env) ([]any, error) { return one(experiments.Fig9(e.o)) }},
-	{ids: []string{"fig10", "fig10a", "fig10b"}, run: func(e env) ([]any, error) { return one(e.s.Fig10(e.o)) }},
-	{ids: []string{"fig11", "tableII"}, run: func(e env) ([]any, error) {
-		r, err := e.s.Fig11(e.o)
-		return []any{r, experiments.TableII(r)}, err
+	{ids: []string{"tableI"}, declare: own(func(e env) ([]any, error) { return []any{experiments.TableI(e.o)}, nil })},
+	{ids: []string{"fig7"}, declare: fig((*experiments.Suite).Fig7)},
+	{ids: []string{"fig9"}, declare: fig((*experiments.Suite).Fig9)},
+	{ids: []string{"fig10", "fig10a", "fig10b"}, declare: fig((*experiments.Suite).Fig10)},
+	{ids: []string{"fig11", "tableII"}, declare: func(e env) func() ([]any, error) {
+		get := e.s.Fig11(e.o)
+		return func() ([]any, error) {
+			r := get()
+			return []any{r, experiments.TableII(r)}, nil
+		}
 	}},
-	{ids: []string{"tableIII"}, run: func(env) ([]any, error) { return []any{experiments.TableIII()}, nil }},
-	{ids: []string{"largertlb"}, run: func(e env) ([]any, error) { return one(e.s.LargerTLB(e.o)) }},
-	{ids: []string{"bringup"}, run: func(e env) ([]any, error) { return one(experiments.Bringup(e.o)) }},
-	{ids: []string{"resources"}, run: func(e env) ([]any, error) { return one(e.s.Resources(e.o)) }},
-	{ids: []string{"sweeps"}, run: func(e env) ([]any, error) {
+	{ids: []string{"tableIII"}, declare: own(func(env) ([]any, error) { return []any{experiments.TableIII()}, nil })},
+	{ids: []string{"largertlb"}, declare: fig((*experiments.Suite).LargerTLB)},
+	{ids: []string{"bringup"}, declare: fig((*experiments.Suite).Bringup)},
+	{ids: []string{"resources"}, declare: fig((*experiments.Suite).Resources)},
+	{ids: []string{"sweeps"}, declare: own(func(e env) ([]any, error) {
 		coloc, err := experiments.SweepColocation(e.o, nil)
 		if err != nil {
 			return nil, err
@@ -99,9 +120,9 @@ var exps = []experiment{
 		}
 		churn, err := experiments.Churn(e.o, 4)
 		return []any{coloc, group, variants, smt, churn}, err
-	}},
-	{ids: []string{"archcompare"}, optIn: true, run: func(e env) ([]any, error) { return one(experiments.ArchCompare(e.o, e.archs)) }},
-	{ids: []string{"loadramp"}, optIn: true, run: func(e env) ([]any, error) { return one(experiments.LoadRamp(e.o, e.archs)) }},
+	})},
+	{ids: []string{"archcompare"}, optIn: true, declare: own(func(e env) ([]any, error) { return one(experiments.ArchCompare(e.o, e.archs)) })},
+	{ids: []string{"loadramp"}, optIn: true, declare: own(func(e env) ([]any, error) { return one(experiments.LoadRamp(e.o, e.archs)) })},
 }
 
 // selects reports whether the -exp value exp runs e.
@@ -228,15 +249,23 @@ func run(args []string) int {
 	return 0
 }
 
-// runExp runs, in table order, every experiment exp selects, printing
-// each one's results only once it has succeeded.
+// runExp declares every experiment exp selects on one Suite, runs its
+// plan, then prints each experiment in table order once it has
+// succeeded (the sweeps, archcompare and loadramp run their own plans
+// at that point).
 func runExp(exp string, o experiments.Options, archs []string) error {
 	en := env{o: o, archs: archs, s: new(experiments.Suite)}
+	var prints []func() ([]any, error)
 	for _, e := range exps {
-		if !e.selects(exp) {
-			continue
+		if e.selects(exp) {
+			prints = append(prints, e.declare(en))
 		}
-		out, err := e.run(en)
+	}
+	if err := en.s.Run(o.Jobs); err != nil {
+		return err
+	}
+	for _, show := range prints {
+		out, err := show()
 		if err != nil {
 			return err
 		}

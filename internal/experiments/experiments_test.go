@@ -163,38 +163,15 @@ func TestFullScale(t *testing.T) {
 	if os.Getenv("BFBENCH_FULL") == "" {
 		t.Skip("set BFBENCH_FULL=1 for the full-scale run")
 	}
-	o := Default()
-	// One Suite: Figures 10 and 11 and §VII-C share their serving cells.
-	s := new(Suite)
-	if r, err := Fig9(o); err != nil {
-		t.Fatal(err)
-	} else {
-		t.Log(r)
-	}
-	if r, err := s.Fig10(o); err != nil {
-		t.Fatal(err)
-	} else {
-		t.Log(r)
-	}
-	r11, err := s.Fig11(o)
+	rep, err := RunAll(Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Log(r11)
-	t.Log(TableII(r11))
-	if r, err := Bringup(o); err != nil {
+	var b strings.Builder
+	if err := rep.WriteMarkdown(&b); err != nil {
 		t.Fatal(err)
-	} else {
-		t.Log(r)
 	}
-	if r, err := s.LargerTLB(o); err != nil {
-		t.Fatal(err)
-	} else {
-		t.Log(r)
-	}
-	if asked, sim := s.asked.Load(), s.simulated.Load(); sim >= asked {
-		t.Errorf("suite simulated %d of %d serving runs: no cell was shared", sim, asked)
-	}
+	t.Log(b.String())
 }
 
 // TestFig7Timeline asserts the paper's Figure 7 example structurally:

@@ -94,39 +94,21 @@ func (r *Fig11Result) AttributionRows() []TableIIRow {
 	return rows
 }
 
-// RunAll executes every experiment and collects the report. The figures
-// share one Suite, so each serving run is simulated once.
-func RunAll(o Options) (*Report, error) { return new(Suite).runAll(o) }
+// RunAll executes every experiment as one plan and collects the report.
+func RunAll(o Options) (*Report, error) { return alone(o, (*Suite).report) }
 
-func (s *Suite) runAll(o Options) (*Report, error) {
-	rep := &Report{Options: o}
-	var err error
-	if rep.Fig7, err = Fig7(o); err != nil {
-		return nil, fmt.Errorf("fig7: %w", err)
+// report declares every section of the pinned suite on s.
+func (s *Suite) report(o Options) func() *Report {
+	fig7, fig9, fig10, fig11 := s.Fig7(o), s.Fig9(o), s.Fig10(o), s.Fig11(o)
+	larger, bringup, resources := s.LargerTLB(o), s.Bringup(o), s.Resources(o)
+	return func() *Report {
+		f11 := fig11()
+		return &Report{
+			Options: o, Fig7: fig7(), Fig9: fig9(), Fig10: fig10(),
+			Fig11: f11.Summarize(), TableII: f11.AttributionRows(), TableIII: TableIII(),
+			LargerTLB: larger(), Bringup: bringup(), Resources: resources(),
+		}
 	}
-	if rep.Fig9, err = Fig9(o); err != nil {
-		return nil, fmt.Errorf("fig9: %w", err)
-	}
-	if rep.Fig10, err = s.Fig10(o); err != nil {
-		return nil, fmt.Errorf("fig10: %w", err)
-	}
-	f11, err := s.Fig11(o)
-	if err != nil {
-		return nil, fmt.Errorf("fig11: %w", err)
-	}
-	rep.Fig11 = f11.Summarize()
-	rep.TableII = f11.AttributionRows()
-	rep.TableIII = TableIII()
-	if rep.LargerTLB, err = s.LargerTLB(o); err != nil {
-		return nil, fmt.Errorf("largertlb: %w", err)
-	}
-	if rep.Bringup, err = Bringup(o); err != nil {
-		return nil, fmt.Errorf("bringup: %w", err)
-	}
-	if rep.Resources, err = s.Resources(o); err != nil {
-		return nil, fmt.Errorf("resources: %w", err)
-	}
-	return rep, nil
 }
 
 // WriteJSON emits the report as indented JSON.

@@ -30,48 +30,35 @@ type Fig10Result struct {
 
 // Fig10 runs every workload under Baseline and BabelFish and reports L2
 // TLB MPKI reductions and shared-hit fractions.
-func Fig10(o Options) (*Fig10Result, error) { return new(Suite).Fig10(o) }
+func Fig10(o Options) (*Fig10Result, error) { return alone(o, (*Suite).Fig10) }
 
-// Fig10 is the package-level Fig10 with its serving runs shared through s.
-func (s *Suite) Fig10(o Options) (*Fig10Result, error) {
+// Fig10 declares Figure 10's cells on s: one serving run per (app ×
+// arch), plus the dense function variant (the MPKI behaviour is
+// dominated by the shared runtime; the paper reports smaller function
+// reductions).
+func (s *Suite) Fig10(o Options) func() *Fig10Result {
 	specs := workloads.Apps()
-	// One cell per (app × arch); the last pair is the dense function
-	// variant (the MPKI behaviour is dominated by the shared runtime; the
-	// paper reports smaller function reductions).
-	type pair struct{ base, bf sim.AggStats }
-	pairs := make([]pair, len(specs)+1)
-	var pl plan
+	base := make([]*servingCell, len(specs))
+	bf := make([]*servingCell, len(specs))
 	for i, spec := range specs {
-		i, spec := i, spec
-		pl.add("fig10/"+spec.Name+"/base", s.cell(o, Baseline, spec, func(c servingCell) { pairs[i].base = c.agg }))
-		pl.add("fig10/"+spec.Name+"/babelfish", s.cell(o, BabelFish, spec, func(c servingCell) { pairs[i].bf = c.agg }))
+		base[i] = s.serve(o, Baseline, spec)
+		bf[i] = s.serve(o, BabelFish, spec)
 	}
-	fi := len(specs)
-	pl.add("fig10/functions/base", func() error {
-		ag, err := fig10FunctionsRun(o, Baseline)
-		if err != nil {
+	var fn [2]sim.AggStats
+	for i, a := range [2]Arch{Baseline, BabelFish} {
+		s.add("fig10/functions/"+a.String(), func() (err error) {
+			fn[i], err = fig10FunctionsRun(o, a)
 			return err
-		}
-		pairs[fi].base = ag
-		return nil
-	})
-	pl.add("fig10/functions/babelfish", func() error {
-		ag, err := fig10FunctionsRun(o, BabelFish)
-		if err != nil {
-			return err
-		}
-		pairs[fi].bf = ag
-		return nil
-	})
-	if err := pl.execute(o.Jobs); err != nil {
-		return nil, err
+		})
 	}
-	res := &Fig10Result{}
-	for i, spec := range specs {
-		res.Rows = append(res.Rows, fig10Row(spec.Name, spec.Class.String(), pairs[i].base, pairs[i].bf))
+	return func() *Fig10Result {
+		res := &Fig10Result{}
+		for i, spec := range specs {
+			res.Rows = append(res.Rows, fig10Row(spec.Name, spec.Class.String(), base[i].agg, bf[i].agg))
+		}
+		res.Rows = append(res.Rows, fig10Row("functions", workloads.Function.String(), fn[0], fn[1]))
+		return res
 	}
-	res.Rows = append(res.Rows, fig10Row("functions", workloads.Function.String(), pairs[fi].base, pairs[fi].bf))
-	return res, nil
 }
 
 func fig10FunctionsRun(o Options, a Arch) (sim.AggStats, error) {

@@ -47,110 +47,61 @@ type Fig11Result struct {
 	ComputeExec []triple
 
 	// Functions: completion time per function, dense and sparse.
-	FuncNames   []string
-	DenseExec   []triple
-	SparseExec  []triple
-	BringupNote string
+	FuncNames  []string
+	DenseExec  []triple
+	SparseExec []triple
 }
 
-// fig11Archs is the three-way comparison every Fig11 workload runs; the
-// index matches triple's Base/PTOnly/Full fields via triple.set.
+// fig11Archs is the three-way comparison every Fig11 workload runs, in
+// the order of triple's Base/PTOnly/Full fields.
 var fig11Archs = [3]Arch{Baseline, BabelFishPT, BabelFish}
-
-// set stores a value into the field matching fig11Archs[i]. Distinct i
-// address distinct fields, so three cells may fill one triple in
-// parallel.
-func (t *triple) set(i int, v float64) {
-	switch i {
-	case 0:
-		t.Base = v
-	case 1:
-		t.PTOnly = v
-	case 2:
-		t.Full = v
-	}
-}
 
 // Fig11 runs everything. This is the heaviest experiment — every workload
 // under Baseline, BabelFish-PTonly and full BabelFish — so it decomposes
 // into one cell per (workload × architecture) measurement.
-func Fig11(o Options) (*Fig11Result, error) { return new(Suite).Fig11(o) }
+func Fig11(o Options) (*Fig11Result, error) { return alone(o, (*Suite).Fig11) }
 
-// Fig11 is the package-level Fig11 with its serving runs shared through s.
-func (s *Suite) Fig11(o Options) (*Fig11Result, error) {
-	serving := ServingApps()
-	compute := ComputeApps()
-	res := &Fig11Result{
-		ServingMean: make([]triple, len(serving)),
-		ServingTail: make([]triple, len(serving)),
-		ComputeExec: make([]triple, len(compute)),
-	}
-	for _, spec := range serving {
-		res.ServingApps = append(res.ServingApps, spec.Name)
-	}
-	for _, spec := range compute {
-		res.ComputeApps = append(res.ComputeApps, spec.Name)
-	}
-
-	var pl plan
-	for i, spec := range serving {
+// Fig11 declares Figure 11's cells on s: a serving run per (app × arch)
+// and a function run per (variant × arch).
+func (s *Suite) Fig11(o Options) func() *Fig11Result {
+	specs := workloads.Apps()
+	runs := make([][3]*servingCell, len(specs))
+	for i, spec := range specs {
 		for ai, a := range fig11Archs {
-			i, ai, a, spec := i, ai, a, spec
-			pl.add("fig11/"+spec.Name+"/"+a.String(), s.cell(o, a, spec, func(c servingCell) {
-				res.ServingMean[i].set(ai, c.meanLat)
-				res.ServingTail[i].set(ai, c.p95Lat)
-			}))
+			runs[i][ai] = s.serve(o, a, spec)
 		}
 	}
-	for i, spec := range compute {
-		for ai, a := range fig11Archs {
-			i, ai, a, spec := i, ai, a, spec
-			pl.add("fig11/"+spec.Name+"/"+a.String(), s.cell(o, a, spec, func(c servingCell) {
-				res.ComputeExec[i].set(ai, c.execOwn)
-			}))
-		}
-	}
-	// Functions: one cell per (variant × architecture); triples are
-	// assembled from the per-arch sums once all runs are in.
 	var funcRuns [2][3]funcArchRun
-	for vi, sparse := range []bool{false, true} {
+	for vi, variant := range [2]string{"dense", "sparse"} {
 		for ai, a := range fig11Archs {
-			vi, ai, a, sparse := vi, ai, a, sparse
-			variant := "dense"
-			if sparse {
-				variant = "sparse"
-			}
-			pl.add("fig11/functions-"+variant+"/"+a.String(), func() error {
-				pa, err := functionRun(o, sparse, a)
-				if err != nil {
-					return err
-				}
-				funcRuns[vi][ai] = pa
-				return nil
+			s.add("fig11/functions-"+variant+"/"+a.String(), func() (err error) {
+				funcRuns[vi][ai], err = functionRun(o, vi == 1, a)
+				return err
 			})
 		}
 	}
-	if err := pl.execute(o.Jobs); err != nil {
-		return nil, err
-	}
-
-	res.FuncNames = funcRuns[0][0].names
-	for vi := range funcRuns {
-		ts := make([]triple, 0, len(res.FuncNames))
-		for _, n := range res.FuncNames {
-			var t triple
-			for ai := range funcRuns[vi] {
-				t.set(ai, funcRuns[vi][ai].avg(n))
+	return func() *Fig11Result {
+		res := &Fig11Result{}
+		for i, spec := range specs {
+			r := runs[i]
+			of := func(v func(*servingCell) float64) triple { return triple{v(r[0]), v(r[1]), v(r[2])} }
+			if spec.Class == workloads.Compute {
+				res.ComputeApps = append(res.ComputeApps, spec.Name)
+				res.ComputeExec = append(res.ComputeExec, of(func(c *servingCell) float64 { return c.execOwn }))
+				continue
 			}
-			ts = append(ts, t)
+			res.ServingApps = append(res.ServingApps, spec.Name)
+			res.ServingMean = append(res.ServingMean, of(func(c *servingCell) float64 { return c.meanLat }))
+			res.ServingTail = append(res.ServingTail, of(func(c *servingCell) float64 { return c.p95Lat }))
 		}
-		if vi == 0 {
-			res.DenseExec = ts
-		} else {
-			res.SparseExec = ts
+		res.FuncNames = funcRuns[0][0].names
+		for _, n := range res.FuncNames {
+			dense, sparse := funcRuns[0], funcRuns[1]
+			res.DenseExec = append(res.DenseExec, triple{dense[0].avg(n), dense[1].avg(n), dense[2].avg(n)})
+			res.SparseExec = append(res.SparseExec, triple{sparse[0].avg(n), sparse[1].avg(n), sparse[2].avg(n)})
 		}
+		return res
 	}
-	return res, nil
 }
 
 // funcArchRun is one (variant × architecture) function measurement: the

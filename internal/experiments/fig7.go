@@ -34,33 +34,22 @@ type Fig7Result struct {
 	Delta *telemetry.DiffResult `json:"delta,omitempty"`
 }
 
-// Fig7 runs the example: one cell per architecture (the example's scale
-// is fixed by the paper, so only o.Jobs is consulted).
-func Fig7(o Options) (*Fig7Result, error) {
-	res := &Fig7Result{}
+// Fig7 runs the example.
+func Fig7(o Options) (*Fig7Result, error) { return alone(o, (*Suite).Fig7) }
+
+// Fig7 declares the example's cells on s, one per architecture.
+func (s *Suite) Fig7(o Options) func() *Fig7Result {
+	var steps [2][3]Fig7Step
 	var snaps [2]*telemetry.Snapshot
-	var pl plan
 	for i, mode := range []kernel.Mode{kernel.ModeBaseline, kernel.ModeBabelFish} {
-		i, mode := i, mode
-		pl.add("fig7/"+mode.String(), func() error {
-			steps, snap, err := fig7Mode(o, mode)
-			if err != nil {
-				return err
-			}
-			if i == 0 {
-				res.Conventional = steps
-			} else {
-				res.BabelFish = steps
-			}
-			snaps[i] = snap
-			return nil
+		s.add("fig7/"+mode.String(), func() (err error) {
+			steps[i], snaps[i], err = fig7Mode(o, mode)
+			return err
 		})
 	}
-	if err := pl.execute(o.Jobs); err != nil {
-		return nil, err
+	return func() *Fig7Result {
+		return &Fig7Result{Conventional: steps[0], BabelFish: steps[1], Delta: telemetry.Diff(snaps[0], snaps[1])}
 	}
-	res.Delta = telemetry.Diff(snaps[0], snaps[1])
-	return res, nil
 }
 
 // fig7Mode runs the three-container timeline on one fresh machine. The

@@ -45,46 +45,36 @@ type Fig9Result struct {
 // of each data-serving/compute application, three function containers —
 // all on a baseline kernel (the paper measured natively with Pagemap),
 // with an Accessed-bit epoch standing in for the active-LRU census.
-func Fig9(o Options) (*Fig9Result, error) {
+func Fig9(o Options) (*Fig9Result, error) { return alone(o, (*Suite).Fig9) }
+
+// Fig9 declares the census cells on s, one per app plus the functions.
+func (s *Suite) Fig9(o Options) func() *Fig9Result {
 	apps := workloads.Apps()
 	rows := make([]Fig9Row, len(apps)+1)
-	var pl plan
 	for i, spec := range apps {
-		i, spec := i, spec
-		pl.add("fig9/"+spec.Name, func() error {
-			row, err := fig9App(o, spec)
-			if err != nil {
-				return err
-			}
-			rows[i] = row
-			return nil
+		s.add("fig9/"+spec.Name, func() (err error) {
+			rows[i], err = fig9App(o, spec)
+			return err
 		})
 	}
-	pl.add("fig9/functions", func() error {
-		row, err := fig9Functions(o)
-		if err != nil {
-			return err
-		}
-		rows[len(apps)] = row
-		return nil
+	s.add("fig9/functions", func() (err error) {
+		rows[len(apps)], err = fig9Functions(o)
+		return err
 	})
-	if err := pl.execute(o.Jobs); err != nil {
-		return nil, err
+	return func() *Fig9Result {
+		res := &Fig9Result{Rows: rows}
+		var cSh, cRed float64
+		for _, r := range rows[:len(apps)] {
+			cSh += r.ShareablePct
+			cRed += r.ActiveReduction
+		}
+		n := float64(len(apps))
+		res.ContainerShareablePct = cSh / n
+		res.ContainerActiveRed = cRed / n
+		res.FunctionShareablePct = rows[len(apps)].ShareablePct
+		res.FunctionActiveRed = rows[len(apps)].ActiveReduction
+		return res
 	}
-	res := &Fig9Result{Rows: rows}
-	fn := rows[len(apps)]
-
-	var cSh, cRed float64
-	for _, r := range res.Rows[:len(res.Rows)-1] {
-		cSh += r.ShareablePct
-		cRed += r.ActiveReduction
-	}
-	n := float64(len(res.Rows) - 1)
-	res.ContainerShareablePct = cSh / n
-	res.ContainerActiveRed = cRed / n
-	res.FunctionShareablePct = fn.ShareablePct
-	res.FunctionActiveRed = fn.ActiveReduction
-	return res, nil
 }
 
 // fig9App runs one app with 2 containers on one core.

@@ -21,20 +21,22 @@ import (
 // randomness is seeded per cell from Options.Seed, and the plan
 // assembles results in declaration order, not completion order.
 //
-// Serving cells additionally go through a Suite (suite.go), which runs
-// each distinct (options, architecture, app) measurement once and hands
-// its summary to every figure of one regeneration that asks for it. The
-// memo is scoped to the Suite, not the process, so repeated
-// regenerations in one process each simulate their cells afresh.
+// The paper figures declare their cells on a Suite (suite.go), which
+// holds one plan per regeneration: each distinct (options, architecture,
+// app) serving run is declared once, however many figures read it, and
+// Suite.Run executes every serving run before any figure-only cell.
+// That order keeps the quick suite's peak RSS at about 32 MB; in figure
+// order, Figure 9's GraphChi census built the process-wide R-MAT graph
+// while serving machines ran, and peak RSS rose to 43–46 MB. The sweeps,
+// ArchCompare and LoadRamp build plans of their own.
 //
 // The bounded executor itself lives in internal/par (the fleet layer
-// steps its nodes on the same pool); plan keeps the engine's historical
-// lowercase spelling.
+// steps its nodes on the same pool).
 
-// plan is an ordered list of cells plus the bounded executor.
+// plan is an ordered list of labelled cells.
 type plan struct {
-	par.Plan
 	labels []string
+	runs   []func() error
 }
 
 // cellRecorder, when non-nil, receives one KCell span per executed plan
@@ -52,13 +54,17 @@ func SetObsRecorder(r *obs.Recorder) { cellRecorder = r }
 // it owns (typically one index of a slice sized up front).
 func (p *plan) add(label string, run func() error) {
 	p.labels = append(p.labels, label)
-	p.Add(label, run)
+	p.runs = append(p.runs, run)
 }
 
 // execute runs the cells on a worker pool of the given width. jobs <= 0
 // means GOMAXPROCS; errors resolve to the lowest-indexed failing cell.
 func (p *plan) execute(jobs int) error {
-	err := p.Execute(jobs)
+	var pp par.Plan
+	for i, run := range p.runs {
+		pp.Add(p.labels[i], run)
+	}
+	err := pp.Execute(jobs)
 	if r := cellRecorder; r != nil {
 		for _, label := range p.labels {
 			r.Record(obs.Span{

@@ -1,33 +1,38 @@
 package experiments
 
 import (
-	"sync"
-	"sync/atomic"
+	"fmt"
+	"slices"
 
 	"babelfish/internal/workloads"
 )
 
-// Suite shares serving runs between the figures of one regeneration.
+// Suite is the one plan of a paper-suite regeneration.
 //
 // Figures 10 and 11, §VII-C and the resource analysis all measure the
 // same (options × architecture × app) co-location runs, and a run is a
 // pure function of that key: a fresh machine, seeds taken from Options,
 // and process-wide caches whose values are deterministic functions of
-// their keys. A Suite therefore simulates each distinct cell once and
-// hands its summary to every figure that asks; cells found in the memo
-// still appear in their figure's plan (and trace), they just return at
-// once.
+// their keys. Each figure method declares its cells on the Suite and
+// returns a projection of the cell results; a serving run is declared
+// once per key, however many figures read it. Run then executes every
+// cell on one pool, and the projections are called after it returns.
 //
-// The memo lives only as long as the Suite. It is deliberately not
-// process-wide: a long-lived process that regenerates the suite
-// repeatedly would otherwise turn every later regeneration into map
-// lookups and keep every summary alive. The zero value is ready to use;
-// a Suite is safe for concurrent use.
+// Run starts every serving run before any figure-only cell, whatever
+// order the figures were declared in. Declared in figure order, Figure
+// 9's single-core GraphChi census cell built the process-wide R-MAT
+// graph while about 14 serving machines ran, and perfbench suite-quick's
+// peak RSS rose from about 32 MB to 43–46 MB; with the serving runs
+// first it stayed at about 32 MB.
+//
+// One goroutine declares the cells and calls Run once. A Suite lives
+// for one regeneration and nothing in it is process-wide, so a process
+// that regenerates the suite repeatedly simulates each regeneration
+// afresh. The zero value is ready to use.
 type Suite struct {
-	mu    sync.Mutex
-	cells map[cellKey]*cellEntry
-	// For tests: serving runs asked for, and actually simulated.
-	asked, simulated atomic.Int64
+	cells   map[cellKey]*servingCell
+	serving plan // one cell per distinct serving run
+	own     plan // cells that only one figure reads
 }
 
 // cellKey identifies one serving run. Jobs is cleared: results are
@@ -38,45 +43,44 @@ type cellKey struct {
 	app string
 }
 
-// cellEntry computes its cell once; concurrent askers wait on once.
-type cellEntry struct {
-	once sync.Once
-	cell servingCell
-	err  error
-}
-
-// serving returns the summary of one serving run, simulating it on the
-// first request only. A failed run returns the same error to every asker.
-func (s *Suite) serving(o Options, a Arch, spec *workloads.AppSpec) (servingCell, error) {
-	s.asked.Add(1)
+// serve declares the serving run (o, a, spec) unless it is declared
+// already, and returns the slot Run fills with its summary.
+func (s *Suite) serve(o Options, a Arch, spec *workloads.AppSpec) *servingCell {
 	k := cellKey{o: o, a: a, app: spec.Name}
 	k.o.Jobs = 0
-	s.mu.Lock()
+	if c := s.cells[k]; c != nil {
+		return c
+	}
 	if s.cells == nil {
-		s.cells = make(map[cellKey]*cellEntry)
+		s.cells = make(map[cellKey]*servingCell)
 	}
-	e := s.cells[k]
-	if e == nil {
-		e = &cellEntry{}
-		s.cells[k] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		s.simulated.Add(1)
-		e.cell, e.err = servingRun(o, o.Params(a), spec)
+	c := new(servingCell)
+	s.cells[k] = c
+	s.serving.add(fmt.Sprintf("serving/%s/%s/%d-core", spec.Name, a, o.Cores), func() (err error) {
+		*c, err = servingRun(o, o.Params(a), spec)
+		return err
 	})
-	return e.cell, e.err
+	return c
 }
 
-// cell returns a plan cell body that fetches one serving run and passes
-// its summary to use, which must write only into slots the cell owns.
-func (s *Suite) cell(o Options, a Arch, spec *workloads.AppSpec, use func(servingCell)) func() error {
-	return func() error {
-		c, err := s.serving(o, a, spec)
-		if err != nil {
-			return err
-		}
-		use(c)
-		return nil
+// add declares a cell that only one figure reads.
+func (s *Suite) add(label string, run func() error) { s.own.add(label, run) }
+
+// Run executes the declared cells, serving runs first, on a worker pool
+// of the given width. jobs <= 0 means GOMAXPROCS; a failure reports the
+// lowest-indexed failing cell under its label.
+func (s *Suite) Run(jobs int) error {
+	p := plan{slices.Concat(s.serving.labels, s.own.labels), slices.Concat(s.serving.runs, s.own.runs)}
+	return p.execute(jobs)
+}
+
+// alone runs one figure as a plan of its own.
+func alone[R any](o Options, declare func(*Suite, Options) func() R) (R, error) {
+	var s Suite
+	get := declare(&s, o)
+	if err := s.Run(o.Jobs); err != nil {
+		var zero R
+		return zero, err
 	}
+	return get(), nil
 }

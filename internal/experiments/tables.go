@@ -77,33 +77,28 @@ type LargerTLBResult struct {
 
 // LargerTLB runs data-serving and compute apps under Baseline,
 // Baseline+LargerTLB and BabelFish.
-func LargerTLB(o Options) (*LargerTLBResult, error) { return new(Suite).LargerTLB(o) }
+func LargerTLB(o Options) (*LargerTLBResult, error) { return alone(o, (*Suite).LargerTLB) }
 
-// LargerTLB is the package-level LargerTLB with its serving runs shared
-// through s.
-func (s *Suite) LargerTLB(o Options) (*LargerTLBResult, error) {
-	res := &LargerTLBResult{}
+// LargerTLB declares §VII-C's serving runs on s.
+func (s *Suite) LargerTLB(o Options) func() *LargerTLBResult {
 	specs := workloads.Apps()
-	vals := make([][3]float64, len(specs))
-	var pl plan
-	for si, spec := range specs {
+	runs := make([][3]*servingCell, len(specs))
+	for i, spec := range specs {
 		for ai, a := range [3]Arch{Baseline, BaselineLargerTLB, BabelFish} {
-			si, ai, a, spec := si, ai, a, spec
-			pl.add("larger-tlb/"+spec.Name+"/"+a.String(), s.cell(o, a, spec, func(c servingCell) {
-				vals[si][ai] = c.meanLat
-			}))
+			runs[i][ai] = s.serve(o, a, spec)
 		}
 	}
-	if err := pl.execute(o.Jobs); err != nil {
-		return nil, err
+	return func() *LargerTLBResult {
+		res := &LargerTLBResult{}
+		for i, spec := range specs {
+			base, larger, bf := runs[i][0].meanLat, runs[i][1].meanLat, runs[i][2].meanLat
+			res.Apps = append(res.Apps, spec.Name)
+			res.Classes = append(res.Classes, spec.Class.String())
+			res.LargerRed = append(res.LargerRed, metrics.ReductionPct(base, larger))
+			res.BabelFishRed = append(res.BabelFishRed, metrics.ReductionPct(base, bf))
+		}
+		return res
 	}
-	for si, spec := range specs {
-		res.Apps = append(res.Apps, spec.Name)
-		res.Classes = append(res.Classes, spec.Class.String())
-		res.LargerRed = append(res.LargerRed, metrics.ReductionPct(vals[si][0], vals[si][1]))
-		res.BabelFishRed = append(res.BabelFishRed, metrics.ReductionPct(vals[si][0], vals[si][2]))
-	}
-	return res, nil
 }
 
 // String renders the comparison.
@@ -127,16 +122,17 @@ type BringupResult struct {
 // Bringup starts a warm FaaS group (functions already ran once), then
 // measures the bring-up of one more container under both architectures —
 // the paper's 8% reduction, bounded by the fixed Docker-engine overheads.
-func Bringup(o Options) (*BringupResult, error) {
+func Bringup(o Options) (*BringupResult, error) { return alone(o, (*Suite).Bringup) }
+
+// Bringup declares the bring-up cells on s, one per architecture.
+func (s *Suite) Bringup(o Options) func() *BringupResult {
 	res := &BringupResult{}
-	var pl plan
 	for _, a := range [2]Arch{Baseline, BabelFish} {
-		a := a
 		slot := &res.BaseCycles
 		if a == BabelFish {
 			slot = &res.BFCycles
 		}
-		pl.add("bringup/"+a.String(), func() error {
+		s.add("bringup/"+a.String(), func() error {
 			oo := o
 			oo.Cores = 1
 			m := sim.New(oo.Params(a))
@@ -170,11 +166,10 @@ func Bringup(o Options) (*BringupResult, error) {
 			return nil
 		})
 	}
-	if err := pl.execute(o.Jobs); err != nil {
-		return nil, err
+	return func() *BringupResult {
+		res.ReductionPct = metrics.ReductionPct(float64(res.BaseCycles.Total), float64(res.BFCycles.Total))
+		return res
 	}
-	res.ReductionPct = metrics.ReductionPct(float64(res.BaseCycles.Total), float64(res.BFCycles.Total))
-	return res, nil
 }
 
 // String renders the bring-up decomposition.
@@ -209,42 +204,34 @@ type ResourcesResult struct {
 
 // Resources computes the analytic overheads and measures the software
 // structures on a live run.
-func Resources(o Options) (*ResourcesResult, error) { return new(Suite).Resources(o) }
+func Resources(o Options) (*ResourcesResult, error) { return alone(o, (*Suite).Resources) }
 
-// Resources is the package-level Resources with its two MongoDB runs
-// shared through s.
-func (s *Suite) Resources(o Options) (*ResourcesResult, error) {
-	res := &ResourcesResult{
-		AreaPct:       cacti.CoreAreaOverheadPct(cacti.BabelFishEntryBits()),
-		AreaNoMaskPct: cacti.CoreAreaOverheadPct(cacti.BabelFishNoMaskEntryBits()),
-	}
-	res.MaskPct, res.CounterPct, res.TotalPct = cacti.MemorySpaceOverheadPct(true)
-
+// Resources declares the two MongoDB serving runs it measures on s.
+func (s *Suite) Resources(o Options) func() *ResourcesResult {
 	oo := o
 	oo.Cores = 2
-	var pl plan
-	pl.add("resources/babelfish", s.cell(oo, BabelFish, workloads.MongoDB(), func(c servingCell) {
-		res.MeasuredPTETables = c.census[memdefs.LvlPTE]
-		res.MeasuredMaskPages = c.maskPages
+	base := s.serve(oo, Baseline, workloads.MongoDB())
+	bf := s.serve(oo, BabelFish, workloads.MongoDB())
+	return func() *ResourcesResult {
+		res := &ResourcesResult{
+			AreaPct:       cacti.CoreAreaOverheadPct(cacti.BabelFishEntryBits()),
+			AreaNoMaskPct: cacti.CoreAreaOverheadPct(cacti.BabelFishNoMaskEntryBits()),
+		}
+		res.MaskPct, res.CounterPct, res.TotalPct = cacti.MemorySpaceOverheadPct(true)
+		res.MeasuredPTETables = bf.census[memdefs.LvlPTE]
+		res.MeasuredMaskPages = bf.maskPages
 		if res.MeasuredPTETables > 0 {
 			res.MeasuredMaskPct = 100 * float64(res.MeasuredMaskPages*memdefs.PageSize) /
 				float64(res.MeasuredPTETables*memdefs.PageSize*512)
 		}
-		for _, n := range c.census {
-			res.BabelFishTableFrames += n
+		for lvl := range bf.census {
+			res.BabelFishTableFrames += bf.census[lvl]
+			res.BaselineTableFrames += base.census[lvl]
 		}
-	}))
-	pl.add("resources/baseline", s.cell(oo, Baseline, workloads.MongoDB(), func(c servingCell) {
-		for _, n := range c.census {
-			res.BaselineTableFrames += n
-		}
-	}))
-	if err := pl.execute(o.Jobs); err != nil {
-		return nil, err
+		res.TableFramesRedPct = metrics.ReductionPct(
+			float64(res.BaselineTableFrames), float64(res.BabelFishTableFrames))
+		return res
 	}
-	res.TableFramesRedPct = metrics.ReductionPct(
-		float64(res.BaselineTableFrames), float64(res.BabelFishTableFrames))
-	return res, nil
 }
 
 // String renders the resource analysis.

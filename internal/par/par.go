@@ -1,16 +1,18 @@
 // Package par is the bounded worker pool behind every parallel layer of
-// the simulator: the experiment engine's figure/sweep cells (PR 3) and
-// the fleet layer's per-epoch node stepping both execute through it.
+// the simulator: the experiment engine's figure/sweep cells and the
+// fleet layer's per-epoch node stepping both execute through it. A
+// paper-suite regeneration is one Plan: experiments.Suite declares each
+// distinct cell once and lists its serving runs before the cells only
+// one figure reads.
 //
 // A Plan is an ordered list of independent units of work. Units must
 // share no mutable state beyond structures that are deterministic
 // functions of their inputs (the seed-keyed workload graph cache, the
-// ycsb zeta memo keyed by (n, theta), the experiment engine's per-suite
-// cell memo, the atomic bug counters), so they can execute in any order
-// on any number of workers and still leave results that are
-// byte-identical to a serial run: every unit writes only into slots it
-// owns, and callers assemble output in declaration order, not
-// completion order.
+// ycsb zeta memo keyed by (n, theta), the atomic bug counters), so they
+// can execute in any order on any number of workers and still leave
+// results that are byte-identical to a serial run: every unit writes
+// only into slots it owns, and callers assemble output in declaration
+// order, not completion order.
 package par
 
 import (
