@@ -157,6 +157,14 @@ func TestQuickSuite(t *testing.T) {
 	})
 }
 
+// TestTableIPrintsSubMBCachesInKB: the quick L3 is 512 KB, which Table I
+// must not print as 0MB.
+func TestTableIPrintsSubMBCachesInKB(t *testing.T) {
+	if out := TableI(Quick()).String(); !strings.Contains(out, "L3 cache") || !strings.Contains(out, "512KB") {
+		t.Errorf("Table I at Quick() does not print the L3 as 512KB:\n%s", out)
+	}
+}
+
 // TestFullScale reruns everything at full scale; enable with
 // BFBENCH_FULL=1 (it takes about a minute).
 func TestFullScale(t *testing.T) {

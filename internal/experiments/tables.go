@@ -27,9 +27,9 @@ func (r *TableIResult) String() string {
 	t := metrics.NewTable("Table I: architectural parameters (as configured)",
 		"parameter", "value")
 	t.Row("cores", p.Cores)
-	t.Row("L1 (D,I) cache", fmt.Sprintf("%dKB, %d way, %d cycle AT", p.Hier.L1D.SizeBytes>>10, p.Hier.L1D.Ways, p.Hier.L1D.AccessTime))
-	t.Row("L2 cache", fmt.Sprintf("%dKB, %d way, %d cycle AT", p.Hier.L2.SizeBytes>>10, p.Hier.L2.Ways, p.Hier.L2.AccessTime))
-	t.Row("L3 cache", fmt.Sprintf("%dMB, %d way, shared, %d cycle AT", p.L3.SizeBytes>>20, p.L3.Ways, p.L3.AccessTime))
+	t.Row("L1 (D,I) cache", fmt.Sprintf("%s, %d way, %d cycle AT", size(p.Hier.L1D.SizeBytes), p.Hier.L1D.Ways, p.Hier.L1D.AccessTime))
+	t.Row("L2 cache", fmt.Sprintf("%s, %d way, %d cycle AT", size(p.Hier.L2.SizeBytes), p.Hier.L2.Ways, p.Hier.L2.AccessTime))
+	t.Row("L3 cache", fmt.Sprintf("%s, %d way, shared, %d cycle AT", size(p.L3.SizeBytes), p.L3.Ways, p.L3.AccessTime))
 	t.Row("L1 (D,I) TLB 4KB", "64 entries, 4 way, 1 cycle AT")
 	t.Row("L1 (D) TLB 2MB", "32 entries, 4 way, 1 cycle AT")
 	t.Row("L1 (D) TLB 1GB", "4 entries, FA, 1 cycle AT")
@@ -43,6 +43,14 @@ func (r *TableIResult) String() string {
 	t.Row("PC bitmask; PCID; CCID", fmt.Sprintf("%d bits; %d bits; %d bits",
 		memdefs.PCBitmaskBits, memdefs.PCIDBits, memdefs.CCIDBits))
 	return t.String()
+}
+
+// size prints a cache size in MB, or in KB below 1 MB.
+func size(bytes int) string {
+	if bytes < 1<<20 {
+		return fmt.Sprintf("%dKB", bytes>>10)
+	}
+	return fmt.Sprintf("%dMB", bytes>>20)
 }
 
 // TableIIIResult is the CACTI-surrogate comparison of the L2 TLB.
