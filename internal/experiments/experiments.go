@@ -170,6 +170,16 @@ type servingCell struct {
 	maskPages int
 }
 
+// primary is the value Figure 11 and §VII-C compare for an app of the
+// given class: mean request latency for data serving, the mean own
+// execution time for compute.
+func (c *servingCell) primary(class workloads.Class) float64 {
+	if class == workloads.Compute {
+		return c.execOwn
+	}
+	return c.meanLat
+}
+
 // servingRun builds a machine for one app with two containers per core
 // (the paper's conservative co-location), runs warm-up + measurement and
 // summarises the result.

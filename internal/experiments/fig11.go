@@ -84,15 +84,15 @@ func (s *Suite) Fig11(o Options) func() *Fig11Result {
 		res := &Fig11Result{}
 		for i, spec := range specs {
 			r := runs[i]
-			of := func(v func(*servingCell) float64) triple { return triple{v(r[0]), v(r[1]), v(r[2])} }
+			primary := triple{r[0].primary(spec.Class), r[1].primary(spec.Class), r[2].primary(spec.Class)}
 			if spec.Class == workloads.Compute {
 				res.ComputeApps = append(res.ComputeApps, spec.Name)
-				res.ComputeExec = append(res.ComputeExec, of(func(c *servingCell) float64 { return c.execOwn }))
+				res.ComputeExec = append(res.ComputeExec, primary)
 				continue
 			}
 			res.ServingApps = append(res.ServingApps, spec.Name)
-			res.ServingMean = append(res.ServingMean, of(func(c *servingCell) float64 { return c.meanLat }))
-			res.ServingTail = append(res.ServingTail, of(func(c *servingCell) float64 { return c.p95Lat }))
+			res.ServingMean = append(res.ServingMean, primary)
+			res.ServingTail = append(res.ServingTail, triple{r[0].p95Lat, r[1].p95Lat, r[2].p95Lat})
 		}
 		res.FuncNames = funcRuns[0][0].names
 		for _, n := range res.FuncNames {
