@@ -24,8 +24,10 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # The golden byte-identity checks CI runs: the quick suite against
-# testdata/arch_identity_golden.json, its -core-shards 1 and 4 runs against
-# testdata/sharded_suite_golden.json, the quick sweeps against
+# testdata/arch_identity_golden.json at the default -jobs and at -jobs 1
+# and 4, its -core-shards 1 and 4 runs against
+# testdata/sharded_suite_golden.json, the quick text suite at -jobs 1
+# against -jobs 4, the quick sweeps against
 # testdata/sweeps_quick_golden.txt and the full suite (~20 s on 2 CPUs)
 # against testdata/full_suite_golden.json.
 identity:
@@ -33,12 +35,19 @@ identity:
 	$(GO) build -o $$tmp/bfbench ./cmd/bfbench && \
 	$$tmp/bfbench -quick -format json > $$tmp/quick.json && \
 	cmp testdata/arch_identity_golden.json $$tmp/quick.json && \
+	for j in 1 4; do \
+		$$tmp/bfbench -quick -format json -jobs $$j > $$tmp/quick_j$$j.json && \
+		cmp testdata/arch_identity_golden.json $$tmp/quick_j$$j.json || exit 1; \
+	done && \
 	for w in 1 4; do \
 		$$tmp/bfbench -quick -format json -core-shards $$w > $$tmp/sharded$$w.json && \
 		cmp testdata/sharded_suite_golden.json $$tmp/sharded$$w.json || exit 1; \
 	done && \
+	$$tmp/bfbench -quick -jobs 1 > $$tmp/text_j1.txt && \
+	$$tmp/bfbench -quick -jobs 4 > $$tmp/text_j4.txt && \
+	cmp $$tmp/text_j1.txt $$tmp/text_j4.txt && \
 	$$tmp/bfbench -quick -exp sweeps > $$tmp/sweeps.txt && \
 	cmp testdata/sweeps_quick_golden.txt $$tmp/sweeps.txt && \
 	$$tmp/bfbench -format json > $$tmp/full.json && \
 	cmp testdata/full_suite_golden.json $$tmp/full.json && \
-	echo "identity: quick, sharded (1, 4), sweeps and full suite match their goldens"
+	echo "identity: quick (default, -jobs 1 and 4), sharded (1, 4), text (-jobs 1 = 4), sweeps and full suite match"
