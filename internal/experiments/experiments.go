@@ -151,12 +151,6 @@ func (o Options) apply(p sim.Params) sim.Params {
 	return p
 }
 
-// ServingApps returns the data-serving specs in paper order.
-func ServingApps() []*workloads.AppSpec { return workloads.Apps()[:3] }
-
-// ComputeApps returns the compute specs in paper order.
-func ComputeApps() []*workloads.AppSpec { return workloads.Apps()[3:] }
-
 // servingCell is what the figures read from one serving run: the
 // measured-phase aggregate, the request-latency and execution-time means,
 // and the page-table census. It is all a run leaves behind; the machine

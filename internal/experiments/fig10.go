@@ -46,7 +46,7 @@ func (s *Suite) Fig10(o Options) func() *Fig10Result {
 	}
 	var fn [2]sim.AggStats
 	for i, a := range [2]Arch{Baseline, BabelFish} {
-		s.add("fig10/functions/"+a.String(), func() (err error) {
+		s.own.add("fig10/functions/"+a.String(), func() (err error) {
 			fn[i], err = fig10FunctionsRun(o, a)
 			return err
 		})

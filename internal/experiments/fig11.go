@@ -74,7 +74,7 @@ func (s *Suite) Fig11(o Options) func() *Fig11Result {
 	var funcRuns [2][3]funcArchRun
 	for vi, variant := range [2]string{"dense", "sparse"} {
 		for ai, a := range fig11Archs {
-			s.add("fig11/functions-"+variant+"/"+a.String(), func() (err error) {
+			s.own.add("fig11/functions-"+variant+"/"+a.String(), func() (err error) {
 				funcRuns[vi][ai], err = functionRun(o, vi == 1, a)
 				return err
 			})

@@ -42,7 +42,7 @@ func (s *Suite) Fig7(o Options) func() *Fig7Result {
 	var steps [2][3]Fig7Step
 	var snaps [2]*telemetry.Snapshot
 	for i, mode := range []kernel.Mode{kernel.ModeBaseline, kernel.ModeBabelFish} {
-		s.add("fig7/"+mode.String(), func() (err error) {
+		s.own.add("fig7/"+mode.String(), func() (err error) {
 			steps[i], snaps[i], err = fig7Mode(o, mode)
 			return err
 		})

@@ -52,12 +52,12 @@ func (s *Suite) Fig9(o Options) func() *Fig9Result {
 	apps := workloads.Apps()
 	rows := make([]Fig9Row, len(apps)+1)
 	for i, spec := range apps {
-		s.add("fig9/"+spec.Name, func() (err error) {
+		s.own.add("fig9/"+spec.Name, func() (err error) {
 			rows[i], err = fig9App(o, spec)
 			return err
 		})
 	}
-	s.add("fig9/functions", func() (err error) {
+	s.own.add("fig9/functions", func() (err error) {
 		rows[len(apps)], err = fig9Functions(o)
 		return err
 	})

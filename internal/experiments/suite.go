@@ -63,9 +63,6 @@ func (s *Suite) serve(o Options, a Arch, spec *workloads.AppSpec) *servingCell {
 	return c
 }
 
-// add declares a cell that only one figure reads.
-func (s *Suite) add(label string, run func() error) { s.own.add(label, run) }
-
 // Run executes the declared cells, serving runs first, on a worker pool
 // of the given width. jobs <= 0 means GOMAXPROCS; a failure reports the
 // lowest-indexed failing cell under its label.

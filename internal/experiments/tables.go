@@ -141,7 +141,7 @@ func (s *Suite) Bringup(o Options) func() *BringupResult {
 		if a == BabelFish {
 			slot = &res.BFCycles
 		}
-		s.add("bringup/"+a.String(), func() error {
+		s.own.add("bringup/"+a.String(), func() error {
 			oo := o
 			oo.Cores = 1
 			m := sim.New(oo.Params(a))
