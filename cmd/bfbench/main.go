@@ -58,7 +58,7 @@ type experiment struct {
 // Each serving run that several figures read (Figures 10 and 11, §VII-C,
 // resources) is one cell of that plan, and Suite.Run starts the serving
 // runs before the figure-only cells, which keeps the quick suite's peak
-// RSS at about 32 MB (43–46 MB in figure order).
+// RSS at about 32 MB (42–46 MB in figure order).
 type env struct {
 	o     experiments.Options
 	archs []string

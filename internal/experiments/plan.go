@@ -27,7 +27,7 @@ import (
 // Suite.Run executes every serving run before any figure-only cell.
 // That order keeps the quick suite's peak RSS at about 32 MB; in figure
 // order, Figure 9's GraphChi census built the process-wide R-MAT graph
-// while serving machines ran, and peak RSS rose to 43–46 MB. The sweeps,
+// while serving machines ran, and peak RSS rose to 42–46 MB. The sweeps,
 // ArchCompare and LoadRamp build plans of their own.
 //
 // The bounded executor itself lives in internal/par (the fleet layer

@@ -22,7 +22,7 @@ import (
 // order the figures were declared in. Declared in figure order, Figure
 // 9's single-core GraphChi census cell built the process-wide R-MAT
 // graph while about 14 serving machines ran, and perfbench suite-quick's
-// peak RSS rose from about 32 MB to 43–46 MB; with the serving runs
+// peak RSS rose from about 32 MB to 42–46 MB; with the serving runs
 // first it stayed at about 32 MB.
 //
 // One goroutine declares the cells and calls Run once. A Suite lives
