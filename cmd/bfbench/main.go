@@ -11,9 +11,10 @@
 // The shared flags are documented in package internal/cli. -jobs runs
 // experiment cells in parallel; -trace-out exports one span per executed
 // cell (architecture × app × config), showing how the invocation
-// decomposed into its plan. The paper figures an invocation prints are
-// one plan, so a serving run that several of them read is one span, and
-// a failing cell of that plan prints nothing.
+// decomposed into its plan. Everything an invocation prints, for any
+// -exp and any -format, is one plan (one experiments.Suite, run once),
+// so a serving run that several figures read is one span, and a failing
+// cell prints nothing.
 //
 // -exp archcompare runs the architecture head-to-head sweep: every
 // workload measured under each requested translation policy (-arch, a
@@ -32,6 +33,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -44,85 +46,76 @@ import (
 
 // experiment is one row of the -exp table: the ids that select it (any
 // case) and how it prints. declare puts the experiment's cells on the
-// env's Suite and returns what prints them, one Println per value, once
+// env's Suite and returns what it prints, one Println per value, once
 // the Suite has run. Rows print in table order under "all"; an optIn row
 // runs only when one of its ids is named.
 type experiment struct {
 	ids     []string
 	optIn   bool
-	declare func(env) func() ([]any, error)
+	declare func(env) func() []any
 }
 
 // env is what a row reads: the options, the -arch list and the Suite
-// that holds the one plan of the paper figures an invocation prints.
-// Each serving run that several figures read (Figures 10 and 11, §VII-C,
+// that holds the one plan of everything an invocation prints. Each
+// serving run that several figures read (Figures 10 and 11, §VII-C,
 // resources) is one cell of that plan, and Suite.Run starts the serving
-// runs before the figure-only cells, which keeps the quick suite's peak
-// RSS at about 32 MB (42–46 MB in figure order).
+// runs before the figure-only cells (the sweeps, archcompare and
+// loadramp among them), which keeps the quick suite's peak RSS at about
+// 32 MB (42–46 MB in figure order).
 type env struct {
 	o     experiments.Options
 	archs []string
 	s     *experiments.Suite
 }
 
-// fig is a row that prints one paper figure, declared on the Suite.
-func fig[R any](declare func(*experiments.Suite, experiments.Options) func() R) func(env) func() ([]any, error) {
-	return func(e env) func() ([]any, error) {
+// fig is a row that prints one result declared on the Suite.
+func fig[R any](declare func(*experiments.Suite, experiments.Options) func() R) func(env) func() []any {
+	return func(e env) func() []any {
 		get := declare(e.s, e.o)
-		return func() ([]any, error) { return []any{get()}, nil }
+		return func() []any { return []any{get()} }
 	}
 }
-
-// own is a row that runs a plan of its own once the Suite has run.
-func own(run func(env) ([]any, error)) func(env) func() ([]any, error) {
-	return func(e env) func() ([]any, error) { return func() ([]any, error) { return run(e) } }
-}
-
-// one adapts a single-result runner to own's shape.
-func one(r any, err error) ([]any, error) { return []any{r}, err }
 
 // exps is the -exp table. The head-to-head sweep and the open-loop fleet
 // ramp are opt-in: they are not part of "all" (or the json/markdown
 // suite), whose output is pinned by the identity CI job, and the ramp
 // runs whole clusters per cell.
 var exps = []experiment{
-	{ids: []string{"tableI"}, declare: own(func(e env) ([]any, error) { return []any{experiments.TableI(e.o)}, nil })},
+	{ids: []string{"tableI"}, declare: func(e env) func() []any { return func() []any { return []any{experiments.TableI(e.o)} } }},
 	{ids: []string{"fig7"}, declare: fig((*experiments.Suite).Fig7)},
 	{ids: []string{"fig9"}, declare: fig((*experiments.Suite).Fig9)},
 	{ids: []string{"fig10", "fig10a", "fig10b"}, declare: fig((*experiments.Suite).Fig10)},
-	{ids: []string{"fig11", "tableII"}, declare: func(e env) func() ([]any, error) {
+	{ids: []string{"fig11", "tableII"}, declare: func(e env) func() []any {
 		get := e.s.Fig11(e.o)
-		return func() ([]any, error) {
+		return func() []any {
 			r := get()
-			return []any{r, experiments.TableII(r)}, nil
+			return []any{r, experiments.TableII(r)}
 		}
 	}},
-	{ids: []string{"tableIII"}, declare: own(func(env) ([]any, error) { return []any{experiments.TableIII()}, nil })},
+	{ids: []string{"tableIII"}, declare: func(env) func() []any { return func() []any { return []any{experiments.TableIII()} } }},
 	{ids: []string{"largertlb"}, declare: fig((*experiments.Suite).LargerTLB)},
 	{ids: []string{"bringup"}, declare: fig((*experiments.Suite).Bringup)},
 	{ids: []string{"resources"}, declare: fig((*experiments.Suite).Resources)},
-	{ids: []string{"sweeps"}, declare: own(func(e env) ([]any, error) {
-		coloc, err := experiments.SweepColocation(e.o, nil)
-		if err != nil {
-			return nil, err
-		}
-		group, err := experiments.SweepGroupSize(e.o, nil)
-		if err != nil {
-			return nil, err
-		}
-		variants, err := experiments.Variants(e.o)
-		if err != nil {
-			return nil, err
-		}
-		smt, err := experiments.SweepSMT(e.o)
-		if err != nil {
-			return nil, err
-		}
-		churn, err := experiments.Churn(e.o, 4)
-		return []any{coloc, group, variants, smt, churn}, err
-	})},
-	{ids: []string{"archcompare"}, optIn: true, declare: own(func(e env) ([]any, error) { return one(experiments.ArchCompare(e.o, e.archs)) })},
-	{ids: []string{"loadramp"}, optIn: true, declare: own(func(e env) ([]any, error) { return one(experiments.LoadRamp(e.o, e.archs)) })},
+	{ids: []string{"sweeps"}, declare: func(e env) func() []any {
+		coloc, group := e.s.SweepColocation(e.o, nil), e.s.SweepGroupSize(e.o, nil)
+		variants, smt, churn := e.s.Variants(e.o), e.s.SweepSMT(e.o), e.s.Churn(e.o, 4)
+		return func() []any { return []any{coloc(), group(), variants(), smt(), churn()} }
+	}},
+	{ids: []string{"archcompare"}, optIn: true, declare: func(e env) func() []any {
+		get := e.s.ArchCompare(e.o, e.archs)
+		return func() []any { return []any{get()} }
+	}},
+	{ids: []string{"loadramp"}, optIn: true, declare: func(e env) func() []any {
+		get := e.s.LoadRamp(e.o, e.archs)
+		return func() []any { return []any{get()} }
+	}},
+}
+
+// formats are the -format values other than text. Each writes the
+// pinned suite's report, whatever -exp selects.
+var formats = map[string]func(*experiments.Report, io.Writer) error{
+	"json":     (*experiments.Report).WriteJSON,
+	"markdown": (*experiments.Report).WriteMarkdown,
 }
 
 // selects reports whether the -exp value exp runs e.
@@ -169,7 +162,7 @@ func run(args []string) int {
 		return c.UsageErr("unknown experiment %q", *exp)
 	}
 	expID := strings.ToLower(*exp)
-	if *format != "text" && *format != "json" && *format != "markdown" {
+	if *format != "text" && formats[*format] == nil {
 		return c.UsageErr("unknown format %q (want text, json or markdown)", *format)
 	}
 	if *cores < 0 {
@@ -216,32 +209,20 @@ func run(args []string) int {
 	o.Jobs = c.Jobs
 	o.CoreShards = c.CoreShards
 
-	var cellRec *obs.Recorder
+	en := env{o: o, archs: archList, s: new(experiments.Suite)}
 	if c.TraceOut != "" {
-		cellRec = obs.NewRecorder(o.Seed, obs.ControlScope, obs.Options{Depth: c.FlightDepth}.RingDepth())
-		experiments.SetObsRecorder(cellRec)
+		en.s.Recorder = obs.NewRecorder(o.Seed, obs.ControlScope, obs.Options{Depth: c.FlightDepth}.RingDepth())
 	}
-
-	var err error
-	switch *format {
-	case "json", "markdown":
-		var rep *experiments.Report
-		if rep, err = experiments.RunAll(o); err == nil {
-			if *format == "json" {
-				err = rep.WriteJSON(os.Stdout)
-			} else {
-				err = rep.WriteMarkdown(os.Stdout)
-			}
-		}
-	default:
-		err = runExp(expID, o, archList)
-	}
-	if err != nil {
+	show := en.declare(expID, *format)
+	if err := en.s.Run(o.Jobs); err != nil {
 		return c.Fail(err)
 	}
-	if cellRec != nil {
+	if err := show(os.Stdout); err != nil {
+		return c.Fail(err)
+	}
+	if rec := en.s.Recorder; rec != nil {
 		// stdout carries the report, so the trace line goes to stderr.
-		streams := []obs.Stream{{Name: "cells", Spans: cellRec.Spans()}}
+		streams := []obs.Stream{{Name: "cells", Spans: rec.Spans()}}
 		if err := cli.WriteTrace(os.Stderr, c.TraceOut, "bfbench", streams); err != nil {
 			return c.Fail(err)
 		}
@@ -249,29 +230,26 @@ func run(args []string) int {
 	return 0
 }
 
-// runExp declares every experiment exp selects on one Suite, runs its
-// plan, then prints each experiment in table order once it has
-// succeeded (the sweeps, archcompare and loadramp run their own plans
-// at that point).
-func runExp(exp string, o experiments.Options, archs []string) error {
-	en := env{o: o, archs: archs, s: new(experiments.Suite)}
-	var prints []func() ([]any, error)
-	for _, e := range exps {
-		if e.selects(exp) {
-			prints = append(prints, e.declare(en))
+// declare puts every cell the invocation prints on e's Suite and returns
+// what prints it once the Suite has run: the pinned report for -format
+// json or markdown, else each experiment exp selects, in table order.
+func (e env) declare(exp, format string) func(io.Writer) error {
+	if write := formats[format]; write != nil {
+		get := e.s.Report(e.o)
+		return func(w io.Writer) error { return write(get(), w) }
+	}
+	var prints []func() []any
+	for _, x := range exps {
+		if x.selects(exp) {
+			prints = append(prints, x.declare(e))
 		}
 	}
-	if err := en.s.Run(o.Jobs); err != nil {
-		return err
-	}
-	for _, show := range prints {
-		out, err := show()
-		if err != nil {
-			return err
+	return func(w io.Writer) error {
+		for _, show := range prints {
+			for _, r := range show() {
+				fmt.Fprintln(w, r)
+			}
 		}
-		for _, r := range out {
-			fmt.Println(r)
-		}
+		return nil
 	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -39,30 +40,29 @@ type ArchCompareResult struct {
 // per (workload × architecture), each with its own machine, in the
 // paper's two-containers-per-core co-location. archs are architecture
 // names (see internal/xlatpolicy); an empty list sweeps every
-// architecture. Cells are independent, so results are byte-identical at
-// any Options.Jobs width.
+// architecture, and an unknown name fails before any cell runs. Cells
+// are independent, so results are byte-identical at any Options.Jobs.
 func ArchCompare(o Options, archs []string) (*ArchCompareResult, error) {
+	return alone(o, func(s *Suite, o Options) func() *ArchCompareResult { return s.ArchCompare(o, archs) })
+}
+
+// ArchCompare declares the sweep's cells on s.
+func (s *Suite) ArchCompare(o Options, archs []string) func() *ArchCompareResult {
 	if len(archs) == 0 {
 		archs = xlatpolicy.Names()
 	}
-	params := make([]sim.Params, len(archs))
-	for j, name := range archs {
-		p, err := o.ParamsForArch(name)
-		if err != nil {
-			return nil, err
-		}
-		params[j] = p
+	params, ok := s.archParams(o, archs)
+	if !ok {
+		return nil
 	}
 	specs := workloads.Apps()
 	res := &ArchCompareResult{Archs: archs}
 	res.Cells = make([][]ArchCompareCell, len(specs))
-	var pl plan
 	for i, spec := range specs {
 		res.Apps = append(res.Apps, spec.Name)
 		res.Cells[i] = make([]ArchCompareCell, len(archs))
 		for j := range archs {
-			i, j, spec := i, j, spec
-			pl.add(fmt.Sprintf("archcompare/%s/%s", spec.Name, archs[j]), func() error {
+			s.own.add(fmt.Sprintf("archcompare/%s/%s", spec.Name, archs[j]), func() error {
 				c, err := servingRun(o, params[j], spec)
 				if err != nil {
 					return err
@@ -81,10 +81,22 @@ func ArchCompare(o Options, archs []string) (*ArchCompareResult, error) {
 			})
 		}
 	}
-	if err := pl.execute(o.Jobs); err != nil {
-		return nil, err
+	return func() *ArchCompareResult { return res }
+}
+
+// archParams resolves each architecture name under o, or records the
+// first unknown one as s's failed declaration and reports false.
+func (s *Suite) archParams(o Options, archs []string) ([]sim.Params, bool) {
+	params := make([]sim.Params, len(archs))
+	for j, name := range archs {
+		p, err := o.ParamsForArch(name)
+		if err != nil {
+			s.err = cmp.Or(s.err, err)
+			return nil, false
+		}
+		params[j] = p
 	}
-	return res, nil
+	return params, true
 }
 
 // String renders the head-to-head table plus a per-app winner summary.

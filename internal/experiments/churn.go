@@ -33,6 +33,11 @@ type ChurnResult struct {
 
 // Churn runs `waves` waves of one container per function on one core.
 func Churn(o Options, waves int) (*ChurnResult, error) {
+	return alone(o, func(s *Suite, o Options) func() *ChurnResult { return s.Churn(o, waves) })
+}
+
+// Churn declares the comparison's cells on s, one per architecture.
+func (s *Suite) Churn(o Options, waves int) func() *ChurnResult {
 	if waves <= 0 {
 		waves = 4
 	}
@@ -73,23 +78,19 @@ func Churn(o Options, waves int) (*ChurnResult, error) {
 		return cycles, ag.Faults, m.Mem.PeakAllocated(), tables, forkCyc, nil
 	}
 
-	var pl plan
-	pl.add("churn/Baseline", func() error {
-		var err error
+	s.own.add("churn/Baseline", func() (err error) {
 		res.BaseCycles, res.BaseFaults, res.BasePeakMem, res.BaseTables, res.BaseForkCyc, err = run(Baseline)
 		return err
 	})
-	pl.add("churn/BabelFish", func() error {
-		var err error
+	s.own.add("churn/BabelFish", func() (err error) {
 		res.BFCycles, res.BFFaults, res.BFPeakMem, res.BFTables, res.BFForkCyc, err = run(BabelFish)
 		return err
 	})
-	if err := pl.execute(o.Jobs); err != nil {
-		return nil, err
+	return func() *ChurnResult {
+		res.RedPct = metrics.ReductionPct(res.BaseCycles, res.BFCycles)
+		res.TableRedPct = metrics.ReductionPct(float64(res.BaseTables), float64(res.BFTables))
+		return res
 	}
-	res.RedPct = metrics.ReductionPct(res.BaseCycles, res.BFCycles)
-	res.TableRedPct = metrics.ReductionPct(float64(res.BaseTables), float64(res.BFTables))
-	return res, nil
 }
 
 // String renders the churn comparison.

@@ -11,18 +11,23 @@ import (
 )
 
 // TestQuickSuite runs every experiment at reduced scale and checks the
-// directional results that define the paper's findings.
+// directional results that define the paper's findings. The six
+// simulated figures are declared on one Suite, so the serving runs they
+// share are simulated once.
 func TestQuickSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite")
 	}
 	o := Quick()
+	var s Suite
+	fig9, fig10, fig11 := s.Fig9(o), s.Fig10(o), s.Fig11(o)
+	bringup, resources, largerTLB := s.Bringup(o), s.Resources(o), s.LargerTLB(o)
+	if err := s.Run(o.Jobs); err != nil {
+		t.Fatal(err)
+	}
 
 	t.Run("fig9", func(t *testing.T) {
-		r, err := Fig9(o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := fig9()
 		if len(r.Rows) != 6 {
 			t.Fatalf("rows = %d", len(r.Rows))
 		}
@@ -49,10 +54,7 @@ func TestQuickSuite(t *testing.T) {
 	})
 
 	t.Run("fig10", func(t *testing.T) {
-		r, err := Fig10(o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := fig10()
 		for _, row := range r.Rows {
 			if row.RedMPKIDPct <= 0 {
 				t.Errorf("%s: no data MPKI reduction (%.1f%%)", row.App, row.RedMPKIDPct)
@@ -67,10 +69,7 @@ func TestQuickSuite(t *testing.T) {
 	})
 
 	t.Run("fig11-tableII", func(t *testing.T) {
-		r, err := Fig11(o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := fig11()
 		if r.MeanServingReduction() <= 0 {
 			t.Errorf("serving mean reduction %.1f%% not positive", r.MeanServingReduction())
 		}
@@ -91,10 +90,7 @@ func TestQuickSuite(t *testing.T) {
 	})
 
 	t.Run("bringup", func(t *testing.T) {
-		r, err := Bringup(o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := bringup()
 		if r.ReductionPct <= 0 {
 			t.Errorf("bring-up reduction %.1f%% not positive", r.ReductionPct)
 		}
@@ -120,10 +116,7 @@ func TestQuickSuite(t *testing.T) {
 		if tb.BF.AreaMM2 <= tb.Base.AreaMM2 {
 			t.Error("BabelFish TLB not larger")
 		}
-		res, err := Resources(o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := resources()
 		if res.TotalPct < 0.2 || res.TotalPct > 0.3 {
 			t.Errorf("space overhead %.3f%% out of paper band (~0.238%%)", res.TotalPct)
 		}
@@ -133,10 +126,7 @@ func TestQuickSuite(t *testing.T) {
 	})
 
 	t.Run("largertlb", func(t *testing.T) {
-		r, err := LargerTLB(o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := largerTLB()
 		var larger, bf float64
 		for i := range r.Apps {
 			larger += r.LargerRed[i]

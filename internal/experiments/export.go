@@ -95,10 +95,10 @@ func (r *Fig11Result) AttributionRows() []TableIIRow {
 }
 
 // RunAll executes every experiment as one plan and collects the report.
-func RunAll(o Options) (*Report, error) { return alone(o, (*Suite).report) }
+func RunAll(o Options) (*Report, error) { return alone(o, (*Suite).Report) }
 
-// report declares every section of the pinned suite on s.
-func (s *Suite) report(o Options) func() *Report {
+// Report declares every section of the pinned suite on s.
+func (s *Suite) Report(o Options) func() *Report {
 	fig7, fig9, fig10, fig11 := s.Fig7(o), s.Fig9(o), s.Fig10(o), s.Fig11(o)
 	larger, bringup, resources := s.LargerTLB(o), s.Bringup(o), s.Resources(o)
 	return func() *Report {

@@ -43,25 +43,29 @@ type LoadRampResult struct {
 // levels under an open-loop constant-rate arrival stream, one cell per
 // (architecture × RPS). Each cell builds its own cluster and its own
 // arrival source, so cells are independent and results byte-identical
-// at any Options.Jobs width. Opt-in only (not part of RunAll): the
-// fleet runs make it noticeably slower than the figure sweeps.
+// at any Options.Jobs width; an unknown architecture name fails before
+// any cell runs. Opt-in only (not part of RunAll): the fleet runs make
+// it noticeably slower than the figure sweeps.
 func LoadRamp(o Options, archs []string) (*LoadRampResult, error) {
+	return alone(o, func(s *Suite, o Options) func() *LoadRampResult { return s.LoadRamp(o, archs) })
+}
+
+// LoadRamp declares the ramp's cells on s.
+func (s *Suite) LoadRamp(o Options, archs []string) func() *LoadRampResult {
 	if len(archs) == 0 {
 		archs = []string{"baseline", "babelfish"}
 	}
+	params, ok := s.archParams(o, archs)
+	if !ok {
+		return nil
+	}
 	res := &LoadRampResult{Archs: archs}
 	res.Cells = make([][]LoadRampCell, len(archs))
-	var pl plan
 	for i, name := range archs {
-		p, err := o.ParamsForArch(name)
-		if err != nil {
-			return nil, err
-		}
 		res.Cells[i] = make([]LoadRampCell, len(loadRampLevels))
 		for j, lvl := range loadRampLevels {
-			i, j, lvl, p := i, j, lvl, p
-			pl.add(fmt.Sprintf("loadramp/%s/rps%g", name, lvl), func() error {
-				cfg := fleet.DefaultConfig(p, workloads.MongoDB())
+			s.own.add(fmt.Sprintf("loadramp/%s/rps%g", name, lvl), func() error {
+				cfg := fleet.DefaultConfig(params[i], workloads.MongoDB())
 				cfg.Nodes = 2
 				cfg.Containers = 4
 				cfg.Scale = o.Scale
@@ -85,7 +89,7 @@ func LoadRamp(o Options, archs []string) (*LoadRampResult, error) {
 				qd, _ := c.Registry().Hist("fleet.queue_delay")
 				lat, _ := c.Registry().Hist("fleet.req_latency")
 				res.Cells[i][j] = LoadRampCell{
-					Arch:      res.Archs[i],
+					Arch:      name,
 					RPS:       lvl,
 					Offered:   val("fleet.req_offered"),
 					Served:    val("fleet.req_served"),
@@ -99,10 +103,7 @@ func LoadRamp(o Options, archs []string) (*LoadRampResult, error) {
 			})
 		}
 	}
-	if err := pl.execute(o.Jobs); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return func() *LoadRampResult { return res }
 }
 
 // String renders the offered-vs-served ramp per architecture.

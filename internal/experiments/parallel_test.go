@@ -21,7 +21,7 @@ func TestPlanExecuteWidths(t *testing.T) {
 				return nil
 			})
 		}
-		if err := p.execute(jobs); err != nil {
+		if err := p.execute(jobs, nil); err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		for i, v := range out {
@@ -43,7 +43,7 @@ func TestPlanErrorDeterministic(t *testing.T) {
 		p.add("ok", func() error { return nil })
 		p.add("first-bad", func() error { return errA })
 		p.add("second-bad", func() error { return errB })
-		err := p.execute(jobs)
+		err := p.execute(jobs, nil)
 		if !errors.Is(err, errA) {
 			t.Fatalf("jobs=%d: got %v, want wrapped %v", jobs, err, errA)
 		}
@@ -60,7 +60,7 @@ func TestPlanSerialEarlyAbort(t *testing.T) {
 	var p plan
 	p.add("bad", func() error { return errors.New("boom") })
 	p.add("after", func() error { ran.Add(1); return nil })
-	if err := p.execute(1); err == nil {
+	if err := p.execute(1, nil); err == nil {
 		t.Fatal("no error")
 	}
 	if ran.Load() != 0 {

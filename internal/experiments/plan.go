@@ -21,14 +21,15 @@ import (
 // randomness is seeded per cell from Options.Seed, and the plan
 // assembles results in declaration order, not completion order.
 //
-// The paper figures declare their cells on a Suite (suite.go), which
-// holds one plan per regeneration: each distinct (options, architecture,
-// app) serving run is declared once, however many figures read it, and
-// Suite.Run executes every serving run before any figure-only cell.
-// That order keeps the quick suite's peak RSS at about 32 MB; in figure
-// order, Figure 9's GraphChi census built the process-wide R-MAT graph
-// while serving machines ran, and peak RSS rose to 42–46 MB. The sweeps,
-// ArchCompare and LoadRamp build plans of their own.
+// Every experiment declares its cells on a Suite (suite.go), which
+// holds one plan per regeneration or bfbench invocation: each distinct
+// (options, architecture, app) serving run is declared once, however
+// many figures read it, and Suite.Run executes every serving run before
+// any figure-only cell. That order keeps the quick suite's peak RSS at
+// about 32 MB; in figure order, Figure 9's GraphChi census built the
+// process-wide R-MAT graph while serving machines ran, and peak RSS rose
+// to 42–46 MB. The sweeps, ArchCompare and LoadRamp declare figure-only
+// cells on the same Suite.
 //
 // The bounded executor itself lives in internal/par (the fleet layer
 // steps its nodes on the same pool).
@@ -39,17 +40,6 @@ type plan struct {
 	runs   []func() error
 }
 
-// cellRecorder, when non-nil, receives one KCell span per executed plan
-// cell (set once by the CLI before any experiment runs; never mutated
-// concurrently with execute). Spans are recorded after the plan drains,
-// in declaration order on a plan-count timeline, so the trace is
-// byte-identical at any worker-pool width.
-var cellRecorder *obs.Recorder
-
-// SetObsRecorder installs (or, with nil, removes) the span recorder the
-// experiment engine logs its plan cells to.
-func SetObsRecorder(r *obs.Recorder) { cellRecorder = r }
-
 // add appends a cell. The closure must write its result only into slots
 // it owns (typically one index of a slice sized up front).
 func (p *plan) add(label string, run func() error) {
@@ -59,17 +49,20 @@ func (p *plan) add(label string, run func() error) {
 
 // execute runs the cells on a worker pool of the given width. jobs <= 0
 // means GOMAXPROCS; errors resolve to the lowest-indexed failing cell.
-func (p *plan) execute(jobs int) error {
+// A non-nil rec receives one KCell span per cell, recorded after the
+// plan drains, in declaration order on a plan-count timeline, so the
+// trace is byte-identical at any worker-pool width.
+func (p *plan) execute(jobs int, rec *obs.Recorder) error {
 	var pp par.Plan
 	for i, run := range p.runs {
 		pp.Add(p.labels[i], run)
 	}
 	err := pp.Execute(jobs)
-	if r := cellRecorder; r != nil {
+	if rec != nil {
 		for _, label := range p.labels {
-			r.Record(obs.Span{
+			rec.Record(obs.Span{
 				Kind: obs.KCell, Name: label, Node: -1, Core: -1, Task: -1, PID: -1,
-				Start: uint64(r.Total()), Dur: 1,
+				Start: uint64(rec.Total()), Dur: 1,
 			})
 		}
 	}

@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"slices"
 
+	"babelfish/internal/obs"
 	"babelfish/internal/workloads"
 )
 
-// Suite is the one plan of a paper-suite regeneration.
+// Suite is the one plan of a suite regeneration or a bfbench invocation.
 //
 // Figures 10 and 11, §VII-C and the resource analysis all measure the
 // same (options × architecture × app) co-location runs, and a run is a
@@ -25,14 +26,20 @@ import (
 // peak RSS rose from about 32 MB to 42–46 MB; with the serving runs
 // first it stayed at about 32 MB.
 //
+// A declaration that fails (an unknown architecture name) declares no
+// cell, and Run returns its error before any cell runs.
+//
 // One goroutine declares the cells and calls Run once. A Suite lives
 // for one regeneration and nothing in it is process-wide, so a process
 // that regenerates the suite repeatedly simulates each regeneration
 // afresh. The zero value is ready to use.
 type Suite struct {
+	Recorder *obs.Recorder // if non-nil, gets one KCell span per cell Run executes
+
 	cells   map[cellKey]*servingCell
-	serving plan // one cell per distinct serving run
-	own     plan // cells that only one figure reads
+	serving plan  // one cell per distinct serving run
+	own     plan  // cells that only one figure reads
+	err     error // the first failed declaration
 }
 
 // cellKey identifies one serving run. Jobs is cleared: results are
@@ -67,11 +74,14 @@ func (s *Suite) serve(o Options, a Arch, spec *workloads.AppSpec) *servingCell {
 // of the given width. jobs <= 0 means GOMAXPROCS; a failure reports the
 // lowest-indexed failing cell under its label.
 func (s *Suite) Run(jobs int) error {
+	if s.err != nil {
+		return s.err
+	}
 	p := plan{slices.Concat(s.serving.labels, s.own.labels), slices.Concat(s.serving.runs, s.own.runs)}
-	return p.execute(jobs)
+	return p.execute(jobs, s.Recorder)
 }
 
-// alone runs one figure as a plan of its own.
+// alone runs one experiment as a plan of its own.
 func alone[R any](o Options, declare func(*Suite, Options) func() R) (R, error) {
 	var s Suite
 	get := declare(&s, o)

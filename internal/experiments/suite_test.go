@@ -17,7 +17,7 @@ import (
 func TestSuiteSimulatesEachServingCellOnce(t *testing.T) {
 	for run := 0; run < 2; run++ {
 		s := new(Suite)
-		s.report(Quick())
+		s.Report(Quick())
 		if serving, all := len(s.serving.runs), len(s.serving.runs)+len(s.own.runs); serving != 20 || all != 38 {
 			t.Fatalf("suite %d: plan holds %d serving runs in %d cells; want 20 in 38", run, serving, all)
 		}
@@ -30,9 +30,7 @@ func TestSuiteRunsServingCellsFirst(t *testing.T) {
 	o := Quick()
 	o.WarmInstr, o.MeasureInstr = 10_000, 10_000
 	rec := obs.NewRecorder(o.Seed, obs.ControlScope, obs.DefaultDepth)
-	SetObsRecorder(rec)
-	defer SetObsRecorder(nil)
-	s := new(Suite)
+	s := &Suite{Recorder: rec}
 	s.Fig7(o)
 	s.Bringup(o)
 	s.Resources(o)

@@ -66,78 +66,64 @@ func mongoLatency(o Options, p sim.Params, perCore int) (float64, error) {
 // argues its 2-3 per core is conservative — container environments are
 // typically oversubscribed — so BabelFish's gains grow with density).
 func SweepColocation(o Options, perCore []int) (*SweepResult, error) {
+	return alone(o, func(s *Suite, o Options) func() *SweepResult { return s.SweepColocation(o, perCore) })
+}
+
+// SweepColocation declares the sweep's cells on s.
+func (s *Suite) SweepColocation(o Options, perCore []int) func() *SweepResult {
 	if len(perCore) == 0 {
 		perCore = []int{1, 2, 4, 6}
 	}
-	res := &SweepResult{
+	return s.sweep(SweepResult{
 		Name:     "Sensitivity: containers per core (paper §VI: 2/core is conservative)",
 		Param:    "containers/core",
 		MetricID: "mean-lat",
 		Points:   perCore,
-	}
-	vals := make([][2]float64, len(perCore))
-	var pl plan
-	for pi, n := range perCore {
-		for ai, a := range [2]Arch{Baseline, BabelFish} {
-			pi, ai, a, n := pi, ai, a, n
-			pl.add(fmt.Sprintf("colocation/%d/%s", n, a), func() error {
-				v, err := mongoLatency(o, o.Params(a), n)
-				if err != nil {
-					return err
-				}
-				vals[pi][ai] = v
-				return nil
-			})
-		}
-	}
-	if err := pl.execute(o.Jobs); err != nil {
-		return nil, err
-	}
-	for _, v := range vals {
-		res.Base = append(res.Base, v[0])
-		res.BF = append(res.BF, v[1])
-		res.RedPct = append(res.RedPct, metrics.ReductionPct(v[0], v[1]))
-	}
-	return res, nil
+	}, "colocation", func(a Arch, n int) (float64, error) { return mongoLatency(o, o.Params(a), n) })
 }
 
 // SweepGroupSize varies the number of function containers sharing one
 // runtime image on a single core and reports total completion cycles —
 // the more sharers, the more redundant faults BabelFish removes.
 func SweepGroupSize(o Options, sizes []int) (*SweepResult, error) {
+	return alone(o, func(s *Suite, o Options) func() *SweepResult { return s.SweepGroupSize(o, sizes) })
+}
+
+// SweepGroupSize declares the sweep's cells on s.
+func (s *Suite) SweepGroupSize(o Options, sizes []int) func() *SweepResult {
 	if len(sizes) == 0 {
 		sizes = []int{1, 2, 4, 8}
 	}
-	res := &SweepResult{
+	return s.sweep(SweepResult{
 		Name:     "Sensitivity: function containers sharing one runtime (1 core)",
 		Param:    "containers",
 		MetricID: "sum-exec-cycles",
 		Points:   sizes,
-	}
-	vals := make([][2]float64, len(sizes))
-	var pl plan
-	for pi, n := range sizes {
+	}, "group-size", func(a Arch, n int) (float64, error) { return groupSizeRun(o, a, n) })
+}
+
+// sweep declares one cell labelled label/point/arch per point of res and
+// architecture, each measuring run(arch, point), and returns res with
+// the measured columns filled in.
+func (s *Suite) sweep(res SweepResult, label string, run func(Arch, int) (float64, error)) func() *SweepResult {
+	vals := make([][2]float64, len(res.Points))
+	for pi, n := range res.Points {
 		for ai, a := range [2]Arch{Baseline, BabelFish} {
-			pi, ai, a, n := pi, ai, a, n
-			pl.add(fmt.Sprintf("group-size/%d/%s", n, a), func() error {
-				v, err := groupSizeRun(o, a, n)
-				if err != nil {
-					return err
-				}
-				vals[pi][ai] = v
-				return nil
+			s.own.add(fmt.Sprintf("%s/%d/%s", label, n, a), func() (err error) {
+				vals[pi][ai], err = run(a, n)
+				return err
 			})
 		}
 	}
-	if err := pl.execute(o.Jobs); err != nil {
-		return nil, err
+	return func() *SweepResult {
+		r := res
+		for _, v := range vals {
+			r.Base = append(r.Base, v[0])
+			r.BF = append(r.BF, v[1])
+			r.RedPct = append(r.RedPct, metrics.ReductionPct(v[0], v[1]))
+		}
+		return &r
 	}
-	for _, v := range vals {
-		res.Base = append(res.Base, v[0])
-		res.BF = append(res.BF, v[1])
-		res.RedPct = append(res.RedPct, metrics.ReductionPct(v[0], v[1]))
-	}
-	return res, nil
 }
 
 // groupSizeRun measures one (size × arch) point of SweepGroupSize: n
@@ -184,15 +170,16 @@ type VariantsResult struct {
 }
 
 // Variants runs the comparison on MongoDB.
-func Variants(o Options) (*VariantsResult, error) {
-	res := &VariantsResult{App: "mongodb"}
+func Variants(o Options) (*VariantsResult, error) { return alone(o, (*Suite).Variants) }
+
+// Variants declares the comparison's cells on s, one per variant.
+func (s *Suite) Variants(o Options) func() *VariantsResult {
 	type variant struct {
 		name string
 		prep func() sim.Params
 	}
-	base := o.Params(Baseline)
 	vs := []variant{
-		{"baseline", func() sim.Params { return base }},
+		{"baseline", func() sim.Params { return o.Params(Baseline) }},
 		{"babelfish (ASLR-HW)", func() sim.Params { return o.Params(BabelFish) }},
 		{"babelfish (ASLR-SW)", func() sim.Params {
 			p := o.Params(BabelFish)
@@ -212,32 +199,24 @@ func Variants(o Options) (*VariantsResult, error) {
 		}},
 	}
 	lats := make([]float64, len(vs))
-	var pl plan
 	for i, v := range vs {
-		i, v := i, v
-		pl.add("variants/"+v.name, func() error {
-			lat, err := mongoLatency(o, v.prep(), 2)
-			if err != nil {
-				return err
-			}
-			lats[i] = lat
-			return nil
+		s.own.add("variants/"+v.name, func() (err error) {
+			lats[i], err = mongoLatency(o, v.prep(), 2)
+			return err
 		})
 	}
-	if err := pl.execute(o.Jobs); err != nil {
-		return nil, err
+	return func() *VariantsResult {
+		// Row 0 is the baseline; its own reduction is ReductionPct(x, x) = 0.
+		res := &VariantsResult{App: "mongodb"}
+		for i, v := range vs {
+			res.Rows = append(res.Rows, VariantRow{
+				Variant: v.name,
+				MeanLat: lats[i],
+				RedPct:  metrics.ReductionPct(lats[0], lats[i]),
+			})
+		}
+		return res
 	}
-	// Row 0 is the baseline; its own reduction is ReductionPct(x, x) = 0,
-	// matching the serial order-of-evaluation this code replaced.
-	baseLat := lats[0]
-	for i, v := range vs {
-		res.Rows = append(res.Rows, VariantRow{
-			Variant: v.name,
-			MeanLat: lats[i],
-			RedPct:  metrics.ReductionPct(baseLat, lats[i]),
-		})
-	}
-	return res, nil
 }
 
 // SMTResult compares time-multiplexed co-scheduling against SMT
@@ -252,9 +231,12 @@ type SMTResult struct {
 }
 
 // SweepSMT measures MongoDB under both co-scheduling styles.
-func SweepSMT(o Options) (*SMTResult, error) {
+func SweepSMT(o Options) (*SMTResult, error) { return alone(o, (*Suite).SweepSMT) }
+
+// SweepSMT declares the comparison's four cells on s, each writing a
+// distinct result field.
+func (s *Suite) SweepSMT(o Options) func() *SMTResult {
 	res := &SMTResult{}
-	// Four independent cells, each writing a distinct result field.
 	cells := []struct {
 		label string
 		arch  Arch
@@ -266,26 +248,19 @@ func SweepSMT(o Options) (*SMTResult, error) {
 		{"smt/babelfish/tm", BabelFish, false, &res.BFTM},
 		{"smt/babelfish/smt", BabelFish, true, &res.BFSMT},
 	}
-	var pl plan
 	for _, c := range cells {
-		c := c
-		pl.add(c.label, func() error {
+		s.own.add(c.label, func() (err error) {
 			params := o.Params(c.arch)
 			params.SMT = c.smt
-			v, err := mongoLatency(o, params, 2)
-			if err != nil {
-				return err
-			}
-			*c.dst = v
-			return nil
+			*c.dst, err = mongoLatency(o, params, 2)
+			return err
 		})
 	}
-	if err := pl.execute(o.Jobs); err != nil {
-		return nil, err
+	return func() *SMTResult {
+		res.RedTMPct = metrics.ReductionPct(res.BaseTM, res.BFTM)
+		res.RedSMTPct = metrics.ReductionPct(res.BaseSMT, res.BFSMT)
+		return res
 	}
-	res.RedTMPct = metrics.ReductionPct(res.BaseTM, res.BFTM)
-	res.RedSMTPct = metrics.ReductionPct(res.BaseSMT, res.BFSMT)
-	return res, nil
 }
 
 // String renders the SMT comparison.

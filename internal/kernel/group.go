@@ -202,9 +202,6 @@ func (mp *MaskPage) bitOf(pid memdefs.PID) (int, bool) {
 	return 0, false
 }
 
-// Writers returns the number of processes holding PC bits.
-func (mp *MaskPage) Writers() int { return len(mp.pids) }
-
 // MaskAt returns the PC bitmask of the 2MB region with pmd index i.
 func (mp *MaskPage) MaskAt(i int) uint32 { return mp.masks[i&(memdefs.TableSize-1)] }
 

@@ -16,10 +16,7 @@
 // shared with the obs span recorder, so disabled telemetry stays free.
 package telemetry
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Kind types a registered metric.
 type Kind uint8
@@ -182,14 +179,4 @@ func (s *Snapshot) Value(name string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// SortedNames returns the snapshot's metric names, sorted (test helper).
-func (s *Snapshot) SortedNames() []string {
-	out := make([]string, len(s.Values))
-	for i, v := range s.Values {
-		out[i] = v.Name
-	}
-	sort.Strings(out)
-	return out
 }
