@@ -133,11 +133,21 @@ type Arch struct {
 	// "babelfish", "victima", ...).
 	Name string
 	// Desc is the one-line help text shown in CLI usage strings.
-	Desc    string
-	opc     bool // BabelFish TLB behaviour (CCID L2 tags, O-PC fills)
-	shared  bool // BabelFish kernel (shared PTE tables, CCID groups)
-	newCore func(CoreConfig) Core
+	Desc   string
+	opc    bool     // BabelFish TLB behaviour (CCID L2 tags, O-PC fills)
+	shared bool     // BabelFish kernel (shared PTE tables, CCID groups)
+	core   coreKind // the per-core extension NewCore builds
 }
+
+// coreKind names an architecture's per-core extension; the zero kind
+// has none. It is a value, not a constructor, so an Arch (and every
+// config embedding one, sim.Params among them) is comparable.
+type coreKind uint8
+
+const (
+	coreVictima coreKind = iota + 1
+	coreCoalesced
+)
 
 // archs is the fixed architecture table. Its order drives CLI usage
 // strings and the arch-compare sweep's column order.
@@ -146,13 +156,13 @@ var archs = []Arch{
 	{Name: "babelfish", Desc: "BabelFish: CCID-shared L2 TLB (O-PC) over shared page tables",
 		opc: true, shared: true},
 	{Name: "victima", Desc: "baseline + TLB-miss PTEs parked in repurposed L2 cache lines",
-		newCore: victimaFactory(false)},
+		core: coreVictima},
 	{Name: "coalesced", Desc: "baseline + coalesced TLB entries over contiguous VPN-to-PPN runs",
-		newCore: coalescedFactory(false)},
+		core: coreCoalesced},
 	{Name: "babelfish+victima", Desc: "BabelFish sharing plus CCID-tagged parked PTEs in L2 cache lines",
-		opc: true, shared: true, newCore: victimaFactory(true)},
+		opc: true, shared: true, core: coreVictima},
 	{Name: "babelfish+coalesced", Desc: "BabelFish sharing plus coalesced runs of shared clean pages",
-		opc: true, shared: true, newCore: coalescedFactory(true)},
+		opc: true, shared: true, core: coreCoalesced},
 }
 
 // TagModes returns the entry tagging/match rules for the L1 and L2 TLB
@@ -182,31 +192,20 @@ func (a Arch) OPC() bool { return a.opc }
 func (a Arch) SharedKernel() bool { return a.shared }
 
 // NewCore builds the architecture's per-core extension state, or nil
-// when it adds no extra lookup targets (baseline, babelfish).
+// when it adds no extra lookup targets (baseline, babelfish). Under
+// BabelFish sharing the structure is CCID-tagged like the L2 TLB.
 func (a Arch) NewCore(c CoreConfig) Core {
-	if a.newCore == nil {
-		return nil
+	mode := tlb.TagPCID
+	if a.opc {
+		mode = tlb.TagCCID
 	}
-	return a.newCore(c)
-}
-
-func storeMode(babelfish bool) tlb.Mode {
-	if babelfish {
-		return tlb.TagCCID
+	switch a.core {
+	case coreVictima:
+		return NewVictimaCore(VictimaConfig{Mode: mode})
+	case coreCoalesced:
+		return NewCoalescedCore(CoalescedConfig{Mode: mode}, c.Mem)
 	}
-	return tlb.TagPCID
-}
-
-func victimaFactory(babelfish bool) func(CoreConfig) Core {
-	return func(CoreConfig) Core {
-		return NewVictimaCore(VictimaConfig{Mode: storeMode(babelfish)})
-	}
-}
-
-func coalescedFactory(babelfish bool) func(CoreConfig) Core {
-	return func(c CoreConfig) Core {
-		return NewCoalescedCore(CoalescedConfig{Mode: storeMode(babelfish)}, c.Mem)
-	}
+	return nil
 }
 
 // Get resolves an architecture by name.
