@@ -36,8 +36,8 @@ type ArchCompareResult struct {
 	Cells [][]ArchCompareCell
 }
 
-// ArchCompare runs the head-to-head sweep on the plan engine: one cell
-// per (workload × architecture), each with its own machine, in the
+// ArchCompare runs the head-to-head sweep on the plan engine: one serving
+// run per (workload × architecture), each with its own machine, in the
 // paper's two-containers-per-core co-location. archs are architecture
 // names (see internal/xlatpolicy); an empty list sweeps every
 // architecture, and an unknown name fails before any cell runs. Cells
@@ -46,7 +46,8 @@ func ArchCompare(o Options, archs []string) (*ArchCompareResult, error) {
 	return alone(o, func(s *Suite, o Options) func() *ArchCompareResult { return s.ArchCompare(o, archs) })
 }
 
-// ArchCompare declares the sweep's cells on s.
+// ArchCompare declares the sweep's serving runs on s; its baseline and
+// babelfish runs are the ones the paper's figures read.
 func (s *Suite) ArchCompare(o Options, archs []string) func() *ArchCompareResult {
 	if len(archs) == 0 {
 		archs = xlatpolicy.Names()
@@ -56,18 +57,19 @@ func (s *Suite) ArchCompare(o Options, archs []string) func() *ArchCompareResult
 		return nil
 	}
 	specs := workloads.Apps()
-	res := &ArchCompareResult{Archs: archs}
-	res.Cells = make([][]ArchCompareCell, len(specs))
+	runs := make([][]*servingCell, len(specs))
 	for i, spec := range specs {
-		res.Apps = append(res.Apps, spec.Name)
-		res.Cells[i] = make([]ArchCompareCell, len(archs))
-		for j := range archs {
-			s.own.add(fmt.Sprintf("archcompare/%s/%s", spec.Name, archs[j]), func() error {
-				c, err := servingRun(o, params[j], spec)
-				if err != nil {
-					return err
-				}
-				res.Cells[i][j] = ArchCompareCell{
+		for j, name := range archs {
+			runs[i] = append(runs[i], s.serve(o, name, params[j], spec, paperPerCore))
+		}
+	}
+	return func() *ArchCompareResult {
+		res := &ArchCompareResult{Archs: archs}
+		for i, spec := range specs {
+			res.Apps = append(res.Apps, spec.Name)
+			res.Cells = append(res.Cells, nil)
+			for j, c := range runs[i] {
+				res.Cells[i] = append(res.Cells[i], ArchCompareCell{
 					App:       spec.Name,
 					Arch:      archs[j],
 					MeanLat:   c.meanLat,
@@ -76,12 +78,11 @@ func (s *Suite) ArchCompare(o Options, archs []string) func() *ArchCompareResult
 					MPKIInstr: c.agg.MPKIInstr(),
 					WalksPKI:  metrics.MPKI(c.agg.Walks, c.agg.Instrs),
 					Faults:    c.agg.Faults,
-				}
-				return nil
-			})
+				})
+			}
 		}
+		return res
 	}
-	return func() *ArchCompareResult { return res }
 }
 
 // archParams resolves each architecture name under o, or records the

@@ -56,6 +56,21 @@ func TestArchCompare(t *testing.T) {
 	if !reachWins {
 		t.Error("neither victima nor coalesced ever reduced walksPKI below baseline")
 	}
+	// The sweep's baseline and babelfish cells are the runs the paper's
+	// figures read: their machines are the same parameters.
+	o := tinyArchOptions()
+	for name, a := range map[string]Arch{"baseline": Baseline, "babelfish": BabelFish} {
+		if p, err := o.ParamsForArch(name); err != nil || p != o.Params(a) {
+			t.Errorf("ParamsForArch(%q) is not Params(%s) (err %v)", name, a, err)
+		}
+	}
+	var suite Suite
+	suite.Fig10(o)
+	before := len(suite.serving.runs)
+	suite.ArchCompare(o, archs)
+	if got, want := len(suite.serving.runs)-before, 2*len(r.Apps); got != want {
+		t.Errorf("archcompare added %d serving runs to Figure 10's, want %d (victima and coalesced only)", got, want)
+	}
 	s := r.String()
 	if !strings.Contains(s, "Architecture head-to-head") || !strings.Contains(s, "Winner by mean request latency") {
 		t.Errorf("rendered table missing sections:\n%s", s)

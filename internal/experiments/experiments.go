@@ -174,17 +174,20 @@ func (c *servingCell) primary(class workloads.Class) float64 {
 	return c.meanLat
 }
 
-// servingRun builds a machine for one app with two containers per core
-// (the paper's conservative co-location), runs warm-up + measurement and
-// summarises the result.
-func servingRun(o Options, p sim.Params, spec *workloads.AppSpec) (servingCell, error) {
+// paperPerCore is the paper's conservative co-location (§VI): two
+// containers per core.
+const paperPerCore = 2
+
+// servingRun builds a machine for one app with perCore containers on
+// each core, runs warm-up + measurement and summarises the result.
+func servingRun(o Options, p sim.Params, spec *workloads.AppSpec, perCore int) (servingCell, error) {
 	m := sim.New(p)
 	d, err := workloads.Deploy(m, spec, o.Scale, o.Seed)
 	if err != nil {
 		return servingCell{}, err
 	}
 	for core := 0; core < o.Cores; core++ {
-		for j := 0; j < 2; j++ {
+		for j := 0; j < perCore; j++ {
 			if _, _, err := d.Spawn(core, o.Seed+uint64(core*977+j*131)); err != nil {
 				return servingCell{}, err
 			}

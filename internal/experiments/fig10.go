@@ -41,8 +41,8 @@ func (s *Suite) Fig10(o Options) func() *Fig10Result {
 	base := make([]*servingCell, len(specs))
 	bf := make([]*servingCell, len(specs))
 	for i, spec := range specs {
-		base[i] = s.serve(o, Baseline, spec)
-		bf[i] = s.serve(o, BabelFish, spec)
+		base[i] = s.servePaper(o, Baseline, spec)
+		bf[i] = s.servePaper(o, BabelFish, spec)
 	}
 	var fn [2]sim.AggStats
 	for i, a := range [2]Arch{Baseline, BabelFish} {

@@ -68,7 +68,7 @@ func (s *Suite) Fig11(o Options) func() *Fig11Result {
 	runs := make([][3]*servingCell, len(specs))
 	for i, spec := range specs {
 		for ai, a := range fig11Archs {
-			runs[i][ai] = s.serve(o, a, spec)
+			runs[i][ai] = s.servePaper(o, a, spec)
 		}
 	}
 	var funcRuns [2][3]funcArchRun

@@ -5,14 +5,16 @@ import (
 	"slices"
 
 	"babelfish/internal/obs"
+	"babelfish/internal/sim"
 	"babelfish/internal/workloads"
 )
 
 // Suite is the one plan of a suite regeneration or a bfbench invocation.
 //
-// Figures 10 and 11, §VII-C and the resource analysis all measure the
-// same (options × architecture × app) co-location runs, and a run is a
-// pure function of that key: a fresh machine, seeds taken from Options,
+// Figures 10 and 11, §VII-C, the resource analysis, the MongoDB sweeps
+// and the architecture head-to-head all measure co-location runs, and a
+// run is a pure function of its (options × machine parameters × app ×
+// containers per core) key: a fresh machine, seeds taken from Options,
 // and process-wide caches whose values are deterministic functions of
 // their keys. Each figure method declares its cells on the Suite and
 // returns a projection of the cell results; a serving run is declared
@@ -42,18 +44,23 @@ type Suite struct {
 	err     error // the first failed declaration
 }
 
-// cellKey identifies one serving run. Jobs is cleared: results are
-// byte-identical at any pool width.
+// cellKey identifies one serving run: perCore containers of app on each
+// core of the machine p, under o's scale, seed and phase lengths. Jobs
+// is cleared: results are byte-identical at any pool width.
 type cellKey struct {
-	o   Options
-	a   Arch
-	app string
+	o       Options
+	p       sim.Params
+	app     string
+	perCore int
 }
 
-// serve declares the serving run (o, a, spec) unless it is declared
-// already, and returns the slot Run fills with its summary.
-func (s *Suite) serve(o Options, a Arch, spec *workloads.AppSpec) *servingCell {
-	k := cellKey{o: o, a: a, app: spec.Name}
+// serve declares the serving run of spec with perCore containers on each
+// core of the machine p unless it is declared already, and returns the
+// slot Run fills with its summary. The first declaration names the run:
+// serving/<app>/<name>/<cores>-core, with a /<n>-per-core suffix when
+// perCore is not the paper's two.
+func (s *Suite) serve(o Options, name string, p sim.Params, spec *workloads.AppSpec, perCore int) *servingCell {
+	k := cellKey{o: o, p: p, app: spec.Name, perCore: perCore}
 	k.o.Jobs = 0
 	if c := s.cells[k]; c != nil {
 		return c
@@ -63,11 +70,21 @@ func (s *Suite) serve(o Options, a Arch, spec *workloads.AppSpec) *servingCell {
 	}
 	c := new(servingCell)
 	s.cells[k] = c
-	s.serving.add(fmt.Sprintf("serving/%s/%s/%d-core", spec.Name, a, o.Cores), func() (err error) {
-		*c, err = servingRun(o, o.Params(a), spec)
+	label := fmt.Sprintf("serving/%s/%s/%d-core", spec.Name, name, o.Cores)
+	if perCore != paperPerCore {
+		label += fmt.Sprintf("/%d-per-core", perCore)
+	}
+	s.serving.add(label, func() (err error) {
+		*c, err = servingRun(o, p, spec, perCore)
 		return err
 	})
 	return c
+}
+
+// servePaper declares the run of spec on architecture a in the paper's
+// co-location.
+func (s *Suite) servePaper(o Options, a Arch, spec *workloads.AppSpec) *servingCell {
+	return s.serve(o, a.String(), o.Params(a), spec, paperPerCore)
 }
 
 // Run executes the declared cells, serving runs first, on a worker pool

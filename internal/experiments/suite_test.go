@@ -71,20 +71,79 @@ func TestSuiteSharesCellErrors(t *testing.T) {
 	}
 }
 
-// TestSuiteKeysOnOptions: runs with different Options are distinct
-// cells (Resources overrides Cores), while Jobs, which never changes a
-// result, does not split a cell.
+// TestSuiteKeysOnOptions: a serving run is keyed by its options, its
+// machine parameters, its app and its containers per core, so changing
+// any of them (Resources overrides Cores; SweepSMT sets Params.SMT;
+// Variants sets Kernel.NoPCBitmask; SweepColocation varies the density)
+// declares a distinct run, while Jobs, which never changes a result,
+// does not.
 func TestSuiteKeysOnOptions(t *testing.T) {
 	o := Quick()
-	oneCore := o
+	mongo := workloads.MongoDB()
+	oneCore, wide := o, o
 	oneCore.Cores = 1
-	wide := o
 	wide.Jobs = 4
+	smt, noMask := o.Params(BabelFish), o.Params(BabelFish)
+	smt.SMT = true
+	noMask.Kernel.NoPCBitmask = true
 	s := new(Suite)
-	c, one, w := s.serve(o, Baseline, workloads.MongoDB()), s.serve(oneCore, Baseline, workloads.MongoDB()),
-		s.serve(wide, Baseline, workloads.MongoDB())
-	if n := len(s.serving.runs); n != 2 || c != w || c == one {
-		t.Errorf("declared %d runs, want 2 (Cores splits a cell, Jobs does not)", n)
+	c := s.servePaper(o, BabelFish, mongo)
+	if s.servePaper(wide, BabelFish, mongo) != c {
+		t.Error("Jobs splits a cell")
+	}
+	for _, split := range []struct {
+		field string
+		c     *servingCell
+	}{
+		{"Cores", s.servePaper(oneCore, BabelFish, mongo)},
+		{"Params.SMT", s.serve(o, "smt", smt, mongo, paperPerCore)},
+		{"Kernel.NoPCBitmask", s.serve(o, "no-mask", noMask, mongo, paperPerCore)},
+		{"containers per core", s.serve(o, "dense", o.Params(BabelFish), mongo, 4)},
+	} {
+		if split.c == c {
+			t.Errorf("%s does not split a cell", split.field)
+		}
+	}
+	if n := len(s.serving.runs); n != 5 {
+		t.Errorf("declared %d runs, want 5", n)
+	}
+}
+
+// TestSweepsReadFigure11Runs: the -exp sweeps plan holds 23 cells, and
+// the MongoDB runs it shares with Figure 11 (the colocation sweep's
+// 2-per-core point, the baseline and ASLR-HW variants, SMT's
+// time-multiplexed row) read Figure 11's numbers on one Suite.
+func TestSweepsReadFigure11Runs(t *testing.T) {
+	o := Quick()
+	s := new(Suite)
+	coloc, _ := s.SweepColocation(o, nil), s.SweepGroupSize(o, nil)
+	variants, smt, _ := s.Variants(o), s.SweepSMT(o), s.Churn(o, 4)
+	if n := len(s.serving.runs) + len(s.own.runs); n != 23 {
+		t.Errorf("the sweeps declare %d cells, want 23", n)
+	}
+	if testing.Short() {
+		t.Skip("experiment runs")
+	}
+	fig11 := s.Fig11(o)
+	if err := s.Run(o.Jobs); err != nil {
+		t.Fatal(err)
+	}
+	f := fig11()
+	i := slices.Index(f.ServingApps, "mongodb")
+	base, bf := f.ServingMean[i].Base, f.ServingMean[i].Full
+	c, v, m := coloc(), variants(), smt()
+	p := slices.Index(c.Points, paperPerCore)
+	for _, got := range []struct {
+		row      string
+		base, bf float64
+	}{
+		{"colocation 2/core", c.Base[p], c.BF[p]},
+		{"variants", v.Rows[0].MeanLat, v.Rows[1].MeanLat},
+		{"SMT time-multiplexed", m.BaseTM, m.BFTM},
+	} {
+		if got.base != base || got.bf != bf {
+			t.Errorf("%s reads %v / %v, Figure 11 %v / %v", got.row, got.base, got.bf, base, bf)
+		}
 	}
 }
 

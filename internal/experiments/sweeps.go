@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"babelfish/internal/kernel"
 	"babelfish/internal/memdefs"
@@ -32,36 +31,6 @@ func (r *SweepResult) String() string {
 	return t.String()
 }
 
-// mongoLatency deploys MongoDB with perCore containers on each core under
-// the given machine parameters, runs warm-up + measurement, and returns
-// the mean request latency. It is the common body of the sensitivity
-// sweeps, each of which runs it as an independent plan cell.
-func mongoLatency(o Options, p sim.Params, perCore int) (float64, error) {
-	m := sim.New(p)
-	d, err := workloads.Deploy(m, workloads.MongoDB(), o.Scale, o.Seed)
-	if err != nil {
-		return 0, err
-	}
-	for core := 0; core < o.Cores; core++ {
-		for j := 0; j < perCore; j++ {
-			if _, _, err := d.Spawn(core, o.Seed+uint64(core*97+j)); err != nil {
-				return 0, err
-			}
-		}
-	}
-	if err := d.PrefaultAll(); err != nil {
-		return 0, err
-	}
-	if err := m.Run(o.WarmInstr); err != nil {
-		return 0, err
-	}
-	m.ResetStats()
-	if err := m.Run(o.MeasureInstr); err != nil {
-		return 0, err
-	}
-	return d.MeanLatency(), nil
-}
-
 // SweepColocation varies the number of containers per core (the paper
 // argues its 2-3 per core is conservative — container environments are
 // typically oversubscribed — so BabelFish's gains grow with density).
@@ -79,7 +48,9 @@ func (s *Suite) SweepColocation(o Options, perCore []int) func() *SweepResult {
 		Param:    "containers/core",
 		MetricID: "mean-lat",
 		Points:   perCore,
-	}, "colocation", func(a Arch, n int) (float64, error) { return mongoLatency(o, o.Params(a), n) })
+	}, func(a Arch, n int) *float64 {
+		return &s.serve(o, a.String(), o.Params(a), workloads.MongoDB(), n).meanLat
+	})
 }
 
 // SweepGroupSize varies the number of function containers sharing one
@@ -99,28 +70,32 @@ func (s *Suite) SweepGroupSize(o Options, sizes []int) func() *SweepResult {
 		Param:    "containers",
 		MetricID: "sum-exec-cycles",
 		Points:   sizes,
-	}, "group-size", func(a Arch, n int) (float64, error) { return groupSizeRun(o, a, n) })
+	}, func(a Arch, n int) *float64 {
+		v := new(float64)
+		s.own.add(fmt.Sprintf("group-size/%d/%s", n, a), func() (err error) {
+			*v, err = groupSizeRun(o, a, n)
+			return err
+		})
+		return v
+	})
 }
 
-// sweep declares one cell labelled label/point/arch per point of res and
-// architecture, each measuring run(arch, point), and returns res with
-// the measured columns filled in.
-func (s *Suite) sweep(res SweepResult, label string, run func(Arch, int) (float64, error)) func() *SweepResult {
-	vals := make([][2]float64, len(res.Points))
+// sweep declares, through point, the cell measuring each point of res
+// under each architecture, and returns res with the measured columns
+// read from the slots point returns.
+func (s *Suite) sweep(res SweepResult, point func(a Arch, n int) *float64) func() *SweepResult {
+	vals := make([][2]*float64, len(res.Points))
 	for pi, n := range res.Points {
 		for ai, a := range [2]Arch{Baseline, BabelFish} {
-			s.own.add(fmt.Sprintf("%s/%d/%s", label, n, a), func() (err error) {
-				vals[pi][ai], err = run(a, n)
-				return err
-			})
+			vals[pi][ai] = point(a, n)
 		}
 	}
 	return func() *SweepResult {
 		r := res
 		for _, v := range vals {
-			r.Base = append(r.Base, v[0])
-			r.BF = append(r.BF, v[1])
-			r.RedPct = append(r.RedPct, metrics.ReductionPct(v[0], v[1]))
+			r.Base = append(r.Base, *v[0])
+			r.BF = append(r.BF, *v[1])
+			r.RedPct = append(r.RedPct, metrics.ReductionPct(*v[0], *v[1]))
 		}
 		return &r
 	}
@@ -172,38 +147,29 @@ type VariantsResult struct {
 // Variants runs the comparison on MongoDB.
 func Variants(o Options) (*VariantsResult, error) { return alone(o, (*Suite).Variants) }
 
-// Variants declares the comparison's cells on s, one per variant.
+// Variants declares the comparison's serving runs on s, one per variant;
+// the baseline and ASLR-HW rows are the runs Figure 11 reads.
 func (s *Suite) Variants(o Options) func() *VariantsResult {
-	type variant struct {
+	aslrSW := o.Params(BabelFish)
+	aslrSW.Kernel.ASLR = kernel.ASLRSW
+	aslrSW.MMU.ASLRHW = false
+	noMask := o.Params(BabelFish)
+	noMask.Kernel.NoPCBitmask = true
+	pmd := o.Params(BabelFish)
+	pmd.Kernel.ShareLevel = memdefs.LvlPMD
+	vs := []struct {
 		name string
-		prep func() sim.Params
+		p    sim.Params
+	}{
+		{"baseline", o.Params(Baseline)},
+		{"babelfish (ASLR-HW)", o.Params(BabelFish)},
+		{"babelfish (ASLR-SW)", aslrSW},
+		{"babelfish (no PC bitmask)", noMask},
+		{"babelfish (PMD-level sharing)", pmd},
 	}
-	vs := []variant{
-		{"baseline", func() sim.Params { return o.Params(Baseline) }},
-		{"babelfish (ASLR-HW)", func() sim.Params { return o.Params(BabelFish) }},
-		{"babelfish (ASLR-SW)", func() sim.Params {
-			p := o.Params(BabelFish)
-			p.Kernel.ASLR = kernel.ASLRSW
-			p.MMU.ASLRHW = false
-			return p
-		}},
-		{"babelfish (no PC bitmask)", func() sim.Params {
-			p := o.Params(BabelFish)
-			p.Kernel.NoPCBitmask = true
-			return p
-		}},
-		{"babelfish (PMD-level sharing)", func() sim.Params {
-			p := o.Params(BabelFish)
-			p.Kernel.ShareLevel = memdefs.LvlPMD
-			return p
-		}},
-	}
-	lats := make([]float64, len(vs))
+	cells := make([]*servingCell, len(vs))
 	for i, v := range vs {
-		s.own.add("variants/"+v.name, func() (err error) {
-			lats[i], err = mongoLatency(o, v.prep(), 2)
-			return err
-		})
+		cells[i] = s.serve(o, v.name, v.p, workloads.MongoDB(), paperPerCore)
 	}
 	return func() *VariantsResult {
 		// Row 0 is the baseline; its own reduction is ReductionPct(x, x) = 0.
@@ -211,8 +177,8 @@ func (s *Suite) Variants(o Options) func() *VariantsResult {
 		for i, v := range vs {
 			res.Rows = append(res.Rows, VariantRow{
 				Variant: v.name,
-				MeanLat: lats[i],
-				RedPct:  metrics.ReductionPct(lats[0], lats[i]),
+				MeanLat: cells[i].meanLat,
+				RedPct:  metrics.ReductionPct(cells[0].meanLat, cells[i].meanLat),
 			})
 		}
 		return res
@@ -233,33 +199,23 @@ type SMTResult struct {
 // SweepSMT measures MongoDB under both co-scheduling styles.
 func SweepSMT(o Options) (*SMTResult, error) { return alone(o, (*Suite).SweepSMT) }
 
-// SweepSMT declares the comparison's four cells on s, each writing a
-// distinct result field.
+// SweepSMT declares the comparison's four serving runs on s; the
+// time-multiplexed ones are the runs Figure 11 reads.
 func (s *Suite) SweepSMT(o Options) func() *SMTResult {
-	res := &SMTResult{}
-	cells := []struct {
-		label string
-		arch  Arch
-		smt   bool
-		dst   *float64
-	}{
-		{"smt/baseline/tm", Baseline, false, &res.BaseTM},
-		{"smt/baseline/smt", Baseline, true, &res.BaseSMT},
-		{"smt/babelfish/tm", BabelFish, false, &res.BFTM},
-		{"smt/babelfish/smt", BabelFish, true, &res.BFSMT},
-	}
-	for _, c := range cells {
-		s.own.add(c.label, func() (err error) {
-			params := o.Params(c.arch)
-			params.SMT = c.smt
-			*c.dst, err = mongoLatency(o, params, 2)
-			return err
-		})
+	var tm, smt [2]*servingCell
+	for i, a := range [2]Arch{Baseline, BabelFish} {
+		tm[i] = s.servePaper(o, a, workloads.MongoDB())
+		p := o.Params(a)
+		p.SMT = true
+		smt[i] = s.serve(o, a.String()+"+SMT", p, workloads.MongoDB(), paperPerCore)
 	}
 	return func() *SMTResult {
-		res.RedTMPct = metrics.ReductionPct(res.BaseTM, res.BFTM)
-		res.RedSMTPct = metrics.ReductionPct(res.BaseSMT, res.BFSMT)
-		return res
+		return &SMTResult{
+			BaseTM: tm[0].meanLat, BaseSMT: smt[0].meanLat,
+			BFTM: tm[1].meanLat, BFSMT: smt[1].meanLat,
+			RedTMPct:  metrics.ReductionPct(tm[0].meanLat, tm[1].meanLat),
+			RedSMTPct: metrics.ReductionPct(smt[0].meanLat, smt[1].meanLat),
+		}
 	}
 }
 
@@ -279,7 +235,5 @@ func (r *VariantsResult) String() string {
 	for _, row := range r.Rows {
 		t.Row(row.Variant, row.MeanLat, row.RedPct)
 	}
-	var b strings.Builder
-	b.WriteString(t.String())
-	return b.String()
+	return t.String()
 }

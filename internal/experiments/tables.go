@@ -94,7 +94,7 @@ func (s *Suite) LargerTLB(o Options) func() *LargerTLBResult {
 	runs := make([][3]*servingCell, len(specs))
 	for i, spec := range specs {
 		for ai, a := range [3]Arch{Baseline, BaselineLargerTLB, BabelFish} {
-			runs[i][ai] = s.serve(o, a, spec)
+			runs[i][ai] = s.servePaper(o, a, spec)
 		}
 	}
 	return func() *LargerTLBResult {
@@ -219,8 +219,8 @@ func Resources(o Options) (*ResourcesResult, error) { return alone(o, (*Suite).R
 func (s *Suite) Resources(o Options) func() *ResourcesResult {
 	oo := o
 	oo.Cores = 2
-	base := s.serve(oo, Baseline, workloads.MongoDB())
-	bf := s.serve(oo, BabelFish, workloads.MongoDB())
+	base := s.servePaper(oo, Baseline, workloads.MongoDB())
+	bf := s.servePaper(oo, BabelFish, workloads.MongoDB())
 	return func() *ResourcesResult {
 		res := &ResourcesResult{
 			AreaPct:       cacti.CoreAreaOverheadPct(cacti.BabelFishEntryBits()),
