@@ -24,9 +24,6 @@ type ChurnResult struct {
 	BFFaults    uint64
 	BasePeakMem int // peak allocated frames
 	BFPeakMem   int
-	BaseTables  int // page-table frames at the end of the run (deduped)
-	BFTables    int
-	TableRedPct float64
 	BaseForkCyc memdefs.Cycles
 	BFForkCyc   memdefs.Cycles
 }
@@ -43,25 +40,25 @@ func (s *Suite) Churn(o Options, waves int) func() *ChurnResult {
 	}
 	res := &ChurnResult{Waves: waves, PerWave: 3}
 
-	run := func(a Arch) (cycles float64, faults uint64, peak, tables int, forkCyc memdefs.Cycles, err error) {
+	run := func(a Arch) (cycles float64, faults uint64, peak int, forkCyc memdefs.Cycles, err error) {
 		oo := o
 		oo.Cores = 1
 		m := sim.New(oo.Params(a))
 		fg, err := workloads.DeployFaaS(m, true, o.Scale, o.Seed)
 		if err != nil {
-			return 0, 0, 0, 0, 0, err
+			return 0, 0, 0, 0, err
 		}
 		for w := 0; w < waves; w++ {
 			start := len(fg.Tasks)
 			for j, name := range fg.FunctionNames() {
 				_, fc, err := fg.Spawn(name, 0, o.Seed+uint64(w*31+j))
 				if err != nil {
-					return 0, 0, 0, 0, 0, err
+					return 0, 0, 0, 0, err
 				}
 				forkCyc += fc
 			}
 			if err := m.RunToCompletion(); err != nil {
-				return 0, 0, 0, 0, 0, err
+				return 0, 0, 0, 0, err
 			}
 			for _, task := range fg.Tasks[start:] {
 				if mean, ok := task.MeanOwn(); ok {
@@ -70,25 +67,19 @@ func (s *Suite) Churn(o Options, waves int) func() *ChurnResult {
 				task.Proc.Exit() // the container exits after its run
 			}
 		}
-		census := m.Kernel.TableCensus()
-		for _, n := range census {
-			tables += n
-		}
-		ag := m.Aggregate()
-		return cycles, ag.Faults, m.Mem.PeakAllocated(), tables, forkCyc, nil
+		return cycles, m.Aggregate().Faults, m.Mem.PeakAllocated(), forkCyc, nil
 	}
 
 	s.own.add("churn/Baseline", func() (err error) {
-		res.BaseCycles, res.BaseFaults, res.BasePeakMem, res.BaseTables, res.BaseForkCyc, err = run(Baseline)
+		res.BaseCycles, res.BaseFaults, res.BasePeakMem, res.BaseForkCyc, err = run(Baseline)
 		return err
 	})
 	s.own.add("churn/BabelFish", func() (err error) {
-		res.BFCycles, res.BFFaults, res.BFPeakMem, res.BFTables, res.BFForkCyc, err = run(BabelFish)
+		res.BFCycles, res.BFFaults, res.BFPeakMem, res.BFForkCyc, err = run(BabelFish)
 		return err
 	})
 	return func() *ChurnResult {
 		res.RedPct = metrics.ReductionPct(res.BaseCycles, res.BFCycles)
-		res.TableRedPct = metrics.ReductionPct(float64(res.BaseTables), float64(res.BFTables))
 		return res
 	}
 }

@@ -265,8 +265,7 @@ func TestReportMarkdown(t *testing.T) {
 }
 
 // TestChurn checks the serverless-churn experiment's directional claims:
-// BabelFish removes most cross-wave faults and shrinks page-table
-// memory.
+// BabelFish cuts the waves' execution cycles and their page faults.
 func TestChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn run")
