@@ -34,18 +34,17 @@ func MongoDB() *AppSpec {
 	}
 	spec.NewGen = func(d *Deployment, p *kernel.Process, idx int, seed uint64) sim.Generator {
 		g := &dataServingGen{
-			env:         d.Env(p),
-			rng:         NewRNG(seed ^ 0xA0A0),
-			workload:    ycsb.WorkloadB,
-			engine:      engineBTree,
-			hotFrac:     0.08,
-			privTheta:   0.95,
-			indexFrac:   16, // 1/16th of the dataset holds the B-tree
-			recordLines: 4,
-			privProbes:  2,
-			scratchOps:  2,
-			codeBursts:  3,
-			seed:        seed ^ 0x5151,
+			env:        d.Env(p),
+			rng:        NewRNG(seed ^ 0xA0A0),
+			workload:   ycsb.WorkloadB,
+			engine:     engineBTree,
+			hotFrac:    0.08,
+			privTheta:  0.95,
+			indexFrac:  16, // 1/16th of the dataset holds the B-tree
+			privProbes: 2,
+			scratchOps: 2,
+			codeBursts: 3,
+			seed:       seed ^ 0x5151,
 		}
 		g.init()
 		return g
@@ -75,19 +74,18 @@ func ArangoDB() *AppSpec {
 	}
 	spec.NewGen = func(d *Deployment, p *kernel.Process, idx int, seed uint64) sim.Generator {
 		g := &dataServingGen{
-			env:         d.Env(p),
-			rng:         NewRNG(seed ^ 0xB1B1),
-			workload:    ycsb.WorkloadC,
-			engine:      engineLSM,
-			hotFrac:     0.08,
-			dataTheta:   0.75, // LSM reads spread over the SSTs (cold pages keep faulting)
-			indexFrac:   24,
-			recordLines: 4,
-			privProbes:  4, // block cache reads and fills
-			privWrites:  2, // memtable writes
-			scratchOps:  2,
-			codeBursts:  3,
-			seed:        seed ^ 0x6262,
+			env:        d.Env(p),
+			rng:        NewRNG(seed ^ 0xB1B1),
+			workload:   ycsb.WorkloadC,
+			engine:     engineLSM,
+			hotFrac:    0.08,
+			dataTheta:  0.75, // LSM reads spread over the SSTs (cold pages keep faulting)
+			indexFrac:  24,
+			privProbes: 4, // block cache reads and fills
+			privWrites: 2, // memtable writes
+			scratchOps: 2,
+			codeBursts: 3,
+			seed:       seed ^ 0x6262,
 		}
 		g.init()
 		return g
@@ -114,19 +112,18 @@ func HTTPd() *AppSpec {
 	}
 	spec.NewGen = func(d *Deployment, p *kernel.Process, idx int, seed uint64) sim.Generator {
 		g := &dataServingGen{
-			env:         d.Env(p),
-			rng:         NewRNG(seed ^ 0xC2C2),
-			workload:    ycsb.WorkloadC,
-			engine:      engineBTree, // the docroot's directory metadata tree
-			hotFrac:     0.10,
-			privTheta:   0.95,
-			dataTheta:   0.90,
-			indexFrac:   16, // directory/metadata pages
-			recordLines: 4,
-			privProbes:  1,
-			scratchOps:  4,
-			codeBursts:  6, // parse-heavy: more instruction work per request
-			seed:        seed ^ 0x7373,
+			env:        d.Env(p),
+			rng:        NewRNG(seed ^ 0xC2C2),
+			workload:   ycsb.WorkloadC,
+			engine:     engineBTree, // the docroot's directory metadata tree
+			hotFrac:    0.10,
+			privTheta:  0.95,
+			dataTheta:  0.90,
+			indexFrac:  16, // directory/metadata pages
+			privProbes: 1,
+			scratchOps: 4,
+			codeBursts: 6, // parse-heavy: more instruction work per request
+			seed:       seed ^ 0x7373,
 		}
 		g.init()
 		return g
@@ -149,22 +146,25 @@ const (
 	engineLSM                     // RocksDB-style leveled LSM
 )
 
+// recordLines is the number of cache lines a request touches in its
+// record's page, in every data-serving app.
+const recordLines = 4
+
 type dataServingGen struct {
 	env Env
 	rng *RNG
 
-	workload    ycsb.Workload
-	engine      engineKind
-	hotFrac     float64
-	dataTheta   float64
-	privTheta   float64
-	indexFrac   int // index region = dataset/indexFrac
-	recordLines int
-	privProbes  int
-	privWrites  int
-	scratchOps  int
-	codeBursts  int
-	seed        uint64
+	workload   ycsb.Workload
+	engine     engineKind
+	hotFrac    float64
+	dataTheta  float64
+	privTheta  float64
+	indexFrac  int // index region = dataset/indexFrac
+	privProbes int
+	privWrites int
+	scratchOps int
+	codeBursts int
+	seed       uint64
 
 	code     *codeWalker
 	reqs     *ycsb.Generator
@@ -183,20 +183,11 @@ type dataServingGen struct {
 
 func (g *dataServingGen) init() {
 	e := &g.env
-	if g.hotFrac == 0 {
-		g.hotFrac = 0.08
-	}
 	if g.dataTheta == 0 {
 		g.dataTheta = 0.99
 	}
 	if g.privTheta == 0 {
 		g.privTheta = 0.80
-	}
-	if g.indexFrac == 0 {
-		g.indexFrac = 16
-	}
-	if g.recordLines == 0 {
-		g.recordLines = 4
 	}
 	g.code = newCodeWalker(e.P, g.rng, g.hotFrac, 0.10, e.RBin, e.RLibs, e.RInfra)
 	g.indexPages = e.RDataset.Pages / g.indexFrac
@@ -327,9 +318,9 @@ func (g *dataServingGen) buildRequest() {
 		// The record itself.
 		switch req.Op {
 		case ycsb.OpRead:
-			probe(e.RDataset, g.recordPage(req.Key), false, g.recordLines, g.salt*7)
+			probe(e.RDataset, g.recordPage(req.Key), false, recordLines, g.salt*7)
 		case ycsb.OpUpdate, ycsb.OpInsert:
-			probe(e.RDataset, g.recordPage(req.Key), g.dsWritable, g.recordLines, g.salt*7)
+			probe(e.RDataset, g.recordPage(req.Key), g.dsWritable, recordLines, g.salt*7)
 			if !g.dsWritable {
 				// LSM-style stores buffer updates privately (memtable).
 				probe(e.RPrivate, g.zipfPriv.Draw(g.rng.Float64()), true, 2, g.salt*11)
@@ -348,7 +339,7 @@ func (g *dataServingGen) buildRequest() {
 			}
 		case ycsb.OpReadModifyWrite:
 			pg := g.recordPage(req.Key)
-			probe(e.RDataset, pg, false, g.recordLines, g.salt*7)
+			probe(e.RDataset, pg, false, recordLines, g.salt*7)
 			probe(e.RDataset, pg, g.dsWritable, 2, g.salt*17)
 		}
 		// Private state (block cache, session heap).
