@@ -112,9 +112,11 @@ func TestSuiteKeysOnOptions(t *testing.T) {
 // TestSweepsReadFigure11Runs: the -exp sweeps plan holds 23 cells, and
 // the MongoDB runs it shares with Figure 11 (the colocation sweep's
 // 2-per-core point, the baseline and ASLR-HW variants, SMT's
-// time-multiplexed row) read Figure 11's numbers on one Suite.
+// time-multiplexed row) read Figure 11's numbers on one Suite. Short
+// phases keep it cheap: the rows are equal at any length.
 func TestSweepsReadFigure11Runs(t *testing.T) {
 	o := Quick()
+	o.WarmInstr, o.MeasureInstr = 20_000, 40_000
 	s := new(Suite)
 	coloc, _ := s.SweepColocation(o, nil), s.SweepGroupSize(o, nil)
 	variants, smt, _ := s.Variants(o), s.SweepSMT(o), s.Churn(o, 4)
@@ -131,6 +133,9 @@ func TestSweepsReadFigure11Runs(t *testing.T) {
 	f := fig11()
 	i := slices.Index(f.ServingApps, "mongodb")
 	base, bf := f.ServingMean[i].Base, f.ServingMean[i].Full
+	if base <= 0 || bf <= 0 {
+		t.Fatalf("Figure 11's MongoDB means are %v / %v", base, bf)
+	}
 	c, v, m := coloc(), variants(), smt()
 	p := slices.Index(c.Points, paperPerCore)
 	for _, got := range []struct {
