@@ -33,7 +33,10 @@ func (r *SweepResult) String() string {
 
 // SweepColocation varies the number of containers per core (the paper
 // argues its 2-3 per core is conservative — container environments are
-// typically oversubscribed — so BabelFish's gains grow with density).
+// typically oversubscribed — so BabelFish's gains should grow with
+// density; EXPERIMENTS.md records the measured gains, which are not
+// monotone). Each point is a serving run; the 2-per-core point is the
+// run Figure 11 reads.
 func SweepColocation(o Options, perCore []int) (*SweepResult, error) {
 	return alone(o, func(s *Suite, o Options) func() *SweepResult { return s.SweepColocation(o, perCore) })
 }
