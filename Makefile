@@ -28,11 +28,14 @@ race:
 # and 4, its -core-shards 1 and 4 runs against
 # testdata/sharded_suite_golden.json, the quick text suite at -jobs 1
 # against -jobs 4, the quick sweeps against
-# testdata/sweeps_quick_golden.txt and the full suite (~20 s on 2 CPUs)
-# against testdata/full_suite_golden.json.
+# testdata/sweeps_quick_golden.txt, the full suite (~20 s on 2 CPUs)
+# against testdata/full_suite_golden.json, and bffleet's flash-crowd run
+# (the loadgen-determinism job's command) against
+# testdata/fleet_flash_golden.txt.
 identity:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o $$tmp/bfbench ./cmd/bfbench && \
+	$(GO) build -o $$tmp/bffleet ./cmd/bffleet && \
 	$$tmp/bfbench -quick -format json > $$tmp/quick.json && \
 	cmp testdata/arch_identity_golden.json $$tmp/quick.json && \
 	for j in 1 4; do \
@@ -50,4 +53,7 @@ identity:
 	cmp testdata/sweeps_quick_golden.txt $$tmp/sweeps.txt && \
 	$$tmp/bfbench -format json > $$tmp/full.json && \
 	cmp testdata/full_suite_golden.json $$tmp/full.json && \
-	echo "identity: quick (default, -jobs 1 and 4), sharded (1, 4), text (-jobs 1 = 4), sweeps and full suite match"
+	$$tmp/bffleet -arch babelfish -nodes 4 -containers 8 -epochs 24 \
+		-load-shape flash -load-rps 8 -load-peak 256 -queue-cap 8 -audit > $$tmp/fleet.txt && \
+	cmp testdata/fleet_flash_golden.txt $$tmp/fleet.txt && \
+	echo "identity: quick (default, -jobs 1 and 4), sharded (1, 4), text (-jobs 1 = 4), sweeps, full suite and fleet flash match"
