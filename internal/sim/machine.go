@@ -55,10 +55,10 @@ type Generator interface {
 // BatchGenerator is an optional Generator extension: NextBatch fills up
 // to len(buf) steps and returns how many were produced — exactly the
 // steps Next would have produced, in the same order. Short non-zero
-// counts are fine mid-stream; zero means the stream is complete. The
-// scheduler drains batching generators a request's worth at a time, so
-// the inner loop pays one dynamic dispatch per slice instead of one per
-// memory access.
+// counts are fine mid-stream; zero means the stream is complete.
+// Generators write their steps straight into buf, the task's carry
+// buffer, so the inner loop pays one dynamic dispatch per slice instead
+// of one per memory access, and each step is written once.
 //
 // Identity contract: the scheduler consumes everything a call returned
 // before calling again, so a generator whose build machinery mutates

@@ -111,7 +111,7 @@ type graphGen struct {
 	layout graph.Layout
 	code   *codeWalker
 	vertex int // sequential PageRank scan position
-	q      stepQueue
+	out    sink
 	salt   uint64
 
 	// Shard rotation: GraphChi's "memory caching" unmaps and remaps
@@ -189,13 +189,10 @@ func (g *graphGen) rankPage(v int) int {
 // its RowPtr page, stream its out-edges from the CSR edge section
 // (buffered privately, as GraphChi does), and scatter rank contributions
 // to its neighbours' (random, power-law) rank pages.
-func (g *graphGen) buildBatch() {
-	e, p := &g.env, g.env.P
+func (g *graphGen) buildBatch() bool {
+	e := &g.env
 	g.salt++
-	var s sim.Step
-	g.code.next(&s)
-	s.Req = sim.ReqStart
-	g.q.push(s)
+	g.code.next(g.out.slot(), sim.ReqStart)
 
 	v := g.vertex % g.g.N
 	g.vertex++
@@ -206,8 +203,7 @@ func (g *graphGen) buildBatch() {
 	}
 
 	// RowPtr page: sequential over the vertex section.
-	dataStep(&s, p, pageAddr(e.RDataset, g.datasetPage(g.layout.VertexPage(v)), g.salt), false, 4)
-	g.q.push(s)
+	g.out.data(e.pageVA(&e.RDataset, g.datasetPage(g.layout.VertexPage(v)))+lineOff(g.salt), false, 4)
 
 	// Stream this vertex's edges from the shared CSR (consecutive pages),
 	// copying them through the private shard buffers.
@@ -220,23 +216,19 @@ func (g *graphGen) buildBatch() {
 	for i := 0; i < edges; i++ {
 		pg := g.datasetPage(g.layout.EdgePage(lo + i))
 		if pg != lastPage {
-			dataStep(&s, p, pageAddr(e.RDataset, pg, g.salt*11+uint64(i)), false, 3)
-			g.q.push(s)
+			g.out.data(e.pageVA(&e.RDataset, pg)+lineOff(g.salt*11+uint64(i)), false, 3)
 			lastPage = pg
 		}
 		// Buffered copy (private, low locality across shards).
 		if i%4 == 0 {
-			dataStep(&s, p, pageAddr(e.RPrivate, g.rng.Intn(e.RPrivate.Pages), g.salt*7+uint64(i)), true, 4)
-			g.q.push(s)
+			g.out.data(e.pageVA(&e.RPrivate, g.rng.Intn(e.RPrivate.Pages))+lineOff(g.salt*7+uint64(i)), true, 4)
 		}
 	}
 	// Consume the buffers.
 	for i := 0; i < 4; i++ {
-		dataStep(&s, p, pageAddr(e.RPrivate, g.rng.Intn(e.RPrivate.Pages), g.salt*3+uint64(i)), false, 4)
-		g.q.push(s)
+		g.out.data(e.pageVA(&e.RPrivate, g.rng.Intn(e.RPrivate.Pages))+lineOff(g.salt*3+uint64(i)), false, 4)
 		if i == 1 {
-			g.code.next(&s)
-			g.q.push(s)
+			g.code.next(g.out.slot(), sim.ReqNone)
 		}
 	}
 	// Gather/scatter with the real neighbours: read each neighbour's
@@ -248,14 +240,11 @@ func (g *graphGen) buildBatch() {
 	}
 	for i := 0; i < scatter; i++ {
 		w := int(g.g.Dst[lo+(i*7)%max(edges, 1)])
-		dataStep(&s, p, pageAddr(e.RDataset, g.datasetPage(g.layout.VertexPage(w)), g.salt*17+uint64(i)), false, 4)
-		g.q.push(s)
-		dataStep(&s, p, pageAddr(e.RScratch, g.rankPage(w), g.salt*13+uint64(i)), true, 4)
-		g.q.push(s)
+		g.out.data(e.pageVA(&e.RDataset, g.datasetPage(g.layout.VertexPage(w)))+lineOff(g.salt*17+uint64(i)), false, 4)
+		g.out.data(e.pageVA(&e.RScratch, g.rankPage(w))+lineOff(g.salt*13+uint64(i)), true, 4)
 	}
-	g.code.next(&s)
-	s.Req = sim.ReqEnd
-	g.q.push(s)
+	g.code.next(g.out.slot(), sim.ReqEnd)
+	return true
 }
 
 func max(a, b int) int {
@@ -266,22 +255,17 @@ func max(a, b int) int {
 }
 
 func (g *graphGen) Next(out *sim.Step) bool {
-	if g.q.empty() {
-		g.buildBatch()
-	}
-	return g.q.pop(out)
+	return g.out.next(out, g.buildBatch)
 }
 
 // NextBatch implements sim.BatchGenerator. At most one vertex is built
-// per call: buildBatch can rotate a dataset shard (unmap + remap, with
-// shootdowns), and building exactly when the previous steps have all been
-// consumed keeps those kernel mutations at the same point in machine time
-// as step-at-a-time generation.
+// per call, and only once the previous vertex's steps have all been
+// handed out: buildBatch can rotate a dataset shard (unmap + remap, with
+// shootdowns), and building exactly when the previous steps have all
+// been consumed keeps those kernel mutations at the same point in
+// machine time as step-at-a-time generation.
 func (g *graphGen) NextBatch(buf []sim.Step) int {
-	if g.q.empty() {
-		g.buildBatch()
-	}
-	return g.q.popN(buf)
+	return g.out.batch(buf, g.buildBatch, true)
 }
 
 // MutatesKernel implements sim.KernelMutator: shard rotation unmaps and
@@ -320,7 +304,7 @@ type fioGen struct {
 	rng  *RNG
 	code *codeWalker
 	zipf *ycsb.Zipf
-	q    stepQueue
+	out  sink
 	salt uint64
 }
 
@@ -335,45 +319,29 @@ func newFioGen(env Env, seed uint64) *fioGen {
 	}
 }
 
-func (g *fioGen) buildOp() {
-	e, p := &g.env, g.env.P
+func (g *fioGen) buildOp() bool {
+	e := &g.env
 	g.salt++
-	var s sim.Step
-	g.code.next(&s)
-	s.Req = sim.ReqStart
-	g.q.push(s)
+	g.code.next(g.out.slot(), sim.ReqStart)
 
 	write := g.rng.Bool(0.30)
-	page := g.zipf.Draw(g.rng.Float64())
+	va := e.pageVA(&e.RDataset, g.zipf.Draw(g.rng.Float64()))
 	// A 4KB block op touches several lines of the target page.
 	for i := 0; i < 6; i++ {
-		dataStep(&s, p, pageAddr(e.RDataset, page, g.salt*17+uint64(i)*5), write, 3)
-		g.q.push(s)
+		g.out.data(va+lineOff(g.salt*17+uint64(i)*5), write, 3)
 	}
 	// Copy through the small I/O buffer.
-	dataStep(&s, p, pageAddr(e.RPrivate, g.rng.Intn(e.RPrivate.Pages), g.salt), true, 3)
-	g.q.push(s)
+	g.out.data(e.pageVA(&e.RPrivate, g.rng.Intn(e.RPrivate.Pages))+lineOff(g.salt), true, 3)
 
-	g.code.next(&s)
-	s.Req = sim.ReqEnd
-	g.q.push(s)
+	g.code.next(g.out.slot(), sim.ReqEnd)
+	return true
 }
 
 func (g *fioGen) Next(out *sim.Step) bool {
-	if g.q.empty() {
-		g.buildOp()
-	}
-	return g.q.pop(out)
+	return g.out.next(out, g.buildOp)
 }
 
 // NextBatch implements sim.BatchGenerator.
 func (g *fioGen) NextBatch(buf []sim.Step) int {
-	n := 0
-	for n < len(buf) {
-		if g.q.empty() {
-			g.buildOp()
-		}
-		n += g.q.popN(buf[n:])
-	}
-	return n
+	return g.out.batch(buf, g.buildOp, false)
 }

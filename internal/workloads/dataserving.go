@@ -176,7 +176,7 @@ type dataServingGen struct {
 	indexPages     int
 	dsWritable     bool
 
-	q       stepQueue
+	out     sink
 	salt    uint64
 	pageBuf []kvstore.PageID // indexWalk's reused lookup result
 }
@@ -250,17 +250,15 @@ func (g *dataServingGen) recordPage(key int) int {
 	return p
 }
 
-// indexWalk yields the index pages a key lookup touches. For the B+tree
-// engine it is the real root→leaf path (mapped into the hot index
-// region); for the LSM engine it is the bloom/index pages of the lookup,
-// with the data pages handled by the record access itself.
-func (g *dataServingGen) indexWalk(key int, visit func(page int)) {
+// indexWalk returns the index pages a key lookup touches, before their
+// mapping into the index region. For the B+tree engine it is the real
+// root→leaf path; for the LSM engine it is the bloom/index pages of the
+// lookup, with the data pages handled by the record access itself.
+func (g *dataServingGen) indexWalk(key int) []kvstore.PageID {
 	switch g.engine {
 	case engineBTree:
 		g.pageBuf = g.btree.AppendPagePath(g.pageBuf[:0], key)
-		for _, pg := range g.pageBuf {
-			visit(int(pg) % g.indexPages)
-		}
+		return g.pageBuf
 	case engineLSM:
 		// 10% of reads hit a recent L0 run.
 		var salt uint64
@@ -268,62 +266,46 @@ func (g *dataServingGen) indexWalk(key int, visit func(page int)) {
 			salt = g.rng.Uint64() | 1
 		}
 		g.pageBuf = g.lsm.AppendLookup(g.pageBuf[:0], key, salt)
-		// All but the final data page are index-side structures; map the
-		// metadata into the hot index region and let the record access
-		// cover the data page.
-		for i, pg := range g.pageBuf {
-			if i == len(g.pageBuf)-1 {
-				break
-			}
-			visit(int(pg) % g.indexPages)
+		// All but the final data page are index-side structures.
+		if n := len(g.pageBuf); n > 0 {
+			return g.pageBuf[:n-1]
 		}
+	}
+	return nil
+}
+
+// probe touches several cache lines of one page (a record or index node
+// spans hundreds of bytes), which keeps the L1 TLB useful and puts
+// realistic line pressure on the cache hierarchy.
+func (g *dataServingGen) probe(r *kernel.Region, page int, write bool, lines int, salt uint64) {
+	va := g.env.pageVA(r, page)
+	for l := 0; l < lines; l++ {
+		g.out.data(va+lineOff(salt*5+uint64(l)*7), write, 2)
 	}
 }
 
-// buildRequest enqueues one YCSB request's steps.
-func (g *dataServingGen) buildRequest() {
-	e, p := &g.env, g.env.P
+// buildRequest adds one YCSB request's steps to the sink.
+func (g *dataServingGen) buildRequest() bool {
+	e := &g.env
 	g.salt++
-	var s sim.Step
 
-	first := true
-	emitCode := func() {
-		g.code.next(&s)
-		if first {
-			s.Req = sim.ReqStart
-			first = false
-		}
-		g.q.push(s)
-	}
-
-	// probe touches several cache lines of one page (a record or index
-	// node spans hundreds of bytes), which keeps the L1 TLB useful and
-	// puts realistic line pressure on the cache hierarchy.
-	probe := func(r kernel.Region, page int, write bool, lines int, salt uint64) {
-		for l := 0; l < lines; l++ {
-			dataStep(&s, p, pageAddr(r, page, salt*5+uint64(l)*7), write, 2)
-			g.q.push(s)
-		}
-	}
-
-	emitCode()
+	g.code.next(g.out.slot(), sim.ReqStart)
 	for b := 0; b < g.codeBursts; b++ {
 		req := g.reqs.Next()
-		// Index walk for the request's key.
-		i := 0
-		g.indexWalk(req.Key, func(page int) {
-			probe(e.RDataset, page, false, 2, g.salt+uint64(i))
-			i++
-		})
+		// Index walk for the request's key, mapped into the hot index
+		// region.
+		for i, pg := range g.indexWalk(req.Key) {
+			g.probe(&e.RDataset, int(pg)%g.indexPages, false, 2, g.salt+uint64(i))
+		}
 		// The record itself.
 		switch req.Op {
 		case ycsb.OpRead:
-			probe(e.RDataset, g.recordPage(req.Key), false, recordLines, g.salt*7)
+			g.probe(&e.RDataset, g.recordPage(req.Key), false, recordLines, g.salt*7)
 		case ycsb.OpUpdate, ycsb.OpInsert:
-			probe(e.RDataset, g.recordPage(req.Key), g.dsWritable, recordLines, g.salt*7)
+			g.probe(&e.RDataset, g.recordPage(req.Key), g.dsWritable, recordLines, g.salt*7)
 			if !g.dsWritable {
 				// LSM-style stores buffer updates privately (memtable).
-				probe(e.RPrivate, g.zipfPriv.Draw(g.rng.Float64()), true, 2, g.salt*11)
+				g.probe(&e.RPrivate, g.zipfPriv.Draw(g.rng.Float64()), true, 2, g.salt*11)
 			}
 		case ycsb.OpScan:
 			pages := req.ScanLen / g.recordsPerPage
@@ -335,48 +317,37 @@ func (g *dataServingGen) buildRequest() {
 			}
 			start := g.recordPage(req.Key)
 			for j := 0; j < pages; j++ {
-				probe(e.RDataset, start+j, false, 2, g.salt*13+uint64(j))
+				g.probe(&e.RDataset, start+j, false, 2, g.salt*13+uint64(j))
 			}
 		case ycsb.OpReadModifyWrite:
 			pg := g.recordPage(req.Key)
-			probe(e.RDataset, pg, false, recordLines, g.salt*7)
-			probe(e.RDataset, pg, g.dsWritable, 2, g.salt*17)
+			g.probe(&e.RDataset, pg, false, recordLines, g.salt*7)
+			g.probe(&e.RDataset, pg, g.dsWritable, 2, g.salt*17)
 		}
 		// Private state (block cache, session heap).
 		for j := 0; j < g.privProbes; j++ {
-			probe(e.RPrivate, g.zipfPriv.Draw(g.rng.Float64()), false, 3, g.salt*3+uint64(j))
+			g.probe(&e.RPrivate, g.zipfPriv.Draw(g.rng.Float64()), false, 3, g.salt*3+uint64(j))
 		}
 		for j := 0; j < g.privWrites; j++ {
-			probe(e.RPrivate, g.zipfPriv.Draw(g.rng.Float64()), true, 3, g.salt*5+uint64(j))
+			g.probe(&e.RPrivate, g.zipfPriv.Draw(g.rng.Float64()), true, 3, g.salt*5+uint64(j))
 		}
-		emitCode()
+		g.code.next(g.out.slot(), sim.ReqNone)
 	}
 	// Scratch (response assembly writes a few lines).
 	for j := 0; j < g.scratchOps; j++ {
-		probe(e.RScratch, g.rng.Intn(e.RScratch.Pages), true, 3, g.salt+uint64(j))
+		g.probe(&e.RScratch, g.rng.Intn(e.RScratch.Pages), true, 3, g.salt+uint64(j))
 	}
-	g.code.next(&s)
-	s.Req = sim.ReqEnd
-	g.q.push(s)
+	g.code.next(g.out.slot(), sim.ReqEnd)
+	return true
 }
 
 // Next implements sim.Generator; data-serving containers never finish.
 func (g *dataServingGen) Next(out *sim.Step) bool {
-	if g.q.empty() {
-		g.buildRequest()
-	}
-	return g.q.pop(out)
+	return g.out.next(out, g.buildRequest)
 }
 
-// NextBatch implements sim.BatchGenerator: whole requests are drained
-// into buf in one call instead of one interface dispatch per step.
+// NextBatch implements sim.BatchGenerator: requests are built straight
+// into buf until it is full.
 func (g *dataServingGen) NextBatch(buf []sim.Step) int {
-	n := 0
-	for n < len(buf) {
-		if g.q.empty() {
-			g.buildRequest()
-		}
-		n += g.q.popN(buf[n:])
-	}
-	return n
+	return g.out.batch(buf, g.buildRequest, false)
 }

@@ -84,7 +84,7 @@ type funcGen struct {
 	touched int
 	started bool
 	done    bool
-	q       stepQueue
+	out     sink
 }
 
 func newFuncGen(env Env, b FuncBehavior, seed uint64) *funcGen {
@@ -96,41 +96,46 @@ func newFuncGen(env Env, b FuncBehavior, seed uint64) *funcGen {
 	}
 }
 
-func (g *funcGen) buildChunk() {
-	d, p := &g.env, g.env.P
-	var s sim.Step
-	if g.page >= g.b.InputPages || g.page >= d.RDataset.Pages {
-		g.code.next(&s)
-		s.Req = sim.ReqEnd
-		g.q.push(s)
+// build adds the function's next steps to the sink: its ReqStart fetch
+// first, then a run of lines on the current input page, and a ReqEnd
+// fetch once the input has been processed.
+func (g *funcGen) build() bool {
+	d := &g.env
+	switch {
+	case g.done:
+		return false
+	case !g.started:
+		g.started = true
+		g.code.next(g.out.slot(), sim.ReqStart)
+		return true
+	case g.page >= g.b.InputPages || g.page >= d.RDataset.Pages:
 		g.done = true
-		return
+		g.code.next(g.out.slot(), sim.ReqEnd)
+		return true
 	}
 	// Touch a run of lines on the current input page, interleaved with
 	// instruction fetches.
+	va := d.pageVA(&d.RDataset, g.page)
 	for i := 0; i < 8 && g.line < g.b.LinesPerPage; i++ {
-		gva := lineAddr(d.RDataset, g.page, g.line*(linesPerPage/g.b.LinesPerPage))
-		dataStep(&s, p, gva, false, g.b.ThinkPerLine)
-		g.q.push(s)
+		line := g.line * (linesPerPage / g.b.LinesPerPage) % linesPerPage
+		g.out.data(va+memdefs.VAddr(line*lineBytes), false, g.b.ThinkPerLine)
 		g.touched++
 		g.line++
 		if g.b.OutWriteEvery > 0 && g.touched%g.b.OutWriteEvery == 0 {
-			dataStep(&s, p, pageAddr(d.RPrivate, g.touched%d.RPrivate.Pages, uint64(g.touched)), true, 3)
-			g.q.push(s)
+			g.out.data(d.pageVA(&d.RPrivate, g.touched%d.RPrivate.Pages)+lineOff(uint64(g.touched)), true, 3)
 		}
 		// Occasionally read runtime globals/config (shared data pages of
 		// the infrastructure image).
 		if g.touched%32 == 0 {
-			dataStep(&s, p, pageAddr(d.RInfra, g.rng.Intn(d.RInfra.Pages), uint64(g.touched)), false, 3)
-			g.q.push(s)
+			g.out.data(d.pageVA(&d.RInfra, g.rng.Intn(d.RInfra.Pages))+lineOff(uint64(g.touched)), false, 3)
 		}
 	}
-	g.code.next(&s)
-	g.q.push(s)
+	g.code.next(g.out.slot(), sim.ReqNone)
 	if g.line >= g.b.LinesPerPage {
 		g.line = 0
 		g.page++
 	}
+	return true
 }
 
 // Next implements sim.Generator; returns false once the input has been
@@ -138,29 +143,13 @@ func (g *funcGen) buildChunk() {
 // the function's own work: the container's bring-up runs first via a
 // Chain and is timed separately.
 func (g *funcGen) Next(out *sim.Step) bool {
-	if !g.started {
-		g.started = true
-		g.code.next(out)
-		out.Req = sim.ReqStart
-		return true
-	}
-	for g.q.empty() {
-		if g.done {
-			return false
-		}
-		g.buildChunk()
-	}
-	return g.q.pop(out)
+	return g.out.next(out, g.build)
 }
 
 // NextBatch implements sim.BatchGenerator; zero means the function's
 // input is fully processed.
 func (g *funcGen) NextBatch(buf []sim.Step) int {
-	n := 0
-	for n < len(buf) && g.Next(&buf[n]) {
-		n++
-	}
-	return n
+	return g.out.batch(buf, g.build, false)
 }
 
 // BringUp models `docker start` from a pre-created image: the runtime
@@ -175,7 +164,7 @@ type BringUp struct {
 
 	seqInfra, seqLibs, seqBin, seqData, seqHeap int
 	phase                                       int
-	q                                           stepQueue
+	out                                         sink
 	started                                     bool
 }
 
@@ -186,28 +175,19 @@ func NewBringUp(env Env, seed uint64) *BringUp {
 }
 
 func (b *BringUp) Next(out *sim.Step) bool {
-	if b.q.empty() && !b.fill() {
-		return false
-	}
-	return b.q.pop(out)
+	return b.out.next(out, b.fill)
 }
 
 // NextBatch implements sim.BatchGenerator; zero signals the end of
 // bring-up.
 func (b *BringUp) NextBatch(buf []sim.Step) int {
-	n := 0
-	for n < len(buf) {
-		if b.q.empty() && !b.fill() {
-			break
-		}
-		n += b.q.popN(buf[n:])
-	}
-	return n
+	return b.out.batch(buf, b.fill, false)
 }
 
+// fill adds the next bring-up step to the sink, or reports false once
+// bring-up is over.
 func (b *BringUp) fill() bool {
 	d, p := &b.env, b.env.P
-	var s sim.Step
 	mark := sim.ReqNone
 	if !b.started {
 		if !b.noMarks {
@@ -218,13 +198,7 @@ func (b *BringUp) fill() bool {
 	// Touch pages in phases: binary text, libraries, runtime infra, data
 	// segment writes (CoW), early heap writes.
 	push := func(gva memdefs.VAddr, write bool, kind memdefs.AccessKind) {
-		s.VA = p.ProcVA(gva)
-		s.Write = write
-		s.Kind = kind
-		s.Think = 12
-		s.Req = mark
-		mark = sim.ReqNone
-		b.q.push(s)
+		*b.out.slot() = sim.Step{VA: p.ProcVA(gva), Write: write, Kind: kind, Think: 12, Req: mark}
 	}
 	for {
 		switch b.phase {
@@ -268,12 +242,7 @@ func (b *BringUp) fill() bool {
 			if b.noMarks {
 				continue
 			}
-			s.VA = p.ProcVA(d.RBin.Start)
-			s.Kind = memdefs.AccessInstr
-			s.Write = false
-			s.Think = 12
-			s.Req = sim.ReqEnd
-			b.q.push(s)
+			*b.out.slot() = sim.Step{VA: p.ProcVA(d.RBin.Start), Kind: memdefs.AccessInstr, Think: 12, Req: sim.ReqEnd}
 			return true
 		default:
 			return false

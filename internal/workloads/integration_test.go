@@ -160,7 +160,7 @@ func TestCodeWalkerStaysInBounds(t *testing.T) {
 	w := newCodeWalker(proc, NewRNG(1), 0.2, 0.1, d.RBin, d.RLibs)
 	var s sim.Step
 	for i := 0; i < 10_000; i++ {
-		w.next(&s)
+		w.next(&s, sim.ReqNone)
 		gva := proc.GroupVA(s.VA)
 		inBin := gva >= d.RBin.Start && gva < d.RBin.End()
 		inLibs := gva >= d.RLibs.Start && gva < d.RLibs.End()

@@ -2,10 +2,6 @@ package workloads
 
 import "babelfish/internal/sim"
 
-// gateBufSteps sizes the gate's internal carry buffer, matching the
-// scheduler's own batch granularity.
-const gateBufSteps = 256
-
 // RequestGate wraps a workload generator with an open-loop admission
 // valve: it forwards the inner stream unchanged but stops at a request
 // boundary once the cumulative emitted-request count reaches the
@@ -17,16 +13,17 @@ const gateBufSteps = 256
 // The gate preserves the scheduler's generator contracts: it is a
 // BatchGenerator, it reports the inner generator's KernelMutator
 // marker, and when the inner generator mutates kernel state the gate
-// refills from it at most once per NextBatch call (steps the inner call
-// produced beyond the target stay buffered here and are emitted, in
-// order, once the target rises).
+// refills from it at most once per NextBatch call. The inner generator
+// writes straight into the caller's buffer; only the steps it produced
+// beyond the target are carried here and emitted, in order, once the
+// target rises.
 type RequestGate struct {
 	inner   sim.Generator
 	bg      sim.BatchGenerator
 	mutates bool
 
-	buf    []sim.Step
-	pos, n int
+	carry []sim.Step
+	pos   int // next carried step to emit
 
 	target    uint64 // requests admitted so far (cumulative)
 	emitted   uint64 // requests fully emitted so far (cumulative)
@@ -35,7 +32,7 @@ type RequestGate struct {
 
 // NewRequestGate wraps inner. The gate starts fully starved (target 0).
 func NewRequestGate(inner sim.Generator) *RequestGate {
-	g := &RequestGate{inner: inner, buf: make([]sim.Step, gateBufSteps)}
+	g := &RequestGate{inner: inner}
 	g.bg, _ = inner.(sim.BatchGenerator)
 	if km, ok := inner.(sim.KernelMutator); ok {
 		g.mutates = km.MutatesKernel()
@@ -74,29 +71,41 @@ func (g *RequestGate) NextBatch(out []sim.Step) int {
 		return 0
 	}
 	filled := 0
-	refilled := false
-	for filled < len(out) && g.emitted < g.target {
-		if g.pos == g.n {
-			// Identity contract: a kernel-mutating inner generator builds
-			// at most once per scheduler call into the gate.
-			if g.mutates && refilled {
-				break
-			}
-			g.refill()
-			refilled = true
-			if g.pos == g.n {
-				break // inner stream complete
-			}
-		}
-		s := g.buf[g.pos]
+	for filled < len(out) && g.emitted < g.target && g.pos < len(g.carry) {
+		out[filled] = g.carry[g.pos]
 		g.pos++
-		out[filled] = s
+		g.count(out[filled])
 		filled++
-		if s.Req == sim.ReqEnd {
-			g.emitted++
+	}
+	if g.pos < len(g.carry) || filled == len(out) || g.emitted >= g.target {
+		return filled
+	}
+	g.carry, g.pos = g.carry[:0], 0
+	// Identity contract: a kernel-mutating inner generator builds at
+	// most once per scheduler call into the gate, so it is pulled once.
+	for filled < len(out) && g.emitted < g.target {
+		end := filled + g.pull(out[filled:])
+		if end == filled {
+			g.innerDone = true
+			break
+		}
+		for filled < end && g.emitted < g.target {
+			g.count(out[filled])
+			filled++
+		}
+		g.carry = append(g.carry, out[filled:end]...)
+		if g.mutates {
+			break
 		}
 	}
 	return filled
+}
+
+// count records a request that the emitted step s ends.
+func (g *RequestGate) count(s sim.Step) {
+	if s.Req == sim.ReqEnd {
+		g.emitted++
+	}
 }
 
 // Next emits one admitted step. (sim.Generator)
@@ -109,15 +118,13 @@ func (g *RequestGate) Next(s *sim.Step) bool {
 	return true
 }
 
-// refill pulls the next slice of the inner stream into the carry buffer.
-func (g *RequestGate) refill() {
-	g.pos, g.n = 0, 0
+// pull asks the inner generator for the next slice of its stream.
+func (g *RequestGate) pull(buf []sim.Step) int {
 	if g.bg != nil {
-		g.n = g.bg.NextBatch(g.buf)
-	} else if g.inner.Next(&g.buf[0]) {
-		g.n = 1
+		return g.bg.NextBatch(buf)
 	}
-	if g.n == 0 {
-		g.innerDone = true
+	if g.inner.Next(&buf[0]) {
+		return 1
 	}
+	return 0
 }

@@ -12,10 +12,8 @@ import (
 // libraries). One emitted I-fetch step stands for a whole 64-byte fetch
 // line, i.e. ~16 instructions of think time on the 2-issue core.
 type codeWalker struct {
-	proc     *kernel.Process
 	rng      *RNG
-	regions  []kernel.Region // code regions (group VA)
-	hotPages []memdefs.VAddr // hot page base addresses (group VA)
+	hotPages []memdefs.VAddr // hot page base addresses (process VA)
 	page     int             // current hot page index
 	line     int             // current line within the page
 	jumpProb float64
@@ -28,8 +26,10 @@ const (
 )
 
 // newCodeWalker picks hotFrac of the pages of each region as the hot set.
+// A process's ASLR offsets are fixed at fork, so the hot pages are
+// translated to process VAs once, here.
 func newCodeWalker(proc *kernel.Process, rng *RNG, hotFrac float64, jumpProb float64, regions ...kernel.Region) *codeWalker {
-	w := &codeWalker{proc: proc, rng: rng, regions: regions, jumpProb: jumpProb}
+	w := &codeWalker{rng: rng, jumpProb: jumpProb}
 	for _, r := range regions {
 		hot := int(float64(r.Pages) * hotFrac)
 		if hot < 1 {
@@ -43,7 +43,7 @@ func newCodeWalker(proc *kernel.Process, rng *RNG, hotFrac float64, jumpProb flo
 			stride = 1
 		}
 		for i := 0; i < hot; i++ {
-			w.hotPages = append(w.hotPages, r.PageVA(i*stride))
+			w.hotPages = append(w.hotPages, proc.ProcVA(r.PageVA(i*stride)))
 		}
 	}
 	if len(w.hotPages) == 0 {
@@ -52,14 +52,14 @@ func newCodeWalker(proc *kernel.Process, rng *RNG, hotFrac float64, jumpProb flo
 	return w
 }
 
-// next fills an instruction-fetch step and returns it.
-func (w *codeWalker) next(s *sim.Step) {
-	gva := w.hotPages[w.page] + memdefs.VAddr(w.line*lineBytes)
-	s.VA = w.proc.ProcVA(gva)
-	s.Kind = memdefs.AccessInstr
-	s.Write = false
-	s.Think = instrsPerLine
-	s.Req = sim.ReqNone
+// next fills s with the next instruction fetch, marked req.
+func (w *codeWalker) next(s *sim.Step, req sim.ReqMark) {
+	*s = sim.Step{
+		VA:    w.hotPages[w.page] + memdefs.VAddr(w.line*lineBytes),
+		Kind:  memdefs.AccessInstr,
+		Think: instrsPerLine,
+		Req:   req,
+	}
 	w.line++
 	if w.line >= linesPerPage || w.rng.Bool(w.jumpProb) {
 		w.line = w.rng.Intn(linesPerPage)
@@ -67,58 +67,87 @@ func (w *codeWalker) next(s *sim.Step) {
 	}
 }
 
-// dataStep fills a data step at a group VA.
-func dataStep(s *sim.Step, p *kernel.Process, gva memdefs.VAddr, write bool, think int) {
-	s.VA = p.ProcVA(gva)
-	s.Kind = memdefs.AccessData
-	s.Write = write
-	s.Think = think
-	s.Req = sim.ReqNone
+// pageVA returns the process VA of page idx of r. Adding a line offset
+// below memdefs.PageSize gives the same address as translating the
+// line's group VA: ASLR offsets are fixed per segment and a page never
+// crosses a segment window.
+func (e *Env) pageVA(r *kernel.Region, idx int) memdefs.VAddr {
+	return e.P.ProcVA(r.PageVA(idx))
 }
 
-// pageAddr returns the group VA of page idx within a (possibly chunked)
-// region, at a deterministic offset derived from salt (spreads accesses
-// across lines).
-func pageAddr(r kernel.Region, idx int, salt uint64) memdefs.VAddr {
-	off := (salt * lineBytes) % memdefs.PageSize
-	return r.PageVA(idx) + memdefs.VAddr(off)
+// lineOff is the offset in its page of the line a salt selects (spreads
+// accesses across lines).
+func lineOff(salt uint64) memdefs.VAddr {
+	return memdefs.VAddr((salt * lineBytes) % memdefs.PageSize)
 }
 
-// lineAddr returns the group VA of a specific line of a page.
-func lineAddr(r kernel.Region, idx, line int) memdefs.VAddr {
-	return r.PageVA(idx) + memdefs.VAddr((line%linesPerPage)*lineBytes)
+// sink is where every generator builds its steps. A builder asks for the
+// next slot and fills it in place: inside batch the slots are the
+// caller's buffer, and only the steps past its end go to carry, which
+// the next call hands out first.
+type sink struct {
+	buf   []sim.Step // the caller's buffer while batch builds
+	n     int        // slots of buf handed out
+	carry []sim.Step // steps built past the end of buf
+	head  int        // next carry step to hand out
 }
 
-// stepQueue is a small FIFO the generators fill with one request's worth
-// of steps and drain through Next.
-type stepQueue struct {
-	steps []sim.Step
-	head  int
-}
-
-func (q *stepQueue) push(s sim.Step) { q.steps = append(q.steps, s) }
-func (q *stepQueue) empty() bool     { return q.head >= len(q.steps) }
-
-// popN drains up to len(buf) queued steps into buf in order.
-func (q *stepQueue) popN(buf []sim.Step) int {
-	n := copy(buf, q.steps[q.head:])
-	q.head += n
-	if q.empty() {
-		q.steps = q.steps[:0]
-		q.head = 0
+// slot returns the next step to fill.
+func (k *sink) slot() *sim.Step {
+	if k.n < len(k.buf) {
+		k.n++
+		return &k.buf[k.n-1]
 	}
+	return k.spill()
+}
+
+func (k *sink) spill() *sim.Step {
+	k.carry = append(k.carry, sim.Step{})
+	return &k.carry[len(k.carry)-1]
+}
+
+// data fills the next slot with a data access.
+func (k *sink) data(va memdefs.VAddr, write bool, think int) {
+	*k.slot() = sim.Step{VA: va, Kind: memdefs.AccessData, Write: write, Think: think}
+}
+
+// batch implements sim.BatchGenerator's NextBatch for a generator whose
+// build adds one unit of work (a request, an operation) to the sink and
+// reports false once the stream has ended. Carried steps go first. A
+// kernel-mutating generator (once) builds only when nothing is carried,
+// and at most once per call; a pure one builds until buf is full.
+func (k *sink) batch(buf []sim.Step, build func() bool, once bool) int {
+	n := copy(buf, k.carry[k.head:])
+	k.head += n
+	if k.head < len(k.carry) {
+		return n
+	}
+	k.carry, k.head = k.carry[:0], 0
+	if once && n > 0 {
+		return n
+	}
+	k.buf, k.n = buf, n
+	for k.n < len(buf) && build() {
+		if once {
+			break
+		}
+	}
+	n = k.n
+	k.buf, k.n = nil, 0
 	return n
 }
-func (q *stepQueue) pop(out *sim.Step) bool {
-	if q.empty() {
-		return false
+
+// next implements sim.Generator's Next over the same build: everything a
+// build adds is carried, then handed out a step at a time.
+func (k *sink) next(out *sim.Step, build func() bool) bool {
+	for k.head == len(k.carry) {
+		k.carry, k.head = k.carry[:0], 0
+		if !build() {
+			return false
+		}
 	}
-	*out = q.steps[q.head]
-	q.head++
-	if q.empty() {
-		q.steps = q.steps[:0]
-		q.head = 0
-	}
+	*out = k.carry[k.head]
+	k.head++
 	return true
 }
 
