@@ -29,13 +29,18 @@ race:
 # testdata/sharded_suite_golden.json, the quick text suite at -jobs 1
 # against -jobs 4, the quick sweeps against
 # testdata/sweeps_quick_golden.txt, the full suite (~20 s on 2 CPUs)
-# against testdata/full_suite_golden.json, and bffleet's flash-crowd run
+# against testdata/full_suite_golden.json, bffleet's flash-crowd run
 # (the loadgen-determinism job's command) against
-# testdata/fleet_flash_golden.txt.
+# testdata/fleet_flash_golden.txt, and the two fault-injection runs:
+# bffleet with every -kill-* and -part-* flag set against
+# testdata/fleet_chaos_golden.txt, and bfsim with the allocator injector
+# and every -inject-mem-* policy flag set against
+# testdata/bfsim_inject_golden.txt.
 identity:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o $$tmp/bfbench ./cmd/bfbench && \
 	$(GO) build -o $$tmp/bffleet ./cmd/bffleet && \
+	$(GO) build -o $$tmp/bfsim ./cmd/bfsim && \
 	$$tmp/bfbench -quick -format json > $$tmp/quick.json && \
 	cmp testdata/arch_identity_golden.json $$tmp/quick.json && \
 	for j in 1 4; do \
@@ -56,4 +61,14 @@ identity:
 	$$tmp/bffleet -arch babelfish -nodes 4 -containers 8 -epochs 24 \
 		-load-shape flash -load-rps 8 -load-peak 256 -queue-cap 8 -audit > $$tmp/fleet.txt && \
 	cmp testdata/fleet_flash_golden.txt $$tmp/fleet.txt && \
-	echo "identity: quick (default, -jobs 1 and 4), sharded (1, 4), text (-jobs 1 = 4), sweeps, full suite and fleet flash match"
+	$$tmp/bffleet -arch both -nodes 8 -containers 16 -epochs 24 \
+		-kill-nth 9 -kill-prob 0.02 -kill-seed 7 -kill-after 3 -kill-max 2 \
+		-part-nth 13 -part-prob 0.03 -part-seed 5 -part-after 2 -part-max 2 \
+		-part-len 3 -audit > $$tmp/chaos.txt && \
+	cmp testdata/fleet_chaos_golden.txt $$tmp/chaos.txt && \
+	$$tmp/bfsim -app mongodb -arch both -scale 0.25 -warm 200000 -measure 400000 \
+		-failnth 4000 -failseed 3 -inject-mem all -inject-mem-nth 997 \
+		-inject-mem-prob 0.0005 -inject-mem-seed 11 -inject-mem-after 2000 \
+		-inject-mem-max 300 -audit > $$tmp/inject.txt && \
+	cmp testdata/bfsim_inject_golden.txt $$tmp/inject.txt && \
+	echo "identity: quick (default, -jobs 1 and 4), sharded (1, 4), text (-jobs 1 = 4), sweeps, full suite, fleet flash, fleet chaos and bfsim injection match"
