@@ -39,43 +39,12 @@ func (s *Suite) Churn(o Options, waves int) func() *ChurnResult {
 		waves = 4
 	}
 	res := &ChurnResult{Waves: waves, PerWave: 3}
-
-	run := func(a Arch) (cycles float64, faults uint64, peak int, forkCyc memdefs.Cycles, err error) {
-		oo := o
-		oo.Cores = 1
-		m := sim.New(oo.Params(a))
-		fg, err := workloads.DeployFaaS(m, true, o.Scale, o.Seed)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		for w := 0; w < waves; w++ {
-			start := len(fg.Tasks)
-			for j, name := range fg.FunctionNames() {
-				_, fc, err := fg.Spawn(name, 0, o.Seed+uint64(w*31+j))
-				if err != nil {
-					return 0, 0, 0, 0, err
-				}
-				forkCyc += fc
-			}
-			if err := m.RunToCompletion(); err != nil {
-				return 0, 0, 0, 0, err
-			}
-			for _, task := range fg.Tasks[start:] {
-				if mean, ok := task.MeanOwn(); ok {
-					cycles += mean
-				}
-				task.Proc.Exit() // the container exits after its run
-			}
-		}
-		return cycles, m.Aggregate().Faults, m.Mem.PeakAllocated(), forkCyc, nil
-	}
-
 	s.own.add("churn/Baseline", func() (err error) {
-		res.BaseCycles, res.BaseFaults, res.BasePeakMem, res.BaseForkCyc, err = run(Baseline)
+		res.BaseCycles, res.BaseFaults, res.BasePeakMem, res.BaseForkCyc, err = faasWaves(o, Baseline, waves, res.PerWave)
 		return err
 	})
 	s.own.add("churn/BabelFish", func() (err error) {
-		res.BFCycles, res.BFFaults, res.BFPeakMem, res.BFForkCyc, err = run(BabelFish)
+		res.BFCycles, res.BFFaults, res.BFPeakMem, res.BFForkCyc, err = faasWaves(o, BabelFish, waves, res.PerWave)
 		return err
 	})
 	return func() *ChurnResult {
@@ -96,4 +65,40 @@ func (r *ChurnResult) String() string {
 	t.Row("peak frames", r.BasePeakMem, r.BFPeakMem,
 		metrics.ReductionPct(float64(r.BasePeakMem), float64(r.BFPeakMem)))
 	return t.String()
+}
+
+// faasWaves is the single-core serverless runner behind Churn and the
+// group-size sweep: waves waves of n function containers (the group's
+// functions taken in turn) sharing one sparse runtime, each wave spawned,
+// run to completion and exited. It returns the summed own-cycles, the
+// page faults, the peak allocated frames and the fork cycles.
+func faasWaves(o Options, a Arch, waves, n int) (cycles float64, faults uint64, peak int, forkCyc memdefs.Cycles, err error) {
+	oo := o
+	oo.Cores = 1
+	m := sim.New(oo.Params(a))
+	fg, err := workloads.DeployFaaS(m, true, o.Scale, o.Seed)
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	names := fg.FunctionNames()
+	for w := 0; w < waves; w++ {
+		start := len(fg.Tasks)
+		for j := 0; j < n; j++ {
+			_, fc, err := fg.Spawn(names[j%len(names)], 0, o.Seed+uint64(w*31+j))
+			if err != nil {
+				return 0, 0, 0, 0, err
+			}
+			forkCyc += fc
+		}
+		if err := m.RunToCompletion(); err != nil {
+			return 0, 0, 0, 0, err
+		}
+		for _, task := range fg.Tasks[start:] {
+			if mean, ok := task.MeanOwn(); ok {
+				cycles += mean
+			}
+			task.Proc.Exit() // the container exits after its run
+		}
+	}
+	return cycles, m.Aggregate().Faults, m.Mem.PeakAllocated(), forkCyc, nil
 }

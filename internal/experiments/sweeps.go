@@ -76,7 +76,7 @@ func (s *Suite) SweepGroupSize(o Options, sizes []int) func() *SweepResult {
 	}, func(a Arch, n int) *float64 {
 		v := new(float64)
 		s.own.add(fmt.Sprintf("group-size/%d/%s", n, a), func() (err error) {
-			*v, err = groupSizeRun(o, a, n)
+			*v, _, _, _, err = faasWaves(o, a, 1, n)
 			return err
 		})
 		return v
@@ -102,35 +102,6 @@ func (s *Suite) sweep(res SweepResult, point func(a Arch, n int) *float64) func(
 		}
 		return &r
 	}
-}
-
-// groupSizeRun measures one (size × arch) point of SweepGroupSize: n
-// function containers sharing one sparse runtime on one core, summed
-// own-cycles.
-func groupSizeRun(o Options, a Arch, n int) (float64, error) {
-	oo := o
-	oo.Cores = 1
-	m := sim.New(oo.Params(a))
-	fg, err := workloads.DeployFaaS(m, true, o.Scale, o.Seed)
-	if err != nil {
-		return 0, err
-	}
-	names := fg.FunctionNames()
-	for j := 0; j < n; j++ {
-		if _, _, err := fg.Spawn(names[j%len(names)], 0, o.Seed+uint64(j)); err != nil {
-			return 0, err
-		}
-	}
-	if err := m.RunToCompletion(); err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, task := range fg.Tasks {
-		if mean, ok := task.MeanOwn(); ok {
-			sum += mean
-		}
-	}
-	return sum, nil
 }
 
 // VariantRow compares BabelFish design variants on one workload.
