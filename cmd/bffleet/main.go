@@ -26,11 +26,11 @@
 // dumps a bundle of the spans retained in the bounded rings on a
 // condemnation, OOM-kill escalation or container loss.
 //
-// The -kill-* and -part-* flags arm per-node crash and partition
-// injectors with the memory-system injector's policy shape: every Nth
-// epoch pulse and/or with probability P per pulse, starting after the
-// first -*-after pulses, capped at -*-max faults per node (0 =
-// unlimited). Seeds are mixed and Nth phases staggered by node ID, so
+// The -kill-* and -part-* flags are two fault-injection groups (see
+// package internal/cli) arming per-node crash and partition injectors:
+// their events are epoch pulses, one per node per epoch, and -kill-max
+// and -part-max cap the faults per node. -part-len needs -part-nth or
+// -part-prob. Seeds are mixed and Nth phases staggered by node ID, so
 // faults roll across the fleet instead of striking it in lockstep; the
 // whole fault pattern is a pure function of the flags, so runs replay
 // byte-identically.
@@ -71,7 +71,6 @@ import (
 	"babelfish/internal/cli"
 	"babelfish/internal/fleet"
 	"babelfish/internal/loadgen"
-	"babelfish/internal/memsys"
 	"babelfish/internal/metrics"
 	"babelfish/internal/obs"
 	"babelfish/internal/sim"
@@ -94,18 +93,9 @@ func run(args []string) int {
 		epochInstr = c.Uint64("epoch-instr", 20_000, "per-core instruction budget per epoch")
 		seed       = c.Uint64("seed", 42, "random seed")
 
-		killNth   = c.Uint64("kill-nth", 0, "crash a node on every Nth epoch pulse (0 = off; staggered by node ID)")
-		killProb  = c.Float64("kill-prob", 0, "crash probability per node per epoch (0 = off)")
-		killSeed  = c.Uint64("kill-seed", 1, "crash-injector seed")
-		killAfter = c.Uint64("kill-after", 0, "suppress crashes for the first N epochs")
-		killMax   = c.Uint64("kill-max", 0, "cap crashes per node (0 = unlimited)")
-
-		partNth   = c.Uint64("part-nth", 0, "partition a node on every Nth epoch pulse (0 = off)")
-		partProb  = c.Float64("part-prob", 0, "partition probability per node per epoch (0 = off)")
-		partSeed  = c.Uint64("part-seed", 1, "partition-injector seed")
-		partAfter = c.Uint64("part-after", 0, "suppress partitions for the first N epochs")
-		partMax   = c.Uint64("part-max", 0, "cap partitions per node (0 = unlimited)")
-		partLen   = c.Int("part-len", 4, "partition duration, epochs")
+		kill    = c.Inject("kill", "node crash", "epoch pulse", "node")
+		part    = c.Inject("part", "partition", "epoch pulse", "node", "part-len")
+		partLen = c.Int("part-len", 4, "partition duration, epochs")
 
 		restartAfter = c.Int("restart-after", 3, "epochs a crashed node stays down")
 		suspicion    = c.Int("suspicion", 2, "suspicion timeout: heartbeats missed before condemnation")
@@ -146,34 +136,13 @@ func run(args []string) int {
 	}
 
 	// Flag consistency: catch nonsense before spending minutes simulating.
-	if *nodes < 1 {
-		return c.UsageErr("-nodes must be at least 1")
-	}
-	if *cores < 1 {
-		return c.UsageErr("-cores must be at least 1")
-	}
+	// The fleet's own sizes and policies are checked once, by
+	// fleet.Config.Validate below.
 	if *memMB < 8 {
 		return c.UsageErr("-mem-mb must be at least 8")
 	}
-	if err := cli.Positive("scale", *scale); err != nil {
-		return c.UsageErr("%v", err)
-	}
-	if *containers < 0 {
-		return c.UsageErr("-containers must be non-negative")
-	}
-	if *epochs < 1 || *epochInstr < 1 {
-		return c.UsageErr("-epochs and -epoch-instr must be at least 1")
-	}
 	if *eventsN < 0 {
 		return c.UsageErr("-events must be non-negative")
-	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{{"kill-prob", *killProb}, {"part-prob", *partProb}} {
-		if p.v < 0 || p.v >= 1 || math.IsNaN(p.v) {
-			return c.UsageErr("-%s must be in [0, 1)", p.name)
-		}
 	}
 	if *seriesOut != "" {
 		if len(names) > 1 {
@@ -198,19 +167,6 @@ func run(args []string) int {
 	}
 	if *loadShape == "trace" && *loadTraceF == "" {
 		return c.UsageErr("-load-shape trace requires -load-trace FILE")
-	}
-	if *requeueBudget < 1 {
-		return c.UsageErr("-requeue-budget must be at least 1")
-	}
-	for _, name := range []string{"kill-after", "kill-max", "kill-seed"} {
-		if c.Given(name) && *killNth == 0 && *killProb == 0 {
-			return c.UsageErr("-%s has no effect without -kill-nth or -kill-prob", name)
-		}
-	}
-	for _, name := range []string{"part-after", "part-len", "part-max", "part-seed"} {
-		if c.Given(name) && *partNth == 0 && *partProb == 0 {
-			return c.UsageErr("-%s has no effect without -part-nth or -part-prob", name)
-		}
 	}
 	switch {
 	case c.Given("series-every") && *seriesOut == "":
@@ -281,12 +237,8 @@ func run(args []string) int {
 		cfg.Epochs = *epochs
 		cfg.EpochInstr = *epochInstr
 		cfg.SuspicionEpochs = *suspicion
-		cfg.Crash = memsys.InjectConfig{
-			Seed: *killSeed, Nth: *killNth, Prob: *killProb, After: *killAfter, MaxFaults: *killMax,
-		}
-		cfg.Partition = memsys.InjectConfig{
-			Seed: *partSeed, Nth: *partNth, Prob: *partProb, After: *partAfter, MaxFaults: *partMax,
-		}
+		cfg.Crash = kill.Config
+		cfg.Partition = part.Config
 		cfg.RestartEpochs = *restartAfter
 		cfg.PartitionEpochs = *partLen
 		cfg.BackoffBase = *backoffBase

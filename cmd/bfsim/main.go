@@ -23,16 +23,17 @@
 // -audit cross-checks the allocator's refcounts against the kernel's page
 // tables — and every valid TLB entry against a live PTE — after each run
 // and exits non-zero on any violation. -failnth N installs a deterministic
-// fault injector that fails every Nth frame allocation from prefault
-// onwards (memory-pressure chaos; pair it with -audit to verify the
-// kernel absorbed the failures cleanly).
+// fault injector that fails every Nth frame allocation from the prefault
+// through the end of the measured run (memory-pressure chaos; pair it
+// with -audit to verify the kernel absorbed the failures cleanly).
 //
 // -inject-mem installs deterministic fault injectors at the named
 // memory-system seams (comma-separated: tlb, pwc, cache, dram, or all)
-// for the warm and measured phases. The policy comes from the
-// -inject-mem-* flags: every Nth device event, or each event with
-// probability P, starting after the first -inject-mem-after events and
-// capped at -inject-mem-max faults (0 = unlimited). The default mode,
+// for the warm and measured phases. The policy is the inject-mem
+// fault-injection group documented in package internal/cli; its events
+// are each seam's device events, and -inject-mem-max caps the faults
+// per seam. -inject-mem needs -inject-mem-nth or -inject-mem-prob, and
+// the group's flags need -inject-mem. The default mode,
 // drop, discards the faulted lookup/line so the machine re-derives it —
 // always absorbed, so it composes with -audit. Mode poison (TLB target
 // only) corrupts the hit entry's identity tags in place instead; pair it
@@ -53,7 +54,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -95,20 +95,16 @@ func run(args []string) int {
 		measure     = c.Uint64("measure", 1_000_000, "measured instructions per core")
 		seed        = c.Uint64("seed", 42, "random seed")
 		audit       = c.Bool("audit", false, "run the kernel invariant auditor (page tables + TLBs) after each run; exit non-zero on violations")
-		failNth     = c.Uint64("failnth", 0, "fail every Nth frame allocation during the measured run (0 = off)")
+		failNth     = c.Uint64("failnth", 0, "fail every Nth frame allocation from the prefault through the measured run (0 = off)")
 		failSeed    = c.Uint64("failseed", 1, "fault-injector seed")
 		cpuprofile  = c.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		metricsOut  = c.String("metrics-out", "", "write a JSON telemetry report to this file")
 		sampleEvery = c.Uint64("sample-every", 0, "sample the metric registry every N simulated cycles (requires -metrics-out or -series-out)")
 		seriesOut   = c.String("series-out", "", "stream the registry time series (.prom for Prometheus text, JSONL otherwise; requires -sample-every, single -arch)")
 
-		injectMem      = c.String("inject-mem", "", "inject memory-system faults at these seams (comma-separated: tlb, pwc, cache, dram, all)")
-		injectMemNth   = c.Uint64("inject-mem-nth", 0, "inject on every Nth device event (0 = off)")
-		injectMemProb  = c.Float64("inject-mem-prob", 0, "inject each device event with this probability (0 = off)")
-		injectMemSeed  = c.Uint64("inject-mem-seed", 1, "memory-fault injector seed")
-		injectMemAfter = c.Uint64("inject-mem-after", 0, "suppress injection for the first N device events")
-		injectMemMax   = c.Uint64("inject-mem-max", 0, "cap total injected faults per seam (0 = unlimited)")
-		injectMemMode  = c.String("inject-mem-mode", "drop", "what an injected fault does: drop (absorbed) or poison (TLB only; caught by -audit)")
+		injectMem     = c.String("inject-mem", "", "inject memory-system faults at these seams (comma-separated: tlb, pwc, cache, dram, all)")
+		injectMemMode = c.String("inject-mem-mode", "drop", "what an injected fault does: drop (absorbed) or poison (TLB only; caught by -audit)")
+		memPolicy     = c.Inject("inject-mem", "memory fault", "device event", "seam", "inject-mem-mode")
 	)
 	if status, ok := c.Parse(args); !ok {
 		return status
@@ -149,37 +145,27 @@ func run(args []string) int {
 		return c.UsageErr("-failseed has no effect without -failnth")
 	}
 	var memTargets memsys.Target
-	var memCfg memsys.InjectConfig
+	memCfg := memPolicy.Config
 	if *injectMem == "" {
-		for _, name := range []string{"after", "max", "mode", "nth", "prob", "seed"} {
-			if c.Given("inject-mem-" + name) {
-				return c.UsageErr("-inject-mem-%s has no effect without -inject-mem", name)
-			}
+		if c.Given("inject-mem-nth") || c.Given("inject-mem-prob") {
+			return c.UsageErr("an -inject-mem-nth or -inject-mem-prob policy has no effect without -inject-mem targets")
 		}
 	} else {
 		if memTargets, err = memsys.ParseTargets(*injectMem); err != nil {
 			return c.UsageErr("%v", err)
 		}
-		if *injectMemNth == 0 && *injectMemProb == 0 {
+		if !memCfg.Enabled() {
 			return c.UsageErr("-inject-mem needs a policy: set -inject-mem-nth and/or -inject-mem-prob")
 		}
-		if *injectMemProb < 0 || *injectMemProb >= 1 || math.IsNaN(*injectMemProb) {
-			return c.UsageErr("-inject-mem-prob must be in [0, 1)")
-		}
-		mode := memsys.ModeDrop
 		switch *injectMemMode {
 		case "drop":
 		case "poison":
-			mode = memsys.ModePoison
+			memCfg.Mode = memsys.ModePoison
 			if memTargets != memsys.TargetTLB {
 				return c.UsageErr("-inject-mem-mode poison only applies to the tlb target (got %q)", *injectMem)
 			}
 		default:
 			return c.UsageErr("unknown -inject-mem-mode %q (want drop or poison)", *injectMemMode)
-		}
-		memCfg = memsys.InjectConfig{
-			Seed: *injectMemSeed, Nth: *injectMemNth, Prob: *injectMemProb,
-			After: *injectMemAfter, MaxFaults: *injectMemMax, Mode: mode,
 		}
 	}
 

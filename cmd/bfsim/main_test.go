@@ -16,6 +16,16 @@ func TestUsageErrors(t *testing.T) {
 		{"-failseed", "3"},
 		{"-inject-mem-nth", "3"},
 		{"-series-out", "s.jsonl", "-sample-every", "100"},
+		{"-inject-mem-max", "5"},
+		{"-inject-mem-mode", "poison"},
+		{"-inject-mem-nth", "5", "-inject-mem-seed", "3"},
+		{"-inject-mem", "all"},
+		{"-inject-mem", "all", "-inject-mem-seed", "3"},
+		{"-inject-mem", "all", "-inject-mem-prob", "1"},
+		{"-inject-mem", "all", "-inject-mem-prob", "NaN"},
+		{"-inject-mem", "nosuch", "-inject-mem-nth", "5"},
+		{"-inject-mem", "cache", "-inject-mem-nth", "5", "-inject-mem-mode", "poison"},
+		{"-inject-mem", "tlb", "-inject-mem-nth", "5", "-inject-mem-mode", "nosuch"},
 	} {
 		if got := run(args); got != 2 {
 			t.Errorf("bfsim %q exited %d, want 2", args, got)

@@ -1,7 +1,7 @@
 // Package cli is the command-line surface bfsim, bffleet and bfbench
-// share: the flags all of them declare, the checks on those flags, the
-// -arch and -app lookups, the exit-status convention and the -series-out
-// and -trace-out output helpers.
+// share: the flags all of them declare, the fault-injection flag groups,
+// the checks on those flags, the -arch and -app lookups, the exit-status
+// convention and the -series-out and -trace-out output helpers.
 //
 // Shared flags:
 //
@@ -26,6 +26,23 @@
 // All obs output is deterministic: the same flags rewrite byte-identical
 // files, and leaving the flags off leaves the simulation untouched.
 //
+// Fault-injection groups: a tool declares one memsys.InjectConfig policy
+// per fault source with Command.Inject (bfsim's -inject-mem, bffleet's
+// -kill and -part). A group with prefix p declares
+//
+//	-p-nth N    inject on every Nth event (0 = off)
+//	-p-prob P   inject each event with probability P in [0, 1) (0 = off)
+//	-p-seed N   seed of the -p-prob coin flips (default 1)
+//	-p-after N  no injection during the first N events
+//	-p-max N    cap the injected faults (0 = unlimited)
+//
+// Nth and Prob compose: either may fire. Each tool says what its events
+// are and what -p-max caps. Check rejects a probability outside [0, 1)
+// (memsys.InjectConfig.Validate) and, while neither -p-nth nor -p-prob
+// is set, any given -p-seed, -p-after, -p-max or tool flag that only
+// shapes the group's faults (bfsim's -inject-mem-mode, bffleet's
+// -part-len).
+//
 // Exit status is 0 on success, 1 on a runtime error or a failed -audit,
 // and 2 on a usage mistake, which is reported as "tool: message"
 // followed by the usage text.
@@ -39,6 +56,7 @@ import (
 	"os"
 	"strings"
 
+	"babelfish/internal/memsys"
 	"babelfish/internal/obs"
 	"babelfish/internal/telemetry"
 	"babelfish/internal/workloads"
@@ -55,7 +73,8 @@ type Command struct {
 	FlightDir   string // -flight-recorder
 	FlightDepth int
 
-	tool string
+	tool   string
+	inject []*InjectGroup
 }
 
 // New returns the flag set of the named tool with the shared flags
@@ -103,6 +122,11 @@ func (c *Command) Check() error {
 		}
 		return fmt.Errorf("-flight-depth has no effect without -trace-out or -flight-recorder")
 	}
+	for _, g := range c.inject {
+		if err := g.check(c); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -118,6 +142,49 @@ func (c *Command) Given(name string) bool {
 func Positive(name string, v float64) error {
 	if !(v > 0) || math.IsInf(v, 1) {
 		return fmt.Errorf("-%s must be a positive number", name)
+	}
+	return nil
+}
+
+// InjectGroup is one fault-injection flag group (see the package comment).
+// Config holds the parsed policy; a field the group declares no flag for
+// (Mode) is the tool's to set.
+type InjectGroup struct {
+	Config memsys.InjectConfig
+	prefix string
+	deps   []string
+}
+
+// Inject declares the fault-injection group with the given flag prefix
+// on c. For the help text, fault names one injected fault, event what
+// the policy counts, and unit what -max caps the faults per. deps are
+// the tool's flags that have no effect without -prefix-nth or
+// -prefix-prob.
+func (c *Command) Inject(prefix, fault, event, unit string, deps ...string) *InjectGroup {
+	g := &InjectGroup{prefix: prefix, deps: deps}
+	p := &g.Config
+	c.Uint64Var(&p.Nth, prefix+"-nth", 0, fmt.Sprintf("inject a %s on every Nth %s (0 = off)", fault, event))
+	c.Float64Var(&p.Prob, prefix+"-prob", 0, fmt.Sprintf("inject a %s on each %s with this probability, in [0, 1) (0 = off)", fault, event))
+	c.Uint64Var(&p.Seed, prefix+"-seed", 1, fault+" injector seed")
+	c.Uint64Var(&p.After, prefix+"-after", 0, fmt.Sprintf("suppress injection for the first N %ss", event))
+	c.Uint64Var(&p.MaxFaults, prefix+"-max", 0, fmt.Sprintf("cap the injected faults per %s (0 = unlimited)", unit))
+	c.inject = append(c.inject, g)
+	return g
+}
+
+// check returns the group's first mistake. Validate checks only Prob,
+// so its error is reported against -prefix-prob.
+func (g *InjectGroup) check(c *Command) error {
+	if err := g.Config.Validate(); err != nil {
+		return fmt.Errorf("-%s-prob: %v", g.prefix, err)
+	}
+	if g.Config.Enabled() {
+		return nil
+	}
+	for _, name := range append([]string{g.prefix + "-seed", g.prefix + "-after", g.prefix + "-max"}, g.deps...) {
+		if c.Given(name) {
+			return fmt.Errorf("-%s has no effect without -%s-nth or -%s-prob", name, g.prefix, g.prefix)
+		}
 	}
 	return nil
 }

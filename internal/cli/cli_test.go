@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"babelfish/internal/memsys"
 	"babelfish/internal/xlatpolicy"
 )
 
@@ -52,6 +53,69 @@ func TestCheck(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: got %q, want %q", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestInject gives every injection-group rule one failing row and the
+// nearby legal invocations one passing row each, on a command with
+// bffleet's two groups: -kill, and -part with its dependent -part-len.
+func TestInject(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string // the error message; "" = accepted
+	}{
+		{"defaults", nil, ""},
+		{"nth alone", []string{"-kill-nth", "9"}, ""},
+		{"prob alone", []string{"-part-prob", "0.5"}, ""},
+		{"nth and prob given as zero", []string{"-kill-nth", "0", "-kill-prob", "0"}, ""},
+		{"every field", []string{"-kill-nth", "9", "-kill-prob", "0.02", "-kill-seed", "7", "-kill-after", "3", "-kill-max", "2"}, ""},
+		{"seed and dependent with prob", []string{"-part-prob", "0.03", "-part-seed", "5", "-part-len", "3"}, ""},
+		{"prob one", []string{"-part-prob", "1"}, "-part-prob: injection probability 1 is not in [0, 1)"},
+		{"prob NaN", []string{"-kill-prob", "NaN"}, "-kill-prob: injection probability NaN is not in [0, 1)"},
+		{"prob negative", []string{"-kill-nth", "3", "-kill-prob", "-0.5"}, "-kill-prob: injection probability -0.5 is not in [0, 1)"},
+		{"prob +Inf", []string{"-part-prob", "+Inf"}, "-part-prob: injection probability +Inf is not in [0, 1)"},
+		{"seed without policy", []string{"-kill-seed", "3"}, "-kill-seed has no effect without -kill-nth or -kill-prob"},
+		{"after without policy", []string{"-part-after", "2"}, "-part-after has no effect without -part-nth or -part-prob"},
+		{"max without policy", []string{"-kill-max", "1"}, "-kill-max has no effect without -kill-nth or -kill-prob"},
+		{"dependent without policy", []string{"-part-len", "2"}, "-part-len has no effect without -part-nth or -part-prob"},
+		{"nth zero is no policy", []string{"-part-nth", "0", "-part-max", "1"}, "-part-max has no effect without -part-nth or -part-prob"},
+		{"other group's policy", []string{"-kill-nth", "9", "-part-seed", "5"}, "-part-seed has no effect without -part-nth or -part-prob"},
+	}
+	for _, tc := range cases {
+		c := quiet(true)
+		c.Inject("kill", "node crash", "epoch pulse", "node")
+		c.Inject("part", "partition", "epoch pulse", "node", "part-len")
+		c.Int("part-len", 4, "partition duration, epochs")
+		if err := c.FlagSet.Parse(tc.args); err != nil {
+			t.Fatalf("%s: parse: %v", tc.name, err)
+		}
+		got := ""
+		if err := c.Check(); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("%s: got %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestInjectConfig: each group flag fills its own field of the policy,
+// with today's defaults when left off, so a swapped field shows.
+func TestInjectConfig(t *testing.T) {
+	c := quiet(false)
+	g := c.Inject("inject-mem", "memory fault", "device event", "seam")
+	if want := (memsys.InjectConfig{Seed: 1}); g.Config != want {
+		t.Errorf("defaults = %+v, want %+v", g.Config, want)
+	}
+	args := []string{"-inject-mem-nth", "997", "-inject-mem-prob", "0.0005", "-inject-mem-seed", "11",
+		"-inject-mem-after", "2000", "-inject-mem-max", "300"}
+	if err := c.FlagSet.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	want := memsys.InjectConfig{Nth: 997, Prob: 0.0005, Seed: 11, After: 2000, MaxFaults: 300}
+	if g.Config != want {
+		t.Errorf("%q filled %+v, want %+v", args, g.Config, want)
 	}
 }
 

@@ -167,8 +167,8 @@ func (c Config) Validate() error {
 		return errors.New("fleet: Spec must be set")
 	case c.Params.Cores < 1:
 		return errors.New("fleet: Params.Cores must be at least 1")
-	case c.Scale <= 0:
-		return errors.New("fleet: Scale must be positive")
+	case !(c.Scale > 0 && c.Scale <= math.MaxFloat64):
+		return errors.New("fleet: Scale must be a finite positive number")
 	case c.Containers < 0:
 		return errors.New("fleet: Containers must be non-negative")
 	case c.Epochs < 1:
@@ -200,13 +200,11 @@ func (c Config) Validate() error {
 	case c.Obs.Depth < 0:
 		return errors.New("fleet: Obs.Depth must be non-negative")
 	}
-	for _, ic := range []struct {
-		name string
-		cfg  memsys.InjectConfig
-	}{{"Crash", c.Crash}, {"Partition", c.Partition}} {
-		if ic.cfg.Prob < 0 || ic.cfg.Prob >= 1 || math.IsNaN(ic.cfg.Prob) {
-			return fmt.Errorf("fleet: %s.Prob must be in [0, 1)", ic.name)
-		}
+	if err := c.Crash.Validate(); err != nil {
+		return fmt.Errorf("fleet: Crash: %w", err)
+	}
+	if err := c.Partition.Validate(); err != nil {
+		return fmt.Errorf("fleet: Partition: %w", err)
 	}
 	return nil
 }

@@ -108,6 +108,16 @@ type InjectConfig struct {
 // Enabled reports whether this config can ever inject.
 func (c InjectConfig) Enabled() bool { return c.Nth > 0 || c.Prob > 0 }
 
+// Validate checks the policy's value ranges: Prob must be in [0, 1) (a
+// NaN is rejected). Every other field is meaningful at any value, and a
+// Seed or After without Nth or Prob is legal here, only idle.
+func (c InjectConfig) Validate() error {
+	if !(c.Prob >= 0 && c.Prob < 1) {
+		return fmt.Errorf("injection probability %v is not in [0, 1)", c.Prob)
+	}
+	return nil
+}
+
 // Injector decides, per event, whether to inject a fault. Nth and Prob
 // compose (either may fire), gated by After and capped by MaxFaults.
 // Fire numbers the events itself: each device instance owns its

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -254,5 +255,27 @@ func TestTargetString(t *testing.T) {
 func TestModeString(t *testing.T) {
 	if ModeDrop.String() != "drop" || ModePoison.String() != "poison" {
 		t.Fatalf("mode strings: %q %q", ModeDrop, ModePoison)
+	}
+}
+
+// TestInjectConfigValidate: the one range rule for an injection policy
+// is Prob in [0, 1); every other field is legal at any value, and a Seed
+// without Nth or Prob is idle, not wrong.
+func TestInjectConfigValidate(t *testing.T) {
+	for _, p := range []float64{math.NaN(), 1, -0.1, math.Inf(1), math.Inf(-1), 1.5} {
+		if err := (InjectConfig{Nth: 3, Prob: p}).Validate(); err == nil {
+			t.Errorf("Prob %v accepted", p)
+		}
+	}
+	for _, cfg := range []InjectConfig{
+		{},
+		{Seed: 9, Prob: 0.02},
+		{Prob: math.Nextafter(1, 0)},
+		{Seed: 5, After: 2, MaxFaults: 3},
+		{Seed: 7, Nth: 9, Prob: 0.5, After: 3, MaxFaults: 2, Mode: ModePoison},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", cfg, err)
+		}
 	}
 }
