@@ -35,7 +35,10 @@ race:
 # bffleet with every -kill-* and -part-* flag set against
 # testdata/fleet_chaos_golden.txt, and bfsim with the allocator injector
 # and every -inject-mem-* policy flag set against
-# testdata/bfsim_inject_golden.txt.
+# testdata/bfsim_inject_golden.txt; and the quick four-architecture
+# head-to-head (the arch-compare job's command) against
+# testdata/archcompare_quick_golden.txt and the quick open-loop load ramp
+# against testdata/loadramp_quick_golden.txt.
 identity:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o $$tmp/bfbench ./cmd/bfbench && \
@@ -71,4 +74,8 @@ identity:
 		-inject-mem-prob 0.0005 -inject-mem-seed 11 -inject-mem-after 2000 \
 		-inject-mem-max 300 -audit > $$tmp/inject.txt && \
 	cmp testdata/bfsim_inject_golden.txt $$tmp/inject.txt && \
-	echo "identity: quick (default, -jobs 1 and 4), sharded (1, 4), text (-jobs 1 = 4), sweeps, full suite, fleet flash, fleet chaos and bfsim injection match"
+	$$tmp/bfbench -quick -exp archcompare -arch baseline,babelfish,victima,coalesced > $$tmp/archcompare.txt && \
+	cmp testdata/archcompare_quick_golden.txt $$tmp/archcompare.txt && \
+	$$tmp/bfbench -quick -exp loadramp > $$tmp/loadramp.txt && \
+	cmp testdata/loadramp_quick_golden.txt $$tmp/loadramp.txt && \
+	echo "identity: quick (default, -jobs 1 and 4), sharded (1, 4), text (-jobs 1 = 4), sweeps, full suite, fleet flash, fleet chaos, bfsim injection, archcompare and loadramp match"
