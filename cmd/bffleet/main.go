@@ -56,9 +56,8 @@
 // any violation. -events N prints the last N audit-log events.
 //
 // -series-out FILE streams a per-epoch time series of the fleet registry
-// while the run is live (Prometheus text when FILE ends in .prom, JSONL
-// otherwise; single -arch only); -series-every N widens the sampling
-// interval to every Nth epoch.
+// as JSON lines while the run is live (single -arch only); -series-every
+// N widens the sampling interval to every Nth epoch.
 package main
 
 import (
@@ -119,7 +118,7 @@ func run(args []string) int {
 		eventsN = c.Int("events", 0, "print the last N audit-log events of each run")
 		nodeTel = c.Bool("node-telemetry", false, "enable per-node machine histograms (merged fleet-wide translation latency)")
 
-		seriesOut   = c.String("series-out", "", "stream a per-epoch time series of the fleet registry (.prom for Prometheus text, JSONL otherwise; single -arch only)")
+		seriesOut   = c.String("series-out", "", "stream a per-epoch time series of the fleet registry as JSON lines (single -arch only)")
 		seriesEvery = c.Int("series-every", 1, "sample the fleet registry every N epochs (with -series-out)")
 	)
 	if status, ok := c.Parse(args); !ok {

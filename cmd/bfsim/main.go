@@ -46,8 +46,8 @@
 // the full telemetry registry and latency histograms for each simulated
 // architecture, and — with -sample-every N — a time series sampled every
 // N simulated cycles of the measured phase. -series-out FILE streams the
-// registry time series while the run is live (requires -sample-every;
-// .prom selects Prometheus text, JSONL otherwise; single -arch only).
+// registry time series as JSON lines while the run is live (requires
+// -sample-every; single -arch only).
 package main
 
 import (
@@ -100,7 +100,7 @@ func run(args []string) int {
 		cpuprofile  = c.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		metricsOut  = c.String("metrics-out", "", "write a JSON telemetry report to this file")
 		sampleEvery = c.Uint64("sample-every", 0, "sample the metric registry every N simulated cycles (requires -metrics-out or -series-out)")
-		seriesOut   = c.String("series-out", "", "stream the registry time series (.prom for Prometheus text, JSONL otherwise; requires -sample-every, single -arch)")
+		seriesOut   = c.String("series-out", "", "stream the registry time series as JSON lines (requires -sample-every, single -arch)")
 
 		injectMem     = c.String("inject-mem", "", "inject memory-system faults at these seams (comma-separated: tlb, pwc, cache, dram, all)")
 		injectMemMode = c.String("inject-mem-mode", "drop", "what an injected fault does: drop (absorbed) or poison (TLB only; caught by -audit)")
@@ -184,21 +184,24 @@ func run(args []string) int {
 		}()
 	}
 
+	// config heads the -metrics-out report and every bundle's
+	// metrics.json.
+	config := map[string]string{
+		"app":          *app,
+		"arch":         *arch,
+		"cores":        fmt.Sprint(*cores),
+		"containers":   fmt.Sprint(*containers),
+		"scale":        fmt.Sprint(*scale),
+		"warm":         fmt.Sprint(*warm),
+		"measure":      fmt.Sprint(*measure),
+		"seed":         fmt.Sprint(*seed),
+		"sample_every": fmt.Sprint(*sampleEvery),
+		"failnth":      fmt.Sprint(*failNth),
+		"failseed":     fmt.Sprint(*failSeed),
+	}
 	var rep *telemetry.Report
 	if *metricsOut != "" {
-		rep = telemetry.NewReport("bfsim", map[string]string{
-			"app":          *app,
-			"arch":         *arch,
-			"cores":        fmt.Sprint(*cores),
-			"containers":   fmt.Sprint(*containers),
-			"scale":        fmt.Sprint(*scale),
-			"warm":         fmt.Sprint(*warm),
-			"measure":      fmt.Sprint(*measure),
-			"seed":         fmt.Sprint(*seed),
-			"sample_every": fmt.Sprint(*sampleEvery),
-			"failnth":      fmt.Sprint(*failNth),
-			"failseed":     fmt.Sprint(*failSeed),
-		})
+		rep = telemetry.NewReport("bfsim", config)
 	}
 
 	obsOn := c.TraceOut != "" || c.FlightDir != ""
@@ -302,14 +305,12 @@ func run(args []string) int {
 			if res.auditFailed {
 				trigger = "audit-violation"
 			}
-			var prom bytes.Buffer
-			if err := telemetry.WriteProm(&prom, m.Registry); err != nil {
-				return err
-			}
+			metrics := telemetry.NewReport("bfsim", config)
+			metrics.AddArch(m.TelemetryReport(name))
 			path, err := obs.WriteBundle(c.FlightDir, obs.Bundle{
 				Label: name + "-" + trigger, Tool: "bfsim", Trigger: trigger,
-				Streams:     []obs.Stream{res.stream},
-				MetricsProm: prom.Bytes(),
+				Streams: []obs.Stream{res.stream},
+				Metrics: metrics,
 				Audit: fmt.Sprintf("oomKills: %d\nauditFailed: %v\n\n%s",
 					m.OOMKills(), res.auditFailed, res.out.String()),
 			})

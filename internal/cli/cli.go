@@ -18,8 +18,8 @@
 //	                      trace-event JSON for Perfetto, or as compact
 //	                      JSONL when FILE ends in .jsonl.
 //	-flight-recorder DIR  (bfsim, bffleet) write post-mortem bundles
-//	                      (trace.json, trace.jsonl, metrics.prom,
-//	                      audit.txt) here; each command names its triggers.
+//	                      (trace.json, metrics.json, audit.txt) here;
+//	                      each command names its triggers.
 //	-flight-depth N       span-ring depth per recorder (0 = 4096); needs
 //	                      -trace-out or -flight-recorder.
 //
@@ -243,15 +243,15 @@ func AppList(or bool, extra ...string) string {
 	return strings.Join(names[:last], ", ") + " or " + names[last]
 }
 
-// StreamSeries creates the -series-out file and streams s into it while
-// the run is live: Prometheus text when path ends in .prom, JSON lines
-// otherwise. The returned finish flushes the sink and closes the file.
+// StreamSeries creates the -series-out file and streams s into it as
+// JSON lines while the run is live. The returned finish flushes the sink
+// and closes the file.
 func StreamSeries(path, tool string, s *telemetry.Sampler) (finish func() error, err error) {
-	sink, f, err := telemetry.FileSink(path, tool)
+	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.SetSink(sink); err != nil {
+	if err := s.SetSink(telemetry.NewJSONLSink(f, tool)); err != nil {
 		f.Close()
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"fmt"
 
 	"babelfish/internal/memdefs"
@@ -193,7 +192,7 @@ func (c *Cluster) ObsStreams() []obs.Stream {
 }
 
 // flightDump writes one post-mortem bundle: the retained spans of every
-// recorder, a Prometheus snapshot of the fleet registry and the audit
+// recorder, a run-report snapshot of the fleet registry and the audit
 // report taken at the trigger. Bounded by maxFlightBundles per run; the
 // bundle label is deterministic (epoch + trigger), so re-running the
 // seed regenerates identical bundles.
@@ -203,17 +202,19 @@ func (c *Cluster) flightDump(prefix, trigger string) error {
 	}
 	c.flightBundles++
 	audit := c.Audit()
-	var prom bytes.Buffer
-	if err := telemetry.WriteProm(&prom, c.reg); err != nil {
-		return err
-	}
+	metrics := telemetry.NewReport("fleet", map[string]string{
+		"nodes": fmt.Sprint(c.cfg.Nodes),
+		"seed":  fmt.Sprint(c.cfg.Seed),
+		"epoch": fmt.Sprint(c.epoch),
+	})
+	metrics.AddArch(c.reg.Dump(c.cfg.Params.MMU.Policy.Name, c.sampler))
 	_, err := obs.WriteBundle(c.cfg.Obs.FlightDir, obs.Bundle{
-		Label:       fmt.Sprintf("%s%03d-%s", prefix, c.epoch, trigger),
-		Tool:        "fleet",
-		Trigger:     trigger,
-		Streams:     c.ObsStreams(),
-		MetricsProm: prom.Bytes(),
-		Audit:       audit.String(),
+		Label:   fmt.Sprintf("%s%03d-%s", prefix, c.epoch, trigger),
+		Tool:    "fleet",
+		Trigger: trigger,
+		Streams: c.ObsStreams(),
+		Metrics: metrics,
+		Audit:   audit.String(),
 	})
 	return err
 }

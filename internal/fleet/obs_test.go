@@ -11,6 +11,7 @@ import (
 
 	"babelfish/internal/memsys"
 	"babelfish/internal/obs"
+	"babelfish/internal/telemetry"
 )
 
 // exportObs renders a cluster's streams through both exporters.
@@ -215,13 +216,25 @@ func TestFleetObsCausalChainAndFlight(t *testing.T) {
 		if strings.HasPrefix(e.Name(), "final") {
 			sawFinal = true
 		}
-		for _, f := range []string{"trace.json", "trace.jsonl", "metrics.prom", "audit.txt"} {
+		for _, f := range []string{"trace.json", "audit.txt"} {
 			b, err := os.ReadFile(filepath.Join(dir, e.Name(), f))
 			if err != nil {
 				t.Fatalf("bundle %s missing %s: %v", e.Name(), f, err)
 			}
 			if len(b) == 0 {
 				t.Fatalf("bundle %s: %s is empty", e.Name(), f)
+			}
+		}
+		rep, err := telemetry.ReadReportFile(filepath.Join(dir, e.Name(), "metrics.json"))
+		if err != nil {
+			t.Fatalf("bundle %s: %v", e.Name(), err)
+		}
+		if len(rep.Archs) != 1 || rep.Archs[0].Arch != "babelfish" {
+			t.Fatalf("bundle %s: metrics.json archs = %+v", e.Name(), rep.Archs)
+		}
+		for _, name := range c.Registry().Names() {
+			if _, ok := rep.Archs[0].Metric(name); !ok {
+				t.Errorf("bundle %s: metrics.json lacks %s", e.Name(), name)
 			}
 		}
 	}

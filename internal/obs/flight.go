@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"babelfish/internal/telemetry"
 )
 
 // Bundle is one post-mortem artifact: everything needed to explain a
 // failure after the fact, assembled at the moment the trigger fired.
 // WriteBundle lays it out as a directory so each piece opens in its
-// native tool (Perfetto for the trace, any Prometheus tooling for the
+// native tool (Perfetto for the trace, the run-report readers for the
 // metrics, a pager for the audit report).
 type Bundle struct {
 	// Label names the bundle directory. Deterministic — derived from the
@@ -22,8 +24,8 @@ type Bundle struct {
 	// Streams is the flight-recorder contents: the bounded recent-span
 	// window of every recorder at trigger time.
 	Streams []Stream
-	// MetricsProm is a Prometheus-text snapshot of the registry.
-	MetricsProm []byte
+	// Metrics is the registry at trigger time, as a one-arch run report.
+	Metrics *telemetry.Report
 	// Audit is the rendered audit report that fired (or confirmed) the
 	// trigger.
 	Audit string
@@ -31,10 +33,9 @@ type Bundle struct {
 
 // WriteBundle writes the bundle under dir/<Label>/ and returns the
 // bundle directory. Files: trace.json (Chrome, Perfetto-loadable),
-// trace.jsonl (compact stream), metrics.prom (registry snapshot),
-// audit.txt (report + trigger provenance). An existing bundle directory
-// is overwritten — re-running the same seed regenerates the same
-// artifact.
+// metrics.json (registry snapshot, a telemetry run report), audit.txt
+// (report + trigger provenance). An existing bundle directory is
+// overwritten — re-running the same seed regenerates the same artifact.
 func WriteBundle(dir string, b Bundle) (string, error) {
 	if b.Label == "" {
 		return "", fmt.Errorf("obs: bundle needs a label")
@@ -43,29 +44,10 @@ func WriteBundle(dir string, b Bundle) (string, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return "", fmt.Errorf("obs: create bundle dir: %w", err)
 	}
-	tf, err := os.Create(filepath.Join(path, "trace.json"))
-	if err != nil {
+	if err := WriteTraceFile(filepath.Join(path, "trace.json"), b.Tool, b.Streams); err != nil {
 		return "", err
 	}
-	if err := WriteChrome(tf, b.Tool, b.Streams); err != nil {
-		tf.Close()
-		return "", err
-	}
-	if err := tf.Close(); err != nil {
-		return "", err
-	}
-	jf, err := os.Create(filepath.Join(path, "trace.jsonl"))
-	if err != nil {
-		return "", err
-	}
-	if err := WriteJSONL(jf, b.Tool, b.Streams); err != nil {
-		jf.Close()
-		return "", err
-	}
-	if err := jf.Close(); err != nil {
-		return "", err
-	}
-	if err := os.WriteFile(filepath.Join(path, "metrics.prom"), b.MetricsProm, 0o644); err != nil {
+	if err := b.Metrics.WriteFile(filepath.Join(path, "metrics.json")); err != nil {
 		return "", err
 	}
 	audit := fmt.Sprintf("trigger: %s\ntool: %s\n\n%s\n", b.Trigger, b.Tool, b.Audit)

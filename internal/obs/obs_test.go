@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"babelfish/internal/telemetry"
 )
 
 func TestIDsDeterministicAndNonZero(t *testing.T) {
@@ -204,13 +206,18 @@ func TestWriteJSONLValid(t *testing.T) {
 
 func TestWriteBundle(t *testing.T) {
 	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	reg.Counter("fleet.lost", "count", "containers lost", func() uint64 { return 1 })
+	reg.Histogram("fleet.replace_delay", "epochs", "re-placement delay").Observe(3)
+	metrics := telemetry.NewReport("bffleet", map[string]string{"epoch": "7"})
+	metrics.AddArch(reg.Dump("babelfish", nil))
 	path, err := WriteBundle(dir, Bundle{
-		Label:       "babelfish-epoch007-lost",
-		Tool:        "bffleet",
-		Trigger:     "container lost",
-		Streams:     sampleStreams(t),
-		MetricsProm: []byte("# TYPE fleet_lost counter\nfleet_lost 1\n"),
-		Audit:       "fleet audit: 1 violation\n  - container 5: lost",
+		Label:   "babelfish-epoch007-lost",
+		Tool:    "bffleet",
+		Trigger: "container lost",
+		Streams: sampleStreams(t),
+		Metrics: metrics,
+		Audit:   "fleet audit: 1 violation\n  - container 5: lost",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,14 +225,30 @@ func TestWriteBundle(t *testing.T) {
 	if filepath.Base(path) != "babelfish-epoch007-lost" {
 		t.Fatalf("bundle path = %s", path)
 	}
-	for _, f := range []string{"trace.json", "trace.jsonl", "metrics.prom", "audit.txt"} {
-		b, err := os.ReadFile(filepath.Join(path, f))
-		if err != nil {
-			t.Fatalf("bundle missing %s: %v", f, err)
-		}
-		if len(b) == 0 {
-			t.Fatalf("bundle file %s is empty", f)
-		}
+	entries, err := os.ReadDir(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, e := range entries {
+		files = append(files, e.Name())
+	}
+	if got := strings.Join(files, " "); got != "audit.txt metrics.json trace.json" {
+		t.Fatalf("bundle files = %s", got)
+	}
+	rep, err := telemetry.ReadReportFile(filepath.Join(path, "metrics.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, ok := rep.Arch("babelfish")
+	if !ok || len(rep.Archs) != 1 {
+		t.Fatalf("metrics.json archs = %+v, want babelfish alone", rep.Archs)
+	}
+	if v, ok := a.Metric("fleet.lost"); !ok || v != 1 {
+		t.Fatalf("metrics.json fleet.lost = %v, %v", v, ok)
+	}
+	if h, ok := a.Histogram("fleet.replace_delay"); !ok || h.Count != 1 {
+		t.Fatalf("metrics.json histogram = %+v", h)
 	}
 	audit, _ := os.ReadFile(filepath.Join(path, "audit.txt"))
 	if !strings.Contains(string(audit), "trigger: container lost") {

@@ -131,14 +131,7 @@ func (m *Machine) FaultHist() *telemetry.Hist { return m.histFault }
 // TelemetryReport dumps the machine's registry, histograms and time
 // series as one architecture's section of a run report.
 func (m *Machine) TelemetryReport(label string) telemetry.ArchReport {
-	a := telemetry.ArchReport{Arch: label, Metrics: m.Registry.Snapshot(label).Values}
-	for _, h := range m.Registry.Hists() {
-		a.Histograms = append(a.Histograms, h.Dump())
-	}
-	if m.sampler != nil {
-		a.Series = m.sampler.Series()
-	}
-	return a
+	return m.Registry.Dump(label, m.sampler)
 }
 
 // sample takes the sample sc's segment stopped for, at the core's clock,

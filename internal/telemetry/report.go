@@ -38,6 +38,21 @@ func NewReport(tool string, config map[string]string) *Report {
 	return &Report{SchemaVersion: SchemaVersion, Tool: tool, Config: config, Archs: nil}
 }
 
+// Dump reads every metric and histogram of r into one architecture's
+// section of a run report, with s's time series when s is non-nil. A
+// machine's -metrics-out section and a flight-recorder bundle's
+// metrics.json are both built here.
+func (r *Registry) Dump(arch string, s *Sampler) ArchReport {
+	a := ArchReport{Arch: arch, Metrics: r.Snapshot(arch).Values}
+	for _, h := range r.hists {
+		a.Histograms = append(a.Histograms, h.Dump())
+	}
+	if s != nil {
+		a.Series = s.Series()
+	}
+	return a
+}
+
 // AddArch appends one architecture's dump.
 func (r *Report) AddArch(a ArchReport) { r.Archs = append(r.Archs, a) }
 

@@ -23,12 +23,7 @@ func fullReport() *Report {
 
 	rep := NewReport("bfsim", map[string]string{"app": "mongodb", "arch": "both"})
 	for _, arch := range []string{"baseline", "babelfish"} {
-		a := ArchReport{Arch: arch, Metrics: reg.Snapshot(arch).Values}
-		for _, h := range reg.Hists() {
-			a.Histograms = append(a.Histograms, h.Dump())
-		}
-		a.Series = s.Series()
-		rep.AddArch(a)
+		rep.AddArch(reg.Dump(arch, s))
 	}
 	return rep
 }

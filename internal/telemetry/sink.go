@@ -3,10 +3,7 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
-	"strings"
 )
 
 // Sink receives time-series samples as the sampler takes them, instead
@@ -103,102 +100,3 @@ func (j *JSONLSink) Emit(s Sample) error {
 
 // Flush drains the buffer.
 func (j *JSONLSink) Flush() error { return j.bw.Flush() }
-
-// FileSink creates path and returns a streaming sink writing to it,
-// picked by extension: .prom gets the Prometheus text exposition
-// format, anything else JSON lines. The caller installs the sink with
-// SetSink and closes the file after the final FlushSink.
-func FileSink(path, tool string) (Sink, *os.File, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if strings.HasSuffix(path, ".prom") {
-		return NewPromSink(f), f, nil
-	}
-	return NewJSONLSink(f, tool), f, nil
-}
-
-// promName sanitizes a metric name for the Prometheus exposition format
-// (dots become underscores; the registry's names are otherwise clean).
-func promName(name string) string {
-	return strings.ReplaceAll(name, ".", "_")
-}
-
-// PromSink streams samples in Prometheus text exposition format, one
-// timestamped row per metric per sample. The timestamp column is the
-// simulated cycle (or epoch for fleet-driven samplers), not wall-clock
-// milliseconds — the series is meant for offline tooling, which treats
-// it as an opaque monotonic axis.
-type PromSink struct {
-	bw    *bufio.Writer
-	names []string
-}
-
-// NewPromSink wraps w.
-func NewPromSink(w io.Writer) *PromSink {
-	return &PromSink{bw: bufio.NewWriter(w)}
-}
-
-// Begin writes one HELP/TYPE comment block per metric and captures the
-// column order.
-func (p *PromSink) Begin(reg *Registry, every uint64) error {
-	fmt.Fprintf(p.bw, "# interval %d simulated units per sample; timestamps are simulated time\n", every)
-	p.names = p.names[:0]
-	for _, m := range reg.metrics {
-		n := promName(m.name)
-		p.names = append(p.names, n)
-		if m.help != "" {
-			fmt.Fprintf(p.bw, "# HELP %s %s\n", n, m.help)
-		}
-		fmt.Fprintf(p.bw, "# TYPE %s %s\n", n, m.kind)
-	}
-	return nil
-}
-
-// Emit writes one timestamped exposition row per metric.
-func (p *PromSink) Emit(s Sample) error {
-	for i, v := range s.Values {
-		if i >= len(p.names) {
-			break
-		}
-		fmt.Fprintf(p.bw, "%s %g %d\n", p.names[i], v, s.Cycle)
-	}
-	return nil
-}
-
-// Flush drains the buffer.
-func (p *PromSink) Flush() error { return p.bw.Flush() }
-
-// WriteProm writes a point-in-time Prometheus text snapshot of the
-// registry: every metric with HELP/TYPE comments, then every histogram
-// in the standard _bucket/_sum/_count form. Used for the flight
-// recorder's metrics.prom and any "current state" export.
-func WriteProm(w io.Writer, reg *Registry) error {
-	bw := bufio.NewWriter(w)
-	for _, m := range reg.metrics {
-		n := promName(m.name)
-		if m.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", n, m.help)
-		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", n, m.kind)
-		fmt.Fprintf(bw, "%s %g\n", n, m.fn())
-	}
-	for _, h := range reg.hists {
-		d := h.Dump()
-		n := promName(d.Name)
-		if d.Help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", n, d.Help)
-		}
-		fmt.Fprintf(bw, "# TYPE %s histogram\n", n)
-		var cum uint64
-		for _, b := range d.Buckets {
-			cum += b.Count
-			fmt.Fprintf(bw, "%s_bucket{le=\"%d\"} %d\n", n, b.Le, cum)
-		}
-		fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", n, d.Count)
-		fmt.Fprintf(bw, "%s_sum %d\n", n, d.Sum)
-		fmt.Fprintf(bw, "%s_count %d\n", n, d.Count)
-	}
-	return bw.Flush()
-}

@@ -64,35 +64,6 @@ func TestJSONLSinkStream(t *testing.T) {
 	}
 }
 
-func TestPromSinkStream(t *testing.T) {
-	reg, hits := sinkRegistry()
-	sp := NewSampler(reg, 50)
-	var buf bytes.Buffer
-	if err := sp.SetSink(NewPromSink(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	*hits = 6
-	sp.Tick(50)
-	if err := sp.FlushSink(); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE tlb_l1_hits counter",
-		"# HELP tlb_l1_hits L1 TLB hits",
-		"# TYPE sim_mpki gauge",
-		"tlb_l1_hits 6 50",
-		"sim_mpki 3 50",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("prom series missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, ".") && strings.Contains(out, "tlb.l1") {
-		t.Fatal("metric names not sanitized")
-	}
-}
-
 type failSink struct{ begun bool }
 
 func (f *failSink) Begin(*Registry, uint64) error { f.begun = true; return nil }
@@ -121,34 +92,6 @@ func TestSinkEmitErrorLatched(t *testing.T) {
 	}
 	if err := sp.FlushSink(); err != nil {
 		t.Fatalf("detached FlushSink err = %v", err)
-	}
-}
-
-func TestWritePromSnapshot(t *testing.T) {
-	reg, hits := sinkRegistry()
-	*hits = 8
-	h := reg.Histogram("sim.xlat", "cycles", "translation latency")
-	h.Observe(3)
-	h.Observe(3)
-	h.Observe(100)
-	var buf bytes.Buffer
-	if err := WriteProm(&buf, reg); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"tlb_l1_hits 8",
-		"sim_mpki 4",
-		"# TYPE sim_xlat histogram",
-		`sim_xlat_bucket{le="3"} 2`,
-		`sim_xlat_bucket{le="127"} 3`,
-		`sim_xlat_bucket{le="+Inf"} 3`,
-		"sim_xlat_sum 106",
-		"sim_xlat_count 3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("prom snapshot missing %q:\n%s", want, out)
-		}
 	}
 }
 

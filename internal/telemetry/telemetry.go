@@ -95,9 +95,6 @@ func (r *Registry) Histogram(name, unit, help string) *Hist {
 	return h
 }
 
-// Hists returns the registered histograms in registration order.
-func (r *Registry) Hists() []*Hist { return r.hists }
-
 // Hist returns a histogram by name.
 func (r *Registry) Hist(name string) (*Hist, bool) {
 	i, ok := r.histIndex[name]
