@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"babelfish/internal/faasfn"
 	"babelfish/internal/kernel"
 	"babelfish/internal/memdefs"
 	"babelfish/internal/sim"
@@ -201,20 +200,15 @@ func TestDeploymentPrefaultCoversEverything(t *testing.T) {
 }
 
 // TestFunctionWorkFactorsMatchRealFunctions checks the generators' per-
-// line think constants against the measured per-byte work of the real
-// Parse/Hash/Marshal implementations (internal/faasfn): the ordering
-// hash > marshal > parse must agree.
+// line think constants keep the per-byte work ordering of the paper's
+// Parse, Hash (djb2) and Marshal functions: hash > marshal > parse.
 func TestFunctionWorkFactorsMatchRealFunctions(t *testing.T) {
-	wf := faasfn.MeasureWorkFactors(8)
 	think := map[string]int{}
 	for _, b := range faasFunctions {
 		think[b.Name] = b.ThinkPerLine
 	}
 	if !(think["hash"] > think["marshal"] && think["marshal"] > think["parse"]) {
-		t.Fatal("generator think constants lost their ordering")
-	}
-	if !(wf.Hash > wf.Marshal && wf.Marshal > wf.Parse) {
-		t.Fatalf("real functions measure differently: %+v", wf)
+		t.Fatalf("generator think constants lost their ordering: %v", think)
 	}
 }
 
@@ -256,9 +250,6 @@ func TestFaaSGroupErrors(t *testing.T) {
 	}
 	if _, _, err := fg.Spawn("nope", 0, 1); err == nil {
 		t.Fatal("unknown function spawned")
-	}
-	if _, _, err := fg.SpawnBringUp("nope", 0, 1); err == nil {
-		t.Fatal("unknown bring-up spawned")
 	}
 	if _, err := fg.Env("nope", fg.Template); err == nil {
 		t.Fatal("unknown env built")
