@@ -83,28 +83,35 @@ func (e *Engine) Start(d *workloads.Deployment, coreID int, seed uint64) (*Conta
 		return nil, err
 	}
 	proc := d.Containers[len(d.Containers)-1]
-	c := &Container{
-		Name:         proc.Name,
-		Task:         task,
-		State:        Created,
-		EngineCycles: EngineCost,
-		ForkCycles:   forkCycles,
-	}
-
-	// Run the bring-up sequence in isolation, timing it via the
-	// generator's request mark.
-	workGen := task.Gen
-	task.Gen = workloads.NewBringUp(d.Env(proc), seed)
-	if err := e.M.RunTaskOnly(task); err != nil {
+	touch, err := BringUp(e.M, task, d.Env(proc), seed)
+	if err != nil {
 		return nil, err
 	}
-	c.BringUpCycles = memdefs.Cycles(task.Lat.Max())
-	// Hand the task back to the workload.
-	task.Gen = workGen
+	return &Container{
+		Name:          proc.Name,
+		Task:          task,
+		State:         Running,
+		EngineCycles:  EngineCost,
+		ForkCycles:    forkCycles,
+		BringUpCycles: touch,
+	}, nil
+}
+
+// BringUp runs the bring-up page-touch sequence of a freshly forked
+// container's task, whose generator environment is env, in isolation on
+// m and returns its cycles, timed by the sequence's request mark. The
+// task then gets its own generator back, not yet started.
+func BringUp(m *sim.Machine, task *sim.Task, env workloads.Env, seed uint64) (memdefs.Cycles, error) {
+	work := task.Gen
+	task.Gen = workloads.NewBringUp(env, seed)
+	if err := m.RunTaskOnly(task); err != nil {
+		return 0, err
+	}
+	touch := memdefs.Cycles(task.Lat.Max())
+	task.Gen = work
 	task.Done = false
 	task.Lat.Reset()
-	c.State = Running
-	return c, nil
+	return touch, nil
 }
 
 // Stop exits the container's process and releases its address space.

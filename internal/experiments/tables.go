@@ -160,14 +160,18 @@ func (s *Suite) Bringup(o Options) func() *BringupResult {
 				return err
 			}
 			// Now `docker start` a new parse container and time it.
-			task, forkCycles, err := fg.SpawnBringUp("parse", 0, o.Seed+99)
+			task, forkCycles, err := fg.Spawn("parse", 0, o.Seed+99)
 			if err != nil {
 				return err
 			}
-			if err := m.RunTaskOnly(task); err != nil {
+			env, err := fg.Env("parse", task.Proc)
+			if err != nil {
 				return err
 			}
-			touch := memdefs.Cycles(task.Lat.Max())
+			touch, err := container.BringUp(m, task, env, o.Seed+99)
+			if err != nil {
+				return err
+			}
 			slot.Engine = container.EngineCost
 			slot.Fork = forkCycles
 			slot.Touch = touch

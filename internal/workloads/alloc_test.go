@@ -41,11 +41,15 @@ func TestNextBatchZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			if bringUpOnly {
-				task, _, err := fg.SpawnBringUp("hash", 0, 1)
+				task, _, err := fg.Spawn("hash", 0, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return task.Gen
+				env, err := fg.Env("hash", task.Proc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return NewBringUp(env, 1)
 			}
 			task, _, err := fg.Spawn("marshal", 0, 1)
 			if err != nil {

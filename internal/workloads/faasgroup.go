@@ -184,37 +184,19 @@ func (fg *FaaSGroup) env(fn *faasFn, p *kernel.Process) Env {
 // schedules it: its untimed bring-up, then the function's own work.
 // Returns the task and the fork cycles.
 func (fg *FaaSGroup) Spawn(name string, coreID int, seed uint64) (*sim.Task, memdefs.Cycles, error) {
-	return fg.spawn(name, coreID, seed, false)
-}
-
-// SpawnBringUp forks a function container whose generator is the
-// `docker start` bring-up sequence alone, timed by its request marks;
-// used by the bring-up experiment.
-func (fg *FaaSGroup) SpawnBringUp(name string, coreID int, seed uint64) (*sim.Task, memdefs.Cycles, error) {
-	return fg.spawn(name, coreID, seed, true)
-}
-
-func (fg *FaaSGroup) spawn(name string, coreID int, seed uint64, bringUpOnly bool) (*sim.Task, memdefs.Cycles, error) {
 	fn, err := fg.lookup(name)
 	if err != nil {
 		return nil, 0, err
 	}
 	fg.seq++
-	tag := name
-	if bringUpOnly {
-		tag += "-bringup"
-	}
-	c, forkCycles, err := fg.M.Kernel.Fork(fg.Template, fmt.Sprintf("%s-%d", tag, fg.seq))
+	c, forkCycles, err := fg.M.Kernel.Fork(fg.Template, fmt.Sprintf("%s-%d", name, fg.seq))
 	if err != nil {
 		return nil, 0, err
 	}
 	env := fg.env(fn, c)
 	bu := NewBringUp(env, seed)
-	var gen sim.Generator = bu
-	if !bringUpOnly {
-		bu.noMarks = true
-		gen = NewChain(bu, newFuncGen(env, fn.behavior, seed))
-	}
+	bu.noMarks = true
+	gen := NewChain(bu, newFuncGen(env, fn.behavior, seed))
 	task := fg.M.AddTask(coreID, c, gen)
 	fg.Tasks = append(fg.Tasks, task)
 	return task, forkCycles, nil

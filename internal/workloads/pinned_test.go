@@ -55,13 +55,16 @@ func pinnedFaaS(name string, sparse, bringUpOnly bool) func(t *testing.T) sim.Ge
 		if err != nil {
 			t.Fatal(err)
 		}
-		spawn := fg.Spawn
-		if bringUpOnly {
-			spawn = fg.SpawnBringUp
-		}
-		task, _, err := spawn(name, 0, 5)
+		task, _, err := fg.Spawn(name, 0, 5)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if bringUpOnly {
+			env, err := fg.Env(name, task.Proc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return NewBringUp(env, 5)
 		}
 		return task.Gen
 	}
